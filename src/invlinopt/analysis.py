@@ -394,14 +394,21 @@ def certify_gap(
     Requires each observed choice to be the unique exact maximizer of
     c_star over its feasible set; otherwise returns a witness.  The margin
     is min over rounds and competitors of the objective loss per unit of
-    primal-norm distance.
+    primal-norm distance.  A round facing the same set object with the same
+    choice bytes as the round before reuses that round's margin.
     """
     c_star = as_vector(c_star)
     per_round: list[float] = []
+    prev_set = prev_choice = None
     for obs in observations:
+        x = obs.agent_choice
+        choice = x.tobytes()
+        if obs.feasible_set is prev_set and choice == prev_choice:
+            per_round.append(per_round[-1])
+            continue
+        prev_set, prev_choice = obs.feasible_set, choice
         members = obs.feasible_set.members(cap)
         values = members @ c_star
-        x = obs.agent_choice
         value_x = inner_product(c_star, x)
         is_x = np.all(members == x, axis=1)
         if not np.any(is_x):

@@ -6,6 +6,7 @@ float64 exactly and identical runs produce bitwise-identical bytes.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -94,7 +95,8 @@ def write_stream(path, observations: Sequence[Observation], c_star=None,
         <m vertex lines of n floats>
         choice <n floats>
     Non-explicit feasible sets are enumerated (subject to the cap), so a
-    reloaded stream always uses ExplicitVertices.
+    reloaded stream always uses ExplicitVertices.  The whole text is
+    rendered before the file is opened, so a refusal writes nothing.
     """
     from ..core import DEFAULT_ENUMERATION_CAP
 
@@ -115,42 +117,68 @@ def write_stream(path, observations: Sequence[Observation], c_star=None,
 
 
 def read_stream(path) -> tuple[list[Observation], np.ndarray | None]:
+    """Parse a stream file written by write_stream.
+
+    Malformed or truncated content raises a ValueError that names the path
+    and the line.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != STREAM_MAGIC:
         raise ValueError(f"{path}: not a stream file")
-    idx = 1
-    if not lines[idx].startswith("dim "):
-        raise ValueError(f"{path}: missing dim line")
-    dim = int(lines[idx].split()[1])
-    idx += 1
+    lineno = 1  # number of the last line consumed
+
+    def take(expected: str) -> list[str]:
+        nonlocal lineno
+        if lineno >= len(lines):
+            raise ValueError(f"{path}:{lineno + 1}: stream ends early, expected {expected}")
+        lineno += 1
+        return lines[lineno - 1].split()
+
+    def numbers(tokens: list[str], kind, what: str) -> list:
+        try:
+            return [kind(t) for t in tokens]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed {what}") from None
+
+    def vector(tokens: list[str], dim: int, what: str) -> list[float]:
+        values = numbers(tokens, float, what)
+        if len(values) != dim:
+            raise ValueError(
+                f"{path}:{lineno}: {what} has {len(values)} entries, expected {dim}"
+            )
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}:{lineno}: {what} has a non-finite entry")
+        return values
+
+    head = take("a dim line")
+    if len(head) != 2 or head[0] != "dim":
+        raise ValueError(f"{path}:{lineno}: expected 'dim <n>'")
+    (dim,) = numbers(head[1:], int, "dim line")
     c_star = None
-    if idx < len(lines) and lines[idx].startswith("c_star "):
-        c_star = as_vector([float(t) for t in lines[idx].split()[1:]])
-        idx += 1
+    if lineno < len(lines) and lines[lineno].startswith("c_star "):
+        c_star = as_vector(vector(take("c_star")[1:], dim, "c_star"))
     observations: list[Observation] = []
-    while idx < len(lines):
-        if not lines[idx].strip():
-            idx += 1
+    while lineno < len(lines):
+        parts = take("an obs line")
+        if not parts:
             continue
-        parts = lines[idx].split()
-        if parts[0] != "obs":
-            raise ValueError(f"{path}: expected an obs line, got {lines[idx]!r}")
-        round_index, count = int(parts[1]), int(parts[2])
-        idx += 1
-        vertices = []
-        for _ in range(count):
-            row = [float(t) for t in lines[idx].split()]
-            if len(row) != dim:
-                raise ValueError(f"{path}: vertex of wrong dimension")
-            vertices.append(row)
-            idx += 1
-        if not lines[idx].startswith("choice "):
-            raise ValueError(f"{path}: missing choice line")
-        choice = [float(t) for t in lines[idx].split()[1:]]
-        idx += 1
-        observations.append(
-            Observation(ExplicitVertices(vertices), choice, round_index)
-        )
+        if len(parts) != 3 or parts[0] != "obs":
+            raise ValueError(f"{path}:{lineno}: expected 'obs <round> <count>'")
+        obs_line = lineno
+        round_index, count = numbers(parts[1:], int, "obs line")
+        vertices = [
+            vector(take("a vertex line"), dim, "vertex") for _ in range(count)
+        ]
+        tokens = take("a choice line")
+        if not tokens or tokens[0] != "choice":
+            raise ValueError(f"{path}:{lineno}: expected a choice line")
+        choice = vector(tokens[1:], dim, "choice")
+        try:
+            observations.append(
+                Observation(ExplicitVertices(vertices), choice, round_index)
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{obs_line}: {exc}") from None
     if not observations:
         raise ValueError(f"{path}: stream holds no observations")
     return observations, c_star

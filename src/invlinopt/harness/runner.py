@@ -215,7 +215,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                     "integral_gap_floor",
                     ledger.rounds,
                     floor,
-                    value if value is not None else float("-inf"),
+                    value,
                     integral_certificate.satisfied
                     and value + tolerance(value, floor) >= floor,
                 )
@@ -253,18 +253,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if cfg.out is not None:
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        trace_path = str(out / "trace.csv")
-        summary_path = str(out / "summary.txt")
-        write_trace(trace_path, trace_rows(ledger, delta))
-        write_summary(summary_path, summary)
-        write_vector(out / "prediction.txt", averaged)
         if cfg.save_stream:
+            # first, so that an enumeration refusal leaves no other file
             write_stream(
                 out / "stream.txt",
                 bundle.observations,
                 bundle.c_star,
                 cap=cfg.enumeration_cap,
             )
+        trace_path = str(out / "trace.csv")
+        summary_path = str(out / "summary.txt")
+        write_trace(trace_path, trace_rows(ledger, delta))
+        write_summary(summary_path, summary)
+        write_vector(out / "prediction.txt", averaged)
 
     return RunResult(
         exit_code=exit_code,

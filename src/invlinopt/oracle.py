@@ -11,6 +11,11 @@ tie-breaking rule, so repeated runs reproduce bitwise-identical traces:
   item out on ties.
 * DagPaths: longest-path relaxation in topological order with strict
   improvement, so the first-found predecessor wins ties.
+
+argmax remembers its _MEMO_SIZE most recently used answers, keyed on the
+feasible-set object and the exact bytes of the float64 objective, so a
+decision problem that repeats round after round is solved once.  Answers
+are immutable and bitwise equal to a fresh solve.
 """
 
 from __future__ import annotations
@@ -125,14 +130,38 @@ def _dag_argmax(X: DagPaths, c: np.ndarray) -> OracleResult:
     return OracleResult(maximizer, float(np.dot(maximizer, c)), 1)
 
 
+_MEMO_SIZE = 4
+
+# Entries (feasible_set, objective bytes, result), most recently used first.
+# The tuple is never mutated, only replaced by one assignment, so concurrent
+# callers read a consistent snapshot; a lost update only drops an entry.
+# Each entry holds its set strongly, so an identity match is never a
+# recycled id.
+_memo: tuple[tuple[FeasibleSet, bytes, OracleResult], ...] = ()
+
+
 def argmax(feasible_set: FeasibleSet, c) -> OracleResult:
     """Exact maximizer of <c, x> over the feasible set.
 
     Dispatches to the variant-specific exact algorithm; see the module
-    docstring for the deterministic tie rules.
+    docstring for the deterministic tie rules and the memo.
     """
+    global _memo
     c = np.asarray(c, dtype=np.float64)
     _check_dimension(feasible_set, c)
+    key = c.tobytes()
+    memo = _memo
+    for entry in memo:
+        if entry[0] is feasible_set and entry[1] == key:
+            if entry is not memo[0]:
+                _memo = (entry,) + tuple(e for e in memo if e is not entry)
+            return entry[2]
+    result = _solve(feasible_set, c)
+    _memo = ((feasible_set, key, result),) + memo[: _MEMO_SIZE - 1]
+    return result
+
+
+def _solve(feasible_set: FeasibleSet, c: np.ndarray) -> OracleResult:
     if isinstance(feasible_set, ExplicitVertices):
         return _scan(feasible_set.vertices, c)
     if isinstance(feasible_set, Hypercube):

@@ -33,6 +33,7 @@ from invlinopt.analysis import (
     offset_horizon_bound,
 )
 from invlinopt.harness import build_config, generate_instance_stream, simulate
+from invlinopt.harness.io import read_stream, write_stream
 
 from conftest import naive_gap
 
@@ -262,3 +263,61 @@ def test_offline_evaluate_exact_zeros():
     assert other.samples == 200
     with pytest.raises(ValueError):
         offline_evaluate(c_star, c_star, sampler, 0, 9)
+
+
+def certificate_fields(certificate):
+    witness = certificate.witness
+    return (
+        certificate.satisfied,
+        certificate.delta,
+        certificate.per_round_deltas,
+        None if witness is None else (
+            witness.round_index,
+            witness.competitor.tobytes(),
+            witness.value,
+            witness.reason,
+        ),
+    )
+
+
+def test_certify_gap_reuse_matches_a_stream_without_shared_sets(tmp_path):
+    # The file round trip gives every round its own set object, so nothing
+    # is reused there; the in-memory stream repeats one set object.
+    c_star = [2.0, 1.0]
+    best = (SQUARE, [1.0, 1.0])  # margin 1
+    pair = (ExplicitVertices([[1.0, 0.0], [0.0, 0.5]]), [1.0, 0.0])  # margin 1.5
+    single = (ExplicitVertices([[0.5, 0.5]]), [0.5, 0.5])  # margin +inf
+    cases = {
+        "repeated": [best] * 6 + [single] * 2,
+        "alternating": [pair, pair, best, best, pair, single, single, pair],
+        "suboptimal-late": [best] * 4 + [(SQUARE, [0.0, 0.0])] + [best] * 2,
+    }
+    for name, rounds in cases.items():
+        observations = [Observation(X, x, t) for t, (X, x) in enumerate(rounds, 1)]
+        path = tmp_path / f"{name}.txt"
+        write_stream(path, observations, c_star)
+        reloaded, _ = read_stream(path)
+        for norms in (LINF, NormPair.l2_l2()):
+            mine = certify_gap(observations, c_star, norms)
+            fresh = certify_gap(reloaded, c_star, norms)
+            assert certificate_fields(mine) == certificate_fields(fresh), name
+    alternating = [
+        Observation(X, x, t) for t, (X, x) in enumerate(cases["alternating"], 1)
+    ]
+    assert certify_gap(alternating, c_star, LINF).per_round_deltas == (
+        1.5, 1.5, 1.0, 1.0, 1.5, math.inf, math.inf, 1.5
+    )
+
+
+def test_certify_gap_reuse_on_a_generated_repeated_stream(tmp_path):
+    cfg = build_config({}, seed=17, dimension=6, rounds=80, family="knapsack",
+                       gap_mode="integral", fresh_sets=False)
+    bundle = generate_instance_stream(cfg)
+    path = tmp_path / "stream.txt"
+    write_stream(path, bundle.observations, bundle.c_star)
+    reloaded, _ = read_stream(path)
+    for c_star in (bundle.c_star, bundle.c_star_integral):
+        mine = certify_gap(bundle.observations, c_star, LINF)
+        fresh = certify_gap(reloaded, c_star, LINF)
+        assert mine.satisfied
+        assert certificate_fields(mine) == certificate_fields(fresh)

@@ -396,3 +396,64 @@ def test_cli_sweep_deterministic(tmp_path):
 def test_cli_error_handling(tmp_path, capsys):
     assert main(["run", "--dimension", "3"]) == 2  # no seed anywhere
     assert main(["sweep", "--seed", "1"]) == 2  # no --out
+
+
+def test_repeated_knapsack_solves_do_not_grow_with_rounds(monkeypatch):
+    from invlinopt import oracle
+
+    solves = [0]
+    solve = oracle._knapsack_argmax
+
+    def counting(X, c):
+        solves[0] += 1
+        return solve(X, c)
+
+    monkeypatch.setattr(oracle, "_knapsack_argmax", counting)
+    counts = []
+    for rounds in (40, 400):
+        solves[0] = 0
+        cfg = make_cfg(family="knapsack", dimension=8, gap_mode="integral",
+                       fresh_sets=False, rounds=rounds)
+        assert run_experiment(cfg).exit_code == 0
+        counts.append(solves[0])
+    assert counts[0] == counts[1] <= 10
+
+
+def test_truncated_stream_is_a_named_usage_error(tmp_path, capsys):
+    bundle = generate_instance_stream(
+        make_cfg(family="knapsack", dimension=3, gap_mode="integral", rounds=5)
+    )
+    path = tmp_path / "stream.txt"
+    write_stream(path, bundle.observations, bundle.c_star)
+    text = path.read_bytes()
+    cut_path = tmp_path / "cut.txt"
+    for cut in range(len(text)):
+        cut_path.write_bytes(text[:cut])
+        try:
+            observations, _ = read_stream(cut_path)
+        except ValueError as exc:
+            assert str(cut_path) in str(exc)
+            continue
+        # only a cut at the end of a complete observation's last line
+        # parses, and then to a prefix of the stream
+        assert b"\n" in (text[cut - 1:cut], text[cut:cut + 1])
+        assert 0 < len(observations) <= 5
+        for loaded, original in zip(observations, bundle.observations):
+            assert loaded.agent_choice.tobytes() == original.agent_choice.tobytes()
+    for cut in (20, 60, 150, len(text) // 2, len(text) - 2):
+        cut_path.write_bytes(text[:cut])
+        assert main(["certify", "--stream", str(cut_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cut_path}:" in err
+
+
+def test_save_stream_refusal_writes_no_outputs(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "run", "--seed", "1", "--family", "hypercube", "--dimension", "30",
+        "--rounds", "3", "--save-stream", "--out", str(out),
+    ])
+    assert code == 2
+    assert "exceeds cap" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+    assert list(out.iterdir()) == []
