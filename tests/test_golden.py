@@ -10,7 +10,6 @@ Re-record only for a change that alters outputs on purpose, and say so.
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -84,4 +83,3 @@ def record() -> None:
 
 if __name__ == "__main__":
     record()
-    sys.exit(0)
