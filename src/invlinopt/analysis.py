@@ -24,11 +24,13 @@ from .core import (
     NormPair,
     Observation,
     TOL,
+    _dot,
     as_vector,
     inner_product,
     tolerance,
 )
 from .learner import ADAPTIVE, OFFSET, RegularizerConfig, RoundRecord
+from .loss import _estimate
 
 ROOT_FIVE_QUARTERS = 2.0 ** 1.25  # 2^{5/4}
 
@@ -113,17 +115,26 @@ class RegretLedger:
     def rounds(self) -> int:
         return len(self.records)
 
-    def append(self, obs: Observation, record: RoundRecord) -> None:
+    def append(
+        self, obs: Observation, record: RoundRecord, reference: np.ndarray
+    ) -> None:
+        """Account for one round.
+
+        reference is the maximizer of c_star over the round's feasible set,
+        oracle.argmax(obs.feasible_set, c_star).maximizer, which the caller
+        already holds: generation computes it to act as the optimal agent.
+        """
         if record.t != self.rounds + 1:
             raise ValueError(
                 f"record for round {record.t} appended at position {self.rounds + 1}"
             )
-        ref = oracle.argmax(obs.feasible_set, self.c_star)
-        ell_sub_ref = inner_product(self.c_star, ref.maximizer - obs.agent_choice)
-        lin_inc = inner_product(record.g, record.c_hat - self.c_star)
+        c_star = self.c_star
+        ell_sub_ref = _dot(c_star, reference - obs.agent_choice)
+        distance = record.c_hat - c_star
+        lin_inc = _dot(record.g, distance)
         ell_est = record.ell_est
         if ell_est is None:
-            ell_est = inner_product(self.c_star, obs.agent_choice - record.x_hat)
+            ell_est = _estimate(c_star, obs.agent_choice, record.x_hat)
         total = record.ell_sub + ell_est
         prev_r = self._regret[-1] if self._regret else 0.0
         prev_rs = self._regret_sub[-1] if self._regret_sub else 0.0
@@ -141,9 +152,7 @@ class RegretLedger:
         self._beta.append(record.beta)
         self._grad_norm.append(record.grad_norm)
         self.max_grad_norm = max(self.max_grad_norm, record.grad_norm)
-        self.max_dual_distance = max(
-            self.max_dual_distance, self.norms.dual(record.c_hat - self.c_star)
-        )
+        self.max_dual_distance = max(self.max_dual_distance, self.norms.dual(distance))
 
     def _at(self, values: list[float], t: int) -> float:
         if not 1 <= t <= self.rounds:

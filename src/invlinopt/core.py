@@ -37,8 +37,13 @@ def as_vector(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
+    return _frozen(v)
+
+
+def _frozen(v: np.ndarray) -> np.ndarray:
+    """A read-only copy of a finite float64 array with -0.0 folded to +0.0."""
     v = v + 0.0
     v.flags.writeable = False
     return v
@@ -50,6 +55,11 @@ def inner_product(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
+    return _dot(a, b)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two float64 vectors already known to share a shape."""
     return float(np.dot(a, b))
 
 
@@ -136,6 +146,14 @@ class FeasibleSet:
     def _enumerate(self) -> np.ndarray:
         raise NotImplementedError
 
+    def require_enumerable(self, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+        """Raise EnumerationRefusedError when members(cap) would refuse."""
+        effort = self.enumeration_effort()
+        if effort > cap:
+            raise EnumerationRefusedError(
+                f"enumeration effort {effort} exceeds cap {cap}"
+            )
+
     def members(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """All elements as rows of a read-only (m, n) float array.
 
@@ -143,11 +161,7 @@ class FeasibleSet:
         exceeds ``cap``; callers then stay in oracle-only mode rather than
         receiving an approximation.
         """
-        effort = self.enumeration_effort()
-        if effort > cap:
-            raise EnumerationRefusedError(
-                f"enumeration effort {effort} exceeds cap {cap}"
-            )
+        self.require_enumerable(cap)
         if self._members_cache is None:
             m = self._enumerate()
             m = m + 0.0
@@ -166,21 +180,17 @@ class ExplicitVertices(FeasibleSet):
             m = m.reshape(1, -1)
         if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
             raise ValueError("vertices must form a non-empty (m, n) array")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("vertex entries must be finite")
-        m = m + 0.0
-        seen: set[bytes] = set()
-        keep: list[int] = []
-        for i in range(m.shape[0]):
-            key = m[i].tobytes()
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        verts = m[keep]
-        verts.flags.writeable = False
-        self._vertices = verts
-        self._keys = frozenset(seen)
-        self.dimension = int(verts.shape[1])
+        m = np.ascontiguousarray(m + 0.0)
+        # with -0.0 folded, equal bytes mean equal rows: one void item per row
+        rows = m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel()
+        _, first = np.unique(rows, return_index=True)
+        if first.size < m.shape[0]:
+            m = m[np.sort(first)]
+        m.flags.writeable = False
+        self._vertices = m
+        self.dimension = int(m.shape[1])
 
     @property
     def vertices(self) -> np.ndarray:
@@ -190,7 +200,7 @@ class ExplicitVertices(FeasibleSet):
         v = as_vector(v)
         if v.size != self.dimension:
             return False
-        return v.tobytes() in self._keys
+        return bool((self._vertices == v).all(axis=1).any())
 
     def enumeration_effort(self) -> int:
         return int(self._vertices.shape[0])

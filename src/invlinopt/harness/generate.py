@@ -41,7 +41,9 @@ class StreamBundle:
 
     c_star_integral is the pre-rescaling integral objective in integral gap
     mode (None otherwise); the agent and all regret accounting use c_star,
-    which lies in the prediction domain.
+    which lies in the prediction domain.  optimal_choices holds, per round,
+    the maximizer of c_star over the round's set: the optimal agent's
+    response, drawn before any noise replaces it.
     """
 
     config: ExperimentConfig
@@ -50,6 +52,7 @@ class StreamBundle:
     c_star: np.ndarray
     c_star_integral: np.ndarray | None
     observations: tuple[Observation, ...]
+    optimal_choices: tuple[np.ndarray, ...]
 
 
 def build_domain(cfg: ExperimentConfig) -> PredictionDomain:
@@ -236,16 +239,17 @@ def _draw_round(
     budget: list[int],
     round_index: int,
     shared: FeasibleSet | None,
-) -> Observation:
+) -> tuple[Observation, np.ndarray]:
+    """One observation and the optimal choice it was drawn from."""
     X = (
         shared
         if shared is not None
         else _draw_set(cfg, c_star, gap_reference, rng, budget, None)
     )
-    choice = argmax(X, c_star).maximizer
+    optimal = choice = argmax(X, c_star).maximizer
     if cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise:
         choice = uniform_member(X, rng, cfg.enumeration_cap)
-    return Observation(X, choice, round_index)
+    return Observation(X, choice, round_index), optimal
 
 
 def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
@@ -262,17 +266,18 @@ def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
     shared = _fixed_set(cfg, c_star, gap_reference)
     rng = np.random.default_rng([cfg.seed, 0])
     budget = [cfg.retry_cap]
-    observations = tuple(
+    rounds = [
         _draw_round(cfg, c_star, gap_reference, rng, budget, t, shared)
         for t in range(1, cfg.rounds + 1)
-    )
+    ]
     return StreamBundle(
         config=cfg,
         domain=domain,
         reg_config=reg_config,
         c_star=c_star,
         c_star_integral=c_star_integral,
-        observations=observations,
+        observations=tuple(obs for obs, _ in rounds),
+        optimal_choices=tuple(optimal for _, optimal in rounds),
     )
 
 
@@ -287,6 +292,6 @@ def make_observation_sampler(
 
     def sampler(rng: np.random.Generator) -> Observation:
         budget = [min(cfg.retry_cap, 10_000)]
-        return _draw_round(cfg, c_star, gap_reference, rng, budget, 1, shared)
+        return _draw_round(cfg, c_star, gap_reference, rng, budget, 1, shared)[0]
 
     return sampler

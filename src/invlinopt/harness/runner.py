@@ -51,10 +51,17 @@ def simulate(
     """Run the online loop over a stream; pure given its inputs.
 
     Pass a different observation sequence to replay the same learner setup
-    on modified data (used by the protocol-order tests).
+    on modified data (used by the protocol-order tests); the ledger's
+    optimal choices are then solved for it.
     """
     if observations is None:
         observations = bundle.observations
+        optimal_choices = bundle.optimal_choices
+    else:
+        optimal_choices = [
+            oracle.argmax(obs.feasible_set, bundle.c_star).maximizer
+            for obs in observations
+        ]
     state = learner.init_learner(
         bundle.domain, bundle.reg_config, bundle.config.schedule
     )
@@ -64,12 +71,12 @@ def simulate(
         bundle.reg_config,
         bundle.config.schedule,
     )
-    for obs in observations:
+    for obs, optimal in zip(observations, optimal_choices):
         result = oracle.argmax(obs.feasible_set, state.current_prediction)
         state, record = learner.observe(
             state, obs, result.maximizer, c_star=bundle.c_star
         )
-        ledger.append(obs, record)
+        ledger.append(obs, record, optimal)
     return state, ledger
 
 
@@ -252,9 +259,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     trace_path = summary_path = None
     if cfg.out is not None:
         out = Path(cfg.out)
+        if cfg.save_stream:
+            # before anything is created, so that a refusal leaves nothing
+            for obs in bundle.observations:
+                obs.feasible_set.require_enumerable(cfg.enumeration_cap)
         out.mkdir(parents=True, exist_ok=True)
         if cfg.save_stream:
-            # first, so that an enumeration refusal leaves no other file
             write_stream(
                 out / "stream.txt",
                 bundle.observations,

@@ -10,7 +10,7 @@ step from the center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,11 @@ from .core import (
     Observation,
     PredictionDomain,
     Simplex,
+    _dot,
+    _frozen,
     as_vector,
-    inner_product,
 )
-from .loss import estimate_loss, residual_subgradient
+from .loss import _residual, estimate_loss
 
 ADAPTIVE = "adaptive"
 OFFSET = "offset"
@@ -236,14 +237,14 @@ def _solve(
         z = -grad_sum / b
         z = z - z.max()
         w = np.exp(z)
-        return as_vector(w / w.sum())
+        return _frozen(w / w.sum())
     assert isinstance(domain, Ball)
     step = domain.center - grad_sum / b
     offset = step - domain.center
     norm = float(np.linalg.norm(offset))
     if norm > domain.radius:
         step = domain.center + offset * (domain.radius / norm)
-    return as_vector(step)
+    return _frozen(step)
 
 
 def predict(state: LearnerState) -> np.ndarray:
@@ -274,16 +275,18 @@ def observe(
     observation's feasible set; the caller supplies it so that the same
     oracle answer feeds both the update and the loss accounting.  Pass
     c_star to record the simulation-mode estimate loss.
+
+    A round whose subgradient is exactly zero leaves the accumulators, and
+    so the closed-form prediction, unchanged: the state keeps them as they
+    are instead of solving again.
     """
     x_hat = as_vector(x_hat)
     x = obs.agent_choice
     if x_hat.size != state.domain.dimension or x.size != state.domain.dimension:
         raise DimensionMismatchError("observation dimension differs from learner")
     c_hat = state.current_prediction
-    g = residual_subgradient(x, x_hat)
+    g = _residual(x, x_hat)
     grad_norm = state.norms.primal(g)
-    ell_sub = inner_product(c_hat, g)
-    ell_est = None if c_star is None else estimate_loss(c_star, x, x_hat)
     record = RoundRecord(
         t=state.round,
         c_hat=c_hat,
@@ -291,24 +294,29 @@ def observe(
         g=g,
         beta=beta(state),
         grad_norm=grad_norm,
-        ell_sub=ell_sub,
-        ell_est=ell_est,
+        ell_sub=_dot(c_hat, g),
+        ell_est=None if c_star is None else estimate_loss(c_star, x, x_hat),
     )
-    grad_sum = as_vector(state.grad_sum + g)
-    sq_norm_sum = state.sq_norm_sum + grad_norm ** 2
-    next_prediction = _solve(
+    if g.any():
+        grad_sum = _frozen(state.grad_sum + g)
+        sq_norm_sum = state.sq_norm_sum + grad_norm ** 2
+        prediction = _solve(
+            state.domain,
+            state.config,
+            state.schedule,
+            grad_sum,
+            sq_norm_sum,
+            c_hat,
+        )
+    else:
+        grad_sum, sq_norm_sum, prediction = state.grad_sum, state.sq_norm_sum, c_hat
+    new_state = LearnerState(
         state.domain,
         state.config,
         state.schedule,
         grad_sum,
         sq_norm_sum,
-        state.current_prediction,
-    )
-    new_state = replace(
-        state,
-        grad_sum=grad_sum,
-        sq_norm_sum=sq_norm_sum,
-        round=state.round + 1,
-        current_prediction=next_prediction,
+        state.round + 1,
+        prediction,
     )
     return new_state, record

@@ -19,6 +19,8 @@ from .core import (
     DimensionMismatchError,
     FeasibleSet,
     MembershipError,
+    _dot,
+    _frozen,
     as_vector,
     inner_product,
 )
@@ -53,11 +55,19 @@ def fenchel_young_loss(feasible_set: FeasibleSet, x, c_hat) -> float:
 
 def estimate_loss(c_star, x, x_hat) -> float:
     """<c_star, x - x_hat>: regret of recommending x_hat under c_star."""
+    c_star = np.asarray(c_star, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise DimensionMismatchError(f"shapes {x.shape} and {x_hat.shape} differ")
-    return inner_product(c_star, x - x_hat)
+    if not c_star.shape == x.shape == x_hat.shape:
+        raise DimensionMismatchError(
+            f"shapes {c_star.shape}, {x.shape} and {x_hat.shape} differ"
+        )
+    return _estimate(c_star, x, x_hat)
+
+
+def _estimate(c_star: np.ndarray, x: np.ndarray, x_hat: np.ndarray) -> float:
+    """estimate_loss on trusted float64 vectors of one shape."""
+    return _dot(c_star, x - x_hat)
 
 
 def residual_subgradient(x, x_hat) -> np.ndarray:
@@ -66,7 +76,12 @@ def residual_subgradient(x, x_hat) -> np.ndarray:
     x_hat = as_vector(x_hat)
     if x.shape != x_hat.shape:
         raise ValueError(f"shapes {x.shape} and {x_hat.shape} differ")
-    return as_vector(x_hat - x)
+    return _residual(x, x_hat)
+
+
+def _residual(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """residual_subgradient on trusted finite float64 vectors of one shape."""
+    return _frozen(x_hat - x)
 
 
 @dataclass(frozen=True, eq=False)

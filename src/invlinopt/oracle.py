@@ -32,7 +32,8 @@ from .core import (
     FeasibleSet,
     Hypercube,
     Knapsack,
-    as_vector,
+    _dot,
+    _frozen,
 )
 
 
@@ -60,23 +61,25 @@ def _check_dimension(feasible_set: FeasibleSet, c: np.ndarray) -> None:
 def _scan(rows: np.ndarray, c: np.ndarray) -> OracleResult:
     """Exhaustive scan; exact-value ties resolve to the lexicographic minimum."""
     values = rows @ c
-    best = float(values.max())
-    tied = np.flatnonzero(values == best)
-    if tied.size == 1:
-        row = rows[tied[0]]
+    first = int(values.argmax())
+    best = values == values[first]
+    ties = int(np.count_nonzero(best))
+    if ties == 1:
+        row = rows[first]
     else:
+        tied = np.flatnonzero(best)
         # lexsort uses its last key as the primary one, so feed reversed columns
         order = np.lexsort(rows[tied].T[::-1])
         row = rows[tied[order[0]]]
-    maximizer = as_vector(row)
-    return OracleResult(maximizer, float(np.dot(maximizer, c)), int(tied.size))
+    maximizer = _frozen(row)
+    return OracleResult(maximizer, _dot(maximizer, c), ties)
 
 
 def _hypercube_argmax(X: Hypercube, c: np.ndarray) -> OracleResult:
     x = (c > 0.0).astype(np.float64)
     ties = 2 ** int(np.count_nonzero(c == 0.0))
-    maximizer = as_vector(x)
-    return OracleResult(maximizer, float(np.dot(maximizer, c)), ties)
+    maximizer = _frozen(x)
+    return OracleResult(maximizer, _dot(maximizer, c), ties)
 
 
 def _knapsack_argmax(X: Knapsack, c: np.ndarray) -> OracleResult:
@@ -101,8 +104,8 @@ def _knapsack_argmax(X: Knapsack, c: np.ndarray) -> OracleResult:
             i = keep[j]
             sel[i] = 1.0
             budget -= int(weights[i])
-    maximizer = as_vector(sel)
-    return OracleResult(maximizer, float(np.dot(maximizer, c)), 1)
+    maximizer = _frozen(sel)
+    return OracleResult(maximizer, _dot(maximizer, c), 1)
 
 
 def _dag_argmax(X: DagPaths, c: np.ndarray) -> OracleResult:
@@ -126,8 +129,8 @@ def _dag_argmax(X: DagPaths, c: np.ndarray) -> OracleResult:
         k = pred[node]
         sel[k] = 1.0
         node = X.arcs[k][0]
-    maximizer = as_vector(sel)
-    return OracleResult(maximizer, float(np.dot(maximizer, c)), 1)
+    maximizer = _frozen(sel)
+    return OracleResult(maximizer, _dot(maximizer, c), 1)
 
 
 _MEMO_SIZE = 4

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from invlinopt import (
     Ball,
@@ -138,6 +141,66 @@ def test_explicit_vertices_identity_and_dedup():
     # duplicates never stored twice, bitwise after normalization
     keys = {row.tobytes() for row in X.members()}
     assert len(keys) == X.members().shape[0]
+
+
+# a small pool of entries, so random rows repeat and zeros carry both signs
+POOL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -2.5e7])
+
+
+@st.composite
+def vertex_arrays(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 12))
+    return draw(hnp.arrays(np.float64, (m, n), elements=POOL))
+
+
+def bytes_set_dedup(vertices):
+    """The reference definition: keep a row unless its bytes were seen."""
+    m = np.asarray(vertices, dtype=np.float64) + 0.0
+    seen, keep = set(), []
+    for i in range(m.shape[0]):
+        if m[i].tobytes() not in seen:
+            seen.add(m[i].tobytes())
+            keep.append(i)
+    return m[keep], seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_arrays())
+def test_explicit_dedup_keeps_first_occurrences_in_order(vertices):
+    kept = ExplicitVertices(vertices).vertices
+    folded = vertices + 0.0
+    first = [
+        i for i in range(len(folded))
+        if not any(np.array_equal(folded[i], folded[j]) for j in range(i))
+    ]
+    assert kept.tobytes() == folded[first].tobytes()
+    assert not kept.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_arrays(), st.lists(hnp.arrays(np.float64, 3, elements=POOL), max_size=6))
+def test_explicit_vertices_agree_with_the_bytes_set_definition(vertices, probes):
+    X = ExplicitVertices(vertices)
+    reference, keys = bytes_set_dedup(vertices)
+    assert X.vertices.tobytes() == reference.tobytes()
+    for row in vertices:
+        assert X.contains(row)
+    for probe in probes:
+        probe = probe[: X.dimension]
+        assert X.contains(probe) == (as_vector(probe).tobytes() in keys)
+    assert not X.contains(np.zeros(X.dimension + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_arrays())
+def test_explicit_vertices_fold_signed_zeros(vertices):
+    flipped = np.where(vertices == 0.0, -vertices, vertices)
+    X = ExplicitVertices(np.concatenate([vertices, flipped]))
+    assert X.vertices.tobytes() == ExplicitVertices(vertices).vertices.tobytes()
+    assert not np.signbit(X.vertices[X.vertices == 0.0]).any()
+    for row in flipped:
+        assert X.contains(row)
 
 
 def test_membership_across_families():

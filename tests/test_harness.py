@@ -455,5 +455,54 @@ def test_save_stream_refusal_writes_no_outputs(tmp_path, capsys):
     ])
     assert code == 2
     assert "exceeds cap" in capsys.readouterr().err
-    assert not (out / "summary.txt").exists()
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schedule", ["adaptive", "offset"])
+@pytest.mark.parametrize(
+    "setup",
+    [
+        dict(family="random-vertices"),
+        dict(family="dag", dimension=10, domain="ball", agent_noise=0.2),
+    ],
+    ids=["rv-simplex", "dag-ball"],
+)
+def test_prediction_equals_a_fresh_solve_after_every_round(setup, schedule):
+    from invlinopt import init_learner, observe, predict
+
+    bundle = generate_instance_stream(make_cfg(schedule=schedule, rounds=150, **setup))
+    state = init_learner(bundle.domain, bundle.reg_config, schedule)
+    zero_rounds = 0
+    for obs in bundle.observations:
+        x_hat = argmax(obs.feasible_set, state.current_prediction).maximizer
+        state, record = observe(state, obs, x_hat, c_star=bundle.c_star)
+        zero_rounds += not record.g.any()
+        assert state.current_prediction.tobytes() == predict(state).tobytes()
+    # both kinds of update happened
+    assert 0 < zero_rounds < len(bundle.observations)
+
+
+def test_fresh_optimal_rounds_make_two_solves_each(monkeypatch):
+    from invlinopt import oracle
+
+    solves = [0]
+    solve = oracle._solve
+
+    def counting(X, c):
+        solves[0] += 1
+        return solve(X, c)
+
+    monkeypatch.setattr(oracle, "_solve", counting)
+    cfg = make_cfg(dimension=10, num_vertices=32, rounds=200)
+    bundle = generate_instance_stream(cfg)
+    _, ledger = simulate(bundle)
+    assert solves[0] == 400
+    # a replay of caller observations solves their optimal choices itself
+    # and yields the same ledger
+    _, replayed = simulate(bundle, list(bundle.observations))
+    assert solves[0] == 800
+    for name, column in ledger.arrays().items():
+        assert column.tobytes() == replayed.arrays()[name].tobytes(), name
+    solves[0] = 0
+    assert run_experiment(cfg).exit_code == 0
+    assert solves[0] == 400
