@@ -53,7 +53,7 @@ from .loss import (
     residual_subgradient,
     suboptimality_loss,
 )
-from .oracle import OracleResult, argmax, argmax_bruteforce
+from .oracle import OracleResult, argmax, argmax_bruteforce, argmax_many
 
 __version__ = "0.1.0"
 
@@ -84,6 +84,7 @@ __all__ = [
     "Simplex",
     "argmax",
     "argmax_bruteforce",
+    "argmax_many",
     "as_vector",
     "average_prediction",
     "beta",

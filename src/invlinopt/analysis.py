@@ -1,8 +1,9 @@
 """Round-by-round certification of regret identities and bounds.
 
-A RegretLedger accumulates, per round, the linearized regret (which equals
-the running total loss), the suboptimality-loss regret, and the squared
-gradient norms.  The check_* functions assert the guarantees the learner is
+A RegretLedger holds, per round, the linearized regret (which equals the
+running total loss), the suboptimality-loss regret, and the squared
+gradient norms, computed from the whole run at once; bound_columns gives
+every running bound as an array.  The check_* functions assert the guarantees the learner is
 supposed to satisfy at a given prefix, returning the measured slack instead
 of a bare boolean so failures are diagnosable.  certify_gap computes the
 exact per-instance margin between optimal and suboptimal actions by brute
@@ -24,13 +25,12 @@ from .core import (
     NormPair,
     Observation,
     TOL,
-    _dot,
+    _row_dots,
     as_vector,
     inner_product,
     tolerance,
 )
 from .learner import ADAPTIVE, OFFSET, RegularizerConfig, RoundRecord
-from .loss import _estimate
 
 ROOT_FIVE_QUARTERS = 2.0 ** 1.25  # 2^{5/4}
 
@@ -79,10 +79,20 @@ class GapCertificate:
     witness: GapWitness | None
 
 
+def _running(values: np.ndarray) -> np.ndarray:
+    """Running sums that start from 0.0, as a round-by-round accumulator does."""
+    return np.cumsum(np.concatenate(([0.0], values)))[1:]
+
+
 class RegretLedger:
     """Per-round accounting for one simulation run (true objective known).
 
-    Appends are single-writer in round order; all reads are pure.
+    Built once from the whole run: the rows of every round are stacked and
+    each column is computed with array arithmetic.  references[t] is the
+    maximizer of c_star over round t's feasible set,
+    oracle.argmax(obs.feasible_set, c_star).maximizer, which the caller
+    already holds: generation computes it to act as the optimal agent.
+    All reads are pure.
     """
 
     def __init__(
@@ -91,102 +101,89 @@ class RegretLedger:
         norms: NormPair,
         config: RegularizerConfig,
         schedule: str,
+        observations: Sequence[Observation],
+        records: Sequence[RoundRecord],
+        references: Sequence[np.ndarray],
     ):
-        self.c_star = as_vector(c_star)
+        self.c_star = c_star = as_vector(c_star)
         self.norms = norms
         self.config = config
         self.schedule = schedule
-        self.records: list[RoundRecord] = []
-        self.observations: list[Observation] = []
-        self._ell_sub: list[float] = []
-        self._ell_est: list[float] = []
-        self._ell_sub_ref: list[float] = []
-        self._total: list[float] = []
-        self._lin_inc: list[float] = []
-        self._regret: list[float] = []
-        self._regret_sub: list[float] = []
-        self._sum_sq: list[float] = []
-        self._beta: list[float] = []
-        self._grad_norm: list[float] = []
-        self.max_grad_norm = 0.0
-        self.max_dual_distance = 0.0
+        self.records = list(records)
+        self.observations = list(observations)
+        if not len(self.records) == len(self.observations) == len(references):
+            raise ValueError("observations, records and references differ in length")
+        for position, record in enumerate(self.records, 1):
+            if record.t != position:
+                raise ValueError(
+                    f"record for round {record.t} given at position {position}"
+                )
+
+        def stack(vectors) -> np.ndarray:
+            return np.array(vectors, dtype=np.float64).reshape(-1, c_star.size)
+
+        x = stack([obs.agent_choice for obs in self.observations])
+        c_hat = stack([r.c_hat for r in self.records])
+        g = stack([r.g for r in self.records])
+        truth = np.broadcast_to(c_star, x.shape)
+        ell_sub = np.array([r.ell_sub for r in self.records], dtype=np.float64)
+        ell_est = [r.ell_est for r in self.records]
+        if None in ell_est:
+            # records made without c_star: estimate_loss for every round
+            ell_est = _row_dots(truth, x - stack([r.x_hat for r in self.records]))
+        ell_est = np.array(ell_est, dtype=np.float64)
+        ell_sub_ref = _row_dots(truth, stack(references) - x)
+        distance = c_hat - c_star
+        lin_inc = _row_dots(g, distance)
+        grad_norm = np.array([r.grad_norm for r in self.records], dtype=np.float64)
+        # Python's float power, as the learner squares each norm
+        sq = np.array([r.grad_norm ** 2 for r in self.records], dtype=np.float64)
+        self._columns = {
+            "ell_sub": ell_sub,
+            "ell_est": ell_est,
+            "ell_sub_ref": ell_sub_ref,
+            "total": ell_sub + ell_est,
+            "lin_inc": lin_inc,
+            "regret": _running(lin_inc),
+            "regret_sub": _running(ell_sub - ell_sub_ref),
+            "sum_sq": _running(sq),
+            "beta": np.array([r.beta for r in self.records], dtype=np.float64),
+            "grad_norm": grad_norm,
+        }
+        for column in self._columns.values():
+            column.flags.writeable = False
+        self.max_grad_norm = float(np.max(grad_norm, initial=0.0))
+        self.max_dual_distance = float(
+            np.max(norms.dual_rows(distance), initial=0.0)
+        )
 
     @property
     def rounds(self) -> int:
         return len(self.records)
 
-    def append(
-        self, obs: Observation, record: RoundRecord, reference: np.ndarray
-    ) -> None:
-        """Account for one round.
-
-        reference is the maximizer of c_star over the round's feasible set,
-        oracle.argmax(obs.feasible_set, c_star).maximizer, which the caller
-        already holds: generation computes it to act as the optimal agent.
-        """
-        if record.t != self.rounds + 1:
-            raise ValueError(
-                f"record for round {record.t} appended at position {self.rounds + 1}"
-            )
-        c_star = self.c_star
-        ell_sub_ref = _dot(c_star, reference - obs.agent_choice)
-        distance = record.c_hat - c_star
-        lin_inc = _dot(record.g, distance)
-        ell_est = record.ell_est
-        if ell_est is None:
-            ell_est = _estimate(c_star, obs.agent_choice, record.x_hat)
-        total = record.ell_sub + ell_est
-        prev_r = self._regret[-1] if self._regret else 0.0
-        prev_rs = self._regret_sub[-1] if self._regret_sub else 0.0
-        prev_sq = self._sum_sq[-1] if self._sum_sq else 0.0
-        self.records.append(record)
-        self.observations.append(obs)
-        self._ell_sub.append(record.ell_sub)
-        self._ell_est.append(ell_est)
-        self._ell_sub_ref.append(ell_sub_ref)
-        self._total.append(total)
-        self._lin_inc.append(lin_inc)
-        self._regret.append(prev_r + lin_inc)
-        self._regret_sub.append(prev_rs + (record.ell_sub - ell_sub_ref))
-        self._sum_sq.append(prev_sq + record.grad_norm ** 2)
-        self._beta.append(record.beta)
-        self._grad_norm.append(record.grad_norm)
-        self.max_grad_norm = max(self.max_grad_norm, record.grad_norm)
-        self.max_dual_distance = max(self.max_dual_distance, self.norms.dual(distance))
-
-    def _at(self, values: list[float], t: int) -> float:
+    def _at(self, name: str, t: int | None) -> float:
+        t = self.rounds if t is None else t
         if not 1 <= t <= self.rounds:
             raise ValueError(f"round {t} outside 1..{self.rounds}")
-        return values[t - 1]
+        return float(self._columns[name][t - 1])
 
     def linearized_regret(self, t: int | None = None) -> float:
-        return self._at(self._regret, self.rounds if t is None else t)
+        return self._at("regret", t)
 
     def subopt_regret(self, t: int | None = None) -> float:
-        return self._at(self._regret_sub, self.rounds if t is None else t)
+        return self._at("regret_sub", t)
 
     def sum_sq_grad(self, t: int | None = None) -> float:
-        return self._at(self._sum_sq, self.rounds if t is None else t)
+        return self._at("sum_sq", t)
 
     def total_loss(self, t: int | None = None) -> float:
         t = self.rounds if t is None else t
-        self._at(self._total, t)
-        return float(np.sum(self._total[:t]))
+        self._at("total", t)
+        return float(np.sum(self._columns["total"][:t]))
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Snapshot of all per-round columns as arrays (copies)."""
-        return {
-            "ell_sub": np.asarray(self._ell_sub),
-            "ell_est": np.asarray(self._ell_est),
-            "ell_sub_ref": np.asarray(self._ell_sub_ref),
-            "total": np.asarray(self._total),
-            "lin_inc": np.asarray(self._lin_inc),
-            "regret": np.asarray(self._regret),
-            "regret_sub": np.asarray(self._regret_sub),
-            "sum_sq": np.asarray(self._sum_sq),
-            "beta": np.asarray(self._beta),
-            "grad_norm": np.asarray(self._grad_norm),
-        }
+        return {name: column.copy() for name, column in self._columns.items()}
 
 
 def _require_schedule(ledger: RegretLedger, config: RegularizerConfig, schedule: str) -> None:
@@ -336,6 +333,37 @@ def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, rounds: np.ndarray) -> B
     )
 
 
+def bound_columns(
+    ledger: RegretLedger, delta: float | None = None
+) -> dict[str, np.ndarray | None]:
+    """Every running bound of the run at every prefix, as arrays.
+
+    Keys are adaptive_grad, adaptive_horizon, offset_horizon and
+    gap_constant; a bound of the other schedule, or gap_constant without a
+    delta, is None.  The formulas are those of the scalar *_bound functions,
+    evaluated in the same order, so each entry is bitwise their value.
+    """
+    config = ledger.config
+    t = np.arange(1, ledger.rounds + 1, dtype=np.float64)
+    adaptive = ledger.schedule == ADAPTIVE
+    return {
+        "adaptive_grad": (
+            ROOT_FIVE_QUARTERS * config.B * np.sqrt(ledger._columns["sum_sq"] / config.lam)
+            if adaptive else None
+        ),
+        "adaptive_horizon": (
+            ROOT_FIVE_QUARTERS * config.K * config.B * np.sqrt(t / config.lam)
+            if adaptive else None
+        ),
+        "offset_horizon": (
+            None if adaptive else 2.0 * config.K * config.H * np.sqrt(t / config.lam)
+        ),
+        "gap_constant": (
+            np.full(t.size, gap_constant_bound(config, delta)) if delta else None
+        ),
+    }
+
+
 def verify_run(
     ledger: RegretLedger,
     config: RegularizerConfig,
@@ -368,25 +396,20 @@ def verify_run(
         _worst("regret_ordering", a["regret_sub"], regret + TOL * (1.0 + scale) * t, t)
     )
 
-    if ledger.schedule == ADAPTIVE:
-        grad_bound = ROOT_FIVE_QUARTERS * config.B * np.sqrt(a["sum_sq"] / config.lam)
-        horizon = ROOT_FIVE_QUARTERS * config.K * config.B * np.sqrt(t / config.lam)
-        checks.append(_worst("adaptive_grad_bound", regret, grad_bound, t))
-        checks.append(_worst("adaptive_horizon_bound", regret, horizon, t))
-    else:
-        horizon = 2.0 * config.K * config.H * np.sqrt(t / config.lam)
-        checks.append(_worst("offset_horizon_bound", regret, horizon, t))
+    if gap_checks and (delta is None or not delta > 0.0):
+        raise ValueError("gap checks need a certified positive delta")
+    bounds = bound_columns(ledger, delta if gap_checks else None)
+    for name in ("adaptive_grad", "adaptive_horizon", "offset_horizon"):
+        if bounds[name] is not None:
+            checks.append(_worst(f"{name}_bound", regret, bounds[name], t))
 
     if gap_checks:
-        if delta is None or not delta > 0.0:
-            raise ValueError("gap checks need a certified positive delta")
         coef = gap_contraction_coefficient(config, delta)
         checks.append(
             _worst("gap_residual_bound", a["grad_norm"] ** 2, coef * a["lin_inc"], t)
         )
         checks.append(_worst("gap_gradient_sum_bound", a["sum_sq"], coef * regret, t))
-        constant = np.full(n, gap_constant_bound(config, delta))
-        checks.append(_worst("gap_constant_bound", regret, constant, t))
+        checks.append(_worst("gap_constant_bound", regret, bounds["gap_constant"], t))
         if plateau_burn_in is not None and n >= plateau_burn_in:
             checks.append(check_loss_plateau(ledger, plateau_burn_in))
     return checks

@@ -63,6 +63,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row inner products of two (T, n) float64 stacks.
+
+    A (T, 1, n) @ (T, n, 1) product runs the dot kernel once per row, so
+    row t is bitwise _dot(a[t], b[t]); einsum and a summed elementwise
+    product round differently.
+    """
+    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
+
+
 def tolerance(*values: float) -> float:
     """Comparison slack: 1e-9 times (1 + largest magnitude among values)."""
     scale = max((abs(v) for v in values), default=0.0)
@@ -122,6 +132,13 @@ class NormPair:
             return float(np.sum(np.abs(v)))
         return float(np.linalg.norm(v))
 
+    def dual_rows(self, m: np.ndarray) -> np.ndarray:
+        """dual() of every row of a (T, n) float64 stack, bitwise."""
+        if self.kind == self.LINF_L1:
+            return np.sum(np.abs(m), axis=1)
+        # np.linalg.norm of a vector is the square root of its dot with itself
+        return np.sqrt(_row_dots(m, m))
+
 
 class FeasibleSet:
     """A finite, nonempty action set with exact membership and enumeration.
@@ -138,6 +155,10 @@ class FeasibleSet:
     def contains(self, v) -> bool:
         """Exact membership test for this variant."""
         raise NotImplementedError
+
+    def _contains(self, v: np.ndarray) -> bool:
+        """contains() for a vector as_vector has already validated."""
+        return self.contains(v)
 
     def enumeration_effort(self) -> int:
         """Number of candidates scanned by members(); used for cap gating."""
@@ -183,11 +204,15 @@ class ExplicitVertices(FeasibleSet):
         if not np.isfinite(m).all():
             raise ValueError("vertex entries must be finite")
         m = np.ascontiguousarray(m + 0.0)
-        # with -0.0 folded, equal bytes mean equal rows: one void item per row
-        rows = m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel()
-        _, first = np.unique(rows, return_index=True)
-        if first.size < m.shape[0]:
-            m = m[np.sort(first)]
+        # with -0.0 folded, rows whose first entries all differ are distinct,
+        # so only a shared first entry calls for the full dedup
+        lead = np.sort(m[:, 0])
+        if (lead[1:] == lead[:-1]).any():
+            # equal bytes mean equal rows: one void item per row
+            rows = m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel()
+            _, first = np.unique(rows, return_index=True)
+            if first.size < m.shape[0]:
+                m = m[np.sort(first)]
         m.flags.writeable = False
         self._vertices = m
         self.dimension = int(m.shape[1])
@@ -197,7 +222,9 @@ class ExplicitVertices(FeasibleSet):
         return self._vertices
 
     def contains(self, v) -> bool:
-        v = as_vector(v)
+        return self._contains(as_vector(v))
+
+    def _contains(self, v: np.ndarray) -> bool:
         if v.size != self.dimension:
             return False
         return bool((self._vertices == v).all(axis=1).any())
@@ -389,7 +416,7 @@ class Observation:
                 f"choice has dimension {choice.size}, "
                 f"set has {self.feasible_set.dimension}"
             )
-        if not self.feasible_set.contains(choice):
+        if not self.feasible_set._contains(choice):
             raise MembershipError("agent choice is not in the feasible set")
 
 

@@ -27,7 +27,7 @@ from ..core import (
     as_vector,
 )
 from ..learner import RegularizerConfig
-from ..oracle import argmax
+from ..oracle import argmax, argmax_many
 from .config import ExperimentConfig
 
 
@@ -237,19 +237,20 @@ def _draw_round(
     gap_reference: np.ndarray,
     rng: np.random.Generator,
     budget: list[int],
-    round_index: int,
     shared: FeasibleSet | None,
-) -> tuple[Observation, np.ndarray]:
-    """One observation and the optimal choice it was drawn from."""
+) -> tuple[FeasibleSet, np.ndarray | None]:
+    """One round's set and, when the agent errs that round, its random choice.
+
+    The optimal choice draws no randomness, so callers solve it afterwards.
+    """
     X = (
         shared
         if shared is not None
         else _draw_set(cfg, c_star, gap_reference, rng, budget, None)
     )
-    optimal = choice = argmax(X, c_star).maximizer
     if cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise:
-        choice = uniform_member(X, rng, cfg.enumeration_cap)
-    return Observation(X, choice, round_index), optimal
+        return X, uniform_member(X, rng, cfg.enumeration_cap)
+    return X, None
 
 
 def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
@@ -257,7 +258,8 @@ def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
 
     Deterministic given the config: a repeated call produces bitwise-equal
     vectors.  Raises GenerationFailedError when gap-controlled rejection
-    sampling exceeds the retry cap.
+    sampling exceeds the retry cap.  Every round is drawn first; the optimal
+    choices are then solved in one argmax_many call.
     """
     domain = build_domain(cfg)
     reg_config = build_reg_config(cfg)
@@ -266,18 +268,23 @@ def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
     shared = _fixed_set(cfg, c_star, gap_reference)
     rng = np.random.default_rng([cfg.seed, 0])
     budget = [cfg.retry_cap]
-    rounds = [
-        _draw_round(cfg, c_star, gap_reference, rng, budget, t, shared)
-        for t in range(1, cfg.rounds + 1)
+    drawn = [
+        _draw_round(cfg, c_star, gap_reference, rng, budget, shared)
+        for _ in range(cfg.rounds)
     ]
+    optimal_choices = tuple(argmax_many([X for X, _ in drawn], c_star))
+    observations = tuple(
+        Observation(X, optimal if noisy is None else noisy, t)
+        for t, ((X, noisy), optimal) in enumerate(zip(drawn, optimal_choices), 1)
+    )
     return StreamBundle(
         config=cfg,
         domain=domain,
         reg_config=reg_config,
         c_star=c_star,
         c_star_integral=c_star_integral,
-        observations=tuple(obs for obs, _ in rounds),
-        optimal_choices=tuple(optimal for _, optimal in rounds),
+        observations=observations,
+        optimal_choices=optimal_choices,
     )
 
 
@@ -292,6 +299,9 @@ def make_observation_sampler(
 
     def sampler(rng: np.random.Generator) -> Observation:
         budget = [min(cfg.retry_cap, 10_000)]
-        return _draw_round(cfg, c_star, gap_reference, rng, budget, 1, shared)[0]
+        X, choice = _draw_round(cfg, c_star, gap_reference, rng, budget, shared)
+        if choice is None:
+            choice = argmax(X, c_star).maximizer
+        return Observation(X, choice, 1)
 
     return sampler

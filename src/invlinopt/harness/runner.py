@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import analysis, learner, oracle
 from ..core import Observation, clamp_small_negative, tolerance
-from ..learner import ADAPTIVE, LearnerState
+from ..learner import LearnerState
 from .config import ExperimentConfig
 from .generate import (
     StreamBundle,
@@ -52,31 +52,35 @@ def simulate(
 
     Pass a different observation sequence to replay the same learner setup
     on modified data (used by the protocol-order tests); the ledger's
-    optimal choices are then solved for it.
+    optimal choices are then solved for it.  Only the learner's recursion
+    runs round by round; the ledger is built from the whole run afterwards.
     """
     if observations is None:
         observations = bundle.observations
         optimal_choices = bundle.optimal_choices
     else:
-        optimal_choices = [
-            oracle.argmax(obs.feasible_set, bundle.c_star).maximizer
-            for obs in observations
-        ]
+        optimal_choices = oracle.argmax_many(
+            [obs.feasible_set for obs in observations], bundle.c_star
+        )
     state = learner.init_learner(
         bundle.domain, bundle.reg_config, bundle.config.schedule
     )
+    records = []
+    for obs in observations:
+        result = oracle.argmax(obs.feasible_set, state.current_prediction)
+        state, record = learner.observe(
+            state, obs, result.maximizer, c_star=bundle.c_star
+        )
+        records.append(record)
     ledger = analysis.RegretLedger(
         bundle.c_star,
         bundle.domain.norm_pair,
         bundle.reg_config,
         bundle.config.schedule,
+        observations,
+        records,
+        optimal_choices,
     )
-    for obs, optimal in zip(observations, optimal_choices):
-        result = oracle.argmax(obs.feasible_set, state.current_prediction)
-        state, record = learner.observe(
-            state, obs, result.maximizer, c_star=bundle.c_star
-        )
-        ledger.append(obs, record, optimal)
     return state, ledger
 
 
@@ -85,28 +89,20 @@ def trace_rows(
     delta: float | None = None,
 ) -> list[list[str]]:
     """Render the per-round trace with the applicable running bound columns."""
-    cfg = ledger.config
     arrays = ledger.arrays()
-    adaptive = ledger.schedule == ADAPTIVE
-    rows = []
-    for i in range(ledger.rounds):
-        t = i + 1
-        row = [
-            str(t),
-            fmt(arrays["ell_sub"][i]),
-            fmt(arrays["ell_est"][i]),
-            fmt(arrays["total"][i]),
-            fmt(arrays["regret"][i]),
-            fmt(arrays["regret_sub"][i]),
-            fmt(arrays["beta"][i]),
-            fmt(arrays["grad_norm"][i]),
-            fmt(analysis.adaptive_grad_bound(cfg, arrays["sum_sq"][i])) if adaptive else "",
-            fmt(analysis.adaptive_horizon_bound(cfg, t)) if adaptive else "",
-            fmt(analysis.offset_horizon_bound(cfg, t)) if not adaptive else "",
-            fmt(analysis.gap_constant_bound(cfg, delta)) if delta else "",
-        ]
-        rows.append(row)
-    return rows
+    bounds = analysis.bound_columns(ledger, delta)
+    columns = [[str(t) for t in range(1, ledger.rounds + 1)]]
+    for name in TRACE_COLUMNS[1:]:
+        values = (
+            bounds[name.removeprefix("bound_")]
+            if name.startswith("bound_") else arrays[name]
+        )
+        if values is None:
+            columns.append([""] * ledger.rounds)
+        else:
+            # "%.17g" % x is the same text as fmt(x)
+            columns.append(["%.17g" % x for x in values.tolist()])
+    return [list(row) for row in zip(*columns)]
 
 
 def _summary_entries(

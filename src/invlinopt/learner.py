@@ -9,6 +9,7 @@ step from the center.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -263,6 +264,12 @@ def predict(state: LearnerState) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _zeros(n: int) -> np.ndarray:
+    """A shared read-only +0.0 vector: the subgradient of a zero round."""
+    return _frozen(np.zeros(n))
+
+
 def observe(
     state: LearnerState,
     obs: Observation,
@@ -276,28 +283,29 @@ def observe(
     oracle answer feeds both the update and the loss accounting.  Pass
     c_star to record the simulation-mode estimate loss.
 
-    A round whose subgradient is exactly zero leaves the accumulators, and
-    so the closed-form prediction, unchanged: the state keeps them as they
-    are instead of solving again.
+    A round whose learner answer equals the agent's choice has a zero
+    subgradient, so its losses are zero and the accumulators, and so the
+    closed-form prediction, stay as they are: the state keeps them instead
+    of computing the residual or solving again.
     """
     x_hat = as_vector(x_hat)
     x = obs.agent_choice
     if x_hat.size != state.domain.dimension or x.size != state.domain.dimension:
         raise DimensionMismatchError("observation dimension differs from learner")
     c_hat = state.current_prediction
-    g = _residual(x, x_hat)
-    grad_norm = state.norms.primal(g)
-    record = RoundRecord(
-        t=state.round,
-        c_hat=c_hat,
-        x_hat=x_hat,
-        g=g,
-        beta=beta(state),
-        grad_norm=grad_norm,
-        ell_sub=_dot(c_hat, g),
-        ell_est=None if c_star is None else estimate_loss(c_star, x, x_hat),
-    )
-    if g.any():
+    if x_hat.tobytes() == x.tobytes():
+        # both are folded float64 vectors, so equal bytes mean x_hat - x is
+        # the +0.0 vector, and every product with it sums to +0.0
+        if c_star is not None and np.shape(c_star) != x.shape:
+            raise DimensionMismatchError("c_star dimension differs from learner")
+        g, grad_norm, ell_sub = _zeros(x.size), 0.0, 0.0
+        ell_est = None if c_star is None else 0.0
+        grad_sum, sq_norm_sum, prediction = state.grad_sum, state.sq_norm_sum, c_hat
+    else:
+        g = _residual(x, x_hat)
+        grad_norm = state.norms.primal(g)
+        ell_sub = _dot(c_hat, g)
+        ell_est = None if c_star is None else estimate_loss(c_star, x, x_hat)
         grad_sum = _frozen(state.grad_sum + g)
         sq_norm_sum = state.sq_norm_sum + grad_norm ** 2
         prediction = _solve(
@@ -308,8 +316,16 @@ def observe(
             sq_norm_sum,
             c_hat,
         )
-    else:
-        grad_sum, sq_norm_sum, prediction = state.grad_sum, state.sq_norm_sum, c_hat
+    record = RoundRecord(
+        t=state.round,
+        c_hat=c_hat,
+        x_hat=x_hat,
+        g=g,
+        beta=beta(state),
+        grad_norm=grad_norm,
+        ell_sub=ell_sub,
+        ell_est=ell_est,
+    )
     new_state = LearnerState(
         state.domain,
         state.config,

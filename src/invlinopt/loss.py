@@ -62,11 +62,6 @@ def estimate_loss(c_star, x, x_hat) -> float:
         raise DimensionMismatchError(
             f"shapes {c_star.shape}, {x.shape} and {x_hat.shape} differ"
         )
-    return _estimate(c_star, x, x_hat)
-
-
-def _estimate(c_star: np.ndarray, x: np.ndarray, x_hat: np.ndarray) -> float:
-    """estimate_loss on trusted float64 vectors of one shape."""
     return _dot(c_star, x - x_hat)
 
 

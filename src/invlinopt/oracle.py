@@ -16,11 +16,17 @@ argmax remembers its _MEMO_SIZE most recently used answers, keyed on the
 feasible-set object and the exact bytes of the float64 objective, so a
 decision problem that repeats round after round is solved once.  Answers
 are immutable and bitwise equal to a fresh solve.
+
+argmax_many answers one objective over many sets.  Consecutive
+ExplicitVertices sets of one shape are scanned together, _STACK_CHUNK sets
+per stacked product, so its peak memory does not grow with the number of
+sets; every other set goes through argmax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -162,6 +168,50 @@ def argmax(feasible_set: FeasibleSet, c) -> OracleResult:
     result = _solve(feasible_set, c)
     _memo = ((feasible_set, key, result),) + memo[: _MEMO_SIZE - 1]
     return result
+
+
+_STACK_CHUNK = 256
+
+
+def argmax_many(sets: Sequence[FeasibleSet], c) -> list[np.ndarray]:
+    """[argmax(X, c).maximizer for X in sets], bitwise, in fewer calls.
+
+    A stacked product gives each set the same values as its own scan, so a
+    set without an exact tie takes the row at its first maximum; a set with
+    a tie goes through the scan's lexicographic rule.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    out: list[np.ndarray] = []
+    i = 0
+    while i < len(sets):
+        X = sets[i]
+        if not isinstance(X, ExplicitVertices):
+            out.append(argmax(X, c).maximizer)
+            i += 1
+            continue
+        _check_dimension(X, c)
+        shape = X.vertices.shape
+        j = i + 1
+        while (
+            j < len(sets)
+            and j - i < _STACK_CHUNK
+            and isinstance(sets[j], ExplicitVertices)
+            and sets[j].vertices.shape == shape
+        ):
+            j += 1
+        stack = np.stack([Y.vertices for Y in sets[i:j]])
+        values = stack @ c
+        first = values.argmax(axis=1)
+        picked = np.arange(j - i)
+        ties = np.count_nonzero(values == values[picked, first][:, None], axis=1)
+        rows = stack[picked, first] + 0.0
+        rows.flags.writeable = False
+        chunk = list(rows)
+        for k in np.flatnonzero(ties > 1):
+            chunk[k] = _scan(sets[i + k].vertices, c).maximizer
+        out.extend(chunk)
+        i = j
+    return out
 
 
 def _solve(feasible_set: FeasibleSet, c: np.ndarray) -> OracleResult:

@@ -1,5 +1,6 @@
 """Ledger accounting, bound checks, gap certification, holdout evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from invlinopt import (
     ExplicitVertices,
     NormPair,
     Observation,
+    RegretLedger,
     RegularizerConfig,
     Simplex,
     argmax,
@@ -321,3 +323,111 @@ def test_certify_gap_reuse_on_a_generated_repeated_stream(tmp_path):
         fresh = certify_gap(reloaded, c_star, LINF)
         assert mine.satisfied
         assert certificate_fields(mine) == certificate_fields(fresh)
+
+
+# The whole-run ledger against the round-by-round arithmetic it replaced.
+
+LEDGER_COLUMNS = ("ell_sub", "ell_est", "ell_sub_ref", "total", "lin_inc",
+                  "regret", "regret_sub", "sum_sq", "beta", "grad_norm")
+
+
+class AppendLedger:
+    """Reference: the ledger as a per-round append, with np.dot per row."""
+
+    def __init__(self, c_star, norms):
+        self.c_star = c_star
+        self.norms = norms
+        self.columns = {name: [] for name in LEDGER_COLUMNS}
+        self.max_grad_norm = 0.0
+        self.max_dual_distance = 0.0
+
+    def append(self, obs, record, reference):
+        c_star, col = self.c_star, self.columns
+        ell_sub_ref = float(np.dot(c_star, reference - obs.agent_choice))
+        distance = record.c_hat - c_star
+        lin_inc = float(np.dot(record.g, distance))
+        ell_est = record.ell_est
+        if ell_est is None:
+            ell_est = float(np.dot(c_star, obs.agent_choice - record.x_hat))
+        prev_r = col["regret"][-1] if col["regret"] else 0.0
+        prev_rs = col["regret_sub"][-1] if col["regret_sub"] else 0.0
+        prev_sq = col["sum_sq"][-1] if col["sum_sq"] else 0.0
+        col["ell_sub"].append(record.ell_sub)
+        col["ell_est"].append(ell_est)
+        col["ell_sub_ref"].append(ell_sub_ref)
+        col["total"].append(record.ell_sub + ell_est)
+        col["lin_inc"].append(lin_inc)
+        col["regret"].append(prev_r + lin_inc)
+        col["regret_sub"].append(prev_rs + (record.ell_sub - ell_sub_ref))
+        col["sum_sq"].append(prev_sq + record.grad_norm ** 2)
+        col["beta"].append(record.beta)
+        col["grad_norm"].append(record.grad_norm)
+        self.max_grad_norm = max(self.max_grad_norm, record.grad_norm)
+        self.max_dual_distance = max(self.max_dual_distance, self.norms.dual(distance))
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+def assert_ledger_matches_appends(ledger, references):
+    reference = AppendLedger(ledger.c_star, ledger.norms)
+    for obs, record, optimal in zip(ledger.observations, ledger.records, references):
+        # the record's own arithmetic, zero-gradient rounds included
+        x = obs.agent_choice
+        g = record.x_hat - x + 0.0
+        assert record.g.tobytes() == g.tobytes()
+        assert bits(record.grad_norm) == bits(ledger.norms.primal(g))
+        assert bits(record.ell_sub) == bits(np.dot(record.c_hat, g))
+        assert bits(record.ell_est) == bits(np.dot(ledger.c_star, x - record.x_hat))
+        reference.append(obs, record, optimal)
+    arrays = ledger.arrays()
+    assert sorted(arrays) == sorted(LEDGER_COLUMNS)
+    for name in LEDGER_COLUMNS:
+        expected = np.array(reference.columns[name], dtype=np.float64)
+        assert arrays[name].tobytes() == expected.tobytes(), name
+    assert bits(ledger.max_grad_norm) == bits(reference.max_grad_norm)
+    assert bits(ledger.max_dual_distance) == bits(reference.max_dual_distance)
+
+
+def test_running_sums_start_from_zero_like_an_accumulator():
+    from invlinopt.analysis import _running
+
+    sums = _running(np.array([-0.0, 1.0, -0.0]))
+    # 0.0 + (-0.0) is +0.0, as the first step of a loop from 0.0 gives
+    assert sums.tobytes() == np.array([0.0, 1.0, 1.0]).tobytes()
+    assert _running(np.array([])).size == 0
+
+
+LEDGER_RUNS = {
+    "rv-simplex-adaptive": dict(family="random-vertices", dimension=10,
+                                num_vertices=32),
+    "dag-ball-offset-noisy": dict(family="dag", dimension=10, domain="ball",
+                                  schedule="offset", agent_noise=0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_RUNS))
+def test_whole_run_ledger_matches_round_by_round_appends(name):
+    cfg = build_config({}, seed=23, rounds=400, **LEDGER_RUNS[name])
+    bundle = generate_instance_stream(cfg)
+    _, ledger = simulate(bundle)
+    zero = sum(not r.g.any() for r in ledger.records)
+    assert 0 < zero < ledger.rounds  # both kinds of round occur
+    assert_ledger_matches_appends(ledger, bundle.optimal_choices)
+    # records made without c_star leave the estimate loss to the ledger
+    bare = RegretLedger(
+        ledger.c_star, ledger.norms, ledger.config, ledger.schedule,
+        ledger.observations,
+        [dataclasses.replace(r, ell_est=None) for r in ledger.records],
+        bundle.optimal_choices,
+    )
+    for column, values in ledger.arrays().items():
+        assert bare.arrays()[column].tobytes() == values.tobytes(), column
+    # a caller's replay of other observations solves its own references
+    other = generate_instance_stream(build_config({}, seed=24, rounds=400,
+                                                  **LEDGER_RUNS[name]))
+    _, replayed = simulate(bundle, other.observations)
+    references = [argmax(obs.feasible_set, bundle.c_star).maximizer
+                  for obs in other.observations]
+    assert_ledger_matches_appends(replayed, references)

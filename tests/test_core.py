@@ -265,6 +265,27 @@ def test_observation_validation():
         Observation(X, [1.0, 0.0, 0.0], 1)
 
 
+def test_observation_validates_its_choice_once(monkeypatch):
+    from invlinopt import core
+
+    calls = [0]
+    validate = core.as_vector
+
+    def counting(values):
+        calls[0] += 1
+        return validate(values)
+
+    monkeypatch.setattr(core, "as_vector", counting)
+    X = ExplicitVertices([[0.0, 0.0], [1.0, 0.0], [1.0, -0.0], [0.5, 0.5]])
+    for k, choice in enumerate(([1.0, -0.0], [0.5, 0.5], np.zeros(2)), 1):
+        Observation(X, choice, 1)
+        assert calls[0] == k
+    # the public membership test still validates its input
+    assert X.contains([0.5, 0.5]) and calls[0] == 4
+    with pytest.raises(MembershipError):
+        Observation(X, [0.0, 1.0], 1)
+
+
 def test_simplex_domain():
     domain = Simplex(3)
     assert domain.contains([0.2, 0.3, 0.5])

@@ -10,6 +10,10 @@ Re-record only for a change that alters outputs on purpose, and say so.
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,7 @@ import pytest
 from invlinopt.harness.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 OUTPUT_FILES = ("trace.csv", "summary.txt", "prediction.txt", "stream.txt")
 
 CONFIGS = {
@@ -69,6 +74,33 @@ def test_outputs_match_golden_bytes(name, tmp_path, capsys):
         assert (tmp_path / fname).read_bytes() == (expected_dir / fname).read_bytes(), (
             f"{name}/{fname} differs from the golden bytes"
         )
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH_DIR / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _perfbench_workloads()
+DIGESTS = json.loads((PERFBENCH_DIR / "digests.json").read_text())
+
+
+# The golden configs stop at 1200 rounds; the benchmark's workloads run
+# thousands, across several stacked chunks of oracle.argmax_many.
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_workloads_match_recorded_digests(name, tmp_path, capsys):
+    workload = WORKLOADS.WORKLOADS[name]
+    seed = WORKLOADS.DEFAULT_SEED
+    assert main(workload.argv(workload.cli_seed(seed), tmp_path)) == 0
+    for fname in workload.output_files():
+        digest = hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+        assert digest == DIGESTS[name][fname], f"{name}/{fname} differs"
 
 
 def record() -> None:

@@ -484,25 +484,35 @@ def test_prediction_equals_a_fresh_solve_after_every_round(setup, schedule):
 
 def test_fresh_optimal_rounds_make_two_solves_each(monkeypatch):
     from invlinopt import oracle
+    from invlinopt.harness import generate
 
-    solves = [0]
+    # one answer per argmax solve, and one per set argmax_many answers
+    # (its stacked scan calls no _solve; other families pass through argmax)
+    answers = [0]
     solve = oracle._solve
+    many = oracle.argmax_many
 
     def counting(X, c):
-        solves[0] += 1
+        answers[0] += 1
         return solve(X, c)
 
+    def counting_many(sets, c):
+        answers[0] += sum(isinstance(X, ExplicitVertices) for X in sets)
+        return many(sets, c)
+
     monkeypatch.setattr(oracle, "_solve", counting)
+    monkeypatch.setattr(oracle, "argmax_many", counting_many)
+    monkeypatch.setattr(generate, "argmax_many", counting_many)
     cfg = make_cfg(dimension=10, num_vertices=32, rounds=200)
     bundle = generate_instance_stream(cfg)
     _, ledger = simulate(bundle)
-    assert solves[0] == 400
+    assert answers[0] == 400
     # a replay of caller observations solves their optimal choices itself
     # and yields the same ledger
     _, replayed = simulate(bundle, list(bundle.observations))
-    assert solves[0] == 800
+    assert answers[0] == 800
     for name, column in ledger.arrays().items():
         assert column.tobytes() == replayed.arrays()[name].tobytes(), name
-    solves[0] = 0
+    answers[0] = 0
     assert run_experiment(cfg).exit_code == 0
-    assert solves[0] == 400
+    assert answers[0] == 400

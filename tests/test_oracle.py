@@ -2,9 +2,13 @@
 
 import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from invlinopt import (
     DagPaths,
@@ -14,6 +18,7 @@ from invlinopt import (
     Knapsack,
     argmax,
     argmax_bruteforce,
+    argmax_many,
     inner_product,
 )
 from invlinopt import oracle
@@ -241,3 +246,94 @@ def test_memo_concurrent_callers_get_fresh_answers():
         sys.setswitchinterval(previous)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+# argmax_many: one objective over many sets, bitwise argmax per set.
+
+# integral entries and signed zeros, so exact ties and duplicate rows are common
+VERTEX_POOL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+OBJECTIVE_POOL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def sets_of_dimension(draw, n):
+    kind = draw(st.sampled_from(["explicit"] * 5 + ["hypercube", "knapsack", "dag"]))
+    if kind == "explicit":
+        # few row counts, so runs of one shape alternate with other shapes
+        m = draw(st.sampled_from([1, 3, 4, 4, 4, 6]))
+        return ExplicitVertices(draw(hnp.arrays(np.float64, (m, n), elements=VERTEX_POOL)))
+    if kind == "hypercube":
+        return Hypercube(n)
+    if kind == "knapsack":
+        weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        return Knapsack(weights, draw(st.integers(0, sum(weights))))
+    nodes = draw(st.integers(2, min(n + 1, 4)))
+    arcs = [(i, i + 1) for i in range(nodes - 1)]
+    while len(arcs) < n:
+        u = draw(st.integers(0, nodes - 2))
+        arcs.append((u, draw(st.integers(u + 1, nodes - 1))))
+    return DagPaths(nodes, arcs)
+
+
+@contextmanager
+def stack_chunk(size):
+    previous = oracle._STACK_CHUNK
+    oracle._STACK_CHUNK = size
+    try:
+        yield
+    finally:
+        oracle._STACK_CHUNK = previous
+
+
+def assert_many_matches_argmax(sets, c):
+    got = argmax_many(sets, c)
+    assert len(got) == len(sets)
+    for X, x in zip(sets, got):
+        assert x.tobytes() == argmax(X, c).maximizer.tobytes()
+        assert x.shape == (X.dimension,) and not x.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_argmax_many_equals_argmax_per_set(data):
+    n = data.draw(st.integers(1, 4))
+    c = data.draw(hnp.arrays(np.float64, n, elements=OBJECTIVE_POOL))
+    sets = data.draw(st.lists(sets_of_dimension(n), max_size=20))
+    # small chunks make short lists cross several chunk boundaries
+    with stack_chunk(data.draw(st.sampled_from([1, 2, 3, oracle._STACK_CHUNK]))):
+        assert_many_matches_argmax(sets, c)
+
+
+def test_argmax_many_across_chunks_of_the_real_size():
+    rng = np.random.default_rng(21)
+    n = 6
+    sets = []
+    for k in range(2 * oracle._STACK_CHUNK + 7):
+        if k % 97 == 0:
+            sets.append(Knapsack(rng.integers(0, 5, size=n), 6))
+        else:
+            m = 12 if k % 50 else 9  # shape changes break the stacked runs
+            integral = k % 3 == 0  # integral rows tie under integral objectives
+            vertices = (rng.integers(0, 2, size=(m, n)).astype(float) if integral
+                        else rng.random((m, n)))
+            sets.append(ExplicitVertices(vertices))
+    for c in (rng.standard_normal(n), np.array([1.0, 1.0, 0.0, -0.0, 2.0, 1.0])):
+        assert_many_matches_argmax(sets, c)
+    assert argmax_many([], rng.standard_normal(n)) == []
+
+
+@pytest.mark.parametrize("family", ["explicit", "knapsack"])
+def test_argmax_many_dimension_mismatch_is_argmax_error(family):
+    rng = np.random.default_rng(22)
+    good = [ExplicitVertices(rng.random((4, 3))) for _ in range(3)]
+    bad = (ExplicitVertices(rng.random((4, 2))) if family == "explicit"
+           else Knapsack([1, 2], 2))
+    c = rng.standard_normal(3)
+    with pytest.raises(DimensionMismatchError) as single:
+        argmax(bad, c)
+    with pytest.raises(DimensionMismatchError) as many:
+        argmax_many(good + [bad] + good, c)
+    assert str(many.value) == str(single.value)
