@@ -46,10 +46,8 @@ from .learner import (
     predict,
 )
 from .loss import (
-    LossBreakdown,
     estimate_loss,
     fenchel_young_loss,
-    loss_breakdown,
     residual_subgradient,
     suboptimality_loss,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "Hypercube",
     "Knapsack",
     "LearnerState",
-    "LossBreakdown",
     "MembershipError",
     "NormPair",
     "OFFSET",
@@ -93,7 +90,6 @@ __all__ = [
     "fenchel_young_loss",
     "init_learner",
     "inner_product",
-    "loss_breakdown",
     "observe",
     "offline_evaluate",
     "predict",

@@ -514,11 +514,16 @@ class OfflineEvaluation:
 def offline_evaluate(
     c_bar,
     c_star,
-    sampler: Callable[[np.random.Generator], Observation],
+    sampler: Callable[[np.random.Generator, int], Sequence[Observation]],
     m: int,
     seed,
 ) -> OfflineEvaluation:
-    """Evaluate mean suboptimality losses of c_bar and c_star on m samples."""
+    """Evaluate mean suboptimality losses of c_bar and c_star on m samples.
+
+    sampler(rng, k) returns k samples; they are drawn and answered
+    oracle._STACK_CHUNK at a time, so memory beyond the two loss columns
+    does not grow with m.
+    """
     if m < 1:
         raise ValueError("need at least one sample")
     c_bar = as_vector(c_bar)
@@ -526,13 +531,16 @@ def offline_evaluate(
     rng = np.random.default_rng(seed)
     model = np.empty(m)
     reference = np.empty(m)
-    for i in range(m):
-        obs = sampler(rng)
-        x = obs.agent_choice
-        res_model = oracle.argmax(obs.feasible_set, c_bar)
-        res_ref = oracle.argmax(obs.feasible_set, c_star)
-        model[i] = inner_product(c_bar, res_model.maximizer - x)
-        reference[i] = inner_product(c_star, res_ref.maximizer - x)
+    for start in range(0, m, oracle._STACK_CHUNK):
+        k = min(oracle._STACK_CHUNK, m - start)
+        samples = sampler(rng, k)
+        sets = [obs.feasible_set for obs in samples]
+        x = np.stack([obs.agent_choice for obs in samples])
+        chunk = slice(start, start + k)
+        for c, losses in ((c_bar, model), (c_star, reference)):
+            residuals = np.stack(oracle.argmax_many(sets, c)) - x
+            rows = np.broadcast_to(c, residuals.shape)
+            losses[chunk] = _row_dots(rows, residuals)
     gaps = model - reference
     stderr = float(gaps.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
     return OfflineEvaluation(

@@ -13,6 +13,7 @@ import numpy as np
 
 TOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2 ** 20
+_BINARY = frozenset((0.0, 1.0))
 
 
 class DimensionMismatchError(ValueError):
@@ -323,27 +324,31 @@ class DagPaths(FeasibleSet):
         m = int(num_nodes)
         if m < 2:
             raise ValueError("need at least two nodes (source and sink)")
-        arc_list = [(int(u), int(v)) for u, v in arcs]
-        if not arc_list:
-            raise ValueError("need at least one arc")
-        for u, v in arc_list:
-            if not (0 <= u < m and 0 <= v < m):
-                raise ValueError(f"arc ({u}, {v}) references a missing node")
-            if u >= v:
+        arc_list: list[tuple[int, int]] = []
+        out: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        for k, (u, v) in enumerate(arcs):
+            u, v = int(u), int(v)
+            if not 0 <= u < v < m:
+                if not (0 <= u < m and 0 <= v < m):
+                    raise ValueError(f"arc ({u}, {v}) references a missing node")
                 raise ValueError(
                     f"arc ({u}, {v}) violates topological order (cycle)"
                 )
+            arc_list.append((u, v))
+            out[u].append((k, v))
+        if not arc_list:
+            raise ValueError("need at least one arc")
         self.num_nodes = m
         self._arcs = tuple(arc_list)
-        out: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for k, (u, v) in enumerate(arc_list):
-            out[u].append((k, v))
-        self._out = tuple(tuple(a) for a in out)
+        self._out = tuple(map(tuple, out))
         # path counts from each node to the sink, exact integers
         counts = [0] * m
         counts[m - 1] = 1
         for u in range(m - 2, -1, -1):
-            counts[u] = sum(counts[v] for _, v in out[u])
+            total = 0
+            for _, v in out[u]:
+                total += counts[v]
+            counts[u] = total
         if counts[0] == 0:
             raise ValueError("no source-to-sink path exists")
         self._path_count = counts[0]
@@ -361,41 +366,50 @@ class DagPaths(FeasibleSet):
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dimension,):
             return False
-        if not np.all((v == 0.0) | (v == 1.0)):
+        x = v.tolist()
+        # -0.0 equals 0.0 and nan equals neither
+        if not _BINARY.issuperset(x):
             return False
-        selected = v == 1.0
         sink = self.num_nodes - 1
         cur = 0
         steps = 0
         while cur != sink:
-            nxt = [(k, w) for k, w in self._out[cur] if selected[k]]
-            if len(nxt) != 1:
+            nxt = -1
+            for k, w in self._out[cur]:
+                if x[k] == 1.0:
+                    nxt = w
+            if nxt < 0:
                 return False
             steps += 1
-            cur = nxt[0][1]
-        return steps == int(selected.sum())
+            cur = nxt
+        # a second selected arc out of a walked node is never walked, so
+        # it leaves the walk shorter than the selection
+        return steps == x.count(1.0)
 
     def enumeration_effort(self) -> int:
         return self._path_count
 
     def _enumerate(self) -> np.ndarray:
-        sink = self.num_nodes - 1
-        rows: list[np.ndarray] = []
-        path: list[int] = []
-
-        def walk(node: int) -> None:
-            if node == sink:
-                row = np.zeros(self.dimension)
-                row[path] = 1.0
-                rows.append(row)
-                return
-            for k, v in self._out[node]:
-                path.append(k)
-                walk(v)
-                path.pop()
-
-        walk(0)
-        return np.asarray(rows)
+        m = self.num_nodes
+        reached = [False] * m
+        reached[0] = True
+        for u in range(m - 1):
+            if reached[u]:
+                for _, v in self._out[u]:
+                    reached[v] = True
+        # paths[u]: arc tuples of the u-to-sink paths, in the order a
+        # depth-first walk from u meets them; only nodes the source reaches
+        # are built, so no list outgrows the source's
+        paths: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+        paths[m - 1] = [()]
+        for u in range(m - 2, -1, -1):
+            if reached[u]:
+                paths[u] = [(k,) + p for k, v in self._out[u] for p in paths[v]]
+        found = paths[0]
+        n = self.dimension
+        rows = np.zeros((len(found), n))
+        rows.reshape(-1)[[r * n + k for r, p in enumerate(found) for k in p]] = 1.0
+        return rows
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from ..core import (
     as_vector,
 )
 from ..learner import RegularizerConfig
-from ..oracle import argmax, argmax_many
+from ..oracle import argmax_many
 from .config import ExperimentConfig
 
 
@@ -253,29 +253,52 @@ def _draw_round(
     return X, None
 
 
+def _draw_observations(
+    cfg: ExperimentConfig,
+    c_star: np.ndarray,
+    gap_reference: np.ndarray,
+    rng: np.random.Generator,
+    shared: FeasibleSet | None,
+    count: int,
+    retry_cap: int,
+    holdout: bool,
+) -> tuple[list[Observation], list[np.ndarray]]:
+    """count observations and the optimal choice behind each.
+
+    Every round is drawn first, in order; the optimal choices are then
+    solved in one argmax_many call.  A stream's rounds share one retry
+    budget and are numbered from 1; holdout samples each get their own
+    budget and round index 1.
+    """
+    budget = [retry_cap]
+    drawn = []
+    for _ in range(count):
+        if holdout:
+            budget = [retry_cap]
+        drawn.append(_draw_round(cfg, c_star, gap_reference, rng, budget, shared))
+    optimal_choices = argmax_many([X for X, _ in drawn], c_star)
+    observations = [
+        Observation(X, optimal if noisy is None else noisy, 1 if holdout else t)
+        for t, ((X, noisy), optimal) in enumerate(zip(drawn, optimal_choices), 1)
+    ]
+    return observations, optimal_choices
+
+
 def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
     """Draw the objective and the full observation stream for one run.
 
     Deterministic given the config: a repeated call produces bitwise-equal
     vectors.  Raises GenerationFailedError when gap-controlled rejection
-    sampling exceeds the retry cap.  Every round is drawn first; the optimal
-    choices are then solved in one argmax_many call.
+    sampling exceeds the retry cap.
     """
     domain = build_domain(cfg)
     reg_config = build_reg_config(cfg)
     c_star, c_star_integral = draw_objective(cfg)
     gap_reference = c_star_integral if c_star_integral is not None else c_star
     shared = _fixed_set(cfg, c_star, gap_reference)
-    rng = np.random.default_rng([cfg.seed, 0])
-    budget = [cfg.retry_cap]
-    drawn = [
-        _draw_round(cfg, c_star, gap_reference, rng, budget, shared)
-        for _ in range(cfg.rounds)
-    ]
-    optimal_choices = tuple(argmax_many([X for X, _ in drawn], c_star))
-    observations = tuple(
-        Observation(X, optimal if noisy is None else noisy, t)
-        for t, ((X, noisy), optimal) in enumerate(zip(drawn, optimal_choices), 1)
+    observations, optimal_choices = _draw_observations(
+        cfg, c_star, gap_reference, np.random.default_rng([cfg.seed, 0]),
+        shared, cfg.rounds, cfg.retry_cap, holdout=False,
     )
     return StreamBundle(
         config=cfg,
@@ -283,8 +306,8 @@ def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
         reg_config=reg_config,
         c_star=c_star,
         c_star_integral=c_star_integral,
-        observations=observations,
-        optimal_choices=optimal_choices,
+        observations=tuple(observations),
+        optimal_choices=tuple(optimal_choices),
     )
 
 
@@ -292,16 +315,20 @@ def make_observation_sampler(
     cfg: ExperimentConfig,
     c_star: np.ndarray,
     c_star_integral: np.ndarray | None,
-) -> Callable[[np.random.Generator], Observation]:
-    """Sampler drawing i.i.d. observations from the stream's distribution."""
+) -> Callable[[np.random.Generator, int], list[Observation]]:
+    """Sampler drawing k i.i.d. observations from the stream's distribution.
+
+    sampler(rng, k) makes the same draws, in the same order, as k calls
+    that each drew one sample.
+    """
     gap_reference = c_star_integral if c_star_integral is not None else c_star
     shared = _fixed_set(cfg, c_star, gap_reference)
+    retry_cap = min(cfg.retry_cap, 10_000)
 
-    def sampler(rng: np.random.Generator) -> Observation:
-        budget = [min(cfg.retry_cap, 10_000)]
-        X, choice = _draw_round(cfg, c_star, gap_reference, rng, budget, shared)
-        if choice is None:
-            choice = argmax(X, c_star).maximizer
-        return Observation(X, choice, 1)
+    def sampler(rng: np.random.Generator, k: int) -> list[Observation]:
+        observations, _ = _draw_observations(
+            cfg, c_star, gap_reference, rng, shared, k, retry_cap, holdout=True
+        )
+        return observations
 
     return sampler

@@ -109,10 +109,12 @@ def write_stream(path, observations: Sequence[Observation], c_star=None,
         lines.append("c_star " + " ".join(fmt(v) for v in c_star))
     for obs in observations:
         members = obs.feasible_set.members(cap)
-        lines.append(f"obs {obs.round_index} {members.shape[0]}")
-        for row in members:
-            lines.append(" ".join(fmt(v) for v in row))
-        lines.append("choice " + " ".join(fmt(v) for v in obs.agent_choice))
+        count, width = members.shape
+        # "%.17g" % x is the text of fmt(x)
+        row = " ".join(["%.17g"] * width)
+        lines.append(f"obs {obs.round_index} {count}")
+        lines.append("\n".join([row] * count) % tuple(members.ravel().tolist()))
+        lines.append(("choice " + row) % tuple(obs.agent_choice.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -10,8 +10,6 @@ prediction's recommended action is than the agent's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import oracle
@@ -77,35 +75,3 @@ def residual_subgradient(x, x_hat) -> np.ndarray:
 def _residual(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
     """residual_subgradient on trusted finite float64 vectors of one shape."""
     return _frozen(x_hat - x)
-
-
-@dataclass(frozen=True, eq=False)
-class LossBreakdown:
-    """Per-round loss components.
-
-    estimate and total are None in observation-only mode, where the true
-    objective is unknown and only the suboptimality side is computable.
-    """
-
-    suboptimality: float
-    estimate: float | None
-    total: float | None
-    subgradient: np.ndarray
-    chosen_x_hat: np.ndarray
-
-
-def loss_breakdown(
-    feasible_set: FeasibleSet, x, c_hat, c_star=None
-) -> LossBreakdown:
-    """Evaluate all loss components for one observation.
-
-    Pass c_star to get the simulation-mode estimate and total losses;
-    without it they are reported as unavailable.
-    """
-    x = as_vector(x)
-    value, x_hat = suboptimality_loss(feasible_set, x, c_hat)
-    g = residual_subgradient(x, x_hat)
-    if c_star is None:
-        return LossBreakdown(value, None, None, g, x_hat)
-    est = estimate_loss(as_vector(c_star), x, x_hat)
-    return LossBreakdown(value, est, value + est, g, x_hat)

@@ -18,13 +18,16 @@ decision problem that repeats round after round is solved once.  Answers
 are immutable and bitwise equal to a fresh solve.
 
 argmax_many answers one objective over many sets.  Consecutive
-ExplicitVertices sets of one shape are scanned together, _STACK_CHUNK sets
-per stacked product, so its peak memory does not grow with the number of
-sets; every other set goes through argmax.
+ExplicitVertices sets of one shape are scanned together in one stacked
+product, and consecutive DagPaths sets run the longest-path rule on one
+Python list of the objective, filling one row array; either batch holds
+at most _STACK_CHUNK sets, so peak memory does not grow with the number of
+sets.  Every other set goes through argmax.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,27 +117,38 @@ def _knapsack_argmax(X: Knapsack, c: np.ndarray) -> OracleResult:
     return OracleResult(maximizer, _dot(maximizer, c), 1)
 
 
-def _dag_argmax(X: DagPaths, c: np.ndarray) -> OracleResult:
+def _dag_path(X: DagPaths, c: list[float]) -> list[int]:
+    """Arc indices of the longest source-to-sink path, sink end first.
+
+    c holds the objective as Python floats: their additions and comparisons
+    are the same binary64 operations as on numpy scalars, only cheaper.
+    """
     m = X.num_nodes
-    sink = m - 1
-    dist = [-np.inf] * m
+    dist = [-math.inf] * m
     dist[0] = 0.0
     pred = [-1] * m
-    for u in range(m - 1):
-        if dist[u] == -np.inf:
-            continue
+    for u, arcs in enumerate(X._out[:-1]):
         base = dist[u]
-        for k, v in X.out_arcs(u):
+        if base == -math.inf:
+            continue
+        for k, v in arcs:
             cand = base + c[k]
             if cand > dist[v]:
                 dist[v] = cand
                 pred[v] = k
-    sel = np.zeros(X.dimension)
-    node = sink
+    tails = X.arcs
+    path = []
+    node = m - 1
     while node != 0:
         k = pred[node]
-        sel[k] = 1.0
-        node = X.arcs[k][0]
+        path.append(k)
+        node = tails[k][0]
+    return path
+
+
+def _dag_argmax(X: DagPaths, c: np.ndarray) -> OracleResult:
+    sel = np.zeros(X.dimension)
+    sel[_dag_path(X, c.tolist())] = 1.0
     maximizer = _frozen(sel)
     return OracleResult(maximizer, _dot(maximizer, c), 1)
 
@@ -176,42 +190,72 @@ _STACK_CHUNK = 256
 def argmax_many(sets: Sequence[FeasibleSet], c) -> list[np.ndarray]:
     """[argmax(X, c).maximizer for X in sets], bitwise, in fewer calls.
 
-    A stacked product gives each set the same values as its own scan, so a
-    set without an exact tie takes the row at its first maximum; a set with
-    a tie goes through the scan's lexicographic rule.
+    A run of consecutive sets with one _run_key, at most _STACK_CHUNK long,
+    is answered as the rows of one read-only array; other sets go through
+    argmax.
     """
     c = np.asarray(c, dtype=np.float64)
     out: list[np.ndarray] = []
     i = 0
     while i < len(sets):
-        X = sets[i]
-        if not isinstance(X, ExplicitVertices):
-            out.append(argmax(X, c).maximizer)
+        key = _run_key(sets[i])
+        if key is None:
+            out.append(argmax(sets[i], c).maximizer)
             i += 1
             continue
-        _check_dimension(X, c)
-        shape = X.vertices.shape
         j = i + 1
         while (
-            j < len(sets)
-            and j - i < _STACK_CHUNK
-            and isinstance(sets[j], ExplicitVertices)
-            and sets[j].vertices.shape == shape
+            j < len(sets) and j - i < _STACK_CHUNK and _run_key(sets[j]) == key
         ):
             j += 1
-        stack = np.stack([Y.vertices for Y in sets[i:j]])
-        values = stack @ c
-        first = values.argmax(axis=1)
-        picked = np.arange(j - i)
-        ties = np.count_nonzero(values == values[picked, first][:, None], axis=1)
-        rows = stack[picked, first] + 0.0
-        rows.flags.writeable = False
-        chunk = list(rows)
-        for k in np.flatnonzero(ties > 1):
-            chunk[k] = _scan(sets[i + k].vertices, c).maximizer
-        out.extend(chunk)
+        # a run's sets share their dimension, so one check covers them all
+        _check_dimension(sets[i], c)
+        run = sets[i:j]
+        out.extend(_dag_rows(run, c) if key[0] == "dag" else _vertex_rows(run, c))
         i = j
     return out
+
+
+def _run_key(X: FeasibleSet) -> tuple | None:
+    """Sets with equal keys share a batch: ExplicitVertices sets of one
+    shape, or DagPaths sets of one dimension."""
+    if isinstance(X, ExplicitVertices):
+        return ("vertices", X.vertices.shape)
+    if isinstance(X, DagPaths):
+        return ("dag", X.dimension)
+    return None
+
+
+def _vertex_rows(
+    sets: Sequence[ExplicitVertices], c: np.ndarray
+) -> list[np.ndarray]:
+    """A stacked product gives each set the same values as its own scan, so
+    a set without an exact tie takes the row at its first maximum; a set
+    with a tie goes through the scan's lexicographic rule."""
+    stack = np.stack([X.vertices for X in sets])
+    values = stack @ c
+    first = values.argmax(axis=1)
+    picked = np.arange(len(sets))
+    ties = np.count_nonzero(values == values[picked, first][:, None], axis=1)
+    rows = stack[picked, first] + 0.0
+    rows.flags.writeable = False
+    answers = list(rows)
+    for k in np.flatnonzero(ties > 1):
+        answers[k] = _scan(sets[k].vertices, c).maximizer
+    return answers
+
+
+def _dag_rows(sets: Sequence[DagPaths], c: np.ndarray) -> list[np.ndarray]:
+    """The longest-path rule of argmax, on one list of c for all sets."""
+    weights = c.tolist()
+    n = c.size
+    hits: list[int] = []
+    for r, X in enumerate(sets):
+        hits.extend([r * n + k for k in _dag_path(X, weights)])
+    rows = np.zeros((len(sets), n))
+    rows.reshape(-1)[hits] = 1.0
+    rows.flags.writeable = False
+    return list(rows)
 
 
 def _solve(feasible_set: FeasibleSet, c: np.ndarray) -> OracleResult:

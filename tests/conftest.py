@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from invlinopt import (
     DagPaths,
@@ -45,6 +46,33 @@ def random_dag(rng, max_extra=4):
         v = int(rng.integers(u + 1, nodes))
         arcs.append((u, v))
     return DagPaths(nodes, arcs)
+
+
+@st.composite
+def dag_paths(draw, num_arcs=None, max_nodes=7, max_arcs=10):
+    """A DagPaths with one planted source-to-sink path and random extra arcs.
+
+    The extra arcs bring parallel arcs, nodes the source cannot reach and
+    nodes that cannot reach the sink; arc indices are shuffled, since they
+    decide the oracle's ties.  num_arcs fixes the dimension.
+    """
+    nodes = draw(st.integers(2, max_nodes))
+    sink = nodes - 1
+    longest = sink - 1 if num_arcs is None else min(sink - 1, num_arcs - 1)
+    inner = []
+    if longest > 0:
+        inner = draw(st.lists(st.integers(1, sink - 1), max_size=longest, unique=True))
+    path = [0, *sorted(inner), sink]
+    arcs = list(zip(path, path[1:]))
+    arc = st.integers(0, sink - 1).flatmap(
+        lambda u: st.tuples(st.just(u), st.integers(u + 1, sink))
+    )
+    if num_arcs is None:
+        extra = draw(st.lists(arc, max_size=max_arcs - len(arcs)))
+    else:
+        extra = draw(st.lists(arc, min_size=num_arcs - len(arcs),
+                              max_size=num_arcs - len(arcs)))
+    return DagPaths(nodes, draw(st.permutations(arcs + extra)))
 
 
 def random_feasible_set(rng, family, **kwargs):

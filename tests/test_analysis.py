@@ -34,7 +34,8 @@ from invlinopt.analysis import (
     gap_contraction_coefficient,
     offset_horizon_bound,
 )
-from invlinopt.harness import build_config, generate_instance_stream, simulate
+from invlinopt.core import as_vector, inner_product
+from invlinopt.harness import build_config, generate, generate_instance_stream, simulate
 from invlinopt.harness.io import read_stream, write_stream
 
 from conftest import naive_gap
@@ -251,10 +252,13 @@ def test_offline_evaluate_exact_zeros():
     rng_holder = np.random.default_rng(41)
     c_star = rng_holder.dirichlet(np.ones(3))
 
-    def sampler(rng):
-        verts = rng.integers(0, 2, size=(5, 3)).astype(float)
-        X = ExplicitVertices(verts)
-        return Observation(X, argmax(X, c_star).maximizer, 1)
+    def sampler(rng, k):
+        samples = []
+        for _ in range(k):
+            verts = rng.integers(0, 2, size=(5, 3)).astype(float)
+            X = ExplicitVertices(verts)
+            samples.append(Observation(X, argmax(X, c_star).maximizer, 1))
+        return samples
 
     evaluation = offline_evaluate(c_star, c_star, sampler, 200, 9)
     assert evaluation.mean_model == 0.0
@@ -265,6 +269,86 @@ def test_offline_evaluate_exact_zeros():
     assert other.samples == 200
     with pytest.raises(ValueError):
         offline_evaluate(c_star, c_star, sampler, 0, 9)
+
+
+# The one-sample protocol offline_evaluate had before its samples came in
+# chunks: the reference for the chunked sampler and evaluation.
+
+
+def reference_sampler(cfg, c_star, c_star_integral):
+    gap_reference = c_star_integral if c_star_integral is not None else c_star
+    shared = generate._fixed_set(cfg, c_star, gap_reference)
+
+    def sampler(rng):
+        budget = [min(cfg.retry_cap, 10_000)]
+        X, choice = generate._draw_round(
+            cfg, c_star, gap_reference, rng, budget, shared
+        )
+        if choice is None:
+            choice = argmax(X, c_star).maximizer
+        return Observation(X, choice, 1)
+
+    return sampler
+
+
+def reference_offline_evaluate(c_bar, c_star, sampler, m, seed):
+    c_bar = as_vector(c_bar)
+    c_star = as_vector(c_star)
+    rng = np.random.default_rng(seed)
+    model = np.empty(m)
+    reference = np.empty(m)
+    for i in range(m):
+        obs = sampler(rng)
+        x = obs.agent_choice
+        X = obs.feasible_set
+        model[i] = inner_product(c_bar, argmax(X, c_bar).maximizer - x)
+        reference[i] = inner_product(c_star, argmax(X, c_star).maximizer - x)
+    gaps = model - reference
+    stderr = float(gaps.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    return (float(model.mean()), float(reference.mean()), float(gaps.mean()), stderr, m)
+
+
+HOLDOUT_SETUPS = {
+    "dag-ball-noisy": dict(family="dag", dimension=8, domain="ball",
+                           schedule="offset", agent_noise=0.2),
+    "rv-simplex": dict(family="random-vertices", dimension=5, num_vertices=9),
+    # each sample needs about 1.2 draws, so only a budget per sample lasts
+    "rv-margin": dict(family="random-vertices", dimension=3, num_vertices=4,
+                      gap_mode="margin", gap_margin=0.1, retry_cap=12),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(HOLDOUT_SETUPS))
+@pytest.mark.parametrize("m", [1, 255, 256, 257, 700])
+def test_offline_evaluate_matches_the_per_sample_reference(setup, m):
+    cfg = build_config({}, seed=13, rounds=1, **HOLDOUT_SETUPS[setup])
+    c_star, c_star_integral = generate.draw_objective(cfg)
+    c_bar = generate.build_domain(cfg).sample(np.random.default_rng(5))
+    seed = np.random.SeedSequence([cfg.seed, 1])
+    sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
+    got = offline_evaluate(c_bar, c_star, sampler, m, seed)
+    expected = reference_offline_evaluate(
+        c_bar, c_star, reference_sampler(cfg, c_star, c_star_integral), m, seed
+    )
+    fields = (got.mean_model, got.mean_reference, got.mean_gap, got.stderr_gap,
+              got.samples)
+    assert [np.float64(v).tobytes() for v in fields] == [
+        np.float64(v).tobytes() for v in expected
+    ]
+    # c_bar is not c_star, so the columns compared are not all zeros
+    assert m == 1 or got.mean_model != 0.0
+
+
+def test_sampler_out_of_retries_raises():
+    cfg = build_config({}, seed=3, rounds=1, family="random-vertices", dimension=4,
+                       num_vertices=6, gap_mode="margin", gap_margin=50.0,
+                       retry_cap=40, holdout=300)
+    c_star, c_star_integral = generate.draw_objective(cfg)
+    sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
+    with pytest.raises(generate.GenerationFailedError):
+        offline_evaluate(c_star, c_star, sampler, 300, 1)
+    with pytest.raises(generate.GenerationFailedError):
+        sampler(np.random.default_rng(1), 1)
 
 
 def certificate_fields(certificate):

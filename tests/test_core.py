@@ -1,5 +1,7 @@
 """Core primitives: vectors, norms, feasible sets, observations, domains."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from invlinopt import (
 )
 from invlinopt.core import clamp_small_negative, tolerance
 
-from conftest import FAMILIES, random_feasible_set
+from conftest import FAMILIES, dag_paths, random_feasible_set
 
 
 def test_inner_product_examples():
@@ -251,6 +253,149 @@ def test_dag_validation_and_membership():
     assert dag.contains([1.0, 1.0, 0.0])
     assert not dag.contains([1.0, 0.0, 0.0])  # stops before the sink
     assert not dag.contains([1.0, 1.0, 1.0])  # stray selected arc
+
+
+# DagPaths as first written, with numpy scalar walks and a recursive
+# enumeration; the references for the constructor, contains and _enumerate.
+
+
+def reference_dag(num_nodes, arcs):
+    """(arcs, out-arcs, path count) as first built, or the ValueError raised."""
+    m = int(num_nodes)
+    if m < 2:
+        raise ValueError("need at least two nodes (source and sink)")
+    arc_list = [(int(u), int(v)) for u, v in arcs]
+    if not arc_list:
+        raise ValueError("need at least one arc")
+    for u, v in arc_list:
+        if not (0 <= u < m and 0 <= v < m):
+            raise ValueError(f"arc ({u}, {v}) references a missing node")
+        if u >= v:
+            raise ValueError(f"arc ({u}, {v}) violates topological order (cycle)")
+    out = [[] for _ in range(m)]
+    for k, (u, v) in enumerate(arc_list):
+        out[u].append((k, v))
+    counts = [0] * m
+    counts[m - 1] = 1
+    for u in range(m - 2, -1, -1):
+        counts[u] = sum(counts[v] for _, v in out[u])
+    if counts[0] == 0:
+        raise ValueError("no source-to-sink path exists")
+    return tuple(arc_list), tuple(tuple(a) for a in out), counts[0]
+
+
+def reference_contains(X, v):
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (X.dimension,):
+        return False
+    if not np.all((v == 0.0) | (v == 1.0)):
+        return False
+    selected = v == 1.0
+    sink = X.num_nodes - 1
+    cur = 0
+    steps = 0
+    while cur != sink:
+        nxt = [(k, w) for k, w in X.out_arcs(cur) if selected[k]]
+        if len(nxt) != 1:
+            return False
+        steps += 1
+        cur = nxt[0][1]
+    return steps == int(selected.sum())
+
+
+def reference_enumerate(X):
+    sink = X.num_nodes - 1
+    rows = []
+    path = []
+
+    def walk(node):
+        if node == sink:
+            row = np.zeros(X.dimension)
+            row[path] = 1.0
+            rows.append(row)
+            return
+        for k, v in X.out_arcs(node):
+            path.append(k)
+            walk(v)
+            path.pop()
+
+    walk(0)
+    return np.asarray(rows)
+
+
+@st.composite
+def dag_arguments(draw):
+    nodes = draw(st.integers(0, 6))
+    endpoint = st.integers(-1, nodes)
+    return nodes, draw(st.lists(st.tuples(endpoint, endpoint), max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dag_arguments())
+def test_dag_constructor_matches_reference(arguments):
+    nodes, arcs = arguments
+    try:
+        expected = reference_dag(nodes, arcs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            DagPaths(nodes, arcs)
+        assert str(got.value) == str(exc)
+        return
+    X = DagPaths(nodes, arcs)
+    got = (X.arcs, tuple(X.out_arcs(u) for u in range(nodes)), X.enumeration_effort())
+    assert got == expected
+    assert X.dimension == len(arcs)
+
+
+@pytest.mark.parametrize(
+    "nodes, arcs, message",
+    [
+        (1, [(0, 1)], "need at least two nodes (source and sink)"),
+        (3, [], "need at least one arc"),
+        (3, [(0, 1), (1, 3)], "arc (1, 3) references a missing node"),
+        (3, [(0, 1), (2, 1)], "arc (2, 1) violates topological order (cycle)"),
+        (3, [(0, 1), (1, 1)], "arc (1, 1) violates topological order (cycle)"),
+        (4, [(0, 1), (2, 3)], "no source-to-sink path exists"),
+    ],
+)
+def test_dag_constructor_errors(nodes, arcs, message):
+    with pytest.raises(ValueError) as got:
+        DagPaths(nodes, arcs)
+    assert str(got.value) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag_paths(max_arcs=8), st.data())
+def test_dag_contains_matches_reference_walk(X, data):
+    n = X.dimension
+    for bits in itertools.product((0.0, 1.0), repeat=n):
+        assert X.contains(bits) == reference_contains(X, bits)
+    for row in X.members():
+        signed = np.where(row == 0.0, -0.0, row)
+        assert X.contains(signed) and reference_contains(X, signed)
+    entries = st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, 2.0, np.nan, np.inf])
+    probe = data.draw(hnp.arrays(np.float64, n, elements=entries))
+    assert X.contains(probe) == reference_contains(X, probe)
+    for shape in [(n - 1,), (n + 1,), (1, n), ()]:
+        assert not X.contains(np.ones(shape))
+        assert not reference_contains(X, np.ones(shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag_paths())
+def test_dag_enumeration_matches_reference_dfs(X):
+    got = X._enumerate()
+    expected = reference_enumerate(X)
+    assert got.shape == expected.shape == (X.enumeration_effort(), X.dimension)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_dag_enumeration_skips_what_the_source_cannot_reach():
+    # nodes 1..40 hold 2**40 paths to the sink, but the source only has
+    # its direct arc to the sink
+    ladder = [(i, i + 1) for i in range(1, 41)]
+    X = DagPaths(42, [(0, 41)] + ladder + ladder)
+    assert X.members().tolist() == [[1.0] + [0.0] * 80]
 
 
 def test_observation_validation():

@@ -1,7 +1,8 @@
 """Byte-identity of `invlinopt run` outputs against committed golden files.
 
 Every refactor or speedup must reproduce these bytes exactly.  The files
-under tests/golden/<name>/ were written by this module's recorder:
+under tests/golden/<name>/ (and the `invlinopt eval` summary under
+tests/golden/eval-<name>/) were written by this module's recorder:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -59,8 +60,30 @@ CONFIGS = {
 }
 
 
+# `invlinopt eval` of a committed prediction; 600 holdout samples cross the
+# 256-sample chunk boundaries of analysis.offline_evaluate twice.
+EVAL_CONFIGS = {
+    "dag-noisy-holdout": [
+        "--family", "dag", "--dimension", "10", "--domain", "ball",
+        "--schedule", "offset", "--agent-noise", "0.1", "--holdout", "600",
+        "--seed", "7", "--prediction",
+        str(GOLDEN_DIR / "dag-noisy-holdout-stream" / "prediction.txt"),
+    ],
+    "random-vertices": [
+        "--family", "random-vertices", "--dimension", "5",
+        "--num-vertices", "12", "--agent-noise", "0.2", "--holdout", "600",
+        "--seed", "3", "--prediction",
+        str(GOLDEN_DIR / "random-vertices" / "prediction.txt"),
+    ],
+}
+
+
 def _run(name: str, out: Path) -> int:
     return main(["run", *CONFIGS[name], "--out", str(out)])
+
+
+def _eval(name: str, out: Path) -> int:
+    return main(["eval", *EVAL_CONFIGS[name], "--out", str(out / "eval.txt")])
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -74,6 +97,13 @@ def test_outputs_match_golden_bytes(name, tmp_path, capsys):
         assert (tmp_path / fname).read_bytes() == (expected_dir / fname).read_bytes(), (
             f"{name}/{fname} differs from the golden bytes"
         )
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CONFIGS))
+def test_eval_matches_golden_bytes(name, tmp_path, capsys):
+    assert _eval(name, tmp_path) == 0
+    expected = GOLDEN_DIR / f"eval-{name}" / "eval.txt"
+    assert (tmp_path / "eval.txt").read_bytes() == expected.read_bytes()
 
 
 def _perfbench_workloads():
@@ -111,6 +141,11 @@ def record() -> None:
             (out / fname).unlink(missing_ok=True)
         if _run(name, out) != 0:
             raise SystemExit(f"{name}: run failed, golden files not usable")
+    for name in EVAL_CONFIGS:
+        out = GOLDEN_DIR / f"eval-{name}"
+        out.mkdir(parents=True, exist_ok=True)
+        if _eval(name, out) != 0:
+            raise SystemExit(f"eval-{name}: eval failed, golden file not usable")
 
 
 if __name__ == "__main__":

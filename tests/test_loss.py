@@ -11,7 +11,6 @@ from invlinopt import (
     estimate_loss,
     fenchel_young_loss,
     inner_product,
-    loss_breakdown,
     residual_subgradient,
     suboptimality_loss,
 )
@@ -124,12 +123,14 @@ def test_convexity_along_segments():
             assert mixed <= combo + tolerance(mixed, combo)
 
 
-def test_loss_breakdown_modes():
-    full = loss_breakdown(TRIANGLE, [1.0, 0.0], [0.3, 0.7], c_star=[0.6, 0.4])
-    assert full.estimate is not None and full.total is not None
-    assert abs(full.total - (full.suboptimality + full.estimate)) <= tolerance(full.total)
-    assert tuple(full.subgradient) == (-1.0, 1.0)
-    observation_only = loss_breakdown(TRIANGLE, [1.0, 0.0], [0.3, 0.7])
-    assert observation_only.estimate is None
-    assert observation_only.total is None
-    assert observation_only.suboptimality == full.suboptimality
+def test_loss_components_of_one_observation():
+    x, c_hat, c_star = [1.0, 0.0], [0.3, 0.7], [0.6, 0.4]
+    sub, x_hat = suboptimality_loss(TRIANGLE, x, c_hat)
+    est = estimate_loss(c_star, x, x_hat)
+    total = sub + est
+    assert abs(sub - 0.4) <= tolerance(sub)
+    assert abs(est - 0.2) <= tolerance(est)
+    assert abs(total - 0.6) <= tolerance(total)
+    assert tuple(residual_subgradient(x, x_hat)) == (-1.0, 1.0)
+    # the suboptimality side needs no true objective
+    assert suboptimality_loss(TRIANGLE, x, c_hat)[0] == sub

@@ -24,7 +24,7 @@ from invlinopt import (
 from invlinopt import oracle
 from invlinopt.core import tolerance
 
-from conftest import FAMILIES, random_feasible_set
+from conftest import FAMILIES, dag_paths, random_feasible_set
 
 
 def test_hypercube_sign_rule():
@@ -325,12 +325,63 @@ def test_argmax_many_across_chunks_of_the_real_size():
     assert argmax_many([], rng.standard_normal(n)) == []
 
 
-@pytest.mark.parametrize("family", ["explicit", "knapsack"])
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_argmax_many_over_dags_equals_argmax_and_bruteforce(data):
+    n = data.draw(st.integers(1, 8))
+    c = data.draw(hnp.arrays(np.float64, n, elements=OBJECTIVE_POOL))
+    dag = dag_paths(num_arcs=n)
+    sets = data.draw(st.lists(st.one_of(dag, dag, sets_of_dimension(n)), max_size=12))
+    with stack_chunk(data.draw(st.sampled_from([1, 2, 3, oracle._STACK_CHUNK]))):
+        assert_many_matches_argmax(sets, c)
+        got = argmax_many(sets, c)
+    # halves and integers below 2**52 add exactly, so any order of summing
+    # gives the same optimum
+    exact = np.array_equal(2.0 * c, np.round(2.0 * c))
+    for X, x in zip(sets, got):
+        if isinstance(X, DagPaths):
+            assert X.contains(x)
+            value = inner_product(x, c)
+            best = argmax_bruteforce(X, c).optimal_value
+            if exact:
+                assert value == best
+            else:
+                assert abs(value - best) <= 1e-12 * (1 + abs(best))
+
+
+def test_argmax_many_dags_across_chunks_of_the_real_size():
+    rng = np.random.default_rng(23)
+    n = 7
+    sets = []
+    for k in range(2 * oracle._STACK_CHUNK + 7):
+        if k % 97 == 0:
+            sets.append(Knapsack(rng.integers(0, 5, size=n), 6))
+        elif k % 50 == 0:
+            sets.append(ExplicitVertices(rng.random((5, n))))
+        else:
+            arcs = [(0, 1), (1, 2), (2, 3)]
+            while len(arcs) < n:
+                u = int(rng.integers(0, 3))
+                arcs.append((u, int(rng.integers(u + 1, 4))))
+            sets.append(DagPaths(4, arcs))
+    for c in (rng.standard_normal(n), np.array([1.0, 1.0, 0.0, -0.0, 2.0, 1.0, 1.0]),
+              np.zeros(n)):
+        assert_many_matches_argmax(sets, c)
+
+
+DIMENSION_CASES = {
+    "explicit": lambda rng: ExplicitVertices(rng.random((4, 2))),
+    "knapsack": lambda rng: Knapsack([1, 2], 2),
+    "dag": lambda rng: DagPaths(3, [(0, 1), (1, 2)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(DIMENSION_CASES))
 def test_argmax_many_dimension_mismatch_is_argmax_error(family):
     rng = np.random.default_rng(22)
-    good = [ExplicitVertices(rng.random((4, 3))) for _ in range(3)]
-    bad = (ExplicitVertices(rng.random((4, 2))) if family == "explicit"
-           else Knapsack([1, 2], 2))
+    good = ([ExplicitVertices(rng.random((4, 3))) for _ in range(3)]
+            + [DagPaths(3, [(0, 1), (1, 2), (0, 2)]) for _ in range(3)])
+    bad = DIMENSION_CASES[family](rng)
     c = rng.standard_normal(3)
     with pytest.raises(DimensionMismatchError) as single:
         argmax(bad, c)
