@@ -1,14 +1,13 @@
-"""Round-by-round certification of regret identities and bounds.
+"""Certification of the regret identities and bounds of one run.
 
 A RegretLedger holds, per round, the linearized regret (which equals the
 running total loss), the suboptimality-loss regret, and the squared
 gradient norms, computed from the whole run at once; bound_columns gives
-every running bound as an array.  The check_* functions assert the guarantees the learner is
-supposed to satisfy at a given prefix, returning the measured slack instead
-of a bare boolean so failures are diagnosable.  certify_gap computes the
-exact per-instance margin between optimal and suboptimal actions by brute
-force, and offline_evaluate measures holdout suboptimality of an averaged
-prediction.
+every running bound as an array, and verify_run checks each certified
+inequality at every prefix, reporting the measured slack at the worst one
+so failures are diagnosable.  certify_gap computes the exact per-instance
+margin between optimal and suboptimal actions by brute force, and
+offline_evaluate measures holdout suboptimality of an averaged prediction.
 """
 
 from __future__ import annotations
@@ -25,12 +24,12 @@ from .core import (
     NormPair,
     Observation,
     TOL,
+    _dot,
     _row_dots,
     as_vector,
     inner_product,
-    tolerance,
 )
-from .learner import ADAPTIVE, OFFSET, RegularizerConfig, RoundRecord
+from .learner import ADAPTIVE, RegularizerConfig, RoundRecord
 
 ROOT_FIVE_QUARTERS = 2.0 ** 1.25  # 2^{5/4}
 
@@ -161,58 +160,21 @@ class RegretLedger:
     def rounds(self) -> int:
         return len(self.records)
 
-    def _at(self, name: str, t: int | None) -> float:
-        t = self.rounds if t is None else t
-        if not 1 <= t <= self.rounds:
-            raise ValueError(f"round {t} outside 1..{self.rounds}")
-        return float(self._columns[name][t - 1])
+    def linearized_regret(self) -> float:
+        return float(self._columns["regret"][-1])
 
-    def linearized_regret(self, t: int | None = None) -> float:
-        return self._at("regret", t)
+    def subopt_regret(self) -> float:
+        return float(self._columns["regret_sub"][-1])
 
-    def subopt_regret(self, t: int | None = None) -> float:
-        return self._at("regret_sub", t)
+    def sum_sq_grad(self) -> float:
+        return float(self._columns["sum_sq"][-1])
 
-    def sum_sq_grad(self, t: int | None = None) -> float:
-        return self._at("sum_sq", t)
-
-    def total_loss(self, t: int | None = None) -> float:
-        t = self.rounds if t is None else t
-        self._at("total", t)
-        return float(np.sum(self._columns["total"][:t]))
+    def total_loss(self) -> float:
+        return float(np.sum(self._columns["total"]))
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Snapshot of all per-round columns as arrays (copies)."""
         return {name: column.copy() for name, column in self._columns.items()}
-
-
-def _require_schedule(ledger: RegretLedger, config: RegularizerConfig, schedule: str) -> None:
-    if ledger.schedule != schedule:
-        raise ValueError(
-            f"check requires the {schedule!r} schedule, run used {ledger.schedule!r}"
-        )
-    if config != ledger.config:
-        raise ValueError("config does not match the one the run used")
-
-
-def _check(name: str, t: int, value: float, bound: float) -> BoundCheck:
-    passed = value <= bound + tolerance(value, bound)
-    return BoundCheck(name, t, value, bound, passed)
-
-
-def adaptive_grad_bound(config: RegularizerConfig, sum_sq: float) -> float:
-    """2^{5/4} * B * sqrt(sum of squared gradient norms / lam)."""
-    return ROOT_FIVE_QUARTERS * config.B * math.sqrt(sum_sq / config.lam)
-
-
-def adaptive_horizon_bound(config: RegularizerConfig, t: int) -> float:
-    """2^{5/4} * K * B * sqrt(t / lam)."""
-    return ROOT_FIVE_QUARTERS * config.K * config.B * math.sqrt(t / config.lam)
-
-
-def offset_horizon_bound(config: RegularizerConfig, t: int) -> float:
-    """2 * K * H * sqrt(t / lam)."""
-    return 2.0 * config.K * config.H * math.sqrt(t / config.lam)
 
 
 def gap_constant_bound(config: RegularizerConfig, delta: float) -> float:
@@ -228,96 +190,6 @@ def gap_constant_bound(config: RegularizerConfig, delta: float) -> float:
 def gap_contraction_coefficient(config: RegularizerConfig, delta: float) -> float:
     """K * B / (2^{5/4} * sqrt(lam) * delta^2)."""
     return config.K * config.B / (ROOT_FIVE_QUARTERS * math.sqrt(config.lam) * delta ** 2)
-
-
-def check_adaptive_regret_bound(
-    ledger: RegretLedger, config: RegularizerConfig, t: int
-) -> list[BoundCheck]:
-    """Regret at prefix t against both adaptive-schedule bounds."""
-    _require_schedule(ledger, config, ADAPTIVE)
-    r = ledger.linearized_regret(t)
-    return [
-        _check("adaptive_grad_bound", t, r, adaptive_grad_bound(config, ledger.sum_sq_grad(t))),
-        _check("adaptive_horizon_bound", t, r, adaptive_horizon_bound(config, t)),
-    ]
-
-
-def check_offset_regret_bound(
-    ledger: RegretLedger, config: RegularizerConfig, t: int
-) -> BoundCheck:
-    """Regret at prefix t against the offset-schedule horizon bound."""
-    _require_schedule(ledger, config, OFFSET)
-    return _check(
-        "offset_horizon_bound", t, ledger.linearized_regret(t), offset_horizon_bound(config, t)
-    )
-
-
-def check_gap_residual_bound(
-    ledger: RegretLedger, config: RegularizerConfig, delta: float, t: int
-) -> BoundCheck:
-    """Per-round contraction: ||g_t||^2 <= coef(delta) * <g_t, c_hat_t - c_star>."""
-    if config != ledger.config:
-        raise ValueError("config does not match the one the run used")
-    arrays = ledger.arrays()
-    lhs = float(arrays["grad_norm"][t - 1]) ** 2
-    rhs = gap_contraction_coefficient(config, delta) * float(arrays["lin_inc"][t - 1])
-    return _check("gap_residual_bound", t, lhs, rhs)
-
-
-def check_gap_gradient_sum_bound(
-    ledger: RegretLedger, config: RegularizerConfig, delta: float, t: int
-) -> BoundCheck:
-    """Aggregate contraction: sum of ||g||^2 <= coef(delta) * regret at t."""
-    if config != ledger.config:
-        raise ValueError("config does not match the one the run used")
-    lhs = ledger.sum_sq_grad(t)
-    rhs = gap_contraction_coefficient(config, delta) * ledger.linearized_regret(t)
-    return _check("gap_gradient_sum_bound", t, lhs, rhs)
-
-
-def check_gap_constant_regret_bound(
-    ledger: RegretLedger, config: RegularizerConfig, delta: float, t: int
-) -> BoundCheck:
-    """Regret at prefix t against the horizon-independent gap bound."""
-    if config != ledger.config:
-        raise ValueError("config does not match the one the run used")
-    return _check(
-        "gap_constant_bound", t, ledger.linearized_regret(t), gap_constant_bound(config, delta)
-    )
-
-
-def check_total_loss_identity(ledger: RegretLedger, t: int) -> BoundCheck:
-    """|regret - accumulated total loss| <= 1e-9 * t at prefix t."""
-    diff = abs(ledger.linearized_regret(t) - ledger.total_loss(t))
-    return _check("total_loss_identity", t, diff, TOL * t)
-
-
-def check_regret_ordering(ledger: RegretLedger, t: int) -> BoundCheck:
-    """Suboptimality regret never exceeds the linearized regret (up to t*tol)."""
-    r = ledger.linearized_regret(t)
-    rs = ledger.subopt_regret(t)
-    return _check("regret_ordering", t, rs, r + tolerance(r, rs) * t)
-
-
-def check_per_round_linearization(ledger: RegretLedger, t: int) -> BoundCheck:
-    """Loss difference at round t is below its linearization."""
-    arrays = ledger.arrays()
-    lhs = float(arrays["ell_sub"][t - 1] - arrays["ell_sub_ref"][t - 1])
-    rhs = float(arrays["lin_inc"][t - 1])
-    return _check("per_round_linearization", t, lhs, rhs)
-
-
-def check_loss_plateau(ledger: RegretLedger, burn_in: int) -> BoundCheck:
-    """Total loss over rounds (T/2, T] stays within 1e-9 * T of zero.
-
-    Only meaningful for runs of at least burn_in rounds on gap-certified
-    instances with optimal agents, where the regret is horizon-independent.
-    """
-    t = ledger.rounds
-    if t < burn_in:
-        raise ValueError(f"plateau check needs at least {burn_in} rounds, got {t}")
-    late = ledger.total_loss(t) - ledger.total_loss(t // 2)
-    return _check("loss_plateau", t, late, TOL * t)
 
 
 def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, rounds: np.ndarray) -> BoundCheck:
@@ -340,8 +212,11 @@ def bound_columns(
 
     Keys are adaptive_grad, adaptive_horizon, offset_horizon and
     gap_constant; a bound of the other schedule, or gap_constant without a
-    delta, is None.  The formulas are those of the scalar *_bound functions,
-    evaluated in the same order, so each entry is bitwise their value.
+    delta, is None.  At prefix t:
+      adaptive_grad     2^{5/4} * B * sqrt(sum of squared gradient norms / lam)
+      adaptive_horizon  2^{5/4} * K * B * sqrt(t / lam)
+      offset_horizon    2 * K * H * sqrt(t / lam)
+      gap_constant      gap_constant_bound(config, delta), the same at every t
     """
     config = ledger.config
     t = np.arange(1, ledger.rounds + 1, dtype=np.float64)
@@ -374,7 +249,9 @@ def verify_run(
     """Evaluate every applicable certified inequality at every prefix.
 
     Returns one BoundCheck per inequality, reporting the prefix (or round)
-    with the smallest slack; passed is False if any prefix failed.
+    with the smallest slack; passed is False if any prefix failed.  The gap
+    checks need gap_checks and a certified delta; loss_plateau is added only
+    for runs of at least plateau_burn_in rounds.
     """
     if config != ledger.config:
         raise ValueError("config does not match the one the run used")
@@ -411,8 +288,45 @@ def verify_run(
         checks.append(_worst("gap_gradient_sum_bound", a["sum_sq"], coef * regret, t))
         checks.append(_worst("gap_constant_bound", regret, bounds["gap_constant"], t))
         if plateau_burn_in is not None and n >= plateau_burn_in:
-            checks.append(check_loss_plateau(ledger, plateau_burn_in))
+            # total loss over rounds (T/2, T] stays within 1e-9 * T of zero;
+            # the regret of such a run is horizon-independent
+            total = a["total"]
+            late = float(np.sum(total)) - float(np.sum(total[: n // 2]))
+            checks.append(
+                _worst("loss_plateau", np.array([late]), np.array([TOL * n]), np.array([n]))
+            )
     return checks
+
+
+def _gap_margin(
+    members: np.ndarray, x: np.ndarray, c: np.ndarray, norms: NormPair
+) -> tuple[float | None, int | None]:
+    """Margin of the choice x among the enumerated members under c.
+
+    Returns (delta, None), delta the smallest <c, x - x'> / ||x - x'|| over
+    members x' other than x in the primal norm (+inf when x is the only
+    member), or (None, i) when members[i] is the first competitor of the
+    largest value and it ties or beats x.  Competitor values are rows of
+    members @ c and x's value is np.dot(c, x); the two can round
+    differently, and the recorded gap.delta outputs rest on this pairing.
+    """
+    values = members @ c
+    value_x = _dot(c, x)
+    is_x = np.all(members == x, axis=1)
+    if not np.any(is_x):
+        raise ValueError("choice missing from the enumeration")
+    others = np.flatnonzero(~is_x)
+    if others.size == 0:
+        return math.inf, None
+    worst = int(others[np.argmax(values[others])])
+    if values[worst] >= value_x:
+        return None, worst
+    diffs = x[None, :] - members[others]
+    if norms.kind == NormPair.LINF_L1:
+        dists = np.max(np.abs(diffs), axis=1)
+    else:
+        dists = np.sqrt(np.sum(diffs * diffs, axis=1))
+    return float(((value_x - values[others]) / dists).min()), None
 
 
 def certify_gap(
@@ -440,23 +354,12 @@ def certify_gap(
             continue
         prev_set, prev_choice = obs.feasible_set, choice
         members = obs.feasible_set.members(cap)
-        values = members @ c_star
-        value_x = inner_product(c_star, x)
-        is_x = np.all(members == x, axis=1)
-        if not np.any(is_x):
-            raise ValueError(
-                f"round {obs.round_index}: choice missing from the enumeration"
-            )
-        others = members[~is_x]
-        other_values = values[~is_x]
-        if other_values.size == 0:
-            per_round.append(math.inf)
-            continue
-        worst = int(np.argmax(other_values))
-        if other_values[worst] >= value_x:
+        delta, rival = _gap_margin(members, x, c_star, norms)
+        if rival is not None:
+            value = float((members @ c_star)[rival])
             reason = (
                 "tied-optimum"
-                if other_values[worst] == value_x
+                if value == inner_product(c_star, x)
                 else "agent-suboptimal"
             )
             return GapCertificate(
@@ -464,19 +367,10 @@ def certify_gap(
                 delta=None,
                 per_round_deltas=tuple(per_round),
                 witness=GapWitness(
-                    obs.round_index,
-                    as_vector(others[worst]),
-                    float(other_values[worst]),
-                    reason,
+                    obs.round_index, as_vector(members[rival]), value, reason
                 ),
             )
-        diffs = x[None, :] - others
-        if norms.kind == NormPair.LINF_L1:
-            dists = np.max(np.abs(diffs), axis=1)
-        else:
-            dists = np.sqrt(np.sum(diffs * diffs, axis=1))
-        ratios = (value_x - other_values) / dists
-        per_round.append(float(ratios.min()))
+        per_round.append(delta)
     if not per_round:
         raise ValueError("no observations to certify")
     return GapCertificate(

@@ -80,11 +80,6 @@ def tolerance(*values: float) -> float:
     return TOL * (1.0 + scale)
 
 
-def leq(lhs: float, rhs: float) -> bool:
-    """True when lhs <= rhs up to the relative tolerance."""
-    return lhs <= rhs + tolerance(lhs, rhs)
-
-
 def clamp_small_negative(value: float) -> float:
     """Round a tiny float-noise negative (within tolerance of zero) up to 0.
 

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..analysis import _gap_margin
 from ..core import (
     Ball,
     DagPaths,
@@ -21,6 +22,7 @@ from ..core import (
     FeasibleSet,
     Hypercube,
     Knapsack,
+    NormPair,
     Observation,
     PredictionDomain,
     Simplex,
@@ -138,31 +140,6 @@ def _sample_feasible_set(
     return DagPaths(num_nodes, arcs)
 
 
-def _has_unique_optimum(X: FeasibleSet, c: np.ndarray, cap: int) -> bool:
-    values = X.members(cap) @ c
-    best = values.max()
-    return int(np.sum(values == best)) == 1
-
-
-def _round_gap(X: FeasibleSet, c_star: np.ndarray, cfg: ExperimentConfig) -> float | None:
-    """Gap margin of one set under c_star, or None when the optimum ties."""
-    members = X.members(cfg.enumeration_cap)
-    values = members @ c_star
-    best_idx = int(np.argmax(values))
-    best = values[best_idx]
-    rest = np.delete(np.arange(members.shape[0]), best_idx)
-    if rest.size == 0:
-        return math.inf
-    if np.any(values[rest] == best):
-        return None
-    diffs = members[best_idx][None, :] - members[rest]
-    if cfg.domain == "simplex":
-        dists = np.max(np.abs(diffs), axis=1)
-    else:
-        dists = np.sqrt(np.sum(diffs * diffs, axis=1))
-    return float(np.min((best - values[rest]) / dists))
-
-
 def uniform_member(
     X: FeasibleSet, rng: np.random.Generator, cap: int
 ) -> np.ndarray:
@@ -173,46 +150,49 @@ def uniform_member(
     return as_vector(members[int(rng.integers(0, members.shape[0]))])
 
 
-def _accepts_gap(
+def _gap_test(
     cfg: ExperimentConfig,
-    X: FeasibleSet,
+    norms: NormPair,
     c_star: np.ndarray,
-    gap_reference: np.ndarray,
-) -> bool:
+    c_star_integral: np.ndarray | None,
+) -> Callable[[FeasibleSet], bool]:
+    """Whether a drawn set meets the configured gap target.
+
+    The first maximizer of the objective over the members (the integral
+    objective in integral mode) must be its unique maximizer and, in margin
+    mode, have a margin of at least gap_margin: the sets certify_gap would
+    certify for the optimal agent.
+    """
     if cfg.gap_mode == "none":
-        return True
-    if cfg.gap_mode == "integral":
-        return _has_unique_optimum(X, gap_reference, cfg.enumeration_cap)
-    gap = _round_gap(X, c_star, cfg)
-    return gap is not None and gap >= cfg.gap_margin
+        return lambda X: True
+    c = c_star if c_star_integral is None else c_star_integral
+
+    def accepts(X: FeasibleSet) -> bool:
+        members = X.members(cfg.enumeration_cap)
+        best = members[int(np.argmax(members @ c))]
+        delta, rival = _gap_margin(members, best, c, norms)
+        return rival is None and (cfg.gap_mode == "integral" or delta >= cfg.gap_margin)
+
+    return accepts
 
 
 def _draw_set(
     cfg: ExperimentConfig,
-    c_star: np.ndarray,
-    gap_reference: np.ndarray,
+    accepts: Callable[[FeasibleSet], bool],
     rng: np.random.Generator,
     budget: list[int],
-    shared: FeasibleSet | None,
 ) -> FeasibleSet:
     while True:
         budget[0] -= 1
         if budget[0] < 0:
             raise GenerationFailedError("retry budget exhausted drawing sets")
-        X = shared if shared is not None else _sample_feasible_set(cfg, rng)
-        if _accepts_gap(cfg, X, c_star, gap_reference):
+        X = _sample_feasible_set(cfg, rng)
+        if accepts(X):
             return X
-        if shared is not None:
-            # the set cannot be redrawn, so the gap target is unreachable
-            raise GenerationFailedError(
-                "the fixed feasible set misses the gap target"
-            )
 
 
 def _fixed_set(
-    cfg: ExperimentConfig,
-    c_star: np.ndarray,
-    gap_reference: np.ndarray,
+    cfg: ExperimentConfig, accepts: Callable[[FeasibleSet], bool]
 ) -> FeasibleSet | None:
     """The per-stream constant feasible set, or None for fresh draws.
 
@@ -221,20 +201,18 @@ def _fixed_set(
     """
     if cfg.family == "hypercube":
         cube = Hypercube(cfg.dimension)
-        if not _accepts_gap(cfg, cube, c_star, gap_reference):
+        if not accepts(cube):
             raise GenerationFailedError("the hypercube misses the gap target")
         return cube
     if cfg.fresh_sets:
         return None
     rng = np.random.default_rng([cfg.seed, 3])
-    budget = [cfg.retry_cap]
-    return _draw_set(cfg, c_star, gap_reference, rng, budget, None)
+    return _draw_set(cfg, accepts, rng, [cfg.retry_cap])
 
 
 def _draw_round(
     cfg: ExperimentConfig,
-    c_star: np.ndarray,
-    gap_reference: np.ndarray,
+    accepts: Callable[[FeasibleSet], bool],
     rng: np.random.Generator,
     budget: list[int],
     shared: FeasibleSet | None,
@@ -243,11 +221,7 @@ def _draw_round(
 
     The optimal choice draws no randomness, so callers solve it afterwards.
     """
-    X = (
-        shared
-        if shared is not None
-        else _draw_set(cfg, c_star, gap_reference, rng, budget, None)
-    )
+    X = shared if shared is not None else _draw_set(cfg, accepts, rng, budget)
     if cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise:
         return X, uniform_member(X, rng, cfg.enumeration_cap)
     return X, None
@@ -256,7 +230,7 @@ def _draw_round(
 def _draw_observations(
     cfg: ExperimentConfig,
     c_star: np.ndarray,
-    gap_reference: np.ndarray,
+    accepts: Callable[[FeasibleSet], bool],
     rng: np.random.Generator,
     shared: FeasibleSet | None,
     count: int,
@@ -275,7 +249,7 @@ def _draw_observations(
     for _ in range(count):
         if holdout:
             budget = [retry_cap]
-        drawn.append(_draw_round(cfg, c_star, gap_reference, rng, budget, shared))
+        drawn.append(_draw_round(cfg, accepts, rng, budget, shared))
     optimal_choices = argmax_many([X for X, _ in drawn], c_star)
     observations = [
         Observation(X, optimal if noisy is None else noisy, 1 if holdout else t)
@@ -294,10 +268,10 @@ def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
     domain = build_domain(cfg)
     reg_config = build_reg_config(cfg)
     c_star, c_star_integral = draw_objective(cfg)
-    gap_reference = c_star_integral if c_star_integral is not None else c_star
-    shared = _fixed_set(cfg, c_star, gap_reference)
+    accepts = _gap_test(cfg, domain.norm_pair, c_star, c_star_integral)
+    shared = _fixed_set(cfg, accepts)
     observations, optimal_choices = _draw_observations(
-        cfg, c_star, gap_reference, np.random.default_rng([cfg.seed, 0]),
+        cfg, c_star, accepts, np.random.default_rng([cfg.seed, 0]),
         shared, cfg.rounds, cfg.retry_cap, holdout=False,
     )
     return StreamBundle(
@@ -321,13 +295,13 @@ def make_observation_sampler(
     sampler(rng, k) makes the same draws, in the same order, as k calls
     that each drew one sample.
     """
-    gap_reference = c_star_integral if c_star_integral is not None else c_star
-    shared = _fixed_set(cfg, c_star, gap_reference)
+    accepts = _gap_test(cfg, build_domain(cfg).norm_pair, c_star, c_star_integral)
+    shared = _fixed_set(cfg, accepts)
     retry_cap = min(cfg.retry_cap, 10_000)
 
     def sampler(rng: np.random.Generator, k: int) -> list[Observation]:
         observations, _ = _draw_observations(
-            cfg, c_star, gap_reference, rng, shared, k, retry_cap, holdout=True
+            cfg, c_star, accepts, rng, shared, k, retry_cap, holdout=True
         )
         return observations
 

@@ -96,15 +96,6 @@ class RegularizerConfig:
         )
 
 
-def regularizer_value(config: RegularizerConfig, domain: PredictionDomain, c) -> float:
-    """Evaluate the configured regularizer at c (0 * log 0 reads as 0)."""
-    c = np.asarray(c, dtype=np.float64)
-    if config.kind == NEGATIVE_ENTROPY:
-        return float(np.sum(np.where(c > 0.0, c * np.log(np.where(c > 0.0, c, 1.0)), 0.0)))
-    assert isinstance(domain, Ball)
-    return 0.5 * float(np.linalg.norm(c - domain.center)) ** 2
-
-
 def _domain_dual_diameter(domain: PredictionDomain) -> float:
     if isinstance(domain, Simplex):
         return 2.0 if domain.dimension >= 2 else 0.0
@@ -112,7 +103,7 @@ def _domain_dual_diameter(domain: PredictionDomain) -> float:
     return 2.0 * domain.radius
 
 
-def _regularizer_range(domain: PredictionDomain, kind: str) -> float:
+def _regularizer_range(domain: PredictionDomain) -> float:
     if isinstance(domain, Simplex):
         return math.log(domain.dimension)
     assert isinstance(domain, Ball)
@@ -130,7 +121,7 @@ def validate_config(domain: PredictionDomain, config: RegularizerConfig) -> None
     else:
         raise TypeError(f"unsupported domain type {type(domain)!r}")
     diameter = _domain_dual_diameter(domain)
-    value_range = _regularizer_range(domain, config.kind)
+    value_range = _regularizer_range(domain)
     b_sq = config.B ** 2
     slack = 1e-12 * (1.0 + b_sq)
     if b_sq + slack < 2.0 ** 2.5 * config.lam * diameter ** 2:

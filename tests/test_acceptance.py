@@ -23,7 +23,7 @@ from invlinopt import (
     verify_run,
     NormPair,
 )
-from invlinopt.analysis import adaptive_horizon_bound, offset_horizon_bound
+from invlinopt.analysis import bound_columns
 from invlinopt.harness import build_config, generate_instance_stream, simulate
 from invlinopt.harness.cli import main
 from invlinopt.harness.runner import run_experiment
@@ -179,9 +179,10 @@ def test_criterion_4_adaptive_bounds(adaptive_runs):
         horizon = checks["adaptive_horizon_bound"]
         # the horizon bound is exactly 16 K sqrt(t ln n) at these constants
         constant_ok = True
+        bound = bound_columns(ledger)["adaptive_horizon"]
         for t in (1, 17, 10_000):
             reference = 16.0 * bundle.reg_config.K * math.sqrt(t * math.log(n))
-            value = adaptive_horizon_bound(bundle.reg_config, t)
+            value = bound[t - 1]
             constant_ok &= abs(value - reference) <= 1e-9 * reference
         run_ok = grad.passed and horizon.passed and constant_ok and elapsed <= 60.0
         all_pass &= run_ok
@@ -202,9 +203,10 @@ def test_criterion_5_offset_bounds(offset_runs):
     for n, (cfg, bundle, ledger, checks, elapsed) in offset_runs.items():
         horizon = checks["offset_horizon_bound"]
         constant_ok = True
+        bound = bound_columns(ledger)["offset_horizon"]
         for t in (1, 23, 10_000):
             reference = 2.0 * bundle.reg_config.K * math.sqrt(t * math.log(n))
-            value = offset_horizon_bound(bundle.reg_config, t)
+            value = bound[t - 1]
             constant_ok &= abs(value - reference) <= 1e-9 * reference
         run_ok = horizon.passed and constant_ok and elapsed <= 60.0
         all_pass &= run_ok
@@ -316,7 +318,8 @@ def test_criterion_8_gap_constant_and_plateau(plateau_runs):
             )
         }
         constant_ok = checks["gap_constant_bound"].passed
-        late = ledger.total_loss(T) - ledger.total_loss(T // 2)
+        total = ledger.arrays()["total"]
+        late = float(np.sum(total)) - float(np.sum(total[: T // 2]))
         plateau_ok = checks["loss_plateau"].passed and late <= 1e-9 * T
         all_pass &= floor_ok and constant_ok and plateau_ok and certificate.satisfied
         details.append(f"{label}: R_T={ledger.linearized_regret():.4f} late={late:.2e}")

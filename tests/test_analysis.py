@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from invlinopt import (
     ADAPTIVE,
     OFFSET,
     ExplicitVertices,
+    Hypercube,
+    Knapsack,
     NormPair,
     Observation,
     RegretLedger,
@@ -21,24 +26,13 @@ from invlinopt import (
     offline_evaluate,
     verify_run,
 )
-from invlinopt.analysis import (
-    check_adaptive_regret_bound,
-    check_gap_constant_regret_bound,
-    check_gap_gradient_sum_bound,
-    check_gap_residual_bound,
-    check_loss_plateau,
-    check_offset_regret_bound,
-    check_per_round_linearization,
-    check_regret_ordering,
-    check_total_loss_identity,
-    gap_contraction_coefficient,
-    offset_horizon_bound,
-)
+from invlinopt.analysis import _gap_margin, bound_columns, gap_contraction_coefficient
 from invlinopt.core import as_vector, inner_product
 from invlinopt.harness import build_config, generate, generate_instance_stream, simulate
+from invlinopt.harness.config import ExperimentConfig
 from invlinopt.harness.io import read_stream, write_stream
 
-from conftest import naive_gap
+from conftest import FAMILIES, dag_paths, naive_gap
 
 SQUARE = ExplicitVertices([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 LINF = NormPair.linf_l1()
@@ -62,53 +56,59 @@ def small_run(seed=7, rounds=300, schedule="adaptive", noise=0.0, gap="none", **
     return cfg, bundle, ledger
 
 
+def checks_by_name(ledger, config, **kw):
+    return {c.name: c for c in verify_run(ledger, config, **kw)}
+
+
 def test_ledger_identities_and_ordering():
     for noise in (0.0, 0.3):
-        _, _, ledger = small_run(noise=noise)
+        _, bundle, ledger = small_run(noise=noise)
         T = ledger.rounds
         assert abs(ledger.linearized_regret() - ledger.total_loss()) <= 1e-9 * T
         assert ledger.subopt_regret() <= ledger.linearized_regret() + 1e-9 * T
-        assert check_total_loss_identity(ledger, T).passed
-        assert check_regret_ordering(ledger, T).passed
-        for t in (1, T // 2, T):
-            assert check_per_round_linearization(ledger, t).passed
+        checks = checks_by_name(ledger, bundle.reg_config)
+        assert checks["total_loss_identity"].passed
+        assert checks["regret_ordering"].passed
+        assert checks["per_round_linearization"].passed
 
 
 def test_adaptive_bound_checks_pass_each_prefix():
     _, bundle, ledger = small_run(schedule="adaptive")
-    for t in range(1, ledger.rounds + 1):
-        for check in check_adaptive_regret_bound(ledger, bundle.reg_config, t):
-            assert check.passed, f"{check.name} failed at {t}"
+    checks = checks_by_name(ledger, bundle.reg_config)
+    for name in ("adaptive_grad_bound", "adaptive_horizon_bound"):
+        assert checks[name].passed, f"{name} failed at {checks[name].round}"
 
 
 def test_offset_bound_checks_pass_each_prefix():
     _, bundle, ledger = small_run(schedule="offset", dimension=2, rounds=100)
-    for t in range(1, ledger.rounds + 1):
-        assert check_offset_regret_bound(ledger, bundle.reg_config, t).passed
+    assert checks_by_name(ledger, bundle.reg_config)["offset_horizon_bound"].passed
     # bound value at T = 100 with K = 1, H = sqrt(ln 2): 2 sqrt(100 ln 2)
-    check = check_offset_regret_bound(ledger, bundle.reg_config, 100)
-    assert abs(check.bound - 2.0 * math.sqrt(100.0 * math.log(2.0))) < 1e-12
-    assert abs(check.bound - 16.651092223153954) < 1e-9
+    bound = bound_columns(ledger)["offset_horizon"][99]
+    assert abs(bound - 2.0 * math.sqrt(100.0 * math.log(2.0))) < 1e-12
+    assert abs(bound - 16.651092223153954) < 1e-9
 
 
 def test_offset_bound_formula_other_constants():
     config = RegularizerConfig(
         kind="negative-entropy", lam=1.0, B=8.0, H=math.sqrt(math.log(3.0)), K=2.0
     )
+    _, bundle, run = small_run(schedule="offset", dimension=3, rounds=400)
+    ledger = RegretLedger(
+        run.c_star, run.norms, config, OFFSET, run.observations, run.records,
+        bundle.optimal_choices,
+    )
+    bound = bound_columns(ledger)["offset_horizon"][399]
     # 2 * 2 * sqrt(ln 3) * sqrt(400)
-    assert abs(offset_horizon_bound(config, 400) - 83.85176591745639) < 1e-9
-    assert abs(
-        offset_horizon_bound(config, 400) - 4.0 * math.sqrt(400.0 * math.log(3.0))
-    ) < 1e-9
+    assert abs(bound - 83.85176591745639) < 1e-9
+    assert abs(bound - 4.0 * math.sqrt(400.0 * math.log(3.0))) < 1e-9
 
 
 def test_schedule_and_config_mismatch_errors():
     _, bundle, ledger = small_run(schedule="adaptive")
-    with pytest.raises(ValueError):
-        check_offset_regret_bound(ledger, bundle.reg_config, 1)
+    bounds = bound_columns(ledger)
+    assert bounds["offset_horizon"] is None
+    assert bounds["adaptive_grad"] is not None and bounds["adaptive_horizon"] is not None
     other = RegularizerConfig.for_simplex(4, 0.5)
-    with pytest.raises(ValueError):
-        check_adaptive_regret_bound(ledger, other, 1)
     with pytest.raises(ValueError):
         verify_run(ledger, other)
 
@@ -127,26 +127,24 @@ def test_verify_run_names_and_passes():
     assert all(c.passed for c in checks)
 
 
-def test_gap_checks_on_certified_run():
-    cfg, bundle, ledger = small_run(
-        seed=5, rounds=600, gap="integral", dimension=4, fresh_sets=False
+def certified_repeat_run(rounds):
+    _, bundle, ledger = small_run(
+        seed=5, rounds=rounds, gap="integral", dimension=4, fresh_sets=False
     )
     certificate = certify_gap(bundle.observations, bundle.c_star, LINF)
     assert certificate.satisfied and certificate.delta > 0.0
-    for t in range(1, ledger.rounds + 1):
-        assert check_gap_residual_bound(ledger, bundle.reg_config, certificate.delta, t).passed
-        assert check_gap_gradient_sum_bound(
-            ledger, bundle.reg_config, certificate.delta, t
-        ).passed
-        assert check_gap_constant_regret_bound(
-            ledger, bundle.reg_config, certificate.delta, t
-        ).passed
-    assert check_loss_plateau(ledger, 100).passed
-    checks = verify_run(
-        ledger, bundle.reg_config, delta=certificate.delta, gap_checks=True,
-        plateau_burn_in=100,
+    return bundle, ledger, certificate.delta
+
+
+def test_gap_checks_on_certified_run():
+    bundle, ledger, delta = certified_repeat_run(600)
+    checks = checks_by_name(
+        ledger, bundle.reg_config, delta=delta, gap_checks=True, plateau_burn_in=100
     )
-    assert all(c.passed for c in checks)
+    for name in ("gap_residual_bound", "gap_gradient_sum_bound", "gap_constant_bound",
+                 "loss_plateau"):
+        assert checks[name].passed, name
+    assert all(c.passed for c in checks.values())
 
 
 def test_residual_bound_direct_evaluation():
@@ -168,19 +166,42 @@ def test_residual_bound_direct_evaluation():
 
 
 def test_plateau_needs_enough_rounds():
-    _, _, ledger = small_run(rounds=50)
-    with pytest.raises(ValueError):
-        check_loss_plateau(ledger, 100)
+    bundle, ledger, delta = certified_repeat_run(50)
+    for burn_in, present in ((100, False), (50, True)):
+        checks = checks_by_name(
+            ledger, bundle.reg_config, delta=delta, gap_checks=True,
+            plateau_burn_in=burn_in,
+        )
+        assert ("loss_plateau" in checks) == present
 
 
-def test_plateau_can_fail_honestly():
-    # a fresh-set gap stream that has not converged by T/2 must be reported
+def fresh_gap_run():
+    # a fresh-set gap stream that has not converged by T/2
     _, bundle, ledger = small_run(
         seed=11, rounds=1500, gap="integral", dimension=5, num_vertices=12
     )
-    check = check_loss_plateau(ledger, 1000)
+    certificate = certify_gap(bundle.observations, bundle.c_star, LINF)
+    checks = checks_by_name(
+        ledger, bundle.reg_config, delta=certificate.delta, gap_checks=True,
+        plateau_burn_in=1000,
+    )
+    return ledger, checks["loss_plateau"]
+
+
+def test_plateau_can_fail_honestly():
+    _, check = fresh_gap_run()
     assert not check.passed
     assert check.margin < 0.0
+
+
+def test_plateau_value_is_a_difference_of_pairwise_sums():
+    ledger, check = fresh_gap_run()
+    total = ledger.arrays()["total"]
+    T = ledger.rounds
+    late = float(np.sum(total)) - float(np.sum(total[: T // 2]))
+    assert late != 0.0
+    assert bits(check.value) == bits(late)
+    assert (check.round, check.bound) == (T, 1e-9 * T)
 
 
 def test_certify_gap_square_example():
@@ -222,6 +243,97 @@ def test_certify_gap_matches_naive_pass():
         assert mine.satisfied == theirs_ok
         if mine.satisfied and mine.delta != math.inf:
             assert abs(mine.delta - theirs_delta) <= 1e-12
+
+
+# The one margin function behind generation's gap control and certify_gap.
+
+NORM_PAIRS = st.sampled_from([NormPair.linf_l1(), NormPair.l2_l2()])
+# quarters keep every product and sum exact, so exact ties are common and
+# np.dot and a matrix product agree on them
+QUARTERS = st.integers(-8, 8).map(lambda k: k / 4.0)
+INTEGERS = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def margin_cases(draw, entries=QUARTERS):
+    """A feasible set of any family, one of its members and an objective.
+
+    Small knapsacks and DAGs are often singletons; the objective is zero
+    in one case of four.
+    """
+    family = draw(st.sampled_from(FAMILIES))
+    if family == "explicit":
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+        X = ExplicitVertices(draw(hnp.arrays(np.float64, shape, elements=entries)))
+    elif family == "hypercube":
+        X = Hypercube(draw(st.integers(1, 4)))
+    elif family == "knapsack":
+        weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5))
+        X = Knapsack(weights, draw(st.integers(0, sum(weights))))
+    else:
+        X = draw(dag_paths(max_nodes=5, max_arcs=7))
+    members = X.members()
+    x = members[draw(st.integers(0, members.shape[0] - 1))]
+    if draw(st.integers(0, 3)) == 0:
+        c = np.zeros(X.dimension)
+    else:
+        c = np.array(draw(st.lists(entries, min_size=X.dimension, max_size=X.dimension)))
+    return X, x, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(margin_cases(), NORM_PAIRS)
+def test_gap_margin_matches_the_naive_pass(case, norms):
+    X, x, c = case
+    members = X.members()
+    delta, rival = _gap_margin(members, x, c, norms)
+    satisfied, naive = naive_gap([Observation(X, x, 1)], c, norms)
+    assert (rival is None) == satisfied
+    if rival is not None:
+        values = members @ c
+        others = [i for i in range(len(members)) if not np.array_equal(members[i], x)]
+        top = max(values[i] for i in others)
+        assert top >= inner_product(c, x)
+        assert rival == min(i for i in others if values[i] == top)
+    elif naive is None:
+        assert len(members) == 1 and delta == math.inf
+    else:
+        assert abs(delta - naive) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(margin_cases(), NORM_PAIRS, st.sampled_from([0.25, 0.5, 1.0]))
+def test_margin_mode_accepts_exactly_what_certify_gap_certifies(case, norms, floor):
+    X, _, c = case
+    cfg = ExperimentConfig(seed=0, gap_mode="margin", gap_margin=floor)
+    accepted = generate._gap_test(cfg, norms, c, None)(X)
+    certificate = certify_gap([Observation(X, argmax(X, c).maximizer, 1)], c, norms)
+    assert accepted == (certificate.satisfied and certificate.delta >= floor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(margin_cases(entries=INTEGERS), NORM_PAIRS)
+def test_integral_mode_accepts_exactly_one_maximizer(case, norms):
+    X, _, c = case
+    cfg = ExperimentConfig(seed=0, gap_mode="integral")
+    values = X.members() @ c
+    unique = int(np.sum(values == values.max())) == 1
+    assert generate._gap_test(cfg, norms, c, c)(X) == unique
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 2 ** 16),
+    st.sampled_from(["random-vertices", "knapsack", "dag"]),
+    st.sampled_from(["simplex", "ball"]),
+)
+def test_margin_mode_generation_meets_its_margin(seed, family, domain):
+    cfg = build_config({}, seed=seed, dimension=3, rounds=4, family=family,
+                       num_vertices=4, domain=domain, gap_mode="margin",
+                       gap_margin=0.05)
+    bundle = generate_instance_stream(cfg)
+    certificate = certify_gap(bundle.observations, bundle.c_star, bundle.domain.norm_pair)
+    assert certificate.satisfied and certificate.delta >= 0.05
 
 
 def test_average_prediction():
@@ -276,14 +388,13 @@ def test_offline_evaluate_exact_zeros():
 
 
 def reference_sampler(cfg, c_star, c_star_integral):
-    gap_reference = c_star_integral if c_star_integral is not None else c_star
-    shared = generate._fixed_set(cfg, c_star, gap_reference)
+    norms = generate.build_domain(cfg).norm_pair
+    accepts = generate._gap_test(cfg, norms, c_star, c_star_integral)
+    shared = generate._fixed_set(cfg, accepts)
 
     def sampler(rng):
         budget = [min(cfg.retry_cap, 10_000)]
-        X, choice = generate._draw_round(
-            cfg, c_star, gap_reference, rng, budget, shared
-        )
+        X, choice = generate._draw_round(cfg, accepts, rng, budget, shared)
         if choice is None:
             choice = argmax(X, c_star).maximizer
         return Observation(X, choice, 1)

@@ -21,12 +21,16 @@ from invlinopt import (
     predict,
 )
 from invlinopt.core import tolerance
-from invlinopt.learner import (
-    HALF_SQUARED_NORM,
-    NEGATIVE_ENTROPY,
-    regularizer_value,
-    validate_config,
-)
+from invlinopt.learner import HALF_SQUARED_NORM, NEGATIVE_ENTROPY, validate_config
+
+
+def regularizer_value(config, domain, c):
+    """Reference objective: the configured regularizer at c (0 * log 0 reads as 0)."""
+    c = np.asarray(c, dtype=np.float64)
+    if config.kind == NEGATIVE_ENTROPY:
+        return float(np.sum(np.where(c > 0.0, c * np.log(np.where(c > 0.0, c, 1.0)), 0.0)))
+    assert isinstance(domain, Ball)
+    return 0.5 * float(np.linalg.norm(c - domain.center)) ** 2
 
 
 def entropy_config(n, B=None, H=None, K=1.0):
