@@ -1,8 +1,9 @@
 """Certification of the regret identities and bounds of one run.
 
-A RegretLedger holds, per round, the linearized regret (which equals the
-running total loss), the suboptimality-loss regret, and the squared
-gradient norms, computed from the whole run at once; bound_columns gives
+A RegretLedger holds, per round, the suboptimality and estimate losses,
+the linearized regret (which equals the running total loss), the
+suboptimality-loss regret, and the squared gradient norms, each computed
+once from the whole run's stacked rows; bound_columns gives
 every running bound as an array, and verify_run checks each certified
 inequality at every prefix, reporting the measured slack at the worst one
 so failures are diagnosable.  certify_gap computes the exact per-instance
@@ -87,7 +88,9 @@ class RegretLedger:
     """Per-round accounting for one simulation run (true objective known).
 
     Built once from the whole run: the rows of every round are stacked and
-    each column is computed with array arithmetic.  references[t] is the
+    each column is computed with array arithmetic, in one place.  The
+    suboptimality loss is <c_hat, g> and the estimate loss, which needs the
+    true objective, is <c_star, x - x_hat>.  references[t] is the
     maximizer of c_star over round t's feasible set,
     oracle.argmax(obs.feasible_set, c_star).maximizer, which the caller
     already holds: generation computes it to act as the optimal agent.
@@ -123,14 +126,11 @@ class RegretLedger:
 
         x = stack([obs.agent_choice for obs in self.observations])
         c_hat = stack([r.c_hat for r in self.records])
+        x_hat = stack([r.x_hat for r in self.records])
         g = stack([r.g for r in self.records])
         truth = np.broadcast_to(c_star, x.shape)
-        ell_sub = np.array([r.ell_sub for r in self.records], dtype=np.float64)
-        ell_est = [r.ell_est for r in self.records]
-        if None in ell_est:
-            # records made without c_star: estimate_loss for every round
-            ell_est = _row_dots(truth, x - stack([r.x_hat for r in self.records]))
-        ell_est = np.array(ell_est, dtype=np.float64)
+        ell_sub = _row_dots(c_hat, g)
+        ell_est = _row_dots(truth, x - x_hat)
         ell_sub_ref = _row_dots(truth, stack(references) - x)
         distance = c_hat - c_star
         lin_inc = _row_dots(g, distance)
@@ -241,20 +241,17 @@ def bound_columns(
 
 def verify_run(
     ledger: RegretLedger,
-    config: RegularizerConfig,
     delta: float | None = None,
-    gap_checks: bool = False,
     plateau_burn_in: int | None = None,
 ) -> list[BoundCheck]:
     """Evaluate every applicable certified inequality at every prefix.
 
     Returns one BoundCheck per inequality, reporting the prefix (or round)
-    with the smallest slack; passed is False if any prefix failed.  The gap
-    checks need gap_checks and a certified delta; loss_plateau is added only
-    for runs of at least plateau_burn_in rounds.
+    with the smallest slack; passed is False if any prefix failed.  The
+    bounds use the ledger's config.  The gap checks run exactly when a
+    certified delta is given, which must be positive; loss_plateau joins
+    them for runs of at least plateau_burn_in rounds.
     """
-    if config != ledger.config:
-        raise ValueError("config does not match the one the run used")
     n = ledger.rounds
     if n == 0:
         raise ValueError("empty run")
@@ -273,15 +270,15 @@ def verify_run(
         _worst("regret_ordering", a["regret_sub"], regret + TOL * (1.0 + scale) * t, t)
     )
 
-    if gap_checks and (delta is None or not delta > 0.0):
+    if delta is not None and not delta > 0.0:
         raise ValueError("gap checks need a certified positive delta")
-    bounds = bound_columns(ledger, delta if gap_checks else None)
+    bounds = bound_columns(ledger, delta)
     for name in ("adaptive_grad", "adaptive_horizon", "offset_horizon"):
         if bounds[name] is not None:
             checks.append(_worst(f"{name}_bound", regret, bounds[name], t))
 
-    if gap_checks:
-        coef = gap_contraction_coefficient(config, delta)
+    if delta is not None:
+        coef = gap_contraction_coefficient(ledger.config, delta)
         checks.append(
             _worst("gap_residual_bound", a["grad_norm"] ** 2, coef * a["lin_inc"], t)
         )

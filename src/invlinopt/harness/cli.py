@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .. import analysis
-from ..core import NormPair
-from .config import build_config, load_config_file
+from ..core import DEFAULT_ENUMERATION_CAP, NormPair
+from .config import (
+    DOMAINS,
+    FAMILIES,
+    GAP_MODES,
+    SCHEDULES,
+    ExperimentConfig,
+    build_config,
+    load_config_file,
+)
 from .generate import draw_objective, make_observation_sampler
 from .io import fmt, read_stream, read_vector, write_summary
 from .runner import run_experiment, run_sweep
@@ -20,13 +29,10 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="base RNG seed (mandatory)")
     parser.add_argument("--dimension", type=int)
     parser.add_argument("--rounds", type=int)
-    parser.add_argument("--domain", choices=("simplex", "ball"))
-    parser.add_argument("--schedule", choices=("adaptive", "offset"))
-    parser.add_argument(
-        "--family",
-        choices=("random-vertices", "hypercube", "knapsack", "dag"),
-    )
-    parser.add_argument("--gap", dest="gap_mode", choices=("none", "integral", "margin"))
+    parser.add_argument("--domain", choices=DOMAINS)
+    parser.add_argument("--schedule", choices=SCHEDULES)
+    parser.add_argument("--family", choices=FAMILIES)
+    parser.add_argument("--gap", dest="gap_mode", choices=GAP_MODES)
     parser.add_argument("--gap-margin", dest="gap_margin", type=float)
     parser.add_argument("--agent-noise", dest="agent_noise", type=float)
     parser.add_argument("--holdout", type=int)
@@ -42,16 +48,12 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out")
 
 
-_CONFIG_KEYS = (
-    "seed", "dimension", "rounds", "domain", "schedule", "family",
-    "gap_mode", "gap_margin", "agent_noise", "holdout", "num_vertices",
-    "integral_vertices", "fresh_sets", "ball_radius", "save_stream", "out",
-)
-
-
 def _config_from_args(args: argparse.Namespace):
     file_values = load_config_file(args.config) if args.config else {}
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    # keys without a flag read as None, which leaves the file value in place
+    overrides = {
+        f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)
+    }
     return build_config(file_values, **overrides)
 
 
@@ -156,7 +158,7 @@ def main(argv=None) -> int:
     p_certify.add_argument("--stream", required=True)
     p_certify.add_argument("--norms", default=NormPair.LINF_L1,
                            choices=(NormPair.LINF_L1, NormPair.L2_L2))
-    p_certify.add_argument("--cap", type=int, default=2 ** 20)
+    p_certify.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p_certify.add_argument("--out")
     p_certify.set_defaults(func=_cmd_certify)
 

@@ -6,9 +6,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..core import DEFAULT_ENUMERATION_CAP
+from ..learner import SCHEDULES
 
 DOMAINS = ("simplex", "ball")
-SCHEDULES = ("adaptive", "offset")
 FAMILIES = ("random-vertices", "hypercube", "knapsack", "dag")
 GAP_MODES = ("none", "integral", "margin")
 
@@ -73,17 +73,20 @@ class ExperimentConfig:
             raise ValueError("caps must be positive")
         if self.domain == "simplex" and self.dimension < 2:
             raise ValueError("the simplex domain needs dimension >= 2")
+        if self.out == "":
+            # an empty path would put the outputs in the working directory
+            raise ValueError("out must be a non-empty directory path")
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
 
-def _coerce(name: str, kind, raw: str):
+def _coerce(kind, raw: str):
     if kind == "bool":
         word = raw.strip().lower()
         if word not in _BOOL_WORDS:
-            raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+            raise ValueError(f"expected a boolean, got {raw!r}")
         return _BOOL_WORDS[word]
     if kind == "int":
         return int(raw)
@@ -121,7 +124,10 @@ def load_config_file(path) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in kinds:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, kinds[key], raw)
+        try:
+            values[key] = _coerce(kinds[key], raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 

@@ -67,10 +67,7 @@ def simulate(
     )
     records = []
     for obs in observations:
-        result = oracle.argmax(obs.feasible_set, state.current_prediction)
-        state, record = learner.observe(
-            state, obs, result.maximizer, c_star=bundle.c_star
-        )
+        state, record = learner.observe(state, obs)
         records.append(record)
     ledger = analysis.RegretLedger(
         bundle.c_star,
@@ -168,7 +165,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     certificate = None
     integral_certificate = None
     delta = None
-    gap_checks = False
     if cfg.gap_mode != "none":
         if cfg.agent_noise > 0.0:
             skipped["gap_checks"] = "agent is noisy, optimal choices required"
@@ -181,7 +177,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             )
             if certificate.satisfied:
                 delta = certificate.delta
-                gap_checks = True
             if bundle.c_star_integral is not None:
                 integral_certificate = analysis.certify_gap(
                     bundle.observations,
@@ -191,11 +186,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 )
 
     checks = analysis.verify_run(
-        ledger,
-        bundle.reg_config,
-        delta=delta,
-        gap_checks=gap_checks,
-        plateau_burn_in=cfg.plateau_burn_in if gap_checks else None,
+        ledger, delta=delta, plateau_burn_in=cfg.plateau_burn_in
     )
     if cfg.gap_mode != "none" and cfg.agent_noise == 0.0:
         assert certificate is not None

@@ -1,10 +1,12 @@
 """Follow-the-regularized-leader over the prediction domain.
 
 Each round outputs the minimizer of beta_t * psi(c) + <G, c> over the domain,
-where G is the running subgradient sum.  Both supported (domain, regularizer)
-pairs admit closed forms: negative entropy on the simplex gives a softmax of
--G / beta_t, and the half squared norm on a ball gives a radially projected
-step from the center.
+where G is the running subgradient sum.  The domain type picks the
+regularizer, and both pairs admit closed forms: negative entropy on the
+simplex gives a softmax of -G / beta_t, and the half squared norm on a ball
+gives a radially projected step from the center.  The learner sees only the
+observations (X_t, x_t); the true objective and every loss that needs it
+belong to the analysis layer.
 """
 
 from __future__ import annotations
@@ -15,46 +17,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Ball,
-    DimensionMismatchError,
-    Observation,
-    PredictionDomain,
-    Simplex,
-    _dot,
-    _frozen,
-    as_vector,
-)
-from .loss import _residual, estimate_loss
+from . import oracle
+from .core import Ball, Observation, PredictionDomain, Simplex, _frozen, as_vector
+from .loss import _residual
 
 ADAPTIVE = "adaptive"
 OFFSET = "offset"
 SCHEDULES = (ADAPTIVE, OFFSET)
 
-NEGATIVE_ENTROPY = "negative-entropy"
-HALF_SQUARED_NORM = "half-squared-norm"
-
 
 @dataclass(frozen=True)
 class RegularizerConfig:
-    """Regularizer choice plus the constants the guarantees are stated with.
+    """The constants the guarantees are stated with.
 
-    lam is the strong-convexity modulus of the regularizer with respect to
-    the dual norm; B bounds both sqrt(2^{5/2} * lam) times the dual-norm
-    diameter of the domain and the regularizer's value range; H bounds the
-    square root of the value range (used by the offset schedule); K bounds
-    the primal-norm diameter of every feasible set.
+    The domain decides the regularizer: negative entropy on the simplex,
+    the half squared norm on a ball.  lam is the regularizer's
+    strong-convexity modulus with respect to the dual norm; B bounds both
+    sqrt(2^{5/2} * lam) times the dual-norm diameter of the domain and the
+    regularizer's value range; H bounds the square root of the value range
+    (used by the offset schedule); K bounds the primal-norm diameter of
+    every feasible set.
     """
 
-    kind: str
     lam: float
     B: float
     H: float
     K: float
 
     def __post_init__(self):
-        if self.kind not in (NEGATIVE_ENTROPY, HALF_SQUARED_NORM):
-            raise ValueError(f"unknown regularizer kind {self.kind!r}")
         for name in ("lam", "B", "H", "K"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -74,7 +64,6 @@ class RegularizerConfig:
             raise ValueError("simplex regularizer needs dimension >= 2")
         log_n = math.log(n)
         return cls(
-            kind=NEGATIVE_ENTROPY,
             lam=1.0,
             B=2.0 ** 2.75 * math.sqrt(log_n),
             H=math.sqrt(log_n),
@@ -88,7 +77,6 @@ class RegularizerConfig:
         if radius <= 0.0:
             raise ValueError("radius must be positive")
         return cls(
-            kind=HALF_SQUARED_NORM,
             lam=1.0,
             B=2.0 ** 2.25 * radius,
             H=radius / math.sqrt(2.0),
@@ -111,14 +99,8 @@ def _regularizer_range(domain: PredictionDomain) -> float:
 
 
 def validate_config(domain: PredictionDomain, config: RegularizerConfig) -> None:
-    """Check the (domain, regularizer) pairing and the constant inequalities."""
-    if isinstance(domain, Simplex):
-        if config.kind != NEGATIVE_ENTROPY:
-            raise ValueError("the simplex domain pairs with negative entropy")
-    elif isinstance(domain, Ball):
-        if config.kind != HALF_SQUARED_NORM:
-            raise ValueError("the ball domain pairs with the half squared norm")
-    else:
+    """Check the constant inequalities for the domain's regularizer."""
+    if not isinstance(domain, (Simplex, Ball)):
         raise TypeError(f"unsupported domain type {type(domain)!r}")
     diameter = _domain_dual_diameter(domain)
     value_range = _regularizer_range(domain)
@@ -136,7 +118,11 @@ def validate_config(domain: PredictionDomain, config: RegularizerConfig) -> None
 
 @dataclass(frozen=True, eq=False)
 class RoundRecord:
-    """Trace of one round: the prediction, oracle answer, and losses."""
+    """Trace of one round: the prediction, oracle answer, and subgradient.
+
+    The losses are columns of analysis.RegretLedger, computed from these
+    fields for the whole run at once.
+    """
 
     t: int
     c_hat: np.ndarray
@@ -144,8 +130,6 @@ class RoundRecord:
     g: np.ndarray
     beta: float
     grad_norm: float
-    ell_sub: float
-    ell_est: float | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,42 +245,29 @@ def _zeros(n: int) -> np.ndarray:
     return _frozen(np.zeros(n))
 
 
-def observe(
-    state: LearnerState,
-    obs: Observation,
-    x_hat,
-    c_star=None,
-) -> tuple[LearnerState, RoundRecord]:
+def observe(state: LearnerState, obs: Observation) -> tuple[LearnerState, RoundRecord]:
     """Absorb one observation and produce the next state plus a trace record.
 
-    x_hat must be the oracle maximizer of the current prediction over the
-    observation's feasible set; the caller supplies it so that the same
-    oracle answer feeds both the update and the loss accounting.  Pass
-    c_star to record the simulation-mode estimate loss.
+    The learner answers its own prediction, x_hat = argmax over the
+    observation's feasible set, and steps along the residual g = x_hat - x.
+    A set of another dimension makes the oracle raise DimensionMismatchError.
 
     A round whose learner answer equals the agent's choice has a zero
-    subgradient, so its losses are zero and the accumulators, and so the
-    closed-form prediction, stay as they are: the state keeps them instead
-    of computing the residual or solving again.
+    subgradient, so the accumulators, and so the closed-form prediction,
+    stay as they are: the state keeps them instead of computing the
+    residual or solving again.
     """
-    x_hat = as_vector(x_hat)
-    x = obs.agent_choice
-    if x_hat.size != state.domain.dimension or x.size != state.domain.dimension:
-        raise DimensionMismatchError("observation dimension differs from learner")
     c_hat = state.current_prediction
+    x_hat = oracle.argmax(obs.feasible_set, c_hat).maximizer
+    x = obs.agent_choice
     if x_hat.tobytes() == x.tobytes():
         # both are folded float64 vectors, so equal bytes mean x_hat - x is
-        # the +0.0 vector, and every product with it sums to +0.0
-        if c_star is not None and np.shape(c_star) != x.shape:
-            raise DimensionMismatchError("c_star dimension differs from learner")
-        g, grad_norm, ell_sub = _zeros(x.size), 0.0, 0.0
-        ell_est = None if c_star is None else 0.0
+        # the +0.0 vector
+        g, grad_norm = _zeros(x.size), 0.0
         grad_sum, sq_norm_sum, prediction = state.grad_sum, state.sq_norm_sum, c_hat
     else:
         g = _residual(x, x_hat)
         grad_norm = state.norms.primal(g)
-        ell_sub = _dot(c_hat, g)
-        ell_est = None if c_star is None else estimate_loss(c_star, x, x_hat)
         grad_sum = _frozen(state.grad_sum + g)
         sq_norm_sum = state.sq_norm_sum + grad_norm ** 2
         prediction = _solve(
@@ -314,8 +285,6 @@ def observe(
         g=g,
         beta=beta(state),
         grad_norm=grad_norm,
-        ell_sub=ell_sub,
-        ell_est=ell_est,
     )
     new_state = LearnerState(
         state.domain,

@@ -134,7 +134,7 @@ def test_criterion_3_total_loss_identity(identity_runs):
         T = ledger.rounds
         diff = abs(ledger.linearized_regret() - ledger.total_loss())
         worst_diff = max(worst_diff, diff / T)
-        checks = {c.name: c for c in verify_run(ledger, bundle.reg_config)}
+        checks = {c.name: c for c in verify_run(ledger)}
         all_pass &= checks["total_loss_identity"].passed
         all_pass &= checks["per_round_linearization"].passed
         all_pass &= diff <= 1e-9 * T
@@ -157,7 +157,7 @@ def _bound_suite_run(n: int, schedule: str):
     start = time.perf_counter()
     _, ledger = simulate(bundle)
     elapsed = time.perf_counter() - start
-    checks = {c.name: c for c in verify_run(ledger, bundle.reg_config)}
+    checks = {c.name: c for c in verify_run(ledger)}
     return cfg, bundle, ledger, checks, elapsed
 
 
@@ -228,7 +228,7 @@ def test_criterion_6_regret_ordering(identity_runs, adaptive_runs, offset_runs):
     all_pass = True
     worst = np.inf
     for cfg, bundle, ledger in ledgers:
-        checks = {c.name: c for c in verify_run(ledger, bundle.reg_config)}
+        checks = {c.name: c for c in verify_run(ledger)}
         all_pass &= checks["regret_ordering"].passed
         r, rs = ledger.linearized_regret(), ledger.subopt_regret()
         slack = TOL * (1.0 + max(abs(r), abs(rs))) * ledger.rounds
@@ -275,9 +275,7 @@ def test_criterion_7_gap_inequalities(gap_runs):
         assert certificate.satisfied
         checks = {
             c.name: c
-            for c in verify_run(
-                ledger, bundle.reg_config, delta=certificate.delta, gap_checks=True
-            )
+            for c in verify_run(ledger, delta=certificate.delta)
         }
         residual = checks["gap_residual_bound"]
         aggregate = checks["gap_gradient_sum_bound"]
@@ -309,13 +307,7 @@ def test_criterion_8_gap_constant_and_plateau(plateau_runs):
         floor_ok = integral.satisfied and integral.delta >= 1.0 / bundle.reg_config.K
         checks = {
             c.name: c
-            for c in verify_run(
-                ledger,
-                bundle.reg_config,
-                delta=certificate.delta,
-                gap_checks=True,
-                plateau_burn_in=1000,
-            )
+            for c in verify_run(ledger, delta=certificate.delta, plateau_burn_in=1000)
         }
         constant_ok = checks["gap_constant_bound"].passed
         total = ledger.arrays()["total"]

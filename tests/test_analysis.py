@@ -1,6 +1,5 @@
 """Ledger accounting, bound checks, gap certification, holdout evaluation."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +22,7 @@ from invlinopt import (
     argmax,
     average_prediction,
     certify_gap,
+    estimate_loss,
     offline_evaluate,
     verify_run,
 )
@@ -56,8 +56,8 @@ def small_run(seed=7, rounds=300, schedule="adaptive", noise=0.0, gap="none", **
     return cfg, bundle, ledger
 
 
-def checks_by_name(ledger, config, **kw):
-    return {c.name: c for c in verify_run(ledger, config, **kw)}
+def checks_by_name(ledger, **kw):
+    return {c.name: c for c in verify_run(ledger, **kw)}
 
 
 def test_ledger_identities_and_ordering():
@@ -66,7 +66,7 @@ def test_ledger_identities_and_ordering():
         T = ledger.rounds
         assert abs(ledger.linearized_regret() - ledger.total_loss()) <= 1e-9 * T
         assert ledger.subopt_regret() <= ledger.linearized_regret() + 1e-9 * T
-        checks = checks_by_name(ledger, bundle.reg_config)
+        checks = checks_by_name(ledger)
         assert checks["total_loss_identity"].passed
         assert checks["regret_ordering"].passed
         assert checks["per_round_linearization"].passed
@@ -74,14 +74,14 @@ def test_ledger_identities_and_ordering():
 
 def test_adaptive_bound_checks_pass_each_prefix():
     _, bundle, ledger = small_run(schedule="adaptive")
-    checks = checks_by_name(ledger, bundle.reg_config)
+    checks = checks_by_name(ledger)
     for name in ("adaptive_grad_bound", "adaptive_horizon_bound"):
         assert checks[name].passed, f"{name} failed at {checks[name].round}"
 
 
 def test_offset_bound_checks_pass_each_prefix():
     _, bundle, ledger = small_run(schedule="offset", dimension=2, rounds=100)
-    assert checks_by_name(ledger, bundle.reg_config)["offset_horizon_bound"].passed
+    assert checks_by_name(ledger)["offset_horizon_bound"].passed
     # bound value at T = 100 with K = 1, H = sqrt(ln 2): 2 sqrt(100 ln 2)
     bound = bound_columns(ledger)["offset_horizon"][99]
     assert abs(bound - 2.0 * math.sqrt(100.0 * math.log(2.0))) < 1e-12
@@ -89,9 +89,7 @@ def test_offset_bound_checks_pass_each_prefix():
 
 
 def test_offset_bound_formula_other_constants():
-    config = RegularizerConfig(
-        kind="negative-entropy", lam=1.0, B=8.0, H=math.sqrt(math.log(3.0)), K=2.0
-    )
+    config = RegularizerConfig(lam=1.0, B=8.0, H=math.sqrt(math.log(3.0)), K=2.0)
     _, bundle, run = small_run(schedule="offset", dimension=3, rounds=400)
     ledger = RegretLedger(
         run.c_star, run.norms, config, OFFSET, run.observations, run.records,
@@ -103,19 +101,26 @@ def test_offset_bound_formula_other_constants():
     assert abs(bound - 4.0 * math.sqrt(400.0 * math.log(3.0))) < 1e-9
 
 
-def test_schedule_and_config_mismatch_errors():
+def test_bounds_follow_the_ledger_schedule_and_config():
     _, bundle, ledger = small_run(schedule="adaptive")
     bounds = bound_columns(ledger)
     assert bounds["offset_horizon"] is None
     assert bounds["adaptive_grad"] is not None and bounds["adaptive_horizon"] is not None
+    # verify_run reads the config from the ledger: halving K halves the
+    # horizon bound it checks
     other = RegularizerConfig.for_simplex(4, 0.5)
-    with pytest.raises(ValueError):
-        verify_run(ledger, other)
+    halved = RegretLedger(
+        ledger.c_star, ledger.norms, other, ADAPTIVE, ledger.observations,
+        ledger.records, bundle.optimal_choices,
+    )
+    horizon = {c.name: c for c in verify_run(halved)}["adaptive_horizon_bound"]
+    assert horizon.bound == bound_columns(halved)["adaptive_horizon"][horizon.round - 1]
+    assert horizon.bound == 0.5 * bounds["adaptive_horizon"][horizon.round - 1]
 
 
 def test_verify_run_names_and_passes():
     _, bundle, ledger = small_run()
-    checks = verify_run(ledger, bundle.reg_config)
+    checks = verify_run(ledger)
     names = {c.name for c in checks}
     assert names == {
         "total_loss_identity",
@@ -138,9 +143,7 @@ def certified_repeat_run(rounds):
 
 def test_gap_checks_on_certified_run():
     bundle, ledger, delta = certified_repeat_run(600)
-    checks = checks_by_name(
-        ledger, bundle.reg_config, delta=delta, gap_checks=True, plateau_burn_in=100
-    )
+    checks = checks_by_name(ledger, delta=delta, plateau_burn_in=100)
     for name in ("gap_residual_bound", "gap_gradient_sum_bound", "gap_constant_bound",
                  "loss_plateau"):
         assert checks[name].passed, name
@@ -168,10 +171,7 @@ def test_residual_bound_direct_evaluation():
 def test_plateau_needs_enough_rounds():
     bundle, ledger, delta = certified_repeat_run(50)
     for burn_in, present in ((100, False), (50, True)):
-        checks = checks_by_name(
-            ledger, bundle.reg_config, delta=delta, gap_checks=True,
-            plateau_burn_in=burn_in,
-        )
+        checks = checks_by_name(ledger, delta=delta, plateau_burn_in=burn_in)
         assert ("loss_plateau" in checks) == present
 
 
@@ -181,10 +181,7 @@ def fresh_gap_run():
         seed=11, rounds=1500, gap="integral", dimension=5, num_vertices=12
     )
     certificate = certify_gap(bundle.observations, bundle.c_star, LINF)
-    checks = checks_by_name(
-        ledger, bundle.reg_config, delta=certificate.delta, gap_checks=True,
-        plateau_burn_in=1000,
-    )
+    checks = checks_by_name(ledger, delta=certificate.delta, plateau_burn_in=1000)
     return ledger, checks["loss_plateau"]
 
 
@@ -354,7 +351,7 @@ def test_average_prediction_midpoint():
     def rec(t, c):
         c = np.asarray(c, dtype=float)
         z = np.zeros_like(c)
-        return RoundRecord(t, c, z, z, 0.0, 0.0, 0.0, None)
+        return RoundRecord(t, c, z, z, 0.0, 0.0)
 
     averaged = average_prediction([rec(1, [1.0, 0.0]), rec(2, [0.0, 1.0])])
     assert tuple(averaged) == (0.5, 0.5)
@@ -541,19 +538,18 @@ class AppendLedger:
         ell_sub_ref = float(np.dot(c_star, reference - obs.agent_choice))
         distance = record.c_hat - c_star
         lin_inc = float(np.dot(record.g, distance))
-        ell_est = record.ell_est
-        if ell_est is None:
-            ell_est = float(np.dot(c_star, obs.agent_choice - record.x_hat))
+        ell_sub = float(np.dot(record.c_hat, record.g))
+        ell_est = float(np.dot(c_star, obs.agent_choice - record.x_hat))
         prev_r = col["regret"][-1] if col["regret"] else 0.0
         prev_rs = col["regret_sub"][-1] if col["regret_sub"] else 0.0
         prev_sq = col["sum_sq"][-1] if col["sum_sq"] else 0.0
-        col["ell_sub"].append(record.ell_sub)
+        col["ell_sub"].append(ell_sub)
         col["ell_est"].append(ell_est)
         col["ell_sub_ref"].append(ell_sub_ref)
-        col["total"].append(record.ell_sub + ell_est)
+        col["total"].append(ell_sub + ell_est)
         col["lin_inc"].append(lin_inc)
         col["regret"].append(prev_r + lin_inc)
-        col["regret_sub"].append(prev_rs + (record.ell_sub - ell_sub_ref))
+        col["regret_sub"].append(prev_rs + (ell_sub - ell_sub_ref))
         col["sum_sq"].append(prev_sq + record.grad_norm ** 2)
         col["beta"].append(record.beta)
         col["grad_norm"].append(record.grad_norm)
@@ -567,16 +563,19 @@ def bits(value):
 
 def assert_ledger_matches_appends(ledger, references):
     reference = AppendLedger(ledger.c_star, ledger.norms)
-    for obs, record, optimal in zip(ledger.observations, ledger.records, references):
-        # the record's own arithmetic, zero-gradient rounds included
+    arrays = ledger.arrays()
+    rows = zip(ledger.observations, ledger.records, references)
+    for t, (obs, record, optimal) in enumerate(rows):
+        # the record's own arithmetic and both loss columns, per round with
+        # np.dot, zero-gradient rounds included
         x = obs.agent_choice
         g = record.x_hat - x + 0.0
         assert record.g.tobytes() == g.tobytes()
         assert bits(record.grad_norm) == bits(ledger.norms.primal(g))
-        assert bits(record.ell_sub) == bits(np.dot(record.c_hat, g))
-        assert bits(record.ell_est) == bits(np.dot(ledger.c_star, x - record.x_hat))
+        assert bits(arrays["ell_sub"][t]) == bits(np.dot(record.c_hat, g))
+        est = estimate_loss(ledger.c_star, x, record.x_hat)  # one np.dot
+        assert bits(arrays["ell_est"][t]) == bits(est)
         reference.append(obs, record, optimal)
-    arrays = ledger.arrays()
     assert sorted(arrays) == sorted(LEDGER_COLUMNS)
     for name in LEDGER_COLUMNS:
         expected = np.array(reference.columns[name], dtype=np.float64)
@@ -609,16 +608,14 @@ def test_whole_run_ledger_matches_round_by_round_appends(name):
     _, ledger = simulate(bundle)
     zero = sum(not r.g.any() for r in ledger.records)
     assert 0 < zero < ledger.rounds  # both kinds of round occur
+    if "ball" in name:
+        # negative prediction and truth entries make -0.0 products on zero
+        # rounds, and the estimate loss takes both signs
+        assert (np.stack([r.c_hat for r in ledger.records]) < 0.0).any()
+        assert (ledger.c_star < 0.0).any()
+        ell_est = ledger.arrays()["ell_est"]
+        assert (ell_est < 0.0).any() and (ell_est > 0.0).any()
     assert_ledger_matches_appends(ledger, bundle.optimal_choices)
-    # records made without c_star leave the estimate loss to the ledger
-    bare = RegretLedger(
-        ledger.c_star, ledger.norms, ledger.config, ledger.schedule,
-        ledger.observations,
-        [dataclasses.replace(r, ell_est=None) for r in ledger.records],
-        bundle.optimal_choices,
-    )
-    for column, values in ledger.arrays().items():
-        assert bare.arrays()[column].tobytes() == values.tobytes(), column
     # a caller's replay of other observations solves its own references
     other = generate_instance_stream(build_config({}, seed=24, rounds=400,
                                                   **LEDGER_RUNS[name]))

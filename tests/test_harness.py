@@ -316,6 +316,38 @@ def test_config_validation_errors():
         ExperimentConfig(seed=1, dimension=1)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("dimension = 5.5", "dimension: invalid literal for int()"),
+        ("gap_margin = wide", "gap_margin: could not convert string to float"),
+        ("save_stream = maybe", "save_stream: expected a boolean, got 'maybe'"),
+    ],
+)
+def test_config_file_coercion_error_names_file_line_and_key(tmp_path, line, message):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"seed = 5\n{line}\n")
+    with pytest.raises(ValueError) as info:
+        load_config_file(path)
+    assert str(info.value).startswith(f"{path}:2: {message}")
+
+
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_empty_out_writes_nothing(tmp_path, monkeypatch, capsys, how):
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "--seed", "3", "--dimension", "3", "--rounds", "5"]
+    if how == "flag":
+        args += ["--out", ""]
+    else:
+        Path("exp.cfg").write_text("out =\n")
+        args += ["--config", "exp.cfg"]
+    assert main(args) == 2
+    assert "out must be a non-empty" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if how == "flag" else ["exp.cfg"]
+    )
+
+
 def test_cli_run_and_determinism(tmp_path):
     args = [
         "run", "--seed", "21", "--dimension", "3", "--rounds", "40",
@@ -474,8 +506,7 @@ def test_prediction_equals_a_fresh_solve_after_every_round(setup, schedule):
     state = init_learner(bundle.domain, bundle.reg_config, schedule)
     zero_rounds = 0
     for obs in bundle.observations:
-        x_hat = argmax(obs.feasible_set, state.current_prediction).maximizer
-        state, record = observe(state, obs, x_hat, c_star=bundle.c_star)
+        state, record = observe(state, obs)
         zero_rounds += not record.g.any()
         assert state.current_prediction.tobytes() == predict(state).tobytes()
     # both kinds of update happened

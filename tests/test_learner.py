@@ -1,5 +1,6 @@
 """Learner closed forms, schedules, and state updates."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -10,9 +11,12 @@ from invlinopt import (
     ADAPTIVE,
     OFFSET,
     Ball,
+    DimensionMismatchError,
     ExplicitVertices,
     Observation,
+    PredictionDomain,
     RegularizerConfig,
+    RoundRecord,
     Simplex,
     argmax,
     beta,
@@ -21,13 +25,13 @@ from invlinopt import (
     predict,
 )
 from invlinopt.core import tolerance
-from invlinopt.learner import HALF_SQUARED_NORM, NEGATIVE_ENTROPY, validate_config
+from invlinopt.learner import validate_config
 
 
-def regularizer_value(config, domain, c):
-    """Reference objective: the configured regularizer at c (0 * log 0 reads as 0)."""
+def regularizer_value(domain, c):
+    """Reference objective: the domain's regularizer at c (0 * log 0 reads as 0)."""
     c = np.asarray(c, dtype=np.float64)
-    if config.kind == NEGATIVE_ENTROPY:
+    if isinstance(domain, Simplex):
         return float(np.sum(np.where(c > 0.0, c * np.log(np.where(c > 0.0, c, 1.0)), 0.0)))
     assert isinstance(domain, Ball)
     return 0.5 * float(np.linalg.norm(c - domain.center)) ** 2
@@ -81,7 +85,7 @@ def test_symmetric_gradients_give_uniform():
 
 def test_softmax_closed_form_against_grid():
     # beta = 1 via the offset schedule with K = H = 1 and no history
-    config = RegularizerConfig(NEGATIVE_ENTROPY, 1.0, 5.0, 1.0, 1.0)
+    config = RegularizerConfig(1.0, 5.0, 1.0, 1.0)
     state = init_learner(Simplex(2), config, OFFSET)
     assert beta(state) == 1.0
     state = replace(state, grad_sum=np.asarray([1.0, 0.0]))
@@ -114,7 +118,7 @@ def test_closed_form_beats_simplex_grid_n3():
         b = beta(state)
         pred = predict(state)
         grid_objective = b * np.sum(grid * np.log(grid), axis=1) + grid @ state.grad_sum
-        pred_objective = b * regularizer_value(config, domain, pred) + float(
+        pred_objective = b * regularizer_value(domain, pred) + float(
             state.grad_sum @ pred
         )
         assert pred_objective <= float(grid_objective.min()) + tolerance(pred_objective)
@@ -131,7 +135,7 @@ def test_prediction_objective_beats_random_candidates():
         pred = predict(state)
 
         def objective(c):
-            return b * regularizer_value(config, domain, c) + float(state.grad_sum @ c)
+            return b * regularizer_value(domain, c) + float(state.grad_sum @ c)
 
         best = objective(pred)
         for _ in range(1000):
@@ -156,7 +160,7 @@ def test_ball_prediction_objective_and_projection():
         b = beta(state)
 
         def objective(c):
-            return b * regularizer_value(config, domain, c) + float(state.grad_sum @ c)
+            return b * regularizer_value(domain, c) + float(state.grad_sum @ c)
 
         best = objective(pred)
         for _ in range(300):
@@ -182,11 +186,8 @@ def test_exponentiated_gradient_equivalence():
         assert np.allclose(predict(state), weights / weights.sum(), atol=1e-12)
 
 
-def _step(state, vertices, choice, c_star=None):
-    X = ExplicitVertices(vertices)
-    obs = Observation(X, choice, state.round)
-    x_hat = argmax(X, state.current_prediction).maximizer
-    return observe(state, obs, x_hat, c_star=c_star)
+def _step(state, vertices, choice):
+    return observe(state, Observation(ExplicitVertices(vertices), choice, state.round))
 
 
 def test_zero_gradient_holds_prediction_bitwise():
@@ -226,46 +227,55 @@ def test_beta_monotone_and_predictions_feasible():
             vertices = rng.integers(0, 2, size=(5, 3)).astype(float)
             X = ExplicitVertices(vertices)
             choice = X.members()[int(rng.integers(0, X.members().shape[0]))]
-            obs = Observation(X, choice, state.round)
-            x_hat = argmax(X, state.current_prediction).maximizer
-            state, record = observe(state, obs, x_hat)
+            state, record = observe(state, Observation(X, choice, state.round))
             assert record.beta == last_beta
             assert domain.contains(state.current_prediction)
             assert beta(state) >= last_beta
             last_beta = beta(state)
 
 
-def test_record_contents_with_truth():
+def test_record_contents():
     state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
-    state2, record = _step(
-        state, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], c_star=[0.6, 0.4]
-    )
+    _, record = _step(state, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     assert record.t == 1
-    assert record.ell_est is not None
     assert record.beta == 0.0
-    no_truth_state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
-    _, record2 = _step(no_truth_state, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-    assert record2.ell_est is None
+    # the learner answers its own prediction: the first maximizer of the tie
+    # (1/2, 1/2) is the lexicographically smallest vertex
+    assert tuple(record.x_hat) == (0.0, 1.0)
+    assert tuple(record.g) == (-1.0, 1.0)
+    assert record.grad_norm == 1.0
+    assert [f.name for f in dataclasses.fields(RoundRecord)] == [
+        "t", "c_hat", "x_hat", "g", "beta", "grad_norm"
+    ]
+
+
+def test_observe_rejects_a_set_of_another_dimension():
+    state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
+    obs = Observation(ExplicitVertices([[1.0, 0.0, 0.0]]), [1.0, 0.0, 0.0], 1)
+    with pytest.raises(DimensionMismatchError):
+        observe(state, obs)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RegularizerConfig(NEGATIVE_ENTROPY, 2.0, 8.0, 1.0, 1.0)  # lam > 1
+        RegularizerConfig(2.0, 8.0, 1.0, 1.0)  # lam > 1
     with pytest.raises(ValueError):
-        RegularizerConfig(NEGATIVE_ENTROPY, 1.0, -1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        RegularizerConfig("soft-plus", 1.0, 1.0, 1.0, 1.0)
+        RegularizerConfig(1.0, -1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         RegularizerConfig.for_simplex(1, 1.0)
     with pytest.raises(ValueError):
-        validate_config(Simplex(2), RegularizerConfig(NEGATIVE_ENTROPY, 1.0, 1.0, 1.0, 1.0))
+        # B too small
+        validate_config(Simplex(2), RegularizerConfig(1.0, 1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
+        # the ball's H = 1/sqrt(2) misses the simplex's value range ln 2
         validate_config(Simplex(2), RegularizerConfig.for_ball(1.0, 1.0))
     with pytest.raises(ValueError):
         validate_config(
             Ball([3.0, 0.0], 1.0),
-            RegularizerConfig(HALF_SQUARED_NORM, 1.0, 8.0, 0.1, 1.0),  # H too small
+            RegularizerConfig(1.0, 8.0, 0.1, 1.0),  # H too small
         )
+    with pytest.raises(TypeError):
+        validate_config(PredictionDomain(), entropy_config(2))
     with pytest.raises(ValueError):
         init_learner(Simplex(2), entropy_config(2), "doubling")
 
@@ -277,7 +287,5 @@ def test_predict_matches_stored_prediction():
         vertices = rng.integers(0, 2, size=(4, 3)).astype(float)
         X = ExplicitVertices(vertices)
         choice = X.members()[0]
-        obs = Observation(X, choice, state.round)
-        x_hat = argmax(X, state.current_prediction).maximizer
-        state, _ = observe(state, obs, x_hat)
+        state, _ = observe(state, Observation(X, choice, state.round))
         assert predict(state).tobytes() == state.current_prediction.tobytes()
