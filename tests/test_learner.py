@@ -239,8 +239,8 @@ def test_record_contents():
     _, record = _step(state, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     assert record.t == 1
     assert record.beta == 0.0
-    # the learner answers its own prediction: the first maximizer of the tie
-    # (1/2, 1/2) is the lexicographically smallest vertex
+    # the learner answers its own uniform prediction, under which both
+    # vertices tie, with the lexicographically smallest one
     assert tuple(record.x_hat) == (0.0, 1.0)
     assert tuple(record.g) == (-1.0, 1.0)
     assert record.grad_norm == 1.0
