@@ -113,6 +113,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print("eval requires --holdout >= 1", file=sys.stderr)
         return 2
     prediction = read_vector(args.prediction)
+    if prediction.size != cfg.dimension:
+        raise ValueError(f"{args.prediction} holds {prediction.size} entries, "
+                         f"the dimension is {cfg.dimension}")
     c_star, c_star_integral = draw_objective(cfg)
     sampler = make_observation_sampler(cfg, c_star, c_star_integral)
     evaluation = analysis.offline_evaluate(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -47,6 +48,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
         if self.rounds < 1:
@@ -61,14 +64,14 @@ class ExperimentConfig:
             raise ValueError(f"gap mode must be one of {GAP_MODES}")
         if not 0.0 <= self.agent_noise <= 1.0:
             raise ValueError("agent_noise must be in [0, 1]")
-        if self.gap_mode == "margin" and not self.gap_margin > 0.0:
-            raise ValueError("gap_margin must be positive in margin mode")
+        if self.gap_mode == "margin" and not 0.0 < self.gap_margin < math.inf:
+            raise ValueError("gap_margin must be positive and finite in margin mode")
         if self.holdout < 0:
             raise ValueError("holdout must be nonnegative")
         if self.num_vertices < 1:
             raise ValueError("num_vertices must be at least 1")
-        if self.ball_radius <= 0.0:
-            raise ValueError("ball_radius must be positive")
+        if not 0.0 < self.ball_radius < math.inf:
+            raise ValueError("ball_radius must be positive and finite")
         if self.retry_cap < 1 or self.enumeration_cap < 1:
             raise ValueError("caps must be positive")
         if self.domain == "simplex" and self.dimension < 2:

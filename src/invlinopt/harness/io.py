@@ -80,7 +80,10 @@ def write_vector(path, vector) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    return as_vector([float(tok) for tok in Path(path).read_text().split()])
+    try:
+        return as_vector([float(tok) for tok in Path(path).read_text().split()])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_stream(path, observations: Sequence[Observation], c_star=None,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .core import Ball, Observation, PredictionDomain, Simplex, _frozen, as_vector
+from .core import Ball, FeasibleSet, Observation, PredictionDomain, Simplex, _frozen, as_vector
 from .loss import _residual
 
 ADAPTIVE = "adaptive"
@@ -137,6 +137,8 @@ class LearnerState:
     """Single-writer accumulator for the regularized-leader updates.
 
     round is the index of the round current_prediction is for (1-based).
+    last_answer is (feasible set, prediction, oracle answer) of the last
+    round, or None; observe reuses it for the same set and prediction objects.
     Updates return a fresh state; instances for parallel trials share nothing.
     """
 
@@ -147,6 +149,7 @@ class LearnerState:
     sq_norm_sum: float
     round: int
     current_prediction: np.ndarray
+    last_answer: tuple[FeasibleSet, np.ndarray, np.ndarray] | None = None
 
     @property
     def norms(self):
@@ -255,10 +258,15 @@ def observe(state: LearnerState, obs: Observation) -> tuple[LearnerState, RoundR
     A round whose learner answer equals the agent's choice has a zero
     subgradient, so the accumulators, and so the closed-form prediction,
     stay as they are: the state keeps them instead of computing the
-    residual or solving again.
+    residual or solving again, and a next round on the same set object
+    takes its answer from last_answer without calling the oracle.
     """
     c_hat = state.current_prediction
-    x_hat = oracle.argmax(obs.feasible_set, c_hat).maximizer
+    X = obs.feasible_set
+    last = state.last_answer
+    # a writable prediction may have changed in place since it was answered
+    reuse = last and last[0] is X and last[1] is c_hat and not c_hat.flags.writeable
+    x_hat = last[2] if reuse else oracle.argmax(X, c_hat).maximizer
     x = obs.agent_choice
     if x_hat.tobytes() == x.tobytes():
         # both are folded float64 vectors, so equal bytes mean x_hat - x is
@@ -294,5 +302,6 @@ def observe(state: LearnerState, obs: Observation) -> tuple[LearnerState, RoundR
         sq_norm_sum,
         state.round + 1,
         prediction,
+        (X, c_hat, x_hat),
     )
     return new_state, record

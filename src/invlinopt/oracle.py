@@ -12,17 +12,17 @@ tie-breaking rule, so repeated runs reproduce bitwise-identical traces:
 * DagPaths: longest-path relaxation in topological order with strict
   improvement, so the first-found predecessor wins ties.
 
-argmax remembers its _MEMO_SIZE most recently used answers, keyed on the
-feasible-set object and the exact bytes of the float64 objective, so a
-decision problem that repeats round after round is solved once.  Answers
-are immutable and bitwise equal to a fresh solve.
+argmax is a pure function of its arguments and keeps no state; answers
+are read-only, so a caller that knows a decision problem repeats may keep
+one and reuse it.
 
 argmax_many answers one objective over many sets.  Consecutive
 ExplicitVertices sets of one shape are scanned together in one stacked
 product, and consecutive DagPaths sets run the longest-path rule on one
 Python list of the objective, filling one row array; either batch holds
 at most _STACK_CHUNK sets, so peak memory does not grow with the number of
-sets.  Every other set goes through argmax.
+sets.  Every other set goes through argmax once per run of consecutive
+repeats of the same set object.
 """
 
 from __future__ import annotations
@@ -153,35 +153,15 @@ def _dag_argmax(X: DagPaths, c: np.ndarray) -> OracleResult:
     return OracleResult(maximizer, _dot(maximizer, c), 1)
 
 
-_MEMO_SIZE = 4
-
-# Entries (feasible_set, objective bytes, result), most recently used first.
-# The tuple is never mutated, only replaced by one assignment, so concurrent
-# callers read a consistent snapshot; a lost update only drops an entry.
-# Each entry holds its set strongly, so an identity match is never a
-# recycled id.
-_memo: tuple[tuple[FeasibleSet, bytes, OracleResult], ...] = ()
-
-
 def argmax(feasible_set: FeasibleSet, c) -> OracleResult:
     """Exact maximizer of <c, x> over the feasible set.
 
     Dispatches to the variant-specific exact algorithm; see the module
-    docstring for the deterministic tie rules and the memo.
+    docstring for the deterministic tie rules.
     """
-    global _memo
     c = np.asarray(c, dtype=np.float64)
     _check_dimension(feasible_set, c)
-    key = c.tobytes()
-    memo = _memo
-    for entry in memo:
-        if entry[0] is feasible_set and entry[1] == key:
-            if entry is not memo[0]:
-                _memo = (entry,) + tuple(e for e in memo if e is not entry)
-            return entry[2]
-    result = _solve(feasible_set, c)
-    _memo = ((feasible_set, key, result),) + memo[: _MEMO_SIZE - 1]
-    return result
+    return _solve(feasible_set, c)
 
 
 _STACK_CHUNK = 256
@@ -191,27 +171,27 @@ def argmax_many(sets: Sequence[FeasibleSet], c) -> list[np.ndarray]:
     """[argmax(X, c).maximizer for X in sets], bitwise, in fewer calls.
 
     A run of consecutive sets with one _run_key, at most _STACK_CHUNK long,
-    is answered as the rows of one read-only array; other sets go through
-    argmax.
+    is answered as the rows of one read-only array.  A set without a batch
+    rule goes through argmax once for each run of repeats of that object.
     """
     c = np.asarray(c, dtype=np.float64)
     out: list[np.ndarray] = []
     i = 0
     while i < len(sets):
         key = _run_key(sets[i])
-        if key is None:
-            out.append(argmax(sets[i], c).maximizer)
-            i += 1
-            continue
         j = i + 1
-        while (
-            j < len(sets) and j - i < _STACK_CHUNK and _run_key(sets[j]) == key
+        while j < len(sets) and (
+            sets[j] is sets[i] if key is None
+            else j - i < _STACK_CHUNK and _run_key(sets[j]) == key
         ):
             j += 1
-        # a run's sets share their dimension, so one check covers them all
-        _check_dimension(sets[i], c)
         run = sets[i:j]
-        out.extend(_dag_rows(run, c) if key[0] == "dag" else _vertex_rows(run, c))
+        if key is None:
+            out.extend([argmax(sets[i], c).maximizer] * len(run))
+        else:
+            # a run's sets share their dimension, so one check covers them all
+            _check_dimension(sets[i], c)
+            out.extend(_dag_rows(run, c) if key[0] == "dag" else _vertex_rows(run, c))
         i = j
     return out
 

@@ -348,6 +348,45 @@ def test_empty_out_writes_nothing(tmp_path, monkeypatch, capsys, how):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--domain", "ball", "--ball-radius", "nan"], "ball_radius must be"),
+        (["--domain", "ball", "--ball-radius", "inf"], "ball_radius must be"),
+        (["--gap", "margin", "--gap-margin", "inf"], "gap_margin must be positive and finite"),
+        (["--seed", "-1"], "seed must be nonnegative"),
+    ],
+    ids=["ball-radius-nan", "ball-radius-inf", "gap-margin-inf", "negative-seed"],
+)
+def test_out_of_range_config_is_a_named_usage_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    args = ["run", "--seed", "3", "--dimension", "3", "--rounds", "5", "--out", str(out)]
+    assert main(args + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("", "non-empty"),
+        ("0.5 abc 0.25\n", "'abc'"),
+        ("0.5 nan 0.25\n", "finite"),
+        ("0.5 0.5\n", "holds 2 entries, the dimension is 3"),
+    ],
+    ids=["empty", "non-numeric", "non-finite", "wrong-length"],
+)
+def test_cli_eval_names_a_bad_prediction_file(tmp_path, capsys, content, message):
+    path = write_text(tmp_path / "prediction.txt", content)
+    code = main([
+        "eval", "--seed", "23", "--dimension", "3", "--num-vertices", "6",
+        "--holdout", "5", "--prediction", str(path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
 def test_cli_run_and_determinism(tmp_path):
     args = [
         "run", "--seed", "21", "--dimension", "3", "--rounds", "40",

@@ -13,6 +13,7 @@ from invlinopt import (
     Ball,
     DimensionMismatchError,
     ExplicitVertices,
+    Knapsack,
     Observation,
     PredictionDomain,
     RegularizerConfig,
@@ -24,7 +25,8 @@ from invlinopt import (
     observe,
     predict,
 )
-from invlinopt.core import tolerance
+from invlinopt import oracle
+from invlinopt.core import as_vector, tolerance
 from invlinopt.learner import validate_config
 
 
@@ -289,3 +291,95 @@ def test_predict_matches_stored_prediction():
         choice = X.members()[0]
         state, _ = observe(state, Observation(X, choice, state.round))
         assert predict(state).tobytes() == state.current_prediction.tobytes()
+
+
+def _records_without_carry(state, observations):
+    """Reference loop: the carried answer is dropped before every round, so
+    each round calls oracle.argmax."""
+    records = []
+    for obs in observations:
+        state, record = observe(replace(state, last_answer=None), obs)
+        records.append(record)
+    return records
+
+
+def _repeated_knapsack(rng):
+    X = Knapsack([3, 1, 4, 1, 5, 2], 7)
+    c_star = np.array([0.05, 0.3, 0.1, 0.25, 0.2, 0.1])
+    choice = argmax(X, c_star).maximizer
+    return [X] * 30, [choice] * 30
+
+
+def _noisy_choices(rng, sets):
+    """Mostly the optimum under a fixed objective, sometimes a random member."""
+    c = np.linspace(0.4, 0.1, sets[0].dimension)
+    choices = []
+    for X in sets:
+        members = X.members()
+        choices.append(members[int(rng.integers(0, len(members)))]
+                       if rng.random() < 0.3 else argmax(X, c).maximizer)
+    return choices
+
+
+def _noisy_repeated_vertices(rng):
+    sets = [ExplicitVertices(rng.integers(0, 2, size=(10, 4)).astype(float))] * 60
+    return sets, _noisy_choices(rng, sets)
+
+
+def _equal_distinct_sets(rng):
+    # two distinct objects with equal vertices, and one set that differs
+    vertices = rng.integers(0, 2, size=(8, 3)).astype(float)
+    other = ExplicitVertices(rng.integers(0, 2, size=(8, 3)).astype(float))
+    pool = (ExplicitVertices(vertices), ExplicitVertices(vertices), other)
+    sets = [pool[int(k)] for k in rng.choice(3, size=90, p=[0.45, 0.45, 0.1])]
+    return sets, _noisy_choices(rng, sets)
+
+
+@pytest.mark.parametrize(
+    "stream", [_repeated_knapsack, _noisy_repeated_vertices, _equal_distinct_sets],
+    ids=["repeated-knapsack", "noisy-repeated-vertices", "equal-distinct-sets"],
+)
+def test_carried_answer_gives_the_records_of_a_solve_every_round(stream, monkeypatch):
+    sets, choices = stream(np.random.default_rng(36))
+    n = sets[0].dimension
+    state = init_learner(Simplex(n), entropy_config(n), ADAPTIVE)
+    observations = [Observation(X, x, t) for t, (X, x) in enumerate(zip(sets, choices), 1)]
+    expected = _records_without_carry(state, observations)
+    calls = []
+    solve = oracle.argmax
+    monkeypatch.setattr(oracle, "argmax", lambda X, c: calls.append(X) or solve(X, c))
+    answers = set()
+    for obs, reference in zip(observations, expected):
+        state, record = observe(state, obs)
+        answers.add(record.x_hat.tobytes())
+        assert (record.t, record.beta, record.grad_norm) == \
+            (reference.t, reference.beta, reference.grad_norm)
+        for name in ("c_hat", "x_hat", "g"):
+            assert getattr(record, name).tobytes() == getattr(reference, name).tobytes()
+    # some rounds reused the carried answer, and the learner's answer moved,
+    # so a stale carried answer would show
+    assert len(calls) < len(observations) and len(answers) > 1
+
+
+def test_replaced_prediction_is_solved_afresh():
+    X = Knapsack([1, 1], 1)
+    state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
+    # the agent picks the learner's own answer: a zero round that keeps the
+    # prediction object, so the next round on X could reuse the answer
+    state, record = observe(state, Observation(X, [1.0, 0.0], 1))
+    assert tuple(record.x_hat) == (1.0, 0.0) and not record.g.any()
+    state = replace(state, current_prediction=as_vector([0.2, 0.8]))
+    _, record = observe(state, Observation(X, [0.0, 1.0], 2))
+    assert tuple(record.x_hat) == (0.0, 1.0)
+
+
+def test_writable_prediction_changed_in_place_is_solved_afresh():
+    X = Knapsack([1, 1], 1)
+    c = np.array([0.2, 0.8])
+    state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
+    state = replace(state, current_prediction=c)
+    state, record = observe(state, Observation(X, [0.0, 1.0], 1))
+    assert state.current_prediction is c and not record.g.any()
+    c[:] = [0.8, 0.2]
+    _, record = observe(state, Observation(X, [0.0, 1.0], 2))
+    assert tuple(record.x_hat) == (1.0, 0.0)
