@@ -21,7 +21,6 @@ import numpy as np
 
 from . import oracle
 from .core import (
-    DEFAULT_ENUMERATION_CAP,
     NormPair,
     Observation,
     TOL,
@@ -330,7 +329,6 @@ def certify_gap(
     observations: Sequence[Observation],
     c_star,
     norms: NormPair,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> GapCertificate:
     """Exact gap margin by exhaustive enumeration of every feasible set.
 
@@ -338,7 +336,8 @@ def certify_gap(
     c_star over its feasible set; otherwise returns a witness.  The margin
     is min over rounds and competitors of the objective loss per unit of
     primal-norm distance.  A round facing the same set object with the same
-    choice bytes as the round before reuses that round's margin.
+    choice bytes as the round before reuses that round's margin.  A set
+    too large to enumerate raises members()'s EnumerationRefusedError.
     """
     c_star = as_vector(c_star)
     per_round: list[float] = []
@@ -350,7 +349,7 @@ def certify_gap(
             per_round.append(per_round[-1])
             continue
         prev_set, prev_choice = obs.feasible_set, choice
-        members = obs.feasible_set.members(cap)
+        members = obs.feasible_set.members()
         delta, rival = _gap_margin(members, x, c_star, norms)
         if rival is not None:
             value = float((members @ c_star)[rival])

@@ -25,7 +25,7 @@ class MembershipError(ValueError):
 
 
 class EnumerationRefusedError(RuntimeError):
-    """Exact enumeration would exceed the configured element cap."""
+    """Exact enumeration would exceed the element cap."""
 
 
 def as_vector(values) -> np.ndarray:
@@ -149,12 +149,13 @@ class FeasibleSet:
         self._members_cache: np.ndarray | None = None
 
     def contains(self, v) -> bool:
-        """Exact membership test for this variant."""
-        raise NotImplementedError
+        """Exact membership test; a vector of another shape is not a member."""
+        v = np.asarray(v, dtype=np.float64)
+        return v.shape == (self.dimension,) and self._contains(v)
 
     def _contains(self, v: np.ndarray) -> bool:
-        """contains() for a vector as_vector has already validated."""
-        return self.contains(v)
+        """contains() for a float64 vector already of shape (dimension,)."""
+        raise NotImplementedError
 
     def enumeration_effort(self) -> int:
         """Number of candidates scanned by members(); used for cap gating."""
@@ -163,22 +164,19 @@ class FeasibleSet:
     def _enumerate(self) -> np.ndarray:
         raise NotImplementedError
 
-    def require_enumerable(self, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-        """Raise EnumerationRefusedError when members(cap) would refuse."""
+    def members(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """All elements as rows of a read-only (m, n) float array.
+
+        Refuses with EnumerationRefusedError when the enumeration effort
+        exceeds ``cap``, before any work; callers then stay in oracle-only
+        mode rather than receiving an approximation.  This is the one place
+        the cap applies.
+        """
         effort = self.enumeration_effort()
         if effort > cap:
             raise EnumerationRefusedError(
                 f"enumeration effort {effort} exceeds cap {cap}"
             )
-
-    def members(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-        """All elements as rows of a read-only (m, n) float array.
-
-        Refuses with EnumerationRefusedError when the enumeration effort
-        exceeds ``cap``; callers then stay in oracle-only mode rather than
-        receiving an approximation.
-        """
-        self.require_enumerable(cap)
         if self._members_cache is None:
             m = self._enumerate()
             m = m + 0.0
@@ -217,12 +215,7 @@ class ExplicitVertices(FeasibleSet):
     def vertices(self) -> np.ndarray:
         return self._vertices
 
-    def contains(self, v) -> bool:
-        return self._contains(as_vector(v))
-
     def _contains(self, v: np.ndarray) -> bool:
-        if v.size != self.dimension:
-            return False
         return bool((self._vertices == v).all(axis=1).any())
 
     def enumeration_effort(self) -> int:
@@ -242,10 +235,7 @@ class Hypercube(FeasibleSet):
             raise ValueError("dimension must be at least 1")
         self.dimension = n
 
-    def contains(self, v) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dimension,):
-            return False
+    def _contains(self, v: np.ndarray) -> bool:
         return bool(np.all((v == 0.0) | (v == 1.0)))
 
     def enumeration_effort(self) -> int:
@@ -288,10 +278,7 @@ class Knapsack(FeasibleSet):
     def weights(self) -> np.ndarray:
         return self._weights
 
-    def contains(self, v) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dimension,):
-            return False
+    def _contains(self, v: np.ndarray) -> bool:
         if not np.all((v == 0.0) | (v == 1.0)):
             return False
         return float(np.dot(self._weights, v)) <= self.capacity
@@ -357,10 +344,7 @@ class DagPaths(FeasibleSet):
         """Outgoing (arc_index, head) pairs of a node, in arc-index order."""
         return self._out[node]
 
-    def contains(self, v) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dimension,):
-            return False
+    def _contains(self, v: np.ndarray) -> bool:
         x = v.tolist()
         # -0.0 equals 0.0 and nan equals neither
         if not _BINARY.issuperset(x):

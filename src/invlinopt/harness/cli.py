@@ -6,10 +6,8 @@ import argparse
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .. import analysis
-from ..core import DEFAULT_ENUMERATION_CAP, NormPair
+from ..core import NormPair
 from .config import (
     DOMAINS,
     FAMILIES,
@@ -19,9 +17,9 @@ from .config import (
     build_config,
     load_config_file,
 )
-from .generate import draw_objective, make_observation_sampler
+from .generate import draw_objective
 from .io import fmt, read_stream, read_vector, write_summary
-from .runner import run_experiment, run_sweep
+from .runner import evaluate_holdout, run_experiment, run_sweep
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
@@ -90,7 +88,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         print("stream file lacks a c_star line", file=sys.stderr)
         return 2
     norms = NormPair(args.norms)
-    certificate = analysis.certify_gap(observations, c_star, norms, cap=args.cap)
+    certificate = analysis.certify_gap(observations, c_star, norms)
     entries: dict = {"satisfied": certificate.satisfied,
                      "rounds": len(observations)}
     if certificate.satisfied:
@@ -116,12 +114,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if prediction.size != cfg.dimension:
         raise ValueError(f"{args.prediction} holds {prediction.size} entries, "
                          f"the dimension is {cfg.dimension}")
-    c_star, c_star_integral = draw_objective(cfg)
-    sampler = make_observation_sampler(cfg, c_star, c_star_integral)
-    evaluation = analysis.offline_evaluate(
-        prediction, c_star, sampler, cfg.holdout,
-        np.random.SeedSequence([cfg.seed, 1]),
-    )
+    evaluation = evaluate_holdout(cfg, prediction, *draw_objective(cfg))
     entries = {
         "samples": evaluation.samples,
         "mean_model": evaluation.mean_model,
@@ -161,7 +154,6 @@ def main(argv=None) -> int:
     p_certify.add_argument("--stream", required=True)
     p_certify.add_argument("--norms", default=NormPair.LINF_L1,
                            choices=(NormPair.LINF_L1, NormPair.L2_L2))
-    p_certify.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p_certify.add_argument("--out")
     p_certify.set_defaults(func=_cmd_certify)
 

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from ..core import DEFAULT_ENUMERATION_CAP
 from ..learner import SCHEDULES
 
 DOMAINS = ("simplex", "ball")
@@ -41,9 +40,7 @@ class ExperimentConfig:
     integral_vertices: bool = False
     fresh_sets: bool = True
     ball_radius: float = 1.0
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     retry_cap: int = 100_000
-    plateau_burn_in: int = 1000
     save_stream: bool = False
     out: str | None = None
 
@@ -72,8 +69,8 @@ class ExperimentConfig:
             raise ValueError("num_vertices must be at least 1")
         if not 0.0 < self.ball_radius < math.inf:
             raise ValueError("ball_radius must be positive and finite")
-        if self.retry_cap < 1 or self.enumeration_cap < 1:
-            raise ValueError("caps must be positive")
+        if self.retry_cap < 1:
+            raise ValueError("retry_cap must be positive")
         if self.domain == "simplex" and self.dimension < 2:
             raise ValueError("the simplex domain needs dimension >= 2")
         if self.out == "":

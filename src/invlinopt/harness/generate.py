@@ -140,13 +140,11 @@ def _sample_feasible_set(
     return DagPaths(num_nodes, arcs)
 
 
-def uniform_member(
-    X: FeasibleSet, rng: np.random.Generator, cap: int
-) -> np.ndarray:
+def uniform_member(X: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
     """A uniformly random element; hypercubes avoid enumeration entirely."""
     if isinstance(X, Hypercube):
         return as_vector(rng.integers(0, 2, size=X.dimension).astype(np.float64))
-    members = X.members(cap)
+    members = X.members()
     return as_vector(members[int(rng.integers(0, members.shape[0]))])
 
 
@@ -168,7 +166,7 @@ def _gap_test(
     c = c_star if c_star_integral is None else c_star_integral
 
     def accepts(X: FeasibleSet) -> bool:
-        members = X.members(cfg.enumeration_cap)
+        members = X.members()
         best = members[int(np.argmax(members @ c))]
         delta, rival = _gap_margin(members, best, c, norms)
         return rival is None and (cfg.gap_mode == "integral" or delta >= cfg.gap_margin)
@@ -223,7 +221,7 @@ def _draw_round(
     """
     X = shared if shared is not None else _draw_set(cfg, accepts, rng, budget)
     if cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise:
-        return X, uniform_member(X, rng, cfg.enumeration_cap)
+        return X, uniform_member(X, rng)
     return X, None
 
 

@@ -86,8 +86,7 @@ def read_vector(path) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_stream(path, observations: Sequence[Observation], c_star=None,
-                 cap: int | None = None) -> None:
+def write_stream(path, observations: Sequence[Observation], c_star=None) -> None:
     """Store observations as dimension-tagged explicit vertex lists.
 
     Line format:
@@ -97,21 +96,18 @@ def write_stream(path, observations: Sequence[Observation], c_star=None,
         obs <round_index> <m>
         <m vertex lines of n floats>
         choice <n floats>
-    Non-explicit feasible sets are enumerated (subject to the cap), so a
-    reloaded stream always uses ExplicitVertices.  The whole text is
-    rendered before the file is opened, so a refusal writes nothing.
+    Every feasible set is written as its members(), so a reloaded stream
+    always uses ExplicitVertices; a set too large to enumerate raises
+    EnumerationRefusedError.  The whole text is rendered before the file
+    is opened, so a refusal writes nothing.
     """
-    from ..core import DEFAULT_ENUMERATION_CAP
-
-    if cap is None:
-        cap = DEFAULT_ENUMERATION_CAP
     lines = [STREAM_MAGIC]
     dim = observations[0].feasible_set.dimension
     lines.append(f"dim {dim}")
     if c_star is not None:
         lines.append("c_star " + " ".join(fmt(v) for v in c_star))
     for obs in observations:
-        members = obs.feasible_set.members(cap)
+        members = obs.feasible_set.members()
         count, width = members.shape
         # "%.17g" % x is the text of fmt(x)
         row = " ".join(["%.17g"] * width)

@@ -156,8 +156,22 @@ def _summary_entries(
     return entries
 
 
+def evaluate_holdout(
+    cfg: ExperimentConfig, prediction, c_star, c_star_integral
+) -> analysis.OfflineEvaluation:
+    """offline_evaluate of a prediction on holdout samples from [cfg.seed, 1].
+
+    A run and a later eval of its prediction score the same holdout.
+    """
+    sampler = make_observation_sampler(cfg, c_star, c_star_integral)
+    seed = np.random.SeedSequence([cfg.seed, 1])
+    return analysis.offline_evaluate(prediction, c_star, sampler, cfg.holdout, seed)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Generate, simulate, certify, and (when configured) write outputs."""
+    if cfg.save_stream and cfg.out is None:
+        raise ValueError("save_stream needs out: the stream is written there")
     bundle = generate_instance_stream(cfg)
     state, ledger = simulate(bundle)
     skipped: dict[str, str] = {}
@@ -173,7 +187,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 bundle.observations,
                 bundle.c_star,
                 bundle.domain.norm_pair,
-                cap=cfg.enumeration_cap,
             )
             if certificate.satisfied:
                 delta = certificate.delta
@@ -182,12 +195,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                     bundle.observations,
                     bundle.c_star_integral,
                     bundle.domain.norm_pair,
-                    cap=cfg.enumeration_cap,
                 )
 
-    checks = analysis.verify_run(
-        ledger, delta=delta, plateau_burn_in=cfg.plateau_burn_in
-    )
+    checks = analysis.verify_run(ledger, delta=delta, plateau_burn_in=1000)
     if cfg.gap_mode != "none" and cfg.agent_noise == 0.0:
         assert certificate is not None
         checks.append(
@@ -218,13 +228,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     averaged = analysis.average_prediction(ledger.records)
     evaluation = None
     if cfg.holdout > 0:
-        sampler = make_observation_sampler(cfg, bundle.c_star, bundle.c_star_integral)
-        evaluation = analysis.offline_evaluate(
-            averaged,
-            bundle.c_star,
-            sampler,
-            cfg.holdout,
-            np.random.SeedSequence([cfg.seed, 1]),
+        evaluation = evaluate_holdout(
+            cfg, averaged, bundle.c_star, bundle.c_star_integral
         )
         budget = ledger.subopt_regret() / ledger.rounds
         slack = 3.0 * evaluation.stderr_gap + tolerance(evaluation.mean_gap, budget)
@@ -247,17 +252,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if cfg.out is not None:
         out = Path(cfg.out)
         if cfg.save_stream:
-            # before anything is created, so that a refusal leaves nothing
+            # before anything is created, so that a refusal leaves nothing;
+            # write_stream then reads the cached enumerations
             for obs in bundle.observations:
-                obs.feasible_set.require_enumerable(cfg.enumeration_cap)
+                obs.feasible_set.members()
         out.mkdir(parents=True, exist_ok=True)
         if cfg.save_stream:
-            write_stream(
-                out / "stream.txt",
-                bundle.observations,
-                bundle.c_star,
-                cap=cfg.enumeration_cap,
-            )
+            write_stream(out / "stream.txt", bundle.observations, bundle.c_star)
         trace_path = str(out / "trace.csv")
         summary_path = str(out / "summary.txt")
         write_trace(trace_path, trace_rows(ledger, delta))

@@ -34,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_ENUMERATION_CAP,
     DagPaths,
     DimensionMismatchError,
     ExplicitVertices,
@@ -250,14 +249,12 @@ def _solve(feasible_set: FeasibleSet, c: np.ndarray) -> OracleResult:
     raise TypeError(f"unsupported feasible set type {type(feasible_set)!r}")
 
 
-def argmax_bruteforce(
-    feasible_set: FeasibleSet, c, cap: int = DEFAULT_ENUMERATION_CAP
-) -> OracleResult:
+def argmax_bruteforce(feasible_set: FeasibleSet, c) -> OracleResult:
     """Independent maximizer by exhaustive scan over the full enumeration.
 
-    Ties resolve to the lexicographically smallest member.  Propagates the
-    enumeration refusal when the set is too large for the cap.
+    Ties resolve to the lexicographically smallest member.  Propagates
+    members()'s EnumerationRefusedError for a set too large to enumerate.
     """
     c = np.asarray(c, dtype=np.float64)
     _check_dimension(feasible_set, c)
-    return _scan(feasible_set.members(cap), c)
+    return _scan(feasible_set.members(), c)

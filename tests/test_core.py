@@ -215,7 +215,15 @@ def test_membership_across_families():
                 assert X.contains(row)
             outside = rng.random(X.dimension) + 2.0
             assert not X.contains(outside)
+            # non-finite entries and other shapes are non-members, not errors
+            member = members[0]
+            for bad in (np.nan, np.inf):
+                probe = member.copy()
+                probe[0] = bad
+                assert not X.contains(probe)
+            assert not X.contains(member[None, :])
             assert not X.contains(np.full(X.dimension + 1, 0.0))
+            assert not X.contains(member[:-1])
 
 
 def test_hypercube_non_member():
@@ -425,8 +433,8 @@ def test_observation_validates_its_choice_once(monkeypatch):
     for k, choice in enumerate(([1.0, -0.0], [0.5, 0.5], np.zeros(2)), 1):
         Observation(X, choice, 1)
         assert calls[0] == k
-    # the public membership test still validates its input
-    assert X.contains([0.5, 0.5]) and calls[0] == 4
+    # the public membership test converts its input without as_vector
+    assert X.contains([0.5, 0.5]) and calls[0] == 3
     with pytest.raises(MembershipError):
         Observation(X, [0.0, 1.0], 1)
 

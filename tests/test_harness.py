@@ -6,7 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invlinopt import NormPair, argmax, certify_gap, inner_product
+from invlinopt import (
+    EnumerationRefusedError,
+    NormPair,
+    Observation,
+    argmax,
+    argmax_bruteforce,
+    certify_gap,
+    inner_product,
+)
 from invlinopt.core import ExplicitVertices, Hypercube
 from invlinopt.harness import (
     build_config,
@@ -164,6 +172,15 @@ def test_oracle_only_mode_beyond_enumeration_cap():
         make_cfg(family="hypercube", dimension=25, rounds=50, agent_noise=0.1)
     )
     assert result.exit_code == 0, result.summary["failed_checks"]
+    # 2^21 members is the first cube past the cap; the brute-force
+    # oracle and gap certification refuse it
+    cube = Hypercube(21)
+    c = np.linspace(-1.0, 1.0, 21)
+    with pytest.raises(EnumerationRefusedError, match="exceeds cap"):
+        argmax_bruteforce(cube, c)
+    choice = argmax(cube, c).maximizer
+    with pytest.raises(EnumerationRefusedError, match="exceeds cap"):
+        certify_gap([Observation(cube, choice, 1)], c, NormPair.linf_l1())
 
 
 def test_cli_repeat_instance_flag(tmp_path):
@@ -298,9 +315,10 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.agent_noise == 0.25 and cfg.save_stream and cfg.dimension == 3
     cfg2 = build_config(values, rounds=99)
     assert cfg2.rounds == 99
-    path.write_text("seed = 5\nmystery = 1\n")
-    with pytest.raises(ValueError):
-        load_config_file(path)
+    for line in ("mystery = 1", "enumeration_cap = 8", "plateau_burn_in = 10"):
+        path.write_text(f"seed = 5\n{line}\n")
+        with pytest.raises(ValueError, match="unknown key"):
+            load_config_file(path)
     with pytest.raises(ValueError):
         build_config({})  # seed is mandatory
 
@@ -355,8 +373,11 @@ def test_empty_out_writes_nothing(tmp_path, monkeypatch, capsys, how):
         (["--domain", "ball", "--ball-radius", "inf"], "ball_radius must be"),
         (["--gap", "margin", "--gap-margin", "inf"], "gap_margin must be positive and finite"),
         (["--seed", "-1"], "seed must be nonnegative"),
+        (["--family", "hypercube", "--dimension", "21", "--gap", "integral"],
+         "exceeds cap"),
     ],
-    ids=["ball-radius-nan", "ball-radius-inf", "gap-margin-inf", "negative-seed"],
+    ids=["ball-radius-nan", "ball-radius-inf", "gap-margin-inf", "negative-seed",
+         "integral-gap-past-the-cap"],
 )
 def test_out_of_range_config_is_a_named_usage_error(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
@@ -414,8 +435,6 @@ def test_cli_certify(tmp_path):
 
     # a tied optimum is reported with exit status 1
     square = ExplicitVertices([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    from invlinopt import Observation
-
     tied = [Observation(square, [1.0, 0.0], 1)]
     tied_path = tmp_path / "tied.txt"
     write_stream(tied_path, tied, np.asarray([1.0, 0.0]))
@@ -464,9 +483,14 @@ def test_cli_sweep_deterministic(tmp_path):
             ).read_bytes()
 
 
-def test_cli_error_handling(tmp_path, capsys):
+def test_cli_error_handling(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(["run", "--dimension", "3"]) == 2  # no seed anywhere
     assert main(["sweep", "--seed", "1"]) == 2  # no --out
+    # a stream needs a directory to go to
+    assert main(["run", "--seed", "1", "--rounds", "20", "--save-stream"]) == 2
+    assert "save_stream needs out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_repeated_knapsack_solves_do_not_grow_with_rounds(monkeypatch):
