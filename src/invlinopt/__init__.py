@@ -38,7 +38,6 @@ from .learner import (
     ADAPTIVE,
     OFFSET,
     LearnerState,
-    RegularizerConfig,
     RoundRecord,
     beta,
     init_learner,
@@ -76,7 +75,6 @@ __all__ = [
     "OracleResult",
     "PredictionDomain",
     "RegretLedger",
-    "RegularizerConfig",
     "RoundRecord",
     "Simplex",
     "argmax",

@@ -23,13 +23,14 @@ from . import oracle
 from .core import (
     NormPair,
     Observation,
+    PredictionDomain,
     TOL,
     _dot,
     _row_dots,
     as_vector,
     inner_product,
 )
-from .learner import ADAPTIVE, RegularizerConfig, RoundRecord
+from .learner import ADAPTIVE, RoundRecord, _regularizer_constants
 
 ROOT_FIVE_QUARTERS = 2.0 ** 1.25  # 2^{5/4}
 
@@ -93,22 +94,25 @@ class RegretLedger:
     maximizer of c_star over round t's feasible set,
     oracle.argmax(obs.feasible_set, c_star).maximizer, which the caller
     already holds: generation computes it to act as the optimal agent.
+    The domain fixes the norm pair and the constants B and H; K bounds the
+    primal-norm diameter of every feasible set, as for the learner.
     All reads are pure.
     """
 
     def __init__(
         self,
         c_star,
-        norms: NormPair,
-        config: RegularizerConfig,
+        domain: PredictionDomain,
+        K: float,
         schedule: str,
         observations: Sequence[Observation],
         records: Sequence[RoundRecord],
         references: Sequence[np.ndarray],
     ):
         self.c_star = c_star = as_vector(c_star)
-        self.norms = norms
-        self.config = config
+        self.domain = domain
+        self.norms = norms = domain.norm_pair
+        self.B, self.H, self.K = _regularizer_constants(domain, K)
         self.schedule = schedule
         self.records = list(records)
         self.observations = list(observations)
@@ -176,19 +180,14 @@ class RegretLedger:
         return {name: column.copy() for name, column in self._columns.items()}
 
 
-def gap_constant_bound(config: RegularizerConfig, delta: float) -> float:
-    """2^{5/4} * K * B^3 / (lam^{3/2} * delta^2), independent of the horizon."""
-    return (
-        ROOT_FIVE_QUARTERS
-        * config.K
-        * config.B ** 3
-        / (config.lam ** 1.5 * delta ** 2)
-    )
+def gap_constant_bound(K: float, B: float, delta: float) -> float:
+    """2^{5/4} * K * B^3 / delta^2, independent of the horizon."""
+    return ROOT_FIVE_QUARTERS * K * B ** 3 / delta ** 2
 
 
-def gap_contraction_coefficient(config: RegularizerConfig, delta: float) -> float:
-    """K * B / (2^{5/4} * sqrt(lam) * delta^2)."""
-    return config.K * config.B / (ROOT_FIVE_QUARTERS * math.sqrt(config.lam) * delta ** 2)
+def gap_contraction_coefficient(K: float, B: float, delta: float) -> float:
+    """K * B / (2^{5/4} * delta^2)."""
+    return K * B / (ROOT_FIVE_QUARTERS * delta ** 2)
 
 
 def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, rounds: np.ndarray) -> BoundCheck:
@@ -212,28 +211,25 @@ def bound_columns(
     Keys are adaptive_grad, adaptive_horizon, offset_horizon and
     gap_constant; a bound of the other schedule, or gap_constant without a
     delta, is None.  At prefix t:
-      adaptive_grad     2^{5/4} * B * sqrt(sum of squared gradient norms / lam)
-      adaptive_horizon  2^{5/4} * K * B * sqrt(t / lam)
-      offset_horizon    2 * K * H * sqrt(t / lam)
-      gap_constant      gap_constant_bound(config, delta), the same at every t
+      adaptive_grad     2^{5/4} * B * sqrt(sum of squared gradient norms)
+      adaptive_horizon  2^{5/4} * K * B * sqrt(t)
+      offset_horizon    2 * K * H * sqrt(t)
+      gap_constant      gap_constant_bound(K, B, delta), the same at every t
     """
-    config = ledger.config
+    B, H, K = ledger.B, ledger.H, ledger.K
     t = np.arange(1, ledger.rounds + 1, dtype=np.float64)
     adaptive = ledger.schedule == ADAPTIVE
     return {
         "adaptive_grad": (
-            ROOT_FIVE_QUARTERS * config.B * np.sqrt(ledger._columns["sum_sq"] / config.lam)
+            ROOT_FIVE_QUARTERS * B * np.sqrt(ledger._columns["sum_sq"])
             if adaptive else None
         ),
         "adaptive_horizon": (
-            ROOT_FIVE_QUARTERS * config.K * config.B * np.sqrt(t / config.lam)
-            if adaptive else None
+            ROOT_FIVE_QUARTERS * K * B * np.sqrt(t) if adaptive else None
         ),
-        "offset_horizon": (
-            None if adaptive else 2.0 * config.K * config.H * np.sqrt(t / config.lam)
-        ),
+        "offset_horizon": None if adaptive else 2.0 * K * H * np.sqrt(t),
         "gap_constant": (
-            np.full(t.size, gap_constant_bound(config, delta)) if delta else None
+            np.full(t.size, gap_constant_bound(K, B, delta)) if delta else None
         ),
     }
 
@@ -247,7 +243,7 @@ def verify_run(
 
     Returns one BoundCheck per inequality, reporting the prefix (or round)
     with the smallest slack; passed is False if any prefix failed.  The
-    bounds use the ledger's config.  The gap checks run exactly when a
+    bounds use the ledger's constants.  The gap checks run exactly when a
     certified delta is given, which must be positive; loss_plateau joins
     them for runs of at least plateau_burn_in rounds.
     """
@@ -277,7 +273,7 @@ def verify_run(
             checks.append(_worst(f"{name}_bound", regret, bounds[name], t))
 
     if delta is not None:
-        coef = gap_contraction_coefficient(ledger.config, delta)
+        coef = gap_contraction_coefficient(ledger.K, ledger.B, delta)
         checks.append(
             _worst("gap_residual_bound", a["grad_norm"] ** 2, coef * a["lin_inc"], t)
         )

@@ -7,6 +7,7 @@ across concurrent readers; all operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -463,8 +464,8 @@ class Ball(PredictionDomain):
     def __init__(self, center, radius: float):
         center = as_vector(center)
         radius = float(radius)
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {radius!r}")
         if float(np.linalg.norm(center)) <= radius:
             raise ValueError(
                 "center must be farther than the radius from the origin "

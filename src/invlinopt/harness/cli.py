@@ -41,8 +41,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
                         action="store_const", const=False,
                         help="draw one feasible set and face it every round")
     parser.add_argument("--ball-radius", dest="ball_radius", type=float)
-    parser.add_argument("--save-stream", dest="save_stream",
-                        action="store_const", const=True)
     parser.add_argument("--out")
 
 
@@ -149,6 +147,11 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--dimension-list", help="comma-separated dimensions")
     p_sweep.add_argument("--gap-list", help="comma-separated gap modes")
     p_sweep.set_defaults(func=_cmd_sweep)
+
+    # eval writes no stream, so it refuses the flag instead of ignoring it
+    for p_writer in (p_run, p_sweep):
+        p_writer.add_argument("--save-stream", dest="save_stream",
+                              action="store_const", const=True)
 
     p_certify = sub.add_parser("certify", help="gap-certify a stored stream")
     p_certify.add_argument("--stream", required=True)

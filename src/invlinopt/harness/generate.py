@@ -28,7 +28,6 @@ from ..core import (
     Simplex,
     as_vector,
 )
-from ..learner import RegularizerConfig
 from ..oracle import argmax_many
 from .config import ExperimentConfig
 
@@ -50,7 +49,6 @@ class StreamBundle:
 
     config: ExperimentConfig
     domain: PredictionDomain
-    reg_config: RegularizerConfig
     c_star: np.ndarray
     c_star_integral: np.ndarray | None
     observations: tuple[Observation, ...]
@@ -74,12 +72,6 @@ def diameter_bound(cfg: ExperimentConfig) -> float:
     if cfg.domain == "simplex":
         return 1.0
     return math.sqrt(cfg.dimension)
-
-
-def build_reg_config(cfg: ExperimentConfig) -> RegularizerConfig:
-    if cfg.domain == "simplex":
-        return RegularizerConfig.for_simplex(cfg.dimension, diameter_bound(cfg))
-    return RegularizerConfig.for_ball(cfg.ball_radius, diameter_bound(cfg))
 
 
 def _draw_integral_objective(
@@ -264,7 +256,6 @@ def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
     sampling exceeds the retry cap.
     """
     domain = build_domain(cfg)
-    reg_config = build_reg_config(cfg)
     c_star, c_star_integral = draw_objective(cfg)
     accepts = _gap_test(cfg, domain.norm_pair, c_star, c_star_integral)
     shared = _fixed_set(cfg, accepts)
@@ -275,7 +266,6 @@ def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
     return StreamBundle(
         config=cfg,
         domain=domain,
-        reg_config=reg_config,
         c_star=c_star,
         c_star_integral=c_star_integral,
         observations=tuple(observations),

@@ -62,18 +62,17 @@ def simulate(
         optimal_choices = oracle.argmax_many(
             [obs.feasible_set for obs in observations], bundle.c_star
         )
-    state = learner.init_learner(
-        bundle.domain, bundle.reg_config, bundle.config.schedule
-    )
+    schedule, K = bundle.config.schedule, diameter_bound(bundle.config)
+    state = learner.init_learner(bundle.domain, schedule, K)
     records = []
     for obs in observations:
         state, record = learner.observe(state, obs)
         records.append(record)
     ledger = analysis.RegretLedger(
         bundle.c_star,
-        bundle.domain.norm_pair,
-        bundle.reg_config,
-        bundle.config.schedule,
+        bundle.domain,
+        K,
+        schedule,
         observations,
         records,
         optimal_choices,

@@ -26,94 +26,30 @@ OFFSET = "offset"
 SCHEDULES = (ADAPTIVE, OFFSET)
 
 
-@dataclass(frozen=True)
-class RegularizerConfig:
-    """The constants the guarantees are stated with.
+def _regularizer_constants(
+    domain: PredictionDomain, K: float
+) -> tuple[float, float, float]:
+    """(B, H, K) for the domain's regularizer, which is 1-strongly convex.
 
-    The domain decides the regularizer: negative entropy on the simplex,
-    the half squared norm on a ball.  lam is the regularizer's
-    strong-convexity modulus with respect to the dual norm; B bounds both
-    sqrt(2^{5/2} * lam) times the dual-norm diameter of the domain and the
-    regularizer's value range; H bounds the square root of the value range
-    (used by the offset schedule); K bounds the primal-norm diameter of
-    every feasible set.
+    The domain type picks the regularizer: negative entropy on the simplex,
+    the half squared norm on a ball.  B bounds both 2^{5/4} times the
+    dual-norm diameter of the domain and the square root of the
+    regularizer's value range; H bounds that square root alone (used by the
+    offset schedule).  K, the primal-norm diameter bound of every feasible
+    set, is the one constant the domain does not fix.
     """
-
-    lam: float
-    B: float
-    H: float
-    K: float
-
-    def __post_init__(self):
-        for name in ("lam", "B", "H", "K"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.lam > 1.0:
-            raise ValueError(
-                "built-in regularizers are exactly 1-strongly convex; "
-                "lam cannot exceed 1"
-            )
-
-    @classmethod
-    def for_simplex(cls, n: int, K: float) -> "RegularizerConfig":
-        """Canonical constants for negative entropy on the n-simplex.
-
-        Requires n >= 2 (the 1-point simplex has a degenerate value range).
-        """
-        if n < 2:
+    K = float(K)
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K!r}")
+    if isinstance(domain, Simplex):
+        if domain.dimension < 2:
             raise ValueError("simplex regularizer needs dimension >= 2")
-        log_n = math.log(n)
-        return cls(
-            lam=1.0,
-            B=2.0 ** 2.75 * math.sqrt(log_n),
-            H=math.sqrt(log_n),
-            K=float(K),
-        )
-
-    @classmethod
-    def for_ball(cls, radius: float, K: float) -> "RegularizerConfig":
-        """Canonical constants for the half squared norm on a ball."""
-        radius = float(radius)
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
-        return cls(
-            lam=1.0,
-            B=2.0 ** 2.25 * radius,
-            H=radius / math.sqrt(2.0),
-            K=float(K),
-        )
-
-
-def _domain_dual_diameter(domain: PredictionDomain) -> float:
-    if isinstance(domain, Simplex):
-        return 2.0 if domain.dimension >= 2 else 0.0
-    assert isinstance(domain, Ball)
-    return 2.0 * domain.radius
-
-
-def _regularizer_range(domain: PredictionDomain) -> float:
-    if isinstance(domain, Simplex):
-        return math.log(domain.dimension)
-    assert isinstance(domain, Ball)
-    return 0.5 * domain.radius ** 2
-
-
-def validate_config(domain: PredictionDomain, config: RegularizerConfig) -> None:
-    """Check the constant inequalities for the domain's regularizer."""
-    if not isinstance(domain, (Simplex, Ball)):
-        raise TypeError(f"unsupported domain type {type(domain)!r}")
-    diameter = _domain_dual_diameter(domain)
-    value_range = _regularizer_range(domain)
-    b_sq = config.B ** 2
-    slack = 1e-12 * (1.0 + b_sq)
-    if b_sq + slack < 2.0 ** 2.5 * config.lam * diameter ** 2:
-        raise ValueError(
-            "B^2 must be at least 2^{5/2} * lam * (dual diameter)^2"
-        )
-    if b_sq + slack < value_range:
-        raise ValueError("B^2 must cover the regularizer's value range")
-    if config.H ** 2 + slack < value_range:
-        raise ValueError("H^2 must cover the regularizer's value range")
+        log_n = math.log(domain.dimension)
+        return 2.0 ** 2.75 * math.sqrt(log_n), math.sqrt(log_n), K
+    if isinstance(domain, Ball):
+        r = domain.radius
+        return 2.0 ** 2.25 * r, r / math.sqrt(2.0), K
+    raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +72,19 @@ class RoundRecord:
 class LearnerState:
     """Single-writer accumulator for the regularized-leader updates.
 
-    round is the index of the round current_prediction is for (1-based).
-    last_answer is (feasible set, prediction, oracle answer) of the last
-    round, or None; observe reuses it for the same set and prediction objects.
-    Updates return a fresh state; instances for parallel trials share nothing.
+    B, H and K are the constants of the schedules, B and H derived from the
+    domain once by init_learner.  round is the index of the round
+    current_prediction is for (1-based).  last_answer is (feasible set,
+    prediction, oracle answer) of the last round, or None; observe reuses it
+    for the same set and prediction objects.  Updates return a fresh state;
+    instances for parallel trials share nothing.
     """
 
     domain: PredictionDomain
-    config: RegularizerConfig
     schedule: str
+    B: float
+    H: float
+    K: float
     grad_sum: np.ndarray
     sq_norm_sum: float
     round: int
@@ -163,17 +103,21 @@ def _minimizer_of_regularizer(domain: PredictionDomain) -> np.ndarray:
     return domain.center
 
 
-def init_learner(
-    domain: PredictionDomain, config: RegularizerConfig, schedule: str
-) -> LearnerState:
-    """Fresh state whose first prediction is the regularizer's minimizer."""
+def init_learner(domain: PredictionDomain, schedule: str, K: float) -> LearnerState:
+    """Fresh state whose first prediction is the regularizer's minimizer.
+
+    K bounds the primal-norm diameter of every feasible set the learner
+    will face.
+    """
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
-    validate_config(domain, config)
+    B, H, K = _regularizer_constants(domain, K)
     return LearnerState(
         domain=domain,
-        config=config,
         schedule=schedule,
+        B=B,
+        H=H,
+        K=K,
         grad_sum=as_vector(np.zeros(domain.dimension)),
         sq_norm_sum=0.0,
         round=1,
@@ -181,37 +125,30 @@ def init_learner(
     )
 
 
-def _beta_from_sum(config: RegularizerConfig, schedule: str, sq_norm_sum: float) -> float:
-    if schedule == ADAPTIVE:
-        return (2.0 ** 0.25 / config.B) * math.sqrt(sq_norm_sum / config.lam)
-    return math.sqrt(config.K ** 2 + sq_norm_sum) / (
-        config.H * math.sqrt(config.lam)
-    )
+def _beta_from_sum(state: LearnerState, sq_norm_sum: float) -> float:
+    if state.schedule == ADAPTIVE:
+        return (2.0 ** 0.25 / state.B) * math.sqrt(sq_norm_sum)
+    return math.sqrt(state.K ** 2 + sq_norm_sum) / state.H
 
 
 def beta(state: LearnerState) -> float:
     """Regularizer scale for the upcoming round.
 
-    Adaptive: (2^{1/4} / B) * sqrt(sum of squared gradient norms / lam),
-    zero until the first nonzero gradient.  Offset: sqrt(K^2 + that sum)
-    divided by H * sqrt(lam), always positive.  Both are nondecreasing.
+    Adaptive: (2^{1/4} / B) * sqrt(sum of squared gradient norms), zero
+    until the first nonzero gradient.  Offset: sqrt(K^2 + that sum) / H,
+    always positive.  Both are nondecreasing.
     """
-    return _beta_from_sum(state.config, state.schedule, state.sq_norm_sum)
+    return _beta_from_sum(state, state.sq_norm_sum)
 
 
-def _solve(
-    domain: PredictionDomain,
-    config: RegularizerConfig,
-    schedule: str,
-    grad_sum: np.ndarray,
-    sq_norm_sum: float,
-    previous: np.ndarray,
-) -> np.ndarray:
-    b = _beta_from_sum(config, schedule, sq_norm_sum)
+def _solve(state: LearnerState, grad_sum: np.ndarray, sq_norm_sum: float) -> np.ndarray:
+    """Closed-form minimizer for the accumulators grad_sum and sq_norm_sum."""
+    b = _beta_from_sum(state, sq_norm_sum)
     if b == 0.0:
         # all past gradients are zero, so the objective is flat: hold the
         # previous prediction
-        return previous
+        return state.current_prediction
+    domain = state.domain
     if isinstance(domain, Simplex):
         z = -grad_sum / b
         z = z - z.max()
@@ -232,14 +169,7 @@ def predict(state: LearnerState) -> np.ndarray:
     Recomputes the closed-form minimizer from the state's accumulators and
     equals state.current_prediction bitwise.
     """
-    return _solve(
-        state.domain,
-        state.config,
-        state.schedule,
-        state.grad_sum,
-        state.sq_norm_sum,
-        state.current_prediction,
-    )
+    return _solve(state, state.grad_sum, state.sq_norm_sum)
 
 
 @functools.lru_cache(maxsize=8)
@@ -278,14 +208,7 @@ def observe(state: LearnerState, obs: Observation) -> tuple[LearnerState, RoundR
         grad_norm = state.norms.primal(g)
         grad_sum = _frozen(state.grad_sum + g)
         sq_norm_sum = state.sq_norm_sum + grad_norm ** 2
-        prediction = _solve(
-            state.domain,
-            state.config,
-            state.schedule,
-            grad_sum,
-            sq_norm_sum,
-            c_hat,
-        )
+        prediction = _solve(state, grad_sum, sq_norm_sum)
     record = RoundRecord(
         t=state.round,
         c_hat=c_hat,
@@ -296,8 +219,10 @@ def observe(state: LearnerState, obs: Observation) -> tuple[LearnerState, RoundR
     )
     new_state = LearnerState(
         state.domain,
-        state.config,
         state.schedule,
+        state.B,
+        state.H,
+        state.K,
         grad_sum,
         sq_norm_sum,
         state.round + 1,

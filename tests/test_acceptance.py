@@ -181,7 +181,7 @@ def test_criterion_4_adaptive_bounds(adaptive_runs):
         constant_ok = True
         bound = bound_columns(ledger)["adaptive_horizon"]
         for t in (1, 17, 10_000):
-            reference = 16.0 * bundle.reg_config.K * math.sqrt(t * math.log(n))
+            reference = 16.0 * ledger.K * math.sqrt(t * math.log(n))
             value = bound[t - 1]
             constant_ok &= abs(value - reference) <= 1e-9 * reference
         run_ok = grad.passed and horizon.passed and constant_ok and elapsed <= 60.0
@@ -205,7 +205,7 @@ def test_criterion_5_offset_bounds(offset_runs):
         constant_ok = True
         bound = bound_columns(ledger)["offset_horizon"]
         for t in (1, 23, 10_000):
-            reference = 2.0 * bundle.reg_config.K * math.sqrt(t * math.log(n))
+            reference = 2.0 * ledger.K * math.sqrt(t * math.log(n))
             value = bound[t - 1]
             constant_ok &= abs(value - reference) <= 1e-9 * reference
         run_ok = horizon.passed and constant_ok and elapsed <= 60.0
@@ -304,7 +304,7 @@ def test_criterion_8_gap_constant_and_plateau(plateau_runs):
     for label, (cfg, bundle, ledger, certificate, integral) in plateau_runs.items():
         T = ledger.rounds
         # integral construction certifies a margin of at least 1/K exactly
-        floor_ok = integral.satisfied and integral.delta >= 1.0 / bundle.reg_config.K
+        floor_ok = integral.satisfied and integral.delta >= 1.0 / ledger.K
         checks = {
             c.name: c
             for c in verify_run(ledger, delta=certificate.delta, plateau_burn_in=1000)

@@ -17,12 +17,12 @@ from invlinopt import (
     NormPair,
     Observation,
     RegretLedger,
-    RegularizerConfig,
     Simplex,
     argmax,
     average_prediction,
     certify_gap,
     estimate_loss,
+    init_learner,
     offline_evaluate,
     verify_run,
 )
@@ -89,10 +89,10 @@ def test_offset_bound_checks_pass_each_prefix():
 
 
 def test_offset_bound_formula_other_constants():
-    config = RegularizerConfig(lam=1.0, B=8.0, H=math.sqrt(math.log(3.0)), K=2.0)
+    # the simplex fixes H = sqrt(ln 3); K = 2 is twice the run's own
     _, bundle, run = small_run(schedule="offset", dimension=3, rounds=400)
     ledger = RegretLedger(
-        run.c_star, run.norms, config, OFFSET, run.observations, run.records,
+        run.c_star, Simplex(3), 2.0, OFFSET, run.observations, run.records,
         bundle.optimal_choices,
     )
     bound = bound_columns(ledger)["offset_horizon"][399]
@@ -106,11 +106,10 @@ def test_bounds_follow_the_ledger_schedule_and_config():
     bounds = bound_columns(ledger)
     assert bounds["offset_horizon"] is None
     assert bounds["adaptive_grad"] is not None and bounds["adaptive_horizon"] is not None
-    # verify_run reads the config from the ledger: halving K halves the
-    # horizon bound it checks
-    other = RegularizerConfig.for_simplex(4, 0.5)
+    # verify_run reads the constants from the ledger: a ledger with half
+    # the K checks half the horizon bound
     halved = RegretLedger(
-        ledger.c_star, ledger.norms, other, ADAPTIVE, ledger.observations,
+        ledger.c_star, ledger.domain, 0.5 * ledger.K, ADAPTIVE, ledger.observations,
         ledger.records, bundle.optimal_choices,
     )
     horizon = {c.name: c for c in verify_run(halved)}["adaptive_horizon_bound"]
@@ -155,17 +154,17 @@ def test_residual_bound_direct_evaluation():
     c_star = np.asarray([2.0, 1.0]) / 3.0
     obs = Observation(SQUARE, [1.0, 1.0], 1)
     certificate = certify_gap([obs], c_star, LINF)
-    config = RegularizerConfig.for_simplex(2, 1.0)
+    K, B = 1.0, init_learner(Simplex(2), ADAPTIVE, 1.0).B
+    coef = gap_contraction_coefficient(K, B, certificate.delta)
+    assert coef == K * B / (2.0 ** 1.25 * certificate.delta ** 2)
     c_hat = np.asarray([0.5, 0.5])
     x_hat = argmax(SQUARE, c_hat).maximizer
     g = x_hat - obs.agent_choice
     lhs = float(np.max(np.abs(g))) ** 2
-    rhs = gap_contraction_coefficient(config, certificate.delta) * float(
-        g @ (c_hat - c_star)
-    )
+    rhs = coef * float(g @ (c_hat - c_star))
     assert lhs <= rhs + 1e-9
     # trivial case: matching actions give 0 <= 0
-    assert 0.0 <= gap_contraction_coefficient(config, certificate.delta) * 0.0
+    assert 0.0 <= coef * 0.0
 
 
 def test_plateau_needs_enough_rounds():

@@ -454,6 +454,10 @@ def test_ball_domain():
         Ball([0.1, 0.1], 1.0)  # would contain the origin
     with pytest.raises(ValueError):
         Ball([3.0, 0.0], -1.0)
+    for radius in (float("nan"), float("inf")):
+        # NaN fails both the positivity and the center comparison silently
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            Ball([3.0, 0.0], radius)
     domain = Ball([3.0, 0.0], 1.0)
     assert domain.contains([3.5, 0.5])
     assert not domain.contains([0.0, 0.0])

@@ -463,6 +463,24 @@ def test_cli_eval(tmp_path, capsys):
     assert float(entries["mean_reference"]) == 0.0
 
 
+def test_cli_eval_refuses_save_stream(tmp_path, monkeypatch, capsys):
+    # eval writes no stream, so the flag is a usage error rather than ignored
+    prediction = tmp_path / "prediction.txt"
+    write_vector(prediction, np.full(3, 1.0 / 3.0))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "eval", "--seed", "7", "--dimension", "3", "--gap", "integral",
+            "--holdout", "10", "--save-stream", "--rounds", "5",
+            "--prediction", str(prediction),
+        ])
+    assert exit_info.value.code == 2
+    assert "--save-stream" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
 def test_cli_sweep_deterministic(tmp_path):
     args = [
         "sweep", "--seed", "31", "--family", "knapsack", "--dimension", "3",
@@ -564,9 +582,10 @@ def test_save_stream_refusal_writes_no_outputs(tmp_path, capsys):
 )
 def test_prediction_equals_a_fresh_solve_after_every_round(setup, schedule):
     from invlinopt import init_learner, observe, predict
+    from invlinopt.harness.generate import diameter_bound
 
     bundle = generate_instance_stream(make_cfg(schedule=schedule, rounds=150, **setup))
-    state = init_learner(bundle.domain, bundle.reg_config, schedule)
+    state = init_learner(bundle.domain, schedule, diameter_bound(bundle.config))
     zero_rounds = 0
     for obs in bundle.observations:
         state, record = observe(state, obs)

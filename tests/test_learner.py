@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlinopt import (
     ADAPTIVE,
@@ -16,7 +18,6 @@ from invlinopt import (
     Knapsack,
     Observation,
     PredictionDomain,
-    RegularizerConfig,
     RoundRecord,
     Simplex,
     argmax,
@@ -27,7 +28,6 @@ from invlinopt import (
 )
 from invlinopt import oracle
 from invlinopt.core import as_vector, tolerance
-from invlinopt.learner import validate_config
 
 
 def regularizer_value(domain, c):
@@ -39,75 +39,65 @@ def regularizer_value(domain, c):
     return 0.5 * float(np.linalg.norm(c - domain.center)) ** 2
 
 
-def entropy_config(n, B=None, H=None, K=1.0):
-    base = RegularizerConfig.for_simplex(n, K)
-    if B is not None:
-        base = replace(base, B=B)
-    if H is not None:
-        base = replace(base, H=H)
-    return base
-
-
 def test_beta_adaptive_zero_before_first_gradient():
-    state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     assert beta(state) == 0.0
 
 
 def test_beta_offset_example():
     # K=1, H=sqrt(ln 2), lam=1, empty sum of squared norms
-    state = init_learner(Simplex(2), entropy_config(2), OFFSET)
+    state = init_learner(Simplex(2), OFFSET, 1.0)
     expected = 1.0 / math.sqrt(math.log(2.0))
     assert abs(beta(state) - expected) < 1e-12
     assert abs(beta(state) - 1.2011224087864498) < 1e-12
 
 
 def test_beta_adaptive_example():
-    config = entropy_config(2)  # B = 2^{11/4} sqrt(ln 2)
-    state = init_learner(Simplex(2), config, ADAPTIVE)
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)  # B = 2^{11/4} sqrt(ln 2)
     state = replace(state, sq_norm_sum=4.0)
-    expected = 2.0 ** 0.25 * 2.0 / config.B
+    expected = 2.0 ** 0.25 * 2.0 / state.B
     assert abs(beta(state) - expected) < 1e-15
 
 
 def test_first_prediction_is_regularizer_minimizer():
-    state = init_learner(Simplex(3), entropy_config(3), ADAPTIVE)
+    state = init_learner(Simplex(3), ADAPTIVE, 1.0)
     assert np.array_equal(state.current_prediction, np.full(3, 1.0 / 3.0))
     center = np.array([3.0, 0.0])
     ball_state = init_learner(
-        Ball(center, 1.0), RegularizerConfig.for_ball(1.0, 1.0), ADAPTIVE
+        Ball(center, 1.0), ADAPTIVE, 1.0
     )
     assert np.array_equal(ball_state.current_prediction, center)
 
 
 def test_symmetric_gradients_give_uniform():
-    state = init_learner(Simplex(2), entropy_config(2), OFFSET)
+    state = init_learner(Simplex(2), OFFSET, 1.0)
     state = replace(state, grad_sum=np.zeros(2))
     assert tuple(predict(state)) == (0.5, 0.5)
 
 
 def test_softmax_closed_form_against_grid():
-    # beta = 1 via the offset schedule with K = H = 1 and no history
-    config = RegularizerConfig(1.0, 5.0, 1.0, 1.0)
-    state = init_learner(Simplex(2), config, OFFSET)
-    assert beta(state) == 1.0
-    state = replace(state, grad_sum=np.asarray([1.0, 0.0]))
+    # offset schedule with K = 1 and no history: beta = 1 / H = 1 / sqrt(ln 2)
+    state = init_learner(Simplex(2), OFFSET, 1.0)
+    b = beta(state)
+    assert b == 1.0 / math.sqrt(math.log(2.0))
+    G = np.asarray([1.0, 0.0])
+    state = replace(state, grad_sum=G)
     got = predict(state)
-    expected = np.array([1.0, math.e]) / (1.0 + math.e)  # softmax of -(1, 0)
+    e = math.exp(1.0 / b)
+    expected = np.array([1.0, e]) / (1.0 + e)  # softmax of -G / beta
     assert np.allclose(got, expected, atol=1e-12)
-    assert abs(got[0] - 0.2689414213699951) < 1e-12
 
     # independent oracle: dense grid search over the simplex edge
     p = np.linspace(1e-9, 1.0 - 1e-9, 200001)
     grid = np.stack([p, 1.0 - p], axis=1)
-    objective = np.sum(grid * np.log(grid), axis=1) + grid @ np.asarray([1.0, 0.0])
-    got_objective = float(np.sum(got * np.log(got)) + got @ np.asarray([1.0, 0.0]))
+    objective = b * np.sum(grid * np.log(grid), axis=1) + grid @ G
+    got_objective = float(b * np.sum(got * np.log(got)) + got @ G)
     assert got_objective <= float(objective.min()) + 1e-9
 
 
 def test_closed_form_beats_simplex_grid_n3():
     rng = np.random.default_rng(35)
     domain = Simplex(3)
-    config = entropy_config(3)
     # barycentric lattice with step 1/250
     h = np.linspace(1e-9, 1.0 - 2e-9, 251)
     p1, p2 = np.meshgrid(h, h)
@@ -115,7 +105,7 @@ def test_closed_form_beats_simplex_grid_n3():
     grid = np.stack([p1[keep], p2[keep], 1.0 - p1[keep] - p2[keep]], axis=1)
     grid = np.maximum(grid, 1e-12)
     for _ in range(5):
-        state = init_learner(domain, config, OFFSET)
+        state = init_learner(domain, OFFSET, 1.0)
         state = replace(state, grad_sum=rng.standard_normal(3), sq_norm_sum=1.0)
         b = beta(state)
         pred = predict(state)
@@ -130,8 +120,7 @@ def test_prediction_objective_beats_random_candidates():
     rng = np.random.default_rng(30)
     for n in (2, 3, 6):
         domain = Simplex(n)
-        config = entropy_config(n)
-        state = init_learner(domain, config, OFFSET)
+        state = init_learner(domain, OFFSET, 1.0)
         state = replace(state, grad_sum=rng.standard_normal(n), sq_norm_sum=2.0)
         b = beta(state)
         pred = predict(state)
@@ -149,9 +138,8 @@ def test_ball_prediction_objective_and_projection():
     rng = np.random.default_rng(31)
     center = np.full(3, 2.0 / math.sqrt(3.0))
     domain = Ball(center, 1.0)
-    config = RegularizerConfig.for_ball(1.0, 1.0)
     for _ in range(20):
-        state = init_learner(domain, config, OFFSET)
+        state = init_learner(domain, OFFSET, 1.0)
         state = replace(
             state,
             grad_sum=rng.standard_normal(3) * 5.0,
@@ -168,7 +156,7 @@ def test_ball_prediction_objective_and_projection():
         for _ in range(300):
             assert best <= objective(domain.sample(rng)) + tolerance(best)
     # a long step lands exactly on the sphere
-    state = init_learner(domain, config, OFFSET)
+    state = init_learner(domain, OFFSET, 1.0)
     state = replace(state, grad_sum=np.asarray([50.0, 0.0, 0.0]))
     pred = predict(state)
     assert abs(np.linalg.norm(pred - center) - 1.0) <= 1e-12
@@ -179,7 +167,7 @@ def test_exponentiated_gradient_equivalence():
     rng = np.random.default_rng(32)
     for _ in range(50):
         n = int(rng.integers(2, 7))
-        state = init_learner(Simplex(n), entropy_config(n), OFFSET)
+        state = init_learner(Simplex(n), OFFSET, 1.0)
         state = replace(
             state, grad_sum=rng.standard_normal(n), sq_norm_sum=float(rng.random())
         )
@@ -193,7 +181,7 @@ def _step(state, vertices, choice):
 
 
 def test_zero_gradient_holds_prediction_bitwise():
-    state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     # agent picks the prediction's own argmax, so the gradient is zero
     x_hat = argmax(ExplicitVertices([[1.0, 0.0], [0.0, 1.0]]), state.current_prediction)
     state2, record = _step(state, [[1.0, 0.0], [0.0, 1.0]], x_hat.maximizer)
@@ -205,14 +193,14 @@ def test_zero_gradient_holds_prediction_bitwise():
 
 def test_squared_norm_accumulation():
     # sup-norm: g = (-1, 1) adds 1
-    state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     state2, record = _step(state, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     assert tuple(record.g) == (-1.0, 1.0)
     assert state2.sq_norm_sum == 1.0
     # euclidean: the same residual adds 2
     center = np.full(2, math.sqrt(2.0))
     ball_state = init_learner(
-        Ball(center, 1.0), RegularizerConfig.for_ball(1.0, math.sqrt(2.0)), ADAPTIVE
+        Ball(center, 1.0), ADAPTIVE, math.sqrt(2.0)
     )
     ball_state2, ball_record = _step(ball_state, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     assert tuple(ball_record.g) == (-1.0, 1.0)
@@ -223,7 +211,7 @@ def test_beta_monotone_and_predictions_feasible():
     rng = np.random.default_rng(33)
     for schedule in (ADAPTIVE, OFFSET):
         domain = Simplex(3)
-        state = init_learner(domain, entropy_config(3), schedule)
+        state = init_learner(domain, schedule, 1.0)
         last_beta = beta(state)
         for t in range(40):
             vertices = rng.integers(0, 2, size=(5, 3)).astype(float)
@@ -237,7 +225,7 @@ def test_beta_monotone_and_predictions_feasible():
 
 
 def test_record_contents():
-    state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     _, record = _step(state, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     assert record.t == 1
     assert record.beta == 0.0
@@ -252,39 +240,54 @@ def test_record_contents():
 
 
 def test_observe_rejects_a_set_of_another_dimension():
-    state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     obs = Observation(ExplicitVertices([[1.0, 0.0, 0.0]]), [1.0, 0.0, 0.0], 1)
     with pytest.raises(DimensionMismatchError):
         observe(state, obs)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RegularizerConfig(2.0, 8.0, 1.0, 1.0)  # lam > 1
-    with pytest.raises(ValueError):
-        RegularizerConfig(1.0, -1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        RegularizerConfig.for_simplex(1, 1.0)
-    with pytest.raises(ValueError):
-        # B too small
-        validate_config(Simplex(2), RegularizerConfig(1.0, 1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        # the ball's H = 1/sqrt(2) misses the simplex's value range ln 2
-        validate_config(Simplex(2), RegularizerConfig.for_ball(1.0, 1.0))
-    with pytest.raises(ValueError):
-        validate_config(
-            Ball([3.0, 0.0], 1.0),
-            RegularizerConfig(1.0, 8.0, 0.1, 1.0),  # H too small
-        )
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        init_learner(Simplex(1), ADAPTIVE, 1.0)
     with pytest.raises(TypeError):
-        validate_config(PredictionDomain(), entropy_config(2))
+        init_learner(PredictionDomain(), ADAPTIVE, 1.0)
     with pytest.raises(ValueError):
-        init_learner(Simplex(2), entropy_config(2), "doubling")
+        init_learner(Simplex(2), "doubling", 1.0)
+    for K in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="K must be positive and finite"):
+            init_learner(Simplex(2), ADAPTIVE, K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    domain=st.one_of(
+        st.integers(2, 64).map(Simplex),
+        st.floats(1e-6, 1e6).map(lambda r: Ball([3.0 * r, 0.0], r)),
+    )
+)
+def test_derived_constants_meet_the_bound_inequalities(domain):
+    """B^2 >= 2^{5/2} (dual diameter)^2, B^2 >= value range, H^2 >= value range.
+
+    The diameter and range are the regularizer's own: the simplex has l1
+    diameter 2 and entropy range ln n; a ball of radius r has diameter 2r
+    and half-squared-norm range r^2 / 2.
+    """
+    state = init_learner(domain, ADAPTIVE, 1.0)
+    if isinstance(domain, Simplex):
+        diameter, value_range = 2.0, math.log(domain.dimension)
+    else:
+        diameter, value_range = 2.0 * domain.radius, 0.5 * domain.radius ** 2
+    b_sq = state.B ** 2
+    # the ball's B and H meet the first and last inequality with equality
+    slack = 1e-12 * (1.0 + b_sq)
+    assert b_sq + slack >= 2.0 ** 2.5 * diameter ** 2
+    assert b_sq + slack >= value_range
+    assert state.H ** 2 + slack >= value_range
 
 
 def test_predict_matches_stored_prediction():
     rng = np.random.default_rng(34)
-    state = init_learner(Simplex(3), entropy_config(3), OFFSET)
+    state = init_learner(Simplex(3), OFFSET, 1.0)
     for _ in range(10):
         vertices = rng.integers(0, 2, size=(4, 3)).astype(float)
         X = ExplicitVertices(vertices)
@@ -342,7 +345,7 @@ def _equal_distinct_sets(rng):
 def test_carried_answer_gives_the_records_of_a_solve_every_round(stream, monkeypatch):
     sets, choices = stream(np.random.default_rng(36))
     n = sets[0].dimension
-    state = init_learner(Simplex(n), entropy_config(n), ADAPTIVE)
+    state = init_learner(Simplex(n), ADAPTIVE, 1.0)
     observations = [Observation(X, x, t) for t, (X, x) in enumerate(zip(sets, choices), 1)]
     expected = _records_without_carry(state, observations)
     calls = []
@@ -363,7 +366,7 @@ def test_carried_answer_gives_the_records_of_a_solve_every_round(stream, monkeyp
 
 def test_replaced_prediction_is_solved_afresh():
     X = Knapsack([1, 1], 1)
-    state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     # the agent picks the learner's own answer: a zero round that keeps the
     # prediction object, so the next round on X could reuse the answer
     state, record = observe(state, Observation(X, [1.0, 0.0], 1))
@@ -376,7 +379,7 @@ def test_replaced_prediction_is_solved_afresh():
 def test_writable_prediction_changed_in_place_is_solved_afresh():
     X = Knapsack([1, 1], 1)
     c = np.array([0.2, 0.8])
-    state = init_learner(Simplex(2), entropy_config(2), ADAPTIVE)
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     state = replace(state, current_prediction=c)
     state, record = observe(state, Observation(X, [0.0, 1.0], 1))
     assert state.current_prediction is c and not record.g.any()
