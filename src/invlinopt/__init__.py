@@ -32,7 +32,6 @@ from .core import (
     PredictionDomain,
     Simplex,
     as_vector,
-    inner_product,
 )
 from .learner import (
     ADAPTIVE,
@@ -42,15 +41,8 @@ from .learner import (
     beta,
     init_learner,
     observe,
-    predict,
 )
-from .loss import (
-    estimate_loss,
-    fenchel_young_loss,
-    residual_subgradient,
-    suboptimality_loss,
-)
-from .oracle import OracleResult, argmax, argmax_bruteforce, argmax_many
+from .oracle import OracleResult, argmax, argmax_many
 
 __version__ = "0.1.0"
 
@@ -78,20 +70,13 @@ __all__ = [
     "RoundRecord",
     "Simplex",
     "argmax",
-    "argmax_bruteforce",
     "argmax_many",
     "as_vector",
     "average_prediction",
     "beta",
     "certify_gap",
-    "estimate_loss",
-    "fenchel_young_loss",
     "init_learner",
-    "inner_product",
     "observe",
     "offline_evaluate",
-    "predict",
-    "residual_subgradient",
-    "suboptimality_loss",
     "verify_run",
 ]

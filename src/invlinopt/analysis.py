@@ -28,7 +28,6 @@ from .core import (
     _dot,
     _row_dots,
     as_vector,
-    inner_product,
 )
 from .learner import ADAPTIVE, RoundRecord, _regularizer_constants
 
@@ -351,7 +350,7 @@ def certify_gap(
             value = float((members @ c_star)[rival])
             reason = (
                 "tied-optimum"
-                if value == inner_product(c_star, x)
+                if value == _dot(c_star, x)
                 else "agent-suboptimal"
             )
             return GapCertificate(

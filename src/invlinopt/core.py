@@ -51,15 +51,6 @@ def _frozen(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def inner_product(a, b) -> float:
-    """Standard inner product with a hard dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    return _dot(a, b)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product of two float64 vectors already known to share a shape."""
     return float(np.dot(a, b))
@@ -123,14 +114,8 @@ class NormPair:
             return float(np.max(np.abs(v)))
         return float(np.linalg.norm(v))
 
-    def dual(self, v) -> float:
-        v = np.asarray(v, dtype=np.float64)
-        if self.kind == self.LINF_L1:
-            return float(np.sum(np.abs(v)))
-        return float(np.linalg.norm(v))
-
     def dual_rows(self, m: np.ndarray) -> np.ndarray:
-        """dual() of every row of a (T, n) float64 stack, bitwise."""
+        """The dual norm of every row of a (T, n) float64 stack."""
         if self.kind == self.LINF_L1:
             return np.sum(np.abs(m), axis=1)
         # np.linalg.norm of a vector is the square root of its dot with itself
@@ -149,13 +134,8 @@ class FeasibleSet:
     def __init__(self):
         self._members_cache: np.ndarray | None = None
 
-    def contains(self, v) -> bool:
-        """Exact membership test; a vector of another shape is not a member."""
-        v = np.asarray(v, dtype=np.float64)
-        return v.shape == (self.dimension,) and self._contains(v)
-
     def _contains(self, v: np.ndarray) -> bool:
-        """contains() for a float64 vector already of shape (dimension,)."""
+        """Exact membership of a float64 vector of shape (dimension,)."""
         raise NotImplementedError
 
     def enumeration_effort(self) -> int:
@@ -266,7 +246,10 @@ class Knapsack(FeasibleSet):
             raise ValueError("weights must be integers")
         if np.any(wf < 0):
             raise ValueError("weights must be nonnegative")
-        cap = int(capacity)
+        try:
+            cap = int(capacity)
+        except (OverflowError, ValueError):
+            cap = -1  # inf, nan or text: refused below like a negative capacity
         if cap != capacity or cap < 0:
             raise ValueError("capacity must be a nonnegative integer")
         wi = np.asarray(np.round(wf), dtype=np.int64)
@@ -341,10 +324,6 @@ class DagPaths(FeasibleSet):
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return self._arcs
 
-    def out_arcs(self, node: int) -> tuple[tuple[int, int], ...]:
-        """Outgoing (arc_index, head) pairs of a node, in arc-index order."""
-        return self._out[node]
-
     def _contains(self, v: np.ndarray) -> bool:
         x = v.tolist()
         # -0.0 equals 0.0 and nan equals neither
@@ -403,8 +382,14 @@ class Observation:
     def __post_init__(self):
         choice = as_vector(self.agent_choice)
         object.__setattr__(self, "agent_choice", choice)
-        if int(self.round_index) != self.round_index or self.round_index < 1:
+        try:
+            index = int(self.round_index)
+        except (OverflowError, ValueError):
+            index = 0  # inf, nan or text: refused below like a zero index
+        if index != self.round_index or index < 1:
             raise ValueError("round_index must be a positive integer")
+        # 2.0 and np.int64(2) are stored as 2, as a stream writes and reads it
+        object.__setattr__(self, "round_index", index)
         if choice.size != self.feasible_set.dimension:
             raise DimensionMismatchError(
                 f"choice has dimension {choice.size}, "
@@ -419,9 +404,6 @@ class PredictionDomain:
 
     dimension: int
     norm_pair: NormPair
-
-    def contains(self, v, tol: float | None = None) -> bool:
-        raise NotImplementedError
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one point uniformly from the domain."""
@@ -441,14 +423,6 @@ class Simplex(PredictionDomain):
             raise ValueError("dimension must be at least 1")
         self.dimension = n
         self.norm_pair = NormPair.linf_l1()
-
-    def contains(self, v, tol: float | None = None) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dimension,):
-            return False
-        if tol is None:
-            tol = tolerance(1.0)
-        return bool(np.all(v >= -tol)) and abs(float(v.sum()) - 1.0) <= tol
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return as_vector(rng.dirichlet(np.ones(self.dimension)))
@@ -475,14 +449,6 @@ class Ball(PredictionDomain):
         self.radius = radius
         self.dimension = int(center.size)
         self.norm_pair = NormPair.l2_l2()
-
-    def contains(self, v, tol: float | None = None) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dimension,):
-            return False
-        if tol is None:
-            tol = tolerance(self.radius)
-        return float(np.linalg.norm(v - self.center)) <= self.radius + tol
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         direction = rng.standard_normal(self.dimension)

@@ -44,8 +44,11 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out")
 
 
-def _config_from_args(args: argparse.Namespace):
+def _config_from_args(args: argparse.Namespace, refused: tuple[str, ...] = ()):
     file_values = load_config_file(args.config) if args.config else {}
+    for key in refused:
+        if key in file_values:
+            raise ValueError(f"{args.config}: {args.command} does not read {key!r}")
     # keys without a flag read as None, which leaves the file value in place
     overrides = {
         f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)
@@ -70,14 +73,14 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.out is None:
-        print("sweep requires --out", file=sys.stderr)
-        return 2
     cfg = _config_from_args(args)
+    if cfg.out is None:
+        print("sweep requires --out or an out key", file=sys.stderr)
+        return 2
     rounds_list = _parse_int_list(args.rounds_list) if args.rounds_list else [cfg.rounds]
     dims = _parse_int_list(args.dimension_list) if args.dimension_list else [cfg.dimension]
     gaps = args.gap_list.split(",") if args.gap_list else [cfg.gap_mode]
-    return run_sweep(cfg, rounds_list, dims, gaps, args.out)
+    return run_sweep(cfg, rounds_list, dims, gaps, cfg.out)
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -104,7 +107,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    # eval writes no stream, and its --out names a summary file, not a run
+    # directory, so a config file's writer keys are refused, not ignored
+    cfg = _config_from_args(args, refused=("save_stream", "out"))
     if cfg.holdout < 1:
         print("eval requires --holdout >= 1", file=sys.stderr)
         return 2

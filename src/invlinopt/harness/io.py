@@ -45,12 +45,6 @@ def write_trace(path, rows: Sequence[Sequence[str]]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_trace(path) -> list[dict[str, str]]:
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
-
-
 def write_summary(path, entries: dict) -> None:
     """One ``key = value`` line per entry, in insertion order."""
     lines = []
@@ -63,16 +57,6 @@ def write_summary(path, entries: dict) -> None:
             text = str(value)
         lines.append(f"{key} = {text}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_summary(path) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        key, value = line.split(" = ", 1)
-        entries[key] = value
-    return entries
 
 
 def write_vector(path, vector) -> None:

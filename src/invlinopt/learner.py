@@ -19,7 +19,6 @@ import numpy as np
 
 from . import oracle
 from .core import Ball, FeasibleSet, Observation, PredictionDomain, Simplex, _frozen, as_vector
-from .loss import _residual
 
 ADAPTIVE = "adaptive"
 OFFSET = "offset"
@@ -163,19 +162,16 @@ def _solve(state: LearnerState, grad_sum: np.ndarray, sq_norm_sum: float) -> np.
     return _frozen(step)
 
 
-def predict(state: LearnerState) -> np.ndarray:
-    """Prediction for the upcoming round.
-
-    Recomputes the closed-form minimizer from the state's accumulators and
-    equals state.current_prediction bitwise.
-    """
-    return _solve(state, state.grad_sum, state.sq_norm_sum)
-
-
 @functools.lru_cache(maxsize=8)
 def _zeros(n: int) -> np.ndarray:
     """A shared read-only +0.0 vector: the subgradient of a zero round."""
     return _frozen(np.zeros(n))
+
+
+def _residual(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """x_hat - x, a subgradient of the suboptimality loss at the prediction,
+    for finite float64 vectors of one shape."""
+    return _frozen(x_hat - x)
 
 
 def observe(state: LearnerState, obs: Observation) -> tuple[LearnerState, RoundRecord]:

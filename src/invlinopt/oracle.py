@@ -40,21 +40,19 @@ from .core import (
     FeasibleSet,
     Hypercube,
     Knapsack,
-    _dot,
     _frozen,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
-    """A maximizer, its objective value, and the exact-tie multiplicity.
+    """A maximizer and the exact-tie multiplicity.
 
     tie_count is reported when it is cheap to compute (scans and the
     hypercube rule); the dynamic-programming variants report 1.
     """
 
     maximizer: np.ndarray
-    optimal_value: float
     tie_count: int
 
 
@@ -79,15 +77,13 @@ def _scan(rows: np.ndarray, c: np.ndarray) -> OracleResult:
         # lexsort uses its last key as the primary one, so feed reversed columns
         order = np.lexsort(rows[tied].T[::-1])
         row = rows[tied[order[0]]]
-    maximizer = _frozen(row)
-    return OracleResult(maximizer, _dot(maximizer, c), ties)
+    return OracleResult(_frozen(row), ties)
 
 
 def _hypercube_argmax(X: Hypercube, c: np.ndarray) -> OracleResult:
     x = (c > 0.0).astype(np.float64)
     ties = 2 ** int(np.count_nonzero(c == 0.0))
-    maximizer = _frozen(x)
-    return OracleResult(maximizer, _dot(maximizer, c), ties)
+    return OracleResult(_frozen(x), ties)
 
 
 def _knapsack_argmax(X: Knapsack, c: np.ndarray) -> OracleResult:
@@ -112,8 +108,7 @@ def _knapsack_argmax(X: Knapsack, c: np.ndarray) -> OracleResult:
             i = keep[j]
             sel[i] = 1.0
             budget -= int(weights[i])
-    maximizer = _frozen(sel)
-    return OracleResult(maximizer, _dot(maximizer, c), 1)
+    return OracleResult(_frozen(sel), 1)
 
 
 def _dag_path(X: DagPaths, c: list[float]) -> list[int]:
@@ -148,8 +143,7 @@ def _dag_path(X: DagPaths, c: list[float]) -> list[int]:
 def _dag_argmax(X: DagPaths, c: np.ndarray) -> OracleResult:
     sel = np.zeros(X.dimension)
     sel[_dag_path(X, c.tolist())] = 1.0
-    maximizer = _frozen(sel)
-    return OracleResult(maximizer, _dot(maximizer, c), 1)
+    return OracleResult(_frozen(sel), 1)
 
 
 def argmax(feasible_set: FeasibleSet, c) -> OracleResult:
@@ -247,14 +241,3 @@ def _solve(feasible_set: FeasibleSet, c: np.ndarray) -> OracleResult:
     if isinstance(feasible_set, DagPaths):
         return _dag_argmax(feasible_set, c)
     raise TypeError(f"unsupported feasible set type {type(feasible_set)!r}")
-
-
-def argmax_bruteforce(feasible_set: FeasibleSet, c) -> OracleResult:
-    """Independent maximizer by exhaustive scan over the full enumeration.
-
-    Ties resolve to the lexicographically smallest member.  Propagates
-    members()'s EnumerationRefusedError for a set too large to enumerate.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    _check_dimension(feasible_set, c)
-    return _scan(feasible_set.members(), c)

@@ -11,8 +11,9 @@ from invlinopt import (
     Hypercube,
     Knapsack,
     NormPair,
-    inner_product,
 )
+
+from reference import inner_product
 
 FAMILIES = ("explicit", "hypercube", "knapsack", "dag")
 

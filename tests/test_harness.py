@@ -11,9 +11,7 @@ from invlinopt import (
     NormPair,
     Observation,
     argmax,
-    argmax_bruteforce,
     certify_gap,
-    inner_product,
 )
 from invlinopt.core import ExplicitVertices, Hypercube
 from invlinopt.harness import (
@@ -31,13 +29,20 @@ from invlinopt.harness.io import (
     TRACE_COLUMNS,
     fmt,
     read_stream,
-    read_summary,
-    read_trace,
     read_vector,
     write_stream,
     write_vector,
 )
 
+from reference import (
+    argmax_bruteforce,
+    in_domain,
+    inner_product,
+    optimal_value,
+    predict,
+    read_summary,
+    read_trace,
+)
 
 def make_cfg(**kw):
     kw.setdefault("seed", 17)
@@ -69,7 +74,7 @@ def test_generation_deterministic():
 def test_optimal_agent_always_optimal():
     bundle = generate_instance_stream(make_cfg(agent_noise=0.0))
     for obs in bundle.observations:
-        best = argmax(obs.feasible_set, bundle.c_star).optimal_value
+        best = optimal_value(argmax(obs.feasible_set, bundle.c_star), bundle.c_star)
         assert inner_product(bundle.c_star, obs.agent_choice) == best
 
 
@@ -77,7 +82,7 @@ def test_noisy_agent_deviates_sometimes():
     bundle = generate_instance_stream(make_cfg(agent_noise=0.5, rounds=60))
     suboptimal = 0
     for obs in bundle.observations:
-        best = argmax(obs.feasible_set, bundle.c_star).optimal_value
+        best = optimal_value(argmax(obs.feasible_set, bundle.c_star), bundle.c_star)
         if inner_product(bundle.c_star, obs.agent_choice) < best - 1e-12:
             suboptimal += 1
     assert suboptimal > 0
@@ -131,7 +136,7 @@ def test_hypercube_family_and_ball_domain():
     ball = generate_instance_stream(
         make_cfg(domain="ball", rounds=10, dimension=3)
     )
-    assert ball.domain.contains(ball.c_star)
+    assert in_domain(ball.domain, ball.c_star)
 
 
 def test_ball_domain_runs_pass_checks():
@@ -163,7 +168,7 @@ def test_ball_integral_objective_is_colinear_rescaling():
     alpha = bundle.c_star[0] / z[0]
     assert alpha > 0.0
     assert np.allclose(bundle.c_star, alpha * z)
-    assert bundle.domain.contains(bundle.c_star)
+    assert in_domain(bundle.domain, bundle.c_star)
 
 
 def test_oracle_only_mode_beyond_enumeration_cap():
@@ -287,6 +292,21 @@ def test_stream_file_round_trip(tmp_path):
         )
     with pytest.raises(ValueError):
         read_stream(write_text(tmp_path / "bad.txt", "not a stream\n"))
+
+
+@pytest.mark.parametrize("index", [2.0, np.int64(2)], ids=["float", "int64"])
+def test_stream_round_trip_of_integral_round_indices(tmp_path, index):
+    # a round index of another integral type is stored as an int, so the
+    # stream reads "obs 2 ...", which read_stream accepts
+    X = ExplicitVertices([[0.0, 1.0], [1.0, 0.0]])
+    obs = Observation(X, [1.0, 0.0], index)
+    assert type(obs.round_index) is int and obs.round_index == 2
+    path = tmp_path / "stream.txt"
+    write_stream(path, [obs])
+    assert "obs 2 2" in path.read_text().splitlines()
+    (loaded,), _ = read_stream(path)
+    assert loaded.round_index == 2
+    assert loaded.agent_choice.tobytes() == obs.agent_choice.tobytes()
 
 
 def write_text(path, text):
@@ -481,6 +501,38 @@ def test_cli_eval_refuses_save_stream(tmp_path, monkeypatch, capsys):
     assert list(work.iterdir()) == []
 
 
+@pytest.mark.parametrize("line", ["save_stream = true", "out = o"])
+def test_cli_eval_refuses_a_config_files_writer_keys(tmp_path, monkeypatch, capsys, line):
+    prediction = tmp_path / "prediction.txt"
+    write_vector(prediction, np.full(3, 1.0 / 3.0))
+    config = write_text(tmp_path / "eval.cfg", line + "\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    args = [
+        "eval", "--config", str(config), "--seed", "7", "--dimension", "3",
+        "--holdout", "10", "--prediction", str(prediction),
+    ]
+    assert main(args) == 2
+    assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+    # the --out flag names eval's summary file and still writes it
+    config.write_text("dimension = 3\n")
+    assert main(args + ["--out", "eval.txt"]) == 0
+    assert read_summary(work / "eval.txt")["samples"] == "10"
+
+
+def test_cli_sweep_reads_out_from_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = write_text(tmp_path / "sweep.cfg", "out = grid\n")
+    args = [
+        "sweep", "--config", str(config), "--seed", "31", "--family", "knapsack",
+        "--dimension", "3", "--rounds-list", "20",
+    ]
+    assert main(args) == 0
+    assert (tmp_path / "grid" / "sweep_index.csv").is_file()
+
+
 def test_cli_sweep_deterministic(tmp_path):
     args = [
         "sweep", "--seed", "31", "--family", "knapsack", "--dimension", "3",
@@ -581,7 +633,7 @@ def test_save_stream_refusal_writes_no_outputs(tmp_path, capsys):
     ids=["rv-simplex", "dag-ball"],
 )
 def test_prediction_equals_a_fresh_solve_after_every_round(setup, schedule):
-    from invlinopt import init_learner, observe, predict
+    from invlinopt import init_learner, observe
     from invlinopt.harness.generate import diameter_bound
 
     bundle = generate_instance_stream(make_cfg(schedule=schedule, rounds=150, **setup))

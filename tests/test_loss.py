@@ -1,4 +1,4 @@
-"""Loss identities and convexity properties."""
+"""Loss identities and convexity properties of the reference loss forms."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,17 @@ from invlinopt import (
     ExplicitVertices,
     MembershipError,
     argmax,
+)
+from invlinopt.core import tolerance
+
+from conftest import FAMILIES, random_member, random_objective, random_triple
+from reference import (
     estimate_loss,
     fenchel_young_loss,
     inner_product,
     residual_subgradient,
     suboptimality_loss,
 )
-from invlinopt.core import tolerance
-
-from conftest import FAMILIES, random_member, random_objective, random_triple
 
 TRIANGLE = ExplicitVertices([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 

@@ -1,0 +1,110 @@
+"""The public surface: exact export lists, and no test-only name in src/."""
+
+import dataclasses
+import importlib
+
+import pytest
+
+import invlinopt
+from invlinopt import core, harness, learner, oracle
+from invlinopt.harness import io
+
+PACKAGE_EXPORTS = [
+    "ADAPTIVE",
+    "Ball",
+    "BoundCheck",
+    "DagPaths",
+    "DimensionMismatchError",
+    "EnumerationRefusedError",
+    "ExplicitVertices",
+    "FeasibleSet",
+    "GapCertificate",
+    "Hypercube",
+    "Knapsack",
+    "LearnerState",
+    "MembershipError",
+    "NormPair",
+    "OFFSET",
+    "Observation",
+    "OfflineEvaluation",
+    "OracleResult",
+    "PredictionDomain",
+    "RegretLedger",
+    "RoundRecord",
+    "Simplex",
+    "argmax",
+    "argmax_many",
+    "as_vector",
+    "average_prediction",
+    "beta",
+    "certify_gap",
+    "init_learner",
+    "observe",
+    "offline_evaluate",
+    "verify_run",
+]
+
+HARNESS_EXPORTS = [
+    "ExperimentConfig",
+    "GenerationFailedError",
+    "RunResult",
+    "StreamBundle",
+    "build_config",
+    "generate_instance_stream",
+    "load_config_file",
+    "make_observation_sampler",
+    "run_experiment",
+    "run_sweep",
+    "simulate",
+]
+
+# (owner, name) pairs that only tests call; they live in tests/reference.py
+MOVED = [
+    (invlinopt, "suboptimality_loss"),
+    (invlinopt, "fenchel_young_loss"),
+    (invlinopt, "estimate_loss"),
+    (invlinopt, "residual_subgradient"),
+    (invlinopt, "predict"),
+    (invlinopt, "argmax_bruteforce"),
+    (invlinopt, "inner_product"),
+    (learner, "predict"),
+    (oracle, "argmax_bruteforce"),
+    (core, "inner_product"),
+    (core.NormPair, "dual"),
+    (core.DagPaths, "out_arcs"),
+    (core.FeasibleSet, "contains"),
+    (core.PredictionDomain, "contains"),
+    (core.Simplex, "contains"),
+    (core.Ball, "contains"),
+    (io, "read_trace"),
+    (io, "read_summary"),
+]
+
+
+def test_package_exports_are_pinned():
+    assert invlinopt.__all__ == sorted(invlinopt.__all__) == PACKAGE_EXPORTS
+    for name in PACKAGE_EXPORTS:
+        assert hasattr(invlinopt, name)
+
+
+def test_harness_exports_are_pinned():
+    assert harness.__all__ == sorted(harness.__all__) == HARNESS_EXPORTS
+    for name in HARNESS_EXPORTS:
+        assert hasattr(harness, name)
+
+
+@pytest.mark.parametrize(
+    "owner, name", MOVED, ids=[f"{owner.__name__}.{name}" for owner, name in MOVED]
+)
+def test_moved_name_is_gone_from_its_old_place(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_loss_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("invlinopt.loss")
+
+
+def test_oracle_result_fields():
+    fields = [f.name for f in dataclasses.fields(oracle.OracleResult)]
+    assert fields == ["maximizer", "tie_count"]
