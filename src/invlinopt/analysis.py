@@ -55,7 +55,10 @@ class BoundCheck:
 
 @dataclass(frozen=True, eq=False)
 class GapWitness:
-    """Why gap certification failed: a competitor matching the optimum."""
+    """Why gap certification failed: a competitor matching the optimum.
+
+    round_index is the failing observation's position, counted from 1.
+    """
 
     round_index: int
     competitor: np.ndarray
@@ -117,11 +120,6 @@ class RegretLedger:
         self.observations = list(observations)
         if not len(self.records) == len(self.observations) == len(references):
             raise ValueError("observations, records and references differ in length")
-        for position, record in enumerate(self.records, 1):
-            if record.t != position:
-                raise ValueError(
-                    f"record for round {record.t} given at position {position}"
-                )
 
         def stack(vectors) -> np.ndarray:
             return np.array(vectors, dtype=np.float64).reshape(-1, c_star.size)
@@ -337,7 +335,7 @@ def certify_gap(
     c_star = as_vector(c_star)
     per_round: list[float] = []
     prev_set = prev_choice = None
-    for obs in observations:
+    for position, obs in enumerate(observations, 1):
         x = obs.agent_choice
         choice = x.tobytes()
         if obs.feasible_set is prev_set and choice == prev_choice:
@@ -358,7 +356,7 @@ def certify_gap(
                 delta=None,
                 per_round_deltas=tuple(per_round),
                 witness=GapWitness(
-                    obs.round_index, as_vector(members[rival]), value, reason
+                    position, as_vector(members[rival]), value, reason
                 ),
             )
         per_round.append(delta)
@@ -399,15 +397,16 @@ class OfflineEvaluation:
 def offline_evaluate(
     c_bar,
     c_star,
-    sampler: Callable[[np.random.Generator, int], Sequence[Observation]],
+    sampler: Callable[[np.random.Generator, int], tuple[Sequence, Sequence]],
     m: int,
     seed,
 ) -> OfflineEvaluation:
     """Evaluate mean suboptimality losses of c_bar and c_star on m samples.
 
-    sampler(rng, k) returns k samples; they are drawn and answered
-    oracle._STACK_CHUNK at a time, so memory beyond the two loss columns
-    does not grow with m.
+    sampler(rng, k) returns k samples and, as RegretLedger's references,
+    the maximizer of c_star over each sample's set; only c_bar is solved
+    here.  Samples are drawn and answered oracle._STACK_CHUNK at a time, so
+    memory beyond the two loss columns does not grow with m.
     """
     if m < 1:
         raise ValueError("need at least one sample")
@@ -418,12 +417,14 @@ def offline_evaluate(
     reference = np.empty(m)
     for start in range(0, m, oracle._STACK_CHUNK):
         k = min(oracle._STACK_CHUNK, m - start)
-        samples = sampler(rng, k)
-        sets = [obs.feasible_set for obs in samples]
+        samples, references = sampler(rng, k)
         x = np.stack([obs.agent_choice for obs in samples])
+        answers = oracle.argmax_many([obs.feasible_set for obs in samples], c_bar)
         chunk = slice(start, start + k)
-        for c, losses in ((c_bar, model), (c_star, reference)):
-            residuals = np.stack(oracle.argmax_many(sets, c)) - x
+        for c, best, losses in (
+            (c_bar, answers, model), (c_star, references, reference)
+        ):
+            residuals = np.stack(best) - x
             rows = np.broadcast_to(c, residuals.shape)
             losses[chunk] = _row_dots(rows, residuals)
     gaps = model - reference

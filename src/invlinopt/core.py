@@ -373,23 +373,17 @@ class DagPaths(FeasibleSet):
 
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """One round of interaction: the feasible set and the agent's choice."""
+    """One round of interaction: the feasible set and the agent's choice.
+
+    A round is its position in the stream, counted from 1.
+    """
 
     feasible_set: FeasibleSet
     agent_choice: np.ndarray
-    round_index: int
 
     def __post_init__(self):
         choice = as_vector(self.agent_choice)
         object.__setattr__(self, "agent_choice", choice)
-        try:
-            index = int(self.round_index)
-        except (OverflowError, ValueError):
-            index = 0  # inf, nan or text: refused below like a zero index
-        if index != self.round_index or index < 1:
-            raise ValueError("round_index must be a positive integer")
-        # 2.0 and np.int64(2) are stored as 2, as a stream writes and reads it
-        object.__setattr__(self, "round_index", index)
         if choice.size != self.feasible_set.dimension:
             raise DimensionMismatchError(
                 f"choice has dimension {choice.size}, "

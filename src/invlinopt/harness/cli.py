@@ -68,8 +68,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _int_list(args: argparse.Namespace, name: str, default: int) -> list[int]:
+    text = getattr(args, name)
+    if not text:
+        return [default]
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        flag = "--" + name.replace("_", "-")
+        raise ValueError(f"{flag}: expected integers, got {text!r}") from None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -77,8 +84,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.out is None:
         print("sweep requires --out or an out key", file=sys.stderr)
         return 2
-    rounds_list = _parse_int_list(args.rounds_list) if args.rounds_list else [cfg.rounds]
-    dims = _parse_int_list(args.dimension_list) if args.dimension_list else [cfg.dimension]
+    rounds_list = _int_list(args, "rounds_list", cfg.rounds)
+    dims = _int_list(args, "dimension_list", cfg.dimension)
     gaps = args.gap_list.split(",") if args.gap_list else [cfg.gap_mode]
     return run_sweep(cfg, rounds_list, dims, gaps, cfg.out)
 

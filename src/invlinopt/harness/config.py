@@ -40,7 +40,6 @@ class ExperimentConfig:
     integral_vertices: bool = False
     fresh_sets: bool = True
     ball_radius: float = 1.0
-    retry_cap: int = 100_000
     save_stream: bool = False
     out: str | None = None
 
@@ -69,8 +68,6 @@ class ExperimentConfig:
             raise ValueError("num_vertices must be at least 1")
         if not 0.0 < self.ball_radius < math.inf:
             raise ValueError("ball_radius must be positive and finite")
-        if self.retry_cap < 1:
-            raise ValueError("retry_cap must be positive")
         if self.domain == "simplex" and self.dimension < 2:
             raise ValueError("the simplex domain needs dimension >= 2")
         if self.out == "":

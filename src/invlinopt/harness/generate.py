@@ -3,7 +3,8 @@
 Randomness is split into independent, documented streams so parts can be
 reproduced in isolation: [seed, 2] draws the true objective, [seed, 3] the
 fixed feasible set when fresh_sets is off, [seed, 0] drives the training
-stream, and [seed, 1] drives holdout sampling.
+stream, and [seed, 1] drives holdout sampling.  One sampler draws both the
+stream and the holdout.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from ..core import (
 )
 from ..oracle import argmax_many
 from .config import ExperimentConfig
+
+# Rejection-sampling draws allowed for each feasible set, and for the ball's
+# integral objective, before GenerationFailedError.
+RETRY_CAP = 100_000
 
 
 class GenerationFailedError(RuntimeError):
@@ -87,7 +92,7 @@ def _draw_integral_objective(
         z = rng.integers(1, 11, size=cfg.dimension).astype(np.float64)
         return as_vector(z), as_vector(z / z.sum())
     assert isinstance(domain, Ball)
-    for _ in range(cfg.retry_cap):
+    for _ in range(RETRY_CAP):
         z = rng.integers(5, 11, size=cfg.dimension).astype(np.float64)
         alpha = float(np.dot(z, domain.center) / np.dot(z, z))
         if alpha <= 0.0:
@@ -170,15 +175,12 @@ def _draw_set(
     cfg: ExperimentConfig,
     accepts: Callable[[FeasibleSet], bool],
     rng: np.random.Generator,
-    budget: list[int],
 ) -> FeasibleSet:
-    while True:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise GenerationFailedError("retry budget exhausted drawing sets")
+    for _ in range(RETRY_CAP):
         X = _sample_feasible_set(cfg, rng)
         if accepts(X):
             return X
+    raise GenerationFailedError("retry budget exhausted drawing sets")
 
 
 def _fixed_set(
@@ -197,71 +199,22 @@ def _fixed_set(
     if cfg.fresh_sets:
         return None
     rng = np.random.default_rng([cfg.seed, 3])
-    return _draw_set(cfg, accepts, rng, [cfg.retry_cap])
-
-
-def _draw_round(
-    cfg: ExperimentConfig,
-    accepts: Callable[[FeasibleSet], bool],
-    rng: np.random.Generator,
-    budget: list[int],
-    shared: FeasibleSet | None,
-) -> tuple[FeasibleSet, np.ndarray | None]:
-    """One round's set and, when the agent errs that round, its random choice.
-
-    The optimal choice draws no randomness, so callers solve it afterwards.
-    """
-    X = shared if shared is not None else _draw_set(cfg, accepts, rng, budget)
-    if cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise:
-        return X, uniform_member(X, rng)
-    return X, None
-
-
-def _draw_observations(
-    cfg: ExperimentConfig,
-    c_star: np.ndarray,
-    accepts: Callable[[FeasibleSet], bool],
-    rng: np.random.Generator,
-    shared: FeasibleSet | None,
-    count: int,
-    retry_cap: int,
-    holdout: bool,
-) -> tuple[list[Observation], list[np.ndarray]]:
-    """count observations and the optimal choice behind each.
-
-    Every round is drawn first, in order; the optimal choices are then
-    solved in one argmax_many call.  A stream's rounds share one retry
-    budget and are numbered from 1; holdout samples each get their own
-    budget and round index 1.
-    """
-    budget = [retry_cap]
-    drawn = []
-    for _ in range(count):
-        if holdout:
-            budget = [retry_cap]
-        drawn.append(_draw_round(cfg, accepts, rng, budget, shared))
-    optimal_choices = argmax_many([X for X, _ in drawn], c_star)
-    observations = [
-        Observation(X, optimal if noisy is None else noisy, 1 if holdout else t)
-        for t, ((X, noisy), optimal) in enumerate(zip(drawn, optimal_choices), 1)
-    ]
-    return observations, optimal_choices
+    return _draw_set(cfg, accepts, rng)
 
 
 def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
     """Draw the objective and the full observation stream for one run.
 
-    Deterministic given the config: a repeated call produces bitwise-equal
-    vectors.  Raises GenerationFailedError when gap-controlled rejection
-    sampling exceeds the retry cap.
+    The stream is the observation sampler's first cfg.rounds samples on
+    [seed, 0].  Deterministic given the config: a repeated call produces
+    bitwise-equal vectors.  Raises GenerationFailedError when gap-controlled
+    rejection sampling exceeds RETRY_CAP draws for one set.
     """
     domain = build_domain(cfg)
     c_star, c_star_integral = draw_objective(cfg)
-    accepts = _gap_test(cfg, domain.norm_pair, c_star, c_star_integral)
-    shared = _fixed_set(cfg, accepts)
-    observations, optimal_choices = _draw_observations(
-        cfg, c_star, accepts, np.random.default_rng([cfg.seed, 0]),
-        shared, cfg.rounds, cfg.retry_cap, holdout=False,
+    sampler = make_observation_sampler(cfg, c_star, c_star_integral)
+    observations, optimal_choices = sampler(
+        np.random.default_rng([cfg.seed, 0]), cfg.rounds
     )
     return StreamBundle(
         config=cfg,
@@ -277,20 +230,31 @@ def make_observation_sampler(
     cfg: ExperimentConfig,
     c_star: np.ndarray,
     c_star_integral: np.ndarray | None,
-) -> Callable[[np.random.Generator, int], list[Observation]]:
+) -> Callable[[np.random.Generator, int], tuple[list[Observation], list]]:
     """Sampler drawing k i.i.d. observations from the stream's distribution.
 
-    sampler(rng, k) makes the same draws, in the same order, as k calls
-    that each drew one sample.
+    sampler(rng, k) also returns, per observation, the maximizer of c_star
+    over its set: the optimal agent's response, before any noise replaces
+    it.  Each sample draws its set (RETRY_CAP draws allowed for each), then,
+    when the agent errs, its random choice; the optimal choices draw no
+    randomness and are solved afterwards in one argmax_many call, so
+    sampler(rng, k) makes the draws of k calls that each drew one sample.
     """
     accepts = _gap_test(cfg, build_domain(cfg).norm_pair, c_star, c_star_integral)
     shared = _fixed_set(cfg, accepts)
-    retry_cap = min(cfg.retry_cap, 10_000)
 
-    def sampler(rng: np.random.Generator, k: int) -> list[Observation]:
-        observations, _ = _draw_observations(
-            cfg, c_star, accepts, rng, shared, k, retry_cap, holdout=True
-        )
-        return observations
+    def sampler(rng: np.random.Generator, k: int):
+        sets, noisy = [], []
+        for _ in range(k):
+            X = shared if shared is not None else _draw_set(cfg, accepts, rng)
+            sets.append(X)
+            errs = cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise
+            noisy.append(uniform_member(X, rng) if errs else None)
+        optimal_choices = argmax_many(sets, c_star)
+        observations = [
+            Observation(X, optimal if choice is None else choice)
+            for X, choice, optimal in zip(sets, noisy, optimal_choices)
+        ]
+        return observations, optimal_choices
 
     return sampler

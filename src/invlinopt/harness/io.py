@@ -77,7 +77,7 @@ def write_stream(path, observations: Sequence[Observation], c_star=None) -> None
         # invlinopt stream v1
         dim <n>
         c_star <n floats>            (optional)
-        obs <round_index> <m>
+        obs <round> <m>              (round: the position, from 1)
         <m vertex lines of n floats>
         choice <n floats>
     Every feasible set is written as its members(), so a reloaded stream
@@ -90,12 +90,12 @@ def write_stream(path, observations: Sequence[Observation], c_star=None) -> None
     lines.append(f"dim {dim}")
     if c_star is not None:
         lines.append("c_star " + " ".join(fmt(v) for v in c_star))
-    for obs in observations:
+    for position, obs in enumerate(observations, 1):
         members = obs.feasible_set.members()
         count, width = members.shape
         # "%.17g" % x is the text of fmt(x)
         row = " ".join(["%.17g"] * width)
-        lines.append(f"obs {obs.round_index} {count}")
+        lines.append(f"obs {position} {count}")
         lines.append("\n".join([row] * count) % tuple(members.ravel().tolist()))
         lines.append(("choice " + row) % tuple(obs.agent_choice.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -104,8 +104,8 @@ def write_stream(path, observations: Sequence[Observation], c_star=None) -> None
 def read_stream(path) -> tuple[list[Observation], np.ndarray | None]:
     """Parse a stream file written by write_stream.
 
-    Malformed or truncated content raises a ValueError that names the path
-    and the line.
+    Malformed or truncated content, or an obs line whose round is not its
+    position, raises a ValueError that names the path and the line.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != STREAM_MAGIC:
@@ -150,7 +150,13 @@ def read_stream(path) -> tuple[list[Observation], np.ndarray | None]:
         if len(parts) != 3 or parts[0] != "obs":
             raise ValueError(f"{path}:{lineno}: expected 'obs <round> <count>'")
         obs_line = lineno
-        round_index, count = numbers(parts[1:], int, "obs line")
+        index, count = numbers(parts[1:], int, "obs line")
+        position = len(observations) + 1
+        if index != position:
+            raise ValueError(
+                f"{path}:{lineno}: obs {index} at position {position}, "
+                "expected the round to be its position"
+            )
         vertices = [
             vector(take("a vertex line"), dim, "vertex") for _ in range(count)
         ]
@@ -159,9 +165,7 @@ def read_stream(path) -> tuple[list[Observation], np.ndarray | None]:
             raise ValueError(f"{path}:{lineno}: expected a choice line")
         choice = vector(tokens[1:], dim, "choice")
         try:
-            observations.append(
-                Observation(ExplicitVertices(vertices), choice, round_index)
-            )
+            observations.append(Observation(ExplicitVertices(vertices), choice))
         except ValueError as exc:
             raise ValueError(f"{path}:{obs_line}: {exc}") from None
     if not observations:

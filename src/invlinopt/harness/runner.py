@@ -8,7 +8,8 @@ every failed check is named in the summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -32,16 +33,12 @@ class RunResult:
     """Everything a caller might want to inspect after a run."""
 
     exit_code: int
-    config: ExperimentConfig
     bundle: StreamBundle
     ledger: analysis.RegretLedger
     checks: list[analysis.BoundCheck]
     certificate: analysis.GapCertificate | None
-    integral_certificate: analysis.GapCertificate | None
     evaluation: analysis.OfflineEvaluation | None
-    average_prediction: np.ndarray
     summary: dict
-    trace_path: str | None
     summary_path: str | None
 
 
@@ -247,7 +244,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     )
     exit_code = 0 if summary["status"] == "ok" else 1
 
-    trace_path = summary_path = None
+    summary_path = None
     if cfg.out is not None:
         out = Path(cfg.out)
         if cfg.save_stream:
@@ -258,24 +255,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         out.mkdir(parents=True, exist_ok=True)
         if cfg.save_stream:
             write_stream(out / "stream.txt", bundle.observations, bundle.c_star)
-        trace_path = str(out / "trace.csv")
         summary_path = str(out / "summary.txt")
-        write_trace(trace_path, trace_rows(ledger, delta))
+        write_trace(out / "trace.csv", trace_rows(ledger, delta))
         write_summary(summary_path, summary)
         write_vector(out / "prediction.txt", averaged)
 
     return RunResult(
         exit_code=exit_code,
-        config=cfg,
         bundle=bundle,
         ledger=ledger,
         checks=checks,
         certificate=certificate,
-        integral_certificate=integral_certificate,
         evaluation=evaluation,
-        average_prediction=averaged,
         summary=summary,
-        trace_path=trace_path,
         summary_path=summary_path,
     )
 
@@ -290,46 +282,26 @@ def run_sweep(
     """Grid of runs with derived seeds base.seed + i; returns the worst status.
 
     Trials are isolated (fresh learner and stream per trial) and written to
-    per-trial directories plus a sweep_index.csv.
+    per-trial directories plus a sweep_index.csv.  Every trial's config is
+    built before anything is written, so a bad grid value writes nothing.
     """
-    from dataclasses import replace
-
     out = Path(out_dir)
+    trials = []
+    grid = itertools.product(rounds_list, dimension_list, gap_list)
+    for trial, (rounds, dimension, gap_mode) in enumerate(grid):
+        name = f"trial{trial:03d}_n{dimension}_T{rounds}_gap{gap_mode}"
+        cfg = replace(base, seed=base.seed + trial, rounds=int(rounds),
+                      dimension=int(dimension), gap_mode=gap_mode, out=str(out / name))
+        trials.append((name, cfg))
     out.mkdir(parents=True, exist_ok=True)
-    index_lines = [
-        "trial,dir,seed,dimension,rounds,gap_mode,exit,regret,regret_sub"
-    ]
+    index_lines = ["trial,dir,seed,dimension,rounds,gap_mode,exit,regret,regret_sub"]
     worst = 0
-    trial = 0
-    for rounds in rounds_list:
-        for dimension in dimension_list:
-            for gap_mode in gap_list:
-                name = f"trial{trial:03d}_n{dimension}_T{rounds}_gap{gap_mode}"
-                cfg = replace(
-                    base,
-                    seed=base.seed + trial,
-                    rounds=int(rounds),
-                    dimension=int(dimension),
-                    gap_mode=gap_mode,
-                    out=str(out / name),
-                )
-                result = run_experiment(cfg)
-                worst = max(worst, result.exit_code)
-                index_lines.append(
-                    ",".join(
-                        [
-                            str(trial),
-                            name,
-                            str(cfg.seed),
-                            str(dimension),
-                            str(rounds),
-                            gap_mode,
-                            str(result.exit_code),
-                            fmt(result.ledger.linearized_regret()),
-                            fmt(result.ledger.subopt_regret()),
-                        ]
-                    )
-                )
-                trial += 1
+    for trial, (name, cfg) in enumerate(trials):
+        result = run_experiment(cfg)
+        worst = max(worst, result.exit_code)
+        row = [trial, name, cfg.seed, cfg.dimension, cfg.rounds, cfg.gap_mode,
+               result.exit_code, fmt(result.ledger.linearized_regret()),
+               fmt(result.ledger.subopt_regret())]
+        index_lines.append(",".join(map(str, row)))
     (out / "sweep_index.csv").write_text("\n".join(index_lines) + "\n")
     return worst

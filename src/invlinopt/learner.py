@@ -56,10 +56,10 @@ class RoundRecord:
     """Trace of one round: the prediction, oracle answer, and subgradient.
 
     The losses are columns of analysis.RegretLedger, computed from these
-    fields for the whole run at once.
+    fields for the whole run at once.  Its round is its position in the
+    run.
     """
 
-    t: int
     c_hat: np.ndarray
     x_hat: np.ndarray
     g: np.ndarray
@@ -72,8 +72,7 @@ class LearnerState:
     """Single-writer accumulator for the regularized-leader updates.
 
     B, H and K are the constants of the schedules, B and H derived from the
-    domain once by init_learner.  round is the index of the round
-    current_prediction is for (1-based).  last_answer is (feasible set,
+    domain once by init_learner.  last_answer is (feasible set,
     prediction, oracle answer) of the last round, or None; observe reuses it
     for the same set and prediction objects.  Updates return a fresh state;
     instances for parallel trials share nothing.
@@ -86,7 +85,6 @@ class LearnerState:
     K: float
     grad_sum: np.ndarray
     sq_norm_sum: float
-    round: int
     current_prediction: np.ndarray
     last_answer: tuple[FeasibleSet, np.ndarray, np.ndarray] | None = None
 
@@ -119,7 +117,6 @@ def init_learner(domain: PredictionDomain, schedule: str, K: float) -> LearnerSt
         K=K,
         grad_sum=as_vector(np.zeros(domain.dimension)),
         sq_norm_sum=0.0,
-        round=1,
         current_prediction=_minimizer_of_regularizer(domain),
     )
 
@@ -206,7 +203,6 @@ def observe(state: LearnerState, obs: Observation) -> tuple[LearnerState, RoundR
         sq_norm_sum = state.sq_norm_sum + grad_norm ** 2
         prediction = _solve(state, grad_sum, sq_norm_sum)
     record = RoundRecord(
-        t=state.round,
         c_hat=c_hat,
         x_hat=x_hat,
         g=g,
@@ -221,7 +217,6 @@ def observe(state: LearnerState, obs: Observation) -> tuple[LearnerState, RoundR
         state.K,
         grad_sum,
         sq_norm_sum,
-        state.round + 1,
         prediction,
         (X, c_hat, x_hat),
     )

@@ -373,7 +373,7 @@ def test_criterion_10_oracle_equivalence():
         n = int(rng.integers(2, 5))
         X = ExplicitVertices(rng.integers(0, 2, size=(6, n)).astype(float))
         c_star = rng.random(n) + 0.05
-        observations = [Observation(X, argmax(X, c_star).maximizer, 1)]
+        observations = [Observation(X, argmax(X, c_star).maximizer)]
         mine = certify_gap(observations, c_star, linf)
         theirs_ok, theirs = naive_gap(observations, c_star, linf)
         gap_ok &= mine.satisfied == theirs_ok

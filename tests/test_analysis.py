@@ -19,12 +19,14 @@ from invlinopt import (
     RegretLedger,
     Simplex,
     argmax,
+    argmax_many,
     average_prediction,
     certify_gap,
     init_learner,
     offline_evaluate,
     verify_run,
 )
+from invlinopt import oracle
 from invlinopt.analysis import _gap_margin, bound_columns, gap_contraction_coefficient
 from invlinopt.core import as_vector
 from invlinopt.harness import build_config, generate, generate_instance_stream, simulate
@@ -152,7 +154,7 @@ def test_gap_checks_on_certified_run():
 def test_residual_bound_direct_evaluation():
     # both sides computed from scratch on the certified square instance
     c_star = np.asarray([2.0, 1.0]) / 3.0
-    obs = Observation(SQUARE, [1.0, 1.0], 1)
+    obs = Observation(SQUARE, [1.0, 1.0])
     certificate = certify_gap([obs], c_star, LINF)
     K, B = 1.0, init_learner(Simplex(2), ADAPTIVE, 1.0).B
     coef = gap_contraction_coefficient(K, B, certificate.delta)
@@ -202,7 +204,7 @@ def test_plateau_value_is_a_difference_of_pairwise_sums():
 
 def test_certify_gap_square_example():
     c_star = [2.0, 1.0]
-    obs = Observation(SQUARE, [1.0, 1.0], 1)
+    obs = Observation(SQUARE, [1.0, 1.0])
     certificate = certify_gap([obs], c_star, LINF)
     assert certificate.satisfied
     assert certificate.delta == 1.0
@@ -210,9 +212,9 @@ def test_certify_gap_square_example():
 
 
 def test_certify_gap_not_satisfied():
-    tie = certify_gap([Observation(SQUARE, [1.0, 0.0], 1)], [1.0, 0.0], LINF)
+    tie = certify_gap([Observation(SQUARE, [1.0, 0.0])], [1.0, 0.0], LINF)
     assert not tie.satisfied and tie.witness.reason == "tied-optimum"
-    suboptimal = certify_gap([Observation(SQUARE, [0.0, 0.0], 1)], [2.0, 1.0], LINF)
+    suboptimal = certify_gap([Observation(SQUARE, [0.0, 0.0])], [2.0, 1.0], LINF)
     assert not suboptimal.satisfied
     assert suboptimal.witness.reason == "agent-suboptimal"
     assert suboptimal.witness.round_index == 1
@@ -220,7 +222,7 @@ def test_certify_gap_not_satisfied():
 
 def test_certify_gap_singleton_round():
     single = ExplicitVertices([[0.25, 0.5]])
-    certificate = certify_gap([Observation(single, [0.25, 0.5], 1)], [1.0, 1.0], LINF)
+    certificate = certify_gap([Observation(single, [0.25, 0.5])], [1.0, 1.0], LINF)
     assert certificate.satisfied
     assert certificate.delta == math.inf
 
@@ -233,7 +235,7 @@ def test_certify_gap_matches_naive_pass():
         X = ExplicitVertices(verts)
         c_star = rng.random(n) + 0.1
         x = argmax(X, c_star).maximizer
-        observations = [Observation(X, x, 1)]
+        observations = [Observation(X, x)]
         mine = certify_gap(observations, c_star, LINF)
         theirs_ok, theirs_delta = naive_gap(observations, c_star, LINF)
         assert mine.satisfied == theirs_ok
@@ -283,7 +285,7 @@ def test_gap_margin_matches_the_naive_pass(case, norms):
     X, x, c = case
     members = X.members()
     delta, rival = _gap_margin(members, x, c, norms)
-    satisfied, naive = naive_gap([Observation(X, x, 1)], c, norms)
+    satisfied, naive = naive_gap([Observation(X, x)], c, norms)
     assert (rival is None) == satisfied
     if rival is not None:
         values = members @ c
@@ -303,7 +305,7 @@ def test_margin_mode_accepts_exactly_what_certify_gap_certifies(case, norms, flo
     X, _, c = case
     cfg = ExperimentConfig(seed=0, gap_mode="margin", gap_margin=floor)
     accepted = generate._gap_test(cfg, norms, c, None)(X)
-    certificate = certify_gap([Observation(X, argmax(X, c).maximizer, 1)], c, norms)
+    certificate = certify_gap([Observation(X, argmax(X, c).maximizer)], c, norms)
     assert accepted == (certificate.satisfied and certificate.delta >= floor)
 
 
@@ -347,12 +349,12 @@ def test_average_prediction():
 def test_average_prediction_midpoint():
     from invlinopt.learner import RoundRecord
 
-    def rec(t, c):
+    def rec(c):
         c = np.asarray(c, dtype=float)
         z = np.zeros_like(c)
-        return RoundRecord(t, c, z, z, 0.0, 0.0)
+        return RoundRecord(c, z, z, 0.0, 0.0)
 
-    averaged = average_prediction([rec(1, [1.0, 0.0]), rec(2, [0.0, 1.0])])
+    averaged = average_prediction([rec([1.0, 0.0]), rec([0.0, 1.0])])
     assert tuple(averaged) == (0.5, 0.5)
 
 
@@ -365,8 +367,8 @@ def test_offline_evaluate_exact_zeros():
         for _ in range(k):
             verts = rng.integers(0, 2, size=(5, 3)).astype(float)
             X = ExplicitVertices(verts)
-            samples.append(Observation(X, argmax(X, c_star).maximizer, 1))
-        return samples
+            samples.append(Observation(X, argmax(X, c_star).maximizer))
+        return samples, [obs.agent_choice for obs in samples]
 
     evaluation = offline_evaluate(c_star, c_star, sampler, 200, 9)
     assert evaluation.mean_model == 0.0
@@ -389,11 +391,10 @@ def reference_sampler(cfg, c_star, c_star_integral):
     shared = generate._fixed_set(cfg, accepts)
 
     def sampler(rng):
-        budget = [min(cfg.retry_cap, 10_000)]
-        X, choice = generate._draw_round(cfg, accepts, rng, budget, shared)
-        if choice is None:
-            choice = argmax(X, c_star).maximizer
-        return Observation(X, choice, 1)
+        X = shared if shared is not None else generate._draw_set(cfg, accepts, rng)
+        if cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise:
+            return Observation(X, generate.uniform_member(X, rng))
+        return Observation(X, argmax(X, c_star).maximizer)
 
     return sampler
 
@@ -419,15 +420,18 @@ HOLDOUT_SETUPS = {
     "dag-ball-noisy": dict(family="dag", dimension=8, domain="ball",
                            schedule="offset", agent_noise=0.2),
     "rv-simplex": dict(family="random-vertices", dimension=5, num_vertices=9),
-    # each sample needs about 1.2 draws, so only a budget per sample lasts
     "rv-margin": dict(family="random-vertices", dimension=3, num_vertices=4,
-                      gap_mode="margin", gap_margin=0.1, retry_cap=12),
+                      gap_mode="margin", gap_margin=0.1),
 }
+# each sample needs about 1.2 draws, so only a budget per set lasts
+HOLDOUT_RETRY_CAPS = {"rv-margin": 12}
 
 
 @pytest.mark.parametrize("setup", sorted(HOLDOUT_SETUPS))
 @pytest.mark.parametrize("m", [1, 255, 256, 257, 700])
-def test_offline_evaluate_matches_the_per_sample_reference(setup, m):
+def test_offline_evaluate_matches_the_per_sample_reference(monkeypatch, setup, m):
+    if setup in HOLDOUT_RETRY_CAPS:
+        monkeypatch.setattr(generate, "RETRY_CAP", HOLDOUT_RETRY_CAPS[setup])
     cfg = build_config({}, seed=13, rounds=1, **HOLDOUT_SETUPS[setup])
     c_star, c_star_integral = generate.draw_objective(cfg)
     c_bar = generate.build_domain(cfg).sample(np.random.default_rng(5))
@@ -446,16 +450,35 @@ def test_offline_evaluate_matches_the_per_sample_reference(setup, m):
     assert m == 1 or got.mean_model != 0.0
 
 
-def test_sampler_out_of_retries_raises():
+def test_sampler_out_of_retries_raises(monkeypatch):
+    monkeypatch.setattr(generate, "RETRY_CAP", 40)
     cfg = build_config({}, seed=3, rounds=1, family="random-vertices", dimension=4,
                        num_vertices=6, gap_mode="margin", gap_margin=50.0,
-                       retry_cap=40, holdout=300)
+                       holdout=300)
     c_star, c_star_integral = generate.draw_objective(cfg)
     sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
     with pytest.raises(generate.GenerationFailedError):
         offline_evaluate(c_star, c_star, sampler, 300, 1)
     with pytest.raises(generate.GenerationFailedError):
         sampler(np.random.default_rng(1), 1)
+
+
+def test_offline_evaluate_solves_only_c_bar(monkeypatch):
+    # the sampler's optimal choices are the reference answers, so each
+    # chunk of samples is solved once, for c_bar
+    cfg = build_config({}, seed=13, rounds=1, family="random-vertices",
+                       dimension=3, num_vertices=5)
+    c_star, c_star_integral = generate.draw_objective(cfg)
+    sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
+    calls = []
+
+    def counting(sets, c):
+        calls.append(len(sets))
+        return argmax_many(sets, c)
+
+    monkeypatch.setattr(oracle, "argmax_many", counting)
+    offline_evaluate(np.ones(3) / 3.0, c_star, sampler, 700, 1)
+    assert calls == [256, 256, 188]
 
 
 def certificate_fields(certificate):
@@ -486,7 +509,7 @@ def test_certify_gap_reuse_matches_a_stream_without_shared_sets(tmp_path):
         "suboptimal-late": [best] * 4 + [(SQUARE, [0.0, 0.0])] + [best] * 2,
     }
     for name, rounds in cases.items():
-        observations = [Observation(X, x, t) for t, (X, x) in enumerate(rounds, 1)]
+        observations = [Observation(X, x) for X, x in rounds]
         path = tmp_path / f"{name}.txt"
         write_stream(path, observations, c_star)
         reloaded, _ = read_stream(path)
@@ -495,7 +518,7 @@ def test_certify_gap_reuse_matches_a_stream_without_shared_sets(tmp_path):
             fresh = certify_gap(reloaded, c_star, norms)
             assert certificate_fields(mine) == certificate_fields(fresh), name
     alternating = [
-        Observation(X, x, t) for t, (X, x) in enumerate(cases["alternating"], 1)
+        Observation(X, x) for X, x in cases["alternating"]
     ]
     assert certify_gap(alternating, c_star, LINF).per_round_deltas == (
         1.5, 1.5, 1.0, 1.0, 1.5, math.inf, math.inf, 1.5

@@ -413,15 +413,11 @@ def test_dag_enumeration_skips_what_the_source_cannot_reach():
 
 def test_observation_validation():
     X = ExplicitVertices([[0.0, 0.0], [1.0, 0.0]])
-    obs = Observation(X, [1.0, 0.0], 1)
-    assert obs.round_index == 1
+    Observation(X, [1.0, 0.0])
     with pytest.raises(MembershipError):
-        Observation(X, [0.0, 1.0], 1)
-    for index in (0, 1.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="round_index must be a positive integer"):
-            Observation(X, [1.0, 0.0], index)
+        Observation(X, [0.0, 1.0])
     with pytest.raises(DimensionMismatchError):
-        Observation(X, [1.0, 0.0, 0.0], 1)
+        Observation(X, [1.0, 0.0, 0.0])
 
 
 def test_observation_validates_its_choice_once(monkeypatch):
@@ -437,12 +433,12 @@ def test_observation_validates_its_choice_once(monkeypatch):
     monkeypatch.setattr(core, "as_vector", counting)
     X = ExplicitVertices([[0.0, 0.0], [1.0, 0.0], [1.0, -0.0], [0.5, 0.5]])
     for k, choice in enumerate(([1.0, -0.0], [0.5, 0.5], np.zeros(2)), 1):
-        Observation(X, choice, 1)
+        Observation(X, choice)
         assert calls[0] == k
     # the reference membership test converts its input without as_vector
     assert contains(X, [0.5, 0.5]) and calls[0] == 3
     with pytest.raises(MembershipError):
-        Observation(X, [0.0, 1.0], 1)
+        Observation(X, [0.0, 1.0])
 
 
 def test_simplex_domain():

@@ -24,6 +24,7 @@ from invlinopt.harness import (
 )
 from invlinopt.harness.cli import main
 from invlinopt.harness.config import ExperimentConfig
+from invlinopt.harness import generate
 from invlinopt.harness.generate import GenerationFailedError, draw_objective
 from invlinopt.harness.io import (
     TRACE_COLUMNS,
@@ -113,11 +114,22 @@ def test_margin_gap_mode():
     assert all(d >= 0.25 for d in certificate.per_round_deltas)
 
 
-def test_margin_gap_unreachable_fails():
+def test_margin_gap_unreachable_fails(monkeypatch):
+    monkeypatch.setattr(generate, "RETRY_CAP", 300)
     with pytest.raises(GenerationFailedError):
         generate_instance_stream(
-            make_cfg(gap_mode="margin", gap_margin=50.0, rounds=5, retry_cap=300)
+            make_cfg(gap_mode="margin", gap_margin=50.0, rounds=5)
         )
+
+
+def test_retry_cap_is_per_set_not_per_stream(monkeypatch):
+    # each set needs about 1.2 draws: 40 rounds overrun a budget of 12
+    # shared by the stream, never one of 12 for each set
+    monkeypatch.setattr(generate, "RETRY_CAP", 12)
+    cfg = make_cfg(seed=13, rounds=40, family="random-vertices", dimension=3,
+                   num_vertices=4, gap_mode="margin", gap_margin=0.1)
+    bundle = generate_instance_stream(cfg)
+    assert len(bundle.observations) == 40
 
 
 def test_fixed_instance_mode():
@@ -185,7 +197,7 @@ def test_oracle_only_mode_beyond_enumeration_cap():
         argmax_bruteforce(cube, c)
     choice = argmax(cube, c).maximizer
     with pytest.raises(EnumerationRefusedError, match="exceeds cap"):
-        certify_gap([Observation(cube, choice, 1)], c, NormPair.linf_l1())
+        certify_gap([Observation(cube, choice)], c, NormPair.linf_l1())
 
 
 def test_cli_repeat_instance_flag(tmp_path):
@@ -214,9 +226,7 @@ def test_protocol_order_prefix_stability():
     # perturb observations from round 21 on and replay
     cut = 20
     other = generate_instance_stream(make_cfg(seed=99, rounds=40))
-    perturbed = list(bundle.observations[:cut])
-    for i, obs in enumerate(other.observations[cut:], start=cut + 1):
-        perturbed.append(type(obs)(obs.feasible_set, obs.agent_choice, i))
+    perturbed = list(bundle.observations[:cut]) + list(other.observations[cut:])
     _, ledger2 = simulate(bundle, perturbed)
     for t in range(cut):
         assert (
@@ -294,19 +304,18 @@ def test_stream_file_round_trip(tmp_path):
         read_stream(write_text(tmp_path / "bad.txt", "not a stream\n"))
 
 
-@pytest.mark.parametrize("index", [2.0, np.int64(2)], ids=["float", "int64"])
-def test_stream_round_trip_of_integral_round_indices(tmp_path, index):
-    # a round index of another integral type is stored as an int, so the
-    # stream reads "obs 2 ...", which read_stream accepts
+def test_stream_refuses_a_round_other_than_its_position(tmp_path, capsys):
     X = ExplicitVertices([[0.0, 1.0], [1.0, 0.0]])
-    obs = Observation(X, [1.0, 0.0], index)
-    assert type(obs.round_index) is int and obs.round_index == 2
     path = tmp_path / "stream.txt"
-    write_stream(path, [obs])
-    assert "obs 2 2" in path.read_text().splitlines()
-    (loaded,), _ = read_stream(path)
-    assert loaded.round_index == 2
-    assert loaded.agent_choice.tobytes() == obs.agent_choice.tobytes()
+    write_stream(path, [Observation(X, [1.0, 0.0])] * 2, np.asarray([1.0, 0.0]))
+    lines = path.read_text().splitlines()
+    assert [line for line in lines if line.startswith("obs")] == ["obs 1 2", "obs 2 2"]
+    lines[3] = "obs 2 2"  # the first observation, numbered as the second
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{path}:4: obs 2 at position 1"):
+        read_stream(path)
+    assert main(["certify", "--stream", str(path)]) == 2
+    assert f"{path}:4:" in capsys.readouterr().err
 
 
 def write_text(path, text):
@@ -341,6 +350,16 @@ def test_config_file_and_overrides(tmp_path):
             load_config_file(path)
     with pytest.raises(ValueError):
         build_config({})  # seed is mandatory
+
+
+def test_config_file_retry_cap_is_an_unknown_key(tmp_path, capsys):
+    # the retry budget is generate.RETRY_CAP, not a setting
+    config = write_text(tmp_path / "exp.cfg", "retry_cap = 5\n")
+    args = ["run", "--config", str(config), "--seed", "1", "--rounds", "5",
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert f"{config}:1: unknown key 'retry_cap'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_validation_errors():
@@ -455,7 +474,7 @@ def test_cli_certify(tmp_path):
 
     # a tied optimum is reported with exit status 1
     square = ExplicitVertices([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    tied = [Observation(square, [1.0, 0.0], 1)]
+    tied = [Observation(square, [1.0, 0.0])]
     tied_path = tmp_path / "tied.txt"
     write_stream(tied_path, tied, np.asarray([1.0, 0.0]))
     assert main(["certify", "--stream", str(tied_path)]) == 1
@@ -531,6 +550,22 @@ def test_cli_sweep_reads_out_from_the_config_file(tmp_path, monkeypatch):
     ]
     assert main(args) == 0
     assert (tmp_path / "grid" / "sweep_index.csv").is_file()
+
+
+@pytest.mark.parametrize("flag, values, message", [
+    ("--gap-list", "none,bogus", "gap mode must be one of"),
+    ("--rounds-list", "50,0", "rounds must be at least 1"),
+    ("--rounds-list", "50,x", "--rounds-list: expected integers"),
+], ids=["gap", "zero-rounds", "not-an-int"])
+def test_cli_sweep_bad_grid_value_writes_nothing(tmp_path, capsys, flag, values, message):
+    grid = {"--rounds-list": "50", "--dimension-list": "3", "--gap-list": "none"}
+    grid[flag] = values
+    args = ["sweep", "--seed", "7", "--out", str(tmp_path / "sw")]
+    for key, value in grid.items():
+        args += [key, value]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_cli_sweep_deterministic(tmp_path):

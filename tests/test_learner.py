@@ -178,7 +178,7 @@ def test_exponentiated_gradient_equivalence():
 
 
 def _step(state, vertices, choice):
-    return observe(state, Observation(ExplicitVertices(vertices), choice, state.round))
+    return observe(state, Observation(ExplicitVertices(vertices), choice))
 
 
 def test_zero_gradient_holds_prediction_bitwise():
@@ -189,7 +189,6 @@ def test_zero_gradient_holds_prediction_bitwise():
     assert np.all(record.g == 0.0)
     assert state2.current_prediction.tobytes() == state.current_prediction.tobytes()
     assert state2.sq_norm_sum == state.sq_norm_sum
-    assert state2.round == state.round + 1
 
 
 def test_squared_norm_accumulation():
@@ -218,7 +217,7 @@ def test_beta_monotone_and_predictions_feasible():
             vertices = rng.integers(0, 2, size=(5, 3)).astype(float)
             X = ExplicitVertices(vertices)
             choice = X.members()[int(rng.integers(0, X.members().shape[0]))]
-            state, record = observe(state, Observation(X, choice, state.round))
+            state, record = observe(state, Observation(X, choice))
             assert record.beta == last_beta
             assert in_domain(domain, state.current_prediction)
             assert beta(state) >= last_beta
@@ -228,7 +227,6 @@ def test_beta_monotone_and_predictions_feasible():
 def test_record_contents():
     state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     _, record = _step(state, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-    assert record.t == 1
     assert record.beta == 0.0
     # the learner answers its own uniform prediction, under which both
     # vertices tie, with the lexicographically smallest one
@@ -236,13 +234,13 @@ def test_record_contents():
     assert tuple(record.g) == (-1.0, 1.0)
     assert record.grad_norm == 1.0
     assert [f.name for f in dataclasses.fields(RoundRecord)] == [
-        "t", "c_hat", "x_hat", "g", "beta", "grad_norm"
+        "c_hat", "x_hat", "g", "beta", "grad_norm"
     ]
 
 
 def test_observe_rejects_a_set_of_another_dimension():
     state = init_learner(Simplex(2), ADAPTIVE, 1.0)
-    obs = Observation(ExplicitVertices([[1.0, 0.0, 0.0]]), [1.0, 0.0, 0.0], 1)
+    obs = Observation(ExplicitVertices([[1.0, 0.0, 0.0]]), [1.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatchError):
         observe(state, obs)
 
@@ -293,7 +291,7 @@ def test_predict_matches_stored_prediction():
         vertices = rng.integers(0, 2, size=(4, 3)).astype(float)
         X = ExplicitVertices(vertices)
         choice = X.members()[0]
-        state, _ = observe(state, Observation(X, choice, state.round))
+        state, _ = observe(state, Observation(X, choice))
         assert predict(state).tobytes() == state.current_prediction.tobytes()
 
 
@@ -347,7 +345,7 @@ def test_carried_answer_gives_the_records_of_a_solve_every_round(stream, monkeyp
     sets, choices = stream(np.random.default_rng(36))
     n = sets[0].dimension
     state = init_learner(Simplex(n), ADAPTIVE, 1.0)
-    observations = [Observation(X, x, t) for t, (X, x) in enumerate(zip(sets, choices), 1)]
+    observations = [Observation(X, x) for X, x in zip(sets, choices)]
     expected = _records_without_carry(state, observations)
     calls = []
     solve = oracle.argmax
@@ -356,8 +354,8 @@ def test_carried_answer_gives_the_records_of_a_solve_every_round(stream, monkeyp
     for obs, reference in zip(observations, expected):
         state, record = observe(state, obs)
         answers.add(record.x_hat.tobytes())
-        assert (record.t, record.beta, record.grad_norm) == \
-            (reference.t, reference.beta, reference.grad_norm)
+        assert (record.beta, record.grad_norm) == \
+            (reference.beta, reference.grad_norm)
         for name in ("c_hat", "x_hat", "g"):
             assert getattr(record, name).tobytes() == getattr(reference, name).tobytes()
     # some rounds reused the carried answer, and the learner's answer moved,
@@ -370,10 +368,10 @@ def test_replaced_prediction_is_solved_afresh():
     state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     # the agent picks the learner's own answer: a zero round that keeps the
     # prediction object, so the next round on X could reuse the answer
-    state, record = observe(state, Observation(X, [1.0, 0.0], 1))
+    state, record = observe(state, Observation(X, [1.0, 0.0]))
     assert tuple(record.x_hat) == (1.0, 0.0) and not record.g.any()
     state = replace(state, current_prediction=as_vector([0.2, 0.8]))
-    _, record = observe(state, Observation(X, [0.0, 1.0], 2))
+    _, record = observe(state, Observation(X, [0.0, 1.0]))
     assert tuple(record.x_hat) == (0.0, 1.0)
 
 
@@ -382,8 +380,8 @@ def test_writable_prediction_changed_in_place_is_solved_afresh():
     c = np.array([0.2, 0.8])
     state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     state = replace(state, current_prediction=c)
-    state, record = observe(state, Observation(X, [0.0, 1.0], 1))
+    state, record = observe(state, Observation(X, [0.0, 1.0]))
     assert state.current_prediction is c and not record.g.any()
     c[:] = [0.8, 0.2]
-    _, record = observe(state, Observation(X, [0.0, 1.0], 2))
+    _, record = observe(state, Observation(X, [0.0, 1.0]))
     assert tuple(record.x_hat) == (1.0, 0.0)

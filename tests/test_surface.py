@@ -105,6 +105,30 @@ def test_loss_module_is_gone():
         importlib.import_module("invlinopt.loss")
 
 
-def test_oracle_result_fields():
-    fields = [f.name for f in dataclasses.fields(oracle.OracleResult)]
-    assert fields == ["maximizer", "tie_count"]
+# the round is an observation's position in its stream, so no record
+# carries a round index, and no config field sets the retry budget
+FIELDS = [
+    (oracle.OracleResult, ["maximizer", "tie_count"]),
+    (core.Observation, ["feasible_set", "agent_choice"]),
+    (learner.RoundRecord, ["c_hat", "x_hat", "g", "beta", "grad_norm"]),
+    (learner.LearnerState, [
+        "domain", "schedule", "B", "H", "K", "grad_sum", "sq_norm_sum",
+        "current_prediction", "last_answer",
+    ]),
+    (harness.ExperimentConfig, [
+        "seed", "dimension", "rounds", "domain", "schedule", "family",
+        "agent_noise", "gap_mode", "gap_margin", "holdout", "num_vertices",
+        "integral_vertices", "fresh_sets", "ball_radius", "save_stream", "out",
+    ]),
+    (harness.RunResult, [
+        "exit_code", "bundle", "ledger", "checks", "certificate", "evaluation",
+        "summary", "summary_path",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, names", FIELDS, ids=[cls.__name__ for cls, _ in FIELDS]
+)
+def test_dataclass_fields(cls, names):
+    assert [f.name for f in dataclasses.fields(cls)] == names
