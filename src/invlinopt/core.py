@@ -192,6 +192,35 @@ class ExplicitVertices(FeasibleSet):
         self._vertices = m
         self.dimension = int(m.shape[1])
 
+    @classmethod
+    def _from_block(cls, block: np.ndarray) -> list["ExplicitVertices"]:
+        """[ExplicitVertices(block[i]) for each i], validated and folded once.
+
+        block is a (k, m, n) float64 array that the caller drew and hands
+        over: it is folded in place and made read-only, and each set keeps
+        a view of its slice.  The lead-entry test of the public constructor
+        runs once over the block; a slice with a repeated lead entry goes
+        through the public constructor's full dedup.
+        """
+        if not np.isfinite(block).all():
+            raise ValueError("vertex entries must be finite")
+        block += 0.0
+        block.flags.writeable = False
+        lead = np.sort(block[:, :, 0], axis=1)
+        shared = (lead[:, 1:] == lead[:, :-1]).any(axis=1)
+        n = int(block.shape[2])
+        sets = []
+        for rows, repeated in zip(block, shared.tolist()):
+            if repeated:
+                sets.append(cls(rows))
+                continue
+            X = cls.__new__(cls)
+            FeasibleSet.__init__(X)
+            X._vertices = rows
+            X.dimension = n
+            sets.append(X)
+        return sets
+
     @property
     def vertices(self) -> np.ndarray:
         return self._vertices
@@ -291,8 +320,7 @@ class DagPaths(FeasibleSet):
         if m < 2:
             raise ValueError("need at least two nodes (source and sink)")
         arc_list: list[tuple[int, int]] = []
-        out: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for k, (u, v) in enumerate(arcs):
+        for u, v in arcs:
             u, v = int(u), int(v)
             if not 0 <= u < v < m:
                 if not (0 <= u < m and 0 <= v < m):
@@ -301,11 +329,29 @@ class DagPaths(FeasibleSet):
                     f"arc ({u}, {v}) violates topological order (cycle)"
                 )
             arc_list.append((u, v))
-            out[u].append((k, v))
         if not arc_list:
             raise ValueError("need at least one arc")
+        self._link(m, arc_list)
+        if self._path_count == 0:
+            raise ValueError("no source-to-sink path exists")
+
+    @classmethod
+    def _trusted(cls, num_nodes: int, arcs: list[tuple[int, int]]) -> "DagPaths":
+        """DagPaths(num_nodes, arcs) without the checks, for arcs of Python
+        ints with 0 <= u < v < num_nodes that include a source-to-sink path,
+        as generation draws them."""
+        X = cls.__new__(cls)
+        FeasibleSet.__init__(X)
+        X._link(num_nodes, arcs)
+        return X
+
+    def _link(self, m: int, arcs: list[tuple[int, int]]) -> None:
+        """Out-lists and the exact path count of valid arcs on m nodes."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        for k, (u, v) in enumerate(arcs):
+            out[u].append((k, v))
         self.num_nodes = m
-        self._arcs = tuple(arc_list)
+        self._arcs = tuple(arcs)
         self._out = tuple(map(tuple, out))
         # path counts from each node to the sink, exact integers
         counts = [0] * m
@@ -315,10 +361,8 @@ class DagPaths(FeasibleSet):
             for _, v in out[u]:
                 total += counts[v]
             counts[u] = total
-        if counts[0] == 0:
-            raise ValueError("no source-to-sink path exists")
         self._path_count = counts[0]
-        self.dimension = len(arc_list)
+        self.dimension = len(arcs)
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
@@ -391,6 +435,16 @@ class Observation:
             )
         if not self.feasible_set._contains(choice):
             raise MembershipError("agent choice is not in the feasible set")
+
+    @classmethod
+    def _trusted(cls, feasible_set: FeasibleSet, choice: np.ndarray) -> "Observation":
+        """Observation(feasible_set, choice) without the checks, for a
+        read-only, folded member of the set: an oracle answer or a
+        uniform_member row."""
+        obs = cls.__new__(cls)
+        object.__setattr__(obs, "feasible_set", feasible_set)
+        object.__setattr__(obs, "agent_choice", choice)
+        return obs
 
 
 class PredictionDomain:

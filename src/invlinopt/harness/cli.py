@@ -72,11 +72,14 @@ def _int_list(args: argparse.Namespace, name: str, default: int) -> list[int]:
     text = getattr(args, name)
     if not text:
         return [default]
+    flag = "--" + name.replace("_", "-")
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        flag = "--" + name.replace("_", "-")
         raise ValueError(f"{flag}: expected integers, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag}: expected at least one integer, got {text!r}")
+    return values
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

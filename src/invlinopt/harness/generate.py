@@ -5,6 +5,16 @@ reproduced in isolation: [seed, 2] draws the true objective, [seed, 3] the
 fixed feasible set when fresh_sets is off, [seed, 0] drives the training
 stream, and [seed, 1] drives holdout sampling.  One sampler draws both the
 stream and the holdout.
+
+Generation trusts what it draws itself.  When nothing else draws from the
+rng between two sets (fresh random vertex sets, not integral, with no gap
+test and no agent noise), one sampler call draws all its vertex sets as one
+rng.random((k, m, n)) block, which is bitwise k draws of (m, n); every
+other vertex set is a block of one.  A block is checked for finiteness and
+folded once, DAGs are built from their drawn chain and u < v arcs without
+per-arc checks, and each observation takes its choice, an oracle answer or
+a uniform_member row, without a membership scan.  The public constructors,
+and so read_stream and callers' own observations, keep every check.
 """
 
 from __future__ import annotations
@@ -113,17 +123,25 @@ def draw_objective(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | None
     return domain.sample(rng), None
 
 
+def _vertex_sets(
+    cfg: ExperimentConfig, rng: np.random.Generator, k: int
+) -> list[ExplicitVertices]:
+    """k random vertex sets, drawn as one (k, m, n) block."""
+    shape = (k, cfg.num_vertices, cfg.dimension)
+    if cfg.integral_vertices or cfg.gap_mode == "integral":
+        block = rng.integers(0, 2, size=shape).astype(np.float64)
+    else:
+        block = rng.random(shape)
+    return ExplicitVertices._from_block(block)
+
+
 def _sample_feasible_set(
     cfg: ExperimentConfig, rng: np.random.Generator
 ) -> FeasibleSet:
     # the hypercube family is handled as a per-stream fixed set
     n = cfg.dimension
     if cfg.family == "random-vertices":
-        if cfg.integral_vertices or cfg.gap_mode == "integral":
-            verts = rng.integers(0, 2, size=(cfg.num_vertices, n)).astype(np.float64)
-        else:
-            verts = rng.random((cfg.num_vertices, n))
-        return ExplicitVertices(verts)
+        return _vertex_sets(cfg, rng, 1)[0]
     if cfg.family == "knapsack":
         weights = rng.integers(0, 10, size=n)
         capacity = int(rng.integers(0, int(weights.sum()) + 1))
@@ -134,7 +152,7 @@ def _sample_feasible_set(
         u = int(rng.integers(0, num_nodes - 1))
         v = int(rng.integers(u + 1, num_nodes))
         arcs.append((u, v))
-    return DagPaths(num_nodes, arcs)
+    return DagPaths._trusted(num_nodes, arcs)
 
 
 def uniform_member(X: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
@@ -242,17 +260,30 @@ def make_observation_sampler(
     """
     accepts = _gap_test(cfg, build_domain(cfg).norm_pair, c_star, c_star_integral)
     shared = _fixed_set(cfg, accepts)
+    # nothing but the sets draws from the rng and no set is rejected, so
+    # the k sets of one call are one block
+    in_blocks = (
+        cfg.family == "random-vertices"
+        and shared is None
+        and cfg.gap_mode == "none"
+        and not cfg.integral_vertices
+        and cfg.agent_noise == 0.0
+    )
 
     def sampler(rng: np.random.Generator, k: int):
-        sets, noisy = [], []
-        for _ in range(k):
-            X = shared if shared is not None else _draw_set(cfg, accepts, rng)
-            sets.append(X)
-            errs = cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise
-            noisy.append(uniform_member(X, rng) if errs else None)
+        if in_blocks:
+            sets = _vertex_sets(cfg, rng, k)
+            noisy = [None] * k
+        else:
+            sets, noisy = [], []
+            for _ in range(k):
+                X = shared if shared is not None else _draw_set(cfg, accepts, rng)
+                sets.append(X)
+                errs = cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise
+                noisy.append(uniform_member(X, rng) if errs else None)
         optimal_choices = argmax_many(sets, c_star)
         observations = [
-            Observation(X, optimal if choice is None else choice)
+            Observation._trusted(X, optimal if choice is None else choice)
             for X, choice, optimal in zip(sets, noisy, optimal_choices)
         ]
         return observations, optimal_choices

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from invlinopt import (
     ADAPTIVE,
     OFFSET,
+    DagPaths,
     ExplicitVertices,
     Hypercube,
     Knapsack,
@@ -382,16 +383,49 @@ def test_offline_evaluate_exact_zeros():
 
 
 # The one-sample protocol offline_evaluate had before its samples came in
-# chunks: the reference for the chunked sampler and evaluation.
+# chunks: the reference for the chunked sampler and evaluation.  It builds
+# every set and observation with the public constructors, which check
+# everything generation trusts.
+
+
+def reference_set(cfg, rng):
+    """One draw of generation's feasible set, in generation's RNG order."""
+    n = cfg.dimension
+    if cfg.family == "random-vertices":
+        shape = (cfg.num_vertices, n)
+        if cfg.integral_vertices or cfg.gap_mode == "integral":
+            return ExplicitVertices(rng.integers(0, 2, size=shape).astype(np.float64))
+        return ExplicitVertices(rng.random(shape))
+    if cfg.family == "knapsack":
+        weights = rng.integers(0, 10, size=n)
+        return Knapsack(weights, int(rng.integers(0, int(weights.sum()) + 1)))
+    nodes = min(n + 1, 8)
+    arcs = [(i, i + 1) for i in range(nodes - 1)]
+    while len(arcs) < n:
+        u = int(rng.integers(0, nodes - 1))
+        arcs.append((u, int(rng.integers(u + 1, nodes))))
+    return DagPaths(nodes, arcs)
 
 
 def reference_sampler(cfg, c_star, c_star_integral):
     norms = generate.build_domain(cfg).norm_pair
     accepts = generate._gap_test(cfg, norms, c_star, c_star_integral)
-    shared = generate._fixed_set(cfg, accepts)
+
+    def draw_set(rng):
+        for _ in range(generate.RETRY_CAP):
+            X = reference_set(cfg, rng)
+            if accepts(X):
+                return X
+        raise generate.GenerationFailedError("retry budget exhausted drawing sets")
+
+    shared = None
+    if cfg.family == "hypercube":
+        shared = Hypercube(cfg.dimension)
+    elif not cfg.fresh_sets:
+        shared = draw_set(np.random.default_rng([cfg.seed, 3]))
 
     def sampler(rng):
-        X = shared if shared is not None else generate._draw_set(cfg, accepts, rng)
+        X = shared if shared is not None else draw_set(rng)
         if cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise:
             return Observation(X, generate.uniform_member(X, rng))
         return Observation(X, argmax(X, c_star).maximizer)
@@ -448,6 +482,52 @@ def test_offline_evaluate_matches_the_per_sample_reference(monkeypatch, setup, m
     ]
     # c_bar is not c_star, so the columns compared are not all zeros
     assert m == 1 or got.mean_model != 0.0
+
+
+SAMPLER_SETUPS = {
+    **HOLDOUT_SETUPS,
+    "knapsack-fresh": dict(family="knapsack", dimension=6),
+    "knapsack-repeat": dict(family="knapsack", dimension=6, fresh_sets=False),
+    "hypercube-noisy": dict(family="hypercube", dimension=5, agent_noise=0.2),
+}
+
+
+def set_contents(X):
+    """Everything a set holds, as comparable bytes and tuples."""
+    if isinstance(X, ExplicitVertices):
+        return X.vertices.shape, X.vertices.tobytes()
+    if isinstance(X, DagPaths):
+        return X.num_nodes, X.arcs, X._out, X.enumeration_effort()
+    if isinstance(X, Knapsack):
+        return X.weights.dtype, X.weights.tobytes(), X.capacity
+    return type(X)
+
+
+@pytest.mark.parametrize("setup", sorted(SAMPLER_SETUPS))
+@pytest.mark.parametrize("k", [1, 256, 257, 700])
+def test_sampler_matches_the_public_constructors(monkeypatch, setup, k):
+    # rv-simplex draws its sets as one block; every other setup draws them
+    # one at a time, with trusted sets and choices
+    if setup in HOLDOUT_RETRY_CAPS:
+        monkeypatch.setattr(generate, "RETRY_CAP", HOLDOUT_RETRY_CAPS[setup])
+    cfg = build_config({}, seed=13, rounds=1, **SAMPLER_SETUPS[setup])
+    c_star, c_star_integral = generate.draw_objective(cfg)
+    sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
+    reference = reference_sampler(cfg, c_star, c_star_integral)
+    rng = np.random.default_rng([cfg.seed, 1])
+    reference_rng = np.random.default_rng([cfg.seed, 1])
+    observations, optimal_choices = sampler(rng, k)
+    assert len(observations) == len(optimal_choices) == k
+    for obs, optimal in zip(observations, optimal_choices):
+        expected = reference(reference_rng)
+        X, Y = obs.feasible_set, expected.feasible_set
+        assert type(X) is type(Y) and X.dimension == Y.dimension
+        assert set_contents(X) == set_contents(Y)
+        assert X.members().tobytes() == Y.members().tobytes()
+        assert obs.agent_choice.tobytes() == expected.agent_choice.tobytes()
+        assert not obs.agent_choice.flags.writeable
+        assert optimal.tobytes() == argmax(Y, c_star).maximizer.tobytes()
+    assert rng.random(4).tobytes() == reference_rng.random(4).tobytes()
 
 
 def test_sampler_out_of_retries_raises(monkeypatch):

@@ -206,6 +206,80 @@ def test_explicit_vertices_fold_signed_zeros(vertices):
         assert contains(X, row)
 
 
+# the private block constructor of generation: pool entries make rows share
+# lead entries and repeat whole, other floats leave some blocks without a
+# repeated lead, and both signs of zero occur
+@st.composite
+def vertex_blocks(draw):
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 3))
+    entries = st.one_of(POOL, st.floats(-4.0, 4.0))
+    return draw(hnp.arrays(np.float64, (k, m, n), elements=entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_blocks())
+def test_block_constructor_matches_the_public_one(block):
+    sets = ExplicitVertices._from_block(block.copy())
+    assert len(sets) == block.shape[0]
+    for X, rows in zip(sets, block):
+        expected = ExplicitVertices(rows)
+        assert X.vertices.shape == expected.vertices.shape
+        assert X.vertices.tobytes() == expected.vertices.tobytes()
+        assert X.dimension == expected.dimension
+        assert X.members().tobytes() == expected.members().tobytes()
+        assert not X.vertices.flags.writeable
+
+
+def test_block_constructor_refuses_non_finite_entries():
+    block = np.zeros((2, 3, 2))
+    block[1, 2, 0] = np.nan
+    with pytest.raises(ValueError) as got:
+        ExplicitVertices._from_block(block)
+    assert str(got.value) == "vertex entries must be finite"
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag_paths())
+def test_trusted_dag_matches_the_public_one(X):
+    trusted = DagPaths._trusted(X.num_nodes, list(X.arcs))
+    assert (trusted.arcs, trusted._out, trusted.enumeration_effort(), trusted.dimension) == (
+        X.arcs, X._out, X.enumeration_effort(), X.dimension
+    )
+    assert trusted.members().tobytes() == X.members().tobytes()
+
+
+TWO_POINTS = ExplicitVertices([[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ExplicitVertices([]), ValueError,
+     "vertices must form a non-empty (m, n) array"),
+    (lambda: ExplicitVertices(np.zeros((2, 2, 2))), ValueError,
+     "vertices must form a non-empty (m, n) array"),
+    (lambda: ExplicitVertices([[0.0, np.inf]]), ValueError,
+     "vertex entries must be finite"),
+    (lambda: DagPaths(3, [(0, 1), (2, 1)]), ValueError,
+     "arc (2, 1) violates topological order (cycle)"),
+    (lambda: DagPaths(4, [(0, 1), (2, 3)]), ValueError,
+     "no source-to-sink path exists"),
+    (lambda: Observation(TWO_POINTS, [1.0, np.nan]), ValueError,
+     "vector entries must be finite"),
+    (lambda: Observation(TWO_POINTS, [1.0, 0.0, 0.0]), DimensionMismatchError,
+     "choice has dimension 3, set has 2"),
+    (lambda: Observation(TWO_POINTS, [0.0, 1.0]), MembershipError,
+     "agent choice is not in the feasible set"),
+], ids=["empty", "three-d", "inf", "cycle", "no-path", "nan-choice", "dimension",
+        "non-member"])
+def test_public_constructors_keep_their_checks(build, error, message):
+    # generation skips these checks for what it drew itself; everyone else
+    # still meets them (test_dag_constructor_errors holds every DAG message)
+    with pytest.raises(error) as got:
+        build()
+    assert str(got.value) == message
+
+
 def test_membership_across_families():
     rng = np.random.default_rng(3)
     for family in FAMILIES:

@@ -556,7 +556,9 @@ def test_cli_sweep_reads_out_from_the_config_file(tmp_path, monkeypatch):
     ("--gap-list", "none,bogus", "gap mode must be one of"),
     ("--rounds-list", "50,0", "rounds must be at least 1"),
     ("--rounds-list", "50,x", "--rounds-list: expected integers"),
-], ids=["gap", "zero-rounds", "not-an-int"])
+    ("--rounds-list", ",", "--rounds-list: expected at least one integer"),
+    ("--dimension-list", ",", "--dimension-list: expected at least one integer"),
+], ids=["gap", "zero-rounds", "not-an-int", "no-rounds", "no-dimensions"])
 def test_cli_sweep_bad_grid_value_writes_nothing(tmp_path, capsys, flag, values, message):
     grid = {"--rounds-list": "50", "--dimension-list": "3", "--gap-list": "none"}
     grid[flag] = values
