@@ -3,18 +3,21 @@
 A RegretLedger holds, per round, the suboptimality and estimate losses,
 the linearized regret (which equals the running total loss), the
 suboptimality-loss regret, and the squared gradient norms, each computed
-once from the whole run's stacked rows; bound_columns gives
-every running bound as an array, and verify_run checks each certified
-inequality at every prefix, reporting the measured slack at the worst one
-so failures are diagnosable.  certify_gap computes the exact per-instance
-margin between optimal and suboptimal actions by brute force, and
-offline_evaluate measures holdout suboptimality of an averaged prediction.
+once from the whole run's stacked rows and read in place from its
+columns.  It takes the constants B, H and K from the learner state that
+ran; bound_columns gives every running bound as an array from them, and
+verify_run checks each certified inequality at every prefix, reporting the
+measured slack at the worst one so failures are diagnosable.
+certify_gap computes the exact per-instance margin between optimal and
+suboptimal actions by brute force, and offline_evaluate measures holdout
+suboptimality of an averaged prediction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,13 +26,12 @@ from . import oracle
 from .core import (
     NormPair,
     Observation,
-    PredictionDomain,
     TOL,
     _dot,
     _row_dots,
     as_vector,
 )
-from .learner import ADAPTIVE, RoundRecord, _regularizer_constants
+from .learner import ADAPTIVE, LearnerState, RoundRecord
 
 ROOT_FIVE_QUARTERS = 2.0 ** 1.25  # 2^{5/4}
 
@@ -92,52 +94,46 @@ class RegretLedger:
     Built once from the whole run: the rows of every round are stacked and
     each column is computed with array arithmetic, in one place.  The
     suboptimality loss is <c_hat, g> and the estimate loss, which needs the
-    true objective, is <c_star, x - x_hat>.  references[t] is the
-    maximizer of c_star over round t's feasible set,
-    oracle.argmax(obs.feasible_set, c_star).maximizer, which the caller
-    already holds: generation computes it to act as the optimal agent.
-    The domain fixes the norm pair and the constants B and H; K bounds the
-    primal-norm diameter of every feasible set, as for the learner.
-    All reads are pure.
+    true objective, is <c_star, x - x_hat>.  learner is the LearnerState
+    that ran, and its domain, schedule, norms, B, H and K are the run's
+    constants.  references is the (T, n) array whose row t is the
+    maximizer of c_star over round t's feasible set, as argmax_many
+    answers it, which the caller already holds: generation computes it to
+    act as the optimal agent.  columns maps each column name to its
+    read-only array.  All reads are pure.
     """
 
     def __init__(
         self,
         c_star,
-        domain: PredictionDomain,
-        K: float,
-        schedule: str,
+        learner: LearnerState,
         observations: Sequence[Observation],
         records: Sequence[RoundRecord],
-        references: Sequence[np.ndarray],
+        references: np.ndarray,
     ):
         self.c_star = c_star = as_vector(c_star)
-        self.domain = domain
-        self.norms = norms = domain.norm_pair
-        self.B, self.H, self.K = _regularizer_constants(domain, K)
-        self.schedule = schedule
+        self.learner = learner
         self.records = list(records)
-        self.observations = list(observations)
-        if not len(self.records) == len(self.observations) == len(references):
+        if not len(self.records) == len(observations) == len(references):
             raise ValueError("observations, records and references differ in length")
 
         def stack(vectors) -> np.ndarray:
             return np.array(vectors, dtype=np.float64).reshape(-1, c_star.size)
 
-        x = stack([obs.agent_choice for obs in self.observations])
+        x = stack([obs.agent_choice for obs in observations])
         c_hat = stack([r.c_hat for r in self.records])
         x_hat = stack([r.x_hat for r in self.records])
         g = stack([r.g for r in self.records])
         truth = np.broadcast_to(c_star, x.shape)
         ell_sub = _row_dots(c_hat, g)
         ell_est = _row_dots(truth, x - x_hat)
-        ell_sub_ref = _row_dots(truth, stack(references) - x)
+        ell_sub_ref = _row_dots(truth, references - x)
         distance = c_hat - c_star
         lin_inc = _row_dots(g, distance)
         grad_norm = np.array([r.grad_norm for r in self.records], dtype=np.float64)
         # Python's float power, as the learner squares each norm
         sq = np.array([r.grad_norm ** 2 for r in self.records], dtype=np.float64)
-        self._columns = {
+        columns = {
             "ell_sub": ell_sub,
             "ell_est": ell_est,
             "ell_sub_ref": ell_sub_ref,
@@ -149,11 +145,12 @@ class RegretLedger:
             "beta": np.array([r.beta for r in self.records], dtype=np.float64),
             "grad_norm": grad_norm,
         }
-        for column in self._columns.values():
+        for column in columns.values():
             column.flags.writeable = False
+        self.columns = MappingProxyType(columns)
         self.max_grad_norm = float(np.max(grad_norm, initial=0.0))
         self.max_dual_distance = float(
-            np.max(norms.dual_rows(distance), initial=0.0)
+            np.max(learner.norms.dual_rows(distance), initial=0.0)
         )
 
     @property
@@ -161,20 +158,16 @@ class RegretLedger:
         return len(self.records)
 
     def linearized_regret(self) -> float:
-        return float(self._columns["regret"][-1])
+        return float(self.columns["regret"][-1])
 
     def subopt_regret(self) -> float:
-        return float(self._columns["regret_sub"][-1])
+        return float(self.columns["regret_sub"][-1])
 
     def sum_sq_grad(self) -> float:
-        return float(self._columns["sum_sq"][-1])
+        return float(self.columns["sum_sq"][-1])
 
     def total_loss(self) -> float:
-        return float(np.sum(self._columns["total"]))
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Snapshot of all per-round columns as arrays (copies)."""
-        return {name: column.copy() for name, column in self._columns.items()}
+        return float(np.sum(self.columns["total"]))
 
 
 def gap_constant_bound(K: float, B: float, delta: float) -> float:
@@ -213,12 +206,13 @@ def bound_columns(
       offset_horizon    2 * K * H * sqrt(t)
       gap_constant      gap_constant_bound(K, B, delta), the same at every t
     """
-    B, H, K = ledger.B, ledger.H, ledger.K
+    run = ledger.learner
+    B, H, K = run.B, run.H, run.K
     t = np.arange(1, ledger.rounds + 1, dtype=np.float64)
-    adaptive = ledger.schedule == ADAPTIVE
+    adaptive = run.schedule == ADAPTIVE
     return {
         "adaptive_grad": (
-            ROOT_FIVE_QUARTERS * B * np.sqrt(ledger._columns["sum_sq"])
+            ROOT_FIVE_QUARTERS * B * np.sqrt(ledger.columns["sum_sq"])
             if adaptive else None
         ),
         "adaptive_horizon": (
@@ -247,7 +241,7 @@ def verify_run(
     n = ledger.rounds
     if n == 0:
         raise ValueError("empty run")
-    a = ledger.arrays()
+    a = ledger.columns
     t = np.arange(1, n + 1, dtype=np.float64)
     regret = a["regret"]
     checks: list[BoundCheck] = []
@@ -270,7 +264,7 @@ def verify_run(
             checks.append(_worst(f"{name}_bound", regret, bounds[name], t))
 
     if delta is not None:
-        coef = gap_contraction_coefficient(ledger.K, ledger.B, delta)
+        coef = gap_contraction_coefficient(ledger.learner.K, ledger.learner.B, delta)
         checks.append(
             _worst("gap_residual_bound", a["grad_norm"] ** 2, coef * a["lin_inc"], t)
         )
@@ -424,7 +418,7 @@ def offline_evaluate(
         for c, best, losses in (
             (c_bar, answers, model), (c_star, references, reference)
         ):
-            residuals = np.stack(best) - x
+            residuals = best - x
             rows = np.broadcast_to(c, residuals.shape)
             losses[chunk] = _row_dots(rows, residuals)
     gaps = model - reference

@@ -1,8 +1,9 @@
 """Shared numeric primitives: vectors, norm pairs, feasible sets, observations,
 and prediction domains.
 
-Everything in this module is immutable after construction and safe to share
-across concurrent readers; all operations are pure functions.
+Values are immutable after construction, except that a FeasibleSet caches
+its members() enumeration on first use; a rebuilt cache holds the same rows,
+so sharing across concurrent readers is safe and every read is pure.
 """
 
 from __future__ import annotations

@@ -57,9 +57,10 @@ class StreamBundle:
 
     c_star_integral is the pre-rescaling integral objective in integral gap
     mode (None otherwise); the agent and all regret accounting use c_star,
-    which lies in the prediction domain.  optimal_choices holds, per round,
-    the maximizer of c_star over the round's set: the optimal agent's
-    response, drawn before any noise replaces it.
+    which lies in the prediction domain.  optimal_choices is argmax_many's
+    read-only (rounds, n) array: row t is the maximizer of c_star over
+    round t's set, the optimal agent's response, drawn before any noise
+    replaces it.
     """
 
     config: ExperimentConfig
@@ -67,7 +68,7 @@ class StreamBundle:
     c_star: np.ndarray
     c_star_integral: np.ndarray | None
     observations: tuple[Observation, ...]
-    optimal_choices: tuple[np.ndarray, ...]
+    optimal_choices: np.ndarray
 
 
 def build_domain(cfg: ExperimentConfig) -> PredictionDomain:
@@ -240,7 +241,7 @@ def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
         c_star=c_star,
         c_star_integral=c_star_integral,
         observations=tuple(observations),
-        optimal_choices=tuple(optimal_choices),
+        optimal_choices=optimal_choices,
     )
 
 
@@ -248,15 +249,16 @@ def make_observation_sampler(
     cfg: ExperimentConfig,
     c_star: np.ndarray,
     c_star_integral: np.ndarray | None,
-) -> Callable[[np.random.Generator, int], tuple[list[Observation], list]]:
+) -> Callable[[np.random.Generator, int], tuple[list[Observation], np.ndarray]]:
     """Sampler drawing k i.i.d. observations from the stream's distribution.
 
-    sampler(rng, k) also returns, per observation, the maximizer of c_star
-    over its set: the optimal agent's response, before any noise replaces
-    it.  Each sample draws its set (RETRY_CAP draws allowed for each), then,
-    when the agent errs, its random choice; the optimal choices draw no
-    randomness and are solved afterwards in one argmax_many call, so
-    sampler(rng, k) makes the draws of k calls that each drew one sample.
+    sampler(rng, k) also returns argmax_many's (k, n) array of the
+    maximizers of c_star over the sets: the optimal agent's responses,
+    before any noise replaces them.  Each sample draws its set (RETRY_CAP
+    draws allowed for each), then, when the agent errs, its random choice;
+    the optimal choices draw no randomness and are solved afterwards in one
+    argmax_many call, so sampler(rng, k) makes the draws of k calls that
+    each drew one sample.
     """
     accepts = _gap_test(cfg, build_domain(cfg).norm_pair, c_star, c_star_integral)
     shared = _fixed_set(cfg, accepts)

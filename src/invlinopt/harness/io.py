@@ -82,8 +82,8 @@ def write_stream(path, observations: Sequence[Observation], c_star=None) -> None
         choice <n floats>
     Every feasible set is written as its members(), so a reloaded stream
     always uses ExplicitVertices; a set too large to enumerate raises
-    EnumerationRefusedError.  The whole text is rendered before the file
-    is opened, so a refusal writes nothing.
+    EnumerationRefusedError.  The whole text is rendered before the
+    file or its directory is made, so a refusal writes nothing.
     """
     lines = [STREAM_MAGIC]
     dim = observations[0].feasible_set.dimension
@@ -98,7 +98,9 @@ def write_stream(path, observations: Sequence[Observation], c_star=None) -> None
         lines.append(f"obs {position} {count}")
         lines.append("\n".join([row] * count) % tuple(members.ravel().tolist()))
         lines.append(("choice " + row) % tuple(obs.agent_choice.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def read_stream(path) -> tuple[list[Observation], np.ndarray | None]:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .. import analysis, learner, oracle
 from ..core import Observation, clamp_small_negative, tolerance
-from ..learner import LearnerState
 from .config import ExperimentConfig
 from .generate import (
     StreamBundle,
@@ -44,13 +43,14 @@ class RunResult:
 
 def simulate(
     bundle: StreamBundle, observations: Sequence[Observation] | None = None
-) -> tuple[LearnerState, analysis.RegretLedger]:
+) -> analysis.RegretLedger:
     """Run the online loop over a stream; pure given its inputs.
 
     Pass a different observation sequence to replay the same learner setup
     on modified data (used by the protocol-order tests); the ledger's
     optimal choices are then solved for it.  Only the learner's recursion
-    runs round by round; the ledger is built from the whole run afterwards.
+    runs round by round; the ledger is built from the whole run afterwards
+    and holds the final learner state.
     """
     if observations is None:
         observations = bundle.observations
@@ -59,22 +59,15 @@ def simulate(
         optimal_choices = oracle.argmax_many(
             [obs.feasible_set for obs in observations], bundle.c_star
         )
-    schedule, K = bundle.config.schedule, diameter_bound(bundle.config)
-    state = learner.init_learner(bundle.domain, schedule, K)
+    cfg = bundle.config
+    state = learner.init_learner(bundle.domain, cfg.schedule, diameter_bound(cfg))
     records = []
     for obs in observations:
         state, record = learner.observe(state, obs)
         records.append(record)
-    ledger = analysis.RegretLedger(
-        bundle.c_star,
-        bundle.domain,
-        K,
-        schedule,
-        observations,
-        records,
-        optimal_choices,
+    return analysis.RegretLedger(
+        bundle.c_star, state, observations, records, optimal_choices
     )
-    return state, ledger
 
 
 def trace_rows(
@@ -82,13 +75,12 @@ def trace_rows(
     delta: float | None = None,
 ) -> list[list[str]]:
     """Render the per-round trace with the applicable running bound columns."""
-    arrays = ledger.arrays()
     bounds = analysis.bound_columns(ledger, delta)
     columns = [[str(t) for t in range(1, ledger.rounds + 1)]]
     for name in TRACE_COLUMNS[1:]:
         values = (
             bounds[name.removeprefix("bound_")]
-            if name.startswith("bound_") else arrays[name]
+            if name.startswith("bound_") else ledger.columns[name]
         )
         if values is None:
             columns.append([""] * ledger.rounds)
@@ -121,9 +113,7 @@ def _summary_entries(
     entries["result.regret_sub"] = ledger.subopt_regret()
     entries["result.total_loss"] = ledger.total_loss()
     entries["result.sum_sq_grad"] = ledger.sum_sq_grad()
-    entries["result.final_ell_sub"] = clamp_small_negative(
-        ledger.arrays()["ell_sub"][-1]
-    )
+    entries["result.final_ell_sub"] = clamp_small_negative(ledger.columns["ell_sub"][-1])
     entries["empirical.max_grad_norm"] = ledger.max_grad_norm
     entries["empirical.max_dual_distance"] = ledger.max_dual_distance
     for check in checks:
@@ -169,7 +159,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if cfg.save_stream and cfg.out is None:
         raise ValueError("save_stream needs out: the stream is written there")
     bundle = generate_instance_stream(cfg)
-    state, ledger = simulate(bundle)
+    ledger = simulate(bundle)
     skipped: dict[str, str] = {}
 
     certificate = None
@@ -248,13 +238,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if cfg.out is not None:
         out = Path(cfg.out)
         if cfg.save_stream:
-            # before anything is created, so that a refusal leaves nothing;
-            # write_stream then reads the cached enumerations
-            for obs in bundle.observations:
-                obs.feasible_set.members()
-        out.mkdir(parents=True, exist_ok=True)
-        if cfg.save_stream:
+            # first, so that an enumeration refusal leaves nothing behind
             write_stream(out / "stream.txt", bundle.observations, bundle.c_star)
+        out.mkdir(parents=True, exist_ok=True)
         summary_path = str(out / "summary.txt")
         write_trace(out / "trace.csv", trace_rows(ledger, delta))
         write_summary(summary_path, summary)

@@ -71,11 +71,12 @@ class RoundRecord:
 class LearnerState:
     """Single-writer accumulator for the regularized-leader updates.
 
-    B, H and K are the constants of the schedules, B and H derived from the
-    domain once by init_learner.  last_answer is (feasible set,
-    prediction, oracle answer) of the last round, or None; observe reuses it
-    for the same set and prediction objects.  Updates return a fresh state;
-    instances for parallel trials share nothing.
+    B, H and K are the constants of the schedules and of the run's
+    RegretLedger, B and H derived from the domain once by init_learner.
+    last_answer is (feasible set, prediction, oracle answer) of the last
+    round, or None; observe reuses it for the same set and prediction
+    objects.  Updates return a fresh state; instances for parallel trials
+    share nothing.
     """
 
     domain: PredictionDomain

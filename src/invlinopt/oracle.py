@@ -16,13 +16,14 @@ argmax is a pure function of its arguments and keeps no state; answers
 are read-only, so a caller that knows a decision problem repeats may keep
 one and reuse it.
 
-argmax_many answers one objective over many sets.  Consecutive
-ExplicitVertices sets of one shape are scanned together in one stacked
-product, and consecutive DagPaths sets run the longest-path rule on one
-Python list of the objective, filling one row array; either batch holds
-at most _STACK_CHUNK sets, so peak memory does not grow with the number of
-sets.  Every other set goes through argmax once per run of consecutive
-repeats of the same set object.
+argmax_many answers one objective over many sets as one read-only array,
+one row per set.  Consecutive ExplicitVertices sets of one shape are
+scanned together in one stacked product, and consecutive DagPaths sets run
+the longest-path rule on one Python list of the objective; each batch
+holds at most _STACK_CHUNK sets and writes its own rows, so memory beyond
+the answer array does not grow with the number of sets.  Every other set
+goes through argmax once per run of consecutive repeats of the same set
+object.
 """
 
 from __future__ import annotations
@@ -160,15 +161,16 @@ def argmax(feasible_set: FeasibleSet, c) -> OracleResult:
 _STACK_CHUNK = 256
 
 
-def argmax_many(sets: Sequence[FeasibleSet], c) -> list[np.ndarray]:
-    """[argmax(X, c).maximizer for X in sets], bitwise, in fewer calls.
+def argmax_many(sets: Sequence[FeasibleSet], c) -> np.ndarray:
+    """Read-only (len(sets), c.size) array whose row i is, bitwise,
+    argmax(sets[i], c).maximizer.
 
     A run of consecutive sets with one _run_key, at most _STACK_CHUNK long,
-    is answered as the rows of one read-only array.  A set without a batch
-    rule goes through argmax once for each run of repeats of that object.
+    fills its rows in one batch.  A set without a batch rule goes through
+    argmax once for each run of repeats of that object.
     """
     c = np.asarray(c, dtype=np.float64)
-    out: list[np.ndarray] = []
+    out = np.zeros((len(sets), c.size))
     i = 0
     while i < len(sets):
         key = _run_key(sets[i])
@@ -178,14 +180,15 @@ def argmax_many(sets: Sequence[FeasibleSet], c) -> list[np.ndarray]:
             else j - i < _STACK_CHUNK and _run_key(sets[j]) == key
         ):
             j += 1
-        run = sets[i:j]
         if key is None:
-            out.extend([argmax(sets[i], c).maximizer] * len(run))
+            out[i:j] = argmax(sets[i], c).maximizer
         else:
             # a run's sets share their dimension, so one check covers them all
             _check_dimension(sets[i], c)
-            out.extend(_dag_rows(run, c) if key[0] == "dag" else _vertex_rows(run, c))
+            fill = _dag_rows if key[0] == "dag" else _vertex_rows
+            fill(sets[i:j], c, out[i:j])
         i = j
+    out.flags.writeable = False
     return out
 
 
@@ -200,8 +203,8 @@ def _run_key(X: FeasibleSet) -> tuple | None:
 
 
 def _vertex_rows(
-    sets: Sequence[ExplicitVertices], c: np.ndarray
-) -> list[np.ndarray]:
+    sets: Sequence[ExplicitVertices], c: np.ndarray, rows: np.ndarray
+) -> None:
     """A stacked product gives each set the same values as its own scan, so
     a set without an exact tie takes the row at its first maximum; a set
     with a tie goes through the scan's lexicographic rule."""
@@ -210,25 +213,20 @@ def _vertex_rows(
     first = values.argmax(axis=1)
     picked = np.arange(len(sets))
     ties = np.count_nonzero(values == values[picked, first][:, None], axis=1)
-    rows = stack[picked, first] + 0.0
-    rows.flags.writeable = False
-    answers = list(rows)
+    np.add(stack[picked, first], 0.0, out=rows)
     for k in np.flatnonzero(ties > 1):
-        answers[k] = _scan(sets[k].vertices, c).maximizer
-    return answers
+        rows[k] = _scan(sets[k].vertices, c).maximizer
 
 
-def _dag_rows(sets: Sequence[DagPaths], c: np.ndarray) -> list[np.ndarray]:
-    """The longest-path rule of argmax, on one list of c for all sets."""
+def _dag_rows(sets: Sequence[DagPaths], c: np.ndarray, rows: np.ndarray) -> None:
+    """The longest-path rule of argmax, on one list of c for all sets; rows
+    start as zeros."""
     weights = c.tolist()
     n = c.size
     hits: list[int] = []
     for r, X in enumerate(sets):
         hits.extend([r * n + k for k in _dag_path(X, weights)])
-    rows = np.zeros((len(sets), n))
-    rows.reshape(-1)[hits] = 1.0
-    rows.flags.writeable = False
-    return list(rows)
+    rows.flat[hits] = 1.0
 
 
 def _solve(feasible_set: FeasibleSet, c: np.ndarray) -> OracleResult:

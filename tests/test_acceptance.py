@@ -123,7 +123,7 @@ def identity_runs():
             num_vertices=16, agent_noise=noise,
         )
         bundle = generate_instance_stream(cfg)
-        _, ledger = simulate(bundle)
+        ledger = simulate(bundle)
         runs.append((cfg, bundle, ledger))
     return runs
 
@@ -156,7 +156,7 @@ def _bound_suite_run(n: int, schedule: str):
     )
     bundle = generate_instance_stream(cfg)
     start = time.perf_counter()
-    _, ledger = simulate(bundle)
+    ledger = simulate(bundle)
     elapsed = time.perf_counter() - start
     checks = {c.name: c for c in verify_run(ledger)}
     return cfg, bundle, ledger, checks, elapsed
@@ -182,7 +182,7 @@ def test_criterion_4_adaptive_bounds(adaptive_runs):
         constant_ok = True
         bound = bound_columns(ledger)["adaptive_horizon"]
         for t in (1, 17, 10_000):
-            reference = 16.0 * ledger.K * math.sqrt(t * math.log(n))
+            reference = 16.0 * ledger.learner.K * math.sqrt(t * math.log(n))
             value = bound[t - 1]
             constant_ok &= abs(value - reference) <= 1e-9 * reference
         run_ok = grad.passed and horizon.passed and constant_ok and elapsed <= 60.0
@@ -206,7 +206,7 @@ def test_criterion_5_offset_bounds(offset_runs):
         constant_ok = True
         bound = bound_columns(ledger)["offset_horizon"]
         for t in (1, 23, 10_000):
-            reference = 2.0 * ledger.K * math.sqrt(t * math.log(n))
+            reference = 2.0 * ledger.learner.K * math.sqrt(t * math.log(n))
             value = bound[t - 1]
             constant_ok &= abs(value - reference) <= 1e-9 * reference
         run_ok = horizon.passed and constant_ok and elapsed <= 60.0
@@ -248,7 +248,7 @@ def _gap_run(seed, T, family, fresh, n, num_vertices=12):
         num_vertices=num_vertices, gap_mode="integral", fresh_sets=fresh,
     )
     bundle = generate_instance_stream(cfg)
-    _, ledger = simulate(bundle)
+    ledger = simulate(bundle)
     certificate = certify_gap(
         bundle.observations, bundle.c_star, bundle.domain.norm_pair
     )
@@ -305,13 +305,13 @@ def test_criterion_8_gap_constant_and_plateau(plateau_runs):
     for label, (cfg, bundle, ledger, certificate, integral) in plateau_runs.items():
         T = ledger.rounds
         # integral construction certifies a margin of at least 1/K exactly
-        floor_ok = integral.satisfied and integral.delta >= 1.0 / ledger.K
+        floor_ok = integral.satisfied and integral.delta >= 1.0 / ledger.learner.K
         checks = {
             c.name: c
             for c in verify_run(ledger, delta=certificate.delta, plateau_burn_in=1000)
         }
         constant_ok = checks["gap_constant_bound"].passed
-        total = ledger.arrays()["total"]
+        total = ledger.columns["total"]
         late = float(np.sum(total)) - float(np.sum(total[: T // 2]))
         plateau_ok = checks["loss_plateau"].passed and late <= 1e-9 * T
         all_pass &= floor_ok and constant_ok and plateau_ok and certificate.satisfied

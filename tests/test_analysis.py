@@ -55,7 +55,7 @@ def small_run(seed=7, rounds=300, schedule="adaptive", noise=0.0, gap="none", **
         **kw,
     )
     bundle = generate_instance_stream(cfg)
-    state, ledger = simulate(bundle)
+    ledger = simulate(bundle)
     return cfg, bundle, ledger
 
 
@@ -94,10 +94,23 @@ def test_offset_bound_checks_pass_each_prefix():
 def test_offset_bound_formula_other_constants():
     # the simplex fixes H = sqrt(ln 3); K = 2 is twice the run's own
     _, bundle, run = small_run(schedule="offset", dimension=3, rounds=400)
+    state = init_learner(Simplex(3), OFFSET, 2.0)
     ledger = RegretLedger(
-        run.c_star, Simplex(3), 2.0, OFFSET, run.observations, run.records,
-        bundle.optimal_choices,
+        run.c_star, state, bundle.observations, run.records, bundle.optimal_choices,
     )
+    # the ledger's constants are the state's, and nothing else sets them
+    assert ledger.learner is state
+    assert (state.K, state.H) == (2.0, math.sqrt(math.log(3.0)))
+    for gone in ("arrays", "_columns", "domain", "norms", "B", "H", "K",
+                 "schedule", "observations"):
+        assert not hasattr(ledger, gone), gone
+    # the columns are read in place and cannot be changed there
+    with pytest.raises(TypeError):
+        ledger.columns["total"] = ledger.columns["ell_sub"]
+    assert not any(column.flags.writeable for column in ledger.columns.values())
+    with pytest.raises(ValueError, match="differ in length"):
+        RegretLedger(run.c_star, state, bundle.observations[1:], run.records,
+                     bundle.optimal_choices)
     bound = bound_columns(ledger)["offset_horizon"][399]
     # 2 * 2 * sqrt(ln 3) * sqrt(400)
     assert abs(bound - 83.85176591745639) < 1e-9
@@ -111,9 +124,10 @@ def test_bounds_follow_the_ledger_schedule_and_config():
     assert bounds["adaptive_grad"] is not None and bounds["adaptive_horizon"] is not None
     # verify_run reads the constants from the ledger: a ledger with half
     # the K checks half the horizon bound
+    run = ledger.learner
     halved = RegretLedger(
-        ledger.c_star, ledger.domain, 0.5 * ledger.K, ADAPTIVE, ledger.observations,
-        ledger.records, bundle.optimal_choices,
+        ledger.c_star, init_learner(run.domain, ADAPTIVE, 0.5 * run.K),
+        bundle.observations, ledger.records, bundle.optimal_choices,
     )
     horizon = {c.name: c for c in verify_run(halved)}["adaptive_horizon_bound"]
     assert horizon.bound == bound_columns(halved)["adaptive_horizon"][horizon.round - 1]
@@ -195,7 +209,7 @@ def test_plateau_can_fail_honestly():
 
 def test_plateau_value_is_a_difference_of_pairwise_sums():
     ledger, check = fresh_gap_run()
-    total = ledger.arrays()["total"]
+    total = ledger.columns["total"]
     T = ledger.rounds
     late = float(np.sum(total)) - float(np.sum(total[: T // 2]))
     assert late != 0.0
@@ -665,17 +679,18 @@ def bits(value):
     return np.float64(value).tobytes()
 
 
-def assert_ledger_matches_appends(ledger, references):
-    reference = AppendLedger(ledger.c_star, ledger.norms)
-    arrays = ledger.arrays()
-    rows = zip(ledger.observations, ledger.records, references)
+def assert_ledger_matches_appends(ledger, observations, references):
+    norms = ledger.learner.norms
+    reference = AppendLedger(ledger.c_star, norms)
+    arrays = ledger.columns
+    rows = zip(observations, ledger.records, references)
     for t, (obs, record, optimal) in enumerate(rows):
         # the record's own arithmetic and both loss columns, per round with
         # np.dot, zero-gradient rounds included
         x = obs.agent_choice
         g = record.x_hat - x + 0.0
         assert record.g.tobytes() == g.tobytes()
-        assert bits(record.grad_norm) == bits(ledger.norms.primal(g))
+        assert bits(record.grad_norm) == bits(norms.primal(g))
         assert bits(arrays["ell_sub"][t]) == bits(np.dot(record.c_hat, g))
         est = estimate_loss(ledger.c_star, x, record.x_hat)  # one np.dot
         assert bits(arrays["ell_est"][t]) == bits(est)
@@ -709,7 +724,7 @@ LEDGER_RUNS = {
 def test_whole_run_ledger_matches_round_by_round_appends(name):
     cfg = build_config({}, seed=23, rounds=400, **LEDGER_RUNS[name])
     bundle = generate_instance_stream(cfg)
-    _, ledger = simulate(bundle)
+    ledger = simulate(bundle)
     zero = sum(not r.g.any() for r in ledger.records)
     assert 0 < zero < ledger.rounds  # both kinds of round occur
     if "ball" in name:
@@ -717,13 +732,13 @@ def test_whole_run_ledger_matches_round_by_round_appends(name):
         # rounds, and the estimate loss takes both signs
         assert (np.stack([r.c_hat for r in ledger.records]) < 0.0).any()
         assert (ledger.c_star < 0.0).any()
-        ell_est = ledger.arrays()["ell_est"]
+        ell_est = ledger.columns["ell_est"]
         assert (ell_est < 0.0).any() and (ell_est > 0.0).any()
-    assert_ledger_matches_appends(ledger, bundle.optimal_choices)
+    assert_ledger_matches_appends(ledger, bundle.observations, bundle.optimal_choices)
     # a caller's replay of other observations solves its own references
     other = generate_instance_stream(build_config({}, seed=24, rounds=400,
                                                   **LEDGER_RUNS[name]))
-    _, replayed = simulate(bundle, other.observations)
+    replayed = simulate(bundle, other.observations)
     references = [argmax(obs.feasible_set, bundle.c_star).maximizer
                   for obs in other.observations]
-    assert_ledger_matches_appends(replayed, references)
+    assert_ledger_matches_appends(replayed, other.observations, references)

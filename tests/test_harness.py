@@ -222,12 +222,12 @@ def test_objective_reproducible_without_stream():
 def test_protocol_order_prefix_stability():
     cfg = make_cfg(rounds=40)
     bundle = generate_instance_stream(cfg)
-    _, ledger = simulate(bundle)
+    ledger = simulate(bundle)
     # perturb observations from round 21 on and replay
     cut = 20
     other = generate_instance_stream(make_cfg(seed=99, rounds=40))
     perturbed = list(bundle.observations[:cut]) + list(other.observations[cut:])
-    _, ledger2 = simulate(bundle, perturbed)
+    ledger2 = simulate(bundle, perturbed)
     for t in range(cut):
         assert (
             ledger.records[t].c_hat.tobytes() == ledger2.records[t].c_hat.tobytes()
@@ -707,14 +707,14 @@ def test_fresh_optimal_rounds_make_two_solves_each(monkeypatch):
     monkeypatch.setattr(generate, "argmax_many", counting_many)
     cfg = make_cfg(dimension=10, num_vertices=32, rounds=200)
     bundle = generate_instance_stream(cfg)
-    _, ledger = simulate(bundle)
+    ledger = simulate(bundle)
     assert answers[0] == 400
     # a replay of caller observations solves their optimal choices itself
     # and yields the same ledger
-    _, replayed = simulate(bundle, list(bundle.observations))
+    replayed = simulate(bundle, list(bundle.observations))
     assert answers[0] == 800
-    for name, column in ledger.arrays().items():
-        assert column.tobytes() == replayed.arrays()[name].tobytes(), name
+    for name, column in ledger.columns.items():
+        assert column.tobytes() == replayed.columns[name].tobytes(), name
     answers[0] = 0
     assert run_experiment(cfg).exit_code == 0
     assert answers[0] == 400

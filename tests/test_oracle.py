@@ -220,7 +220,9 @@ def stack_chunk(size):
 
 def assert_many_matches_argmax(sets, c):
     got = argmax_many(sets, c)
-    assert len(got) == len(sets)
+    # one read-only answer array, row i for sets[i]
+    assert got.shape == (len(sets), c.size) and got.dtype == np.float64
+    assert got.flags.writeable is False
     for X, x in zip(sets, got):
         assert x.tobytes() == argmax(X, c).maximizer.tobytes()
         assert x.shape == (X.dimension,) and not x.flags.writeable
@@ -275,7 +277,7 @@ def test_argmax_many_across_chunks_of_the_real_size():
             sets.append(ExplicitVertices(vertices))
     for c in (rng.standard_normal(n), np.array([1.0, 1.0, 0.0, -0.0, 2.0, 1.0])):
         assert_many_matches_argmax(sets, c)
-    assert argmax_many([], rng.standard_normal(n)) == []
+    assert argmax_many([], rng.standard_normal(n)).shape == (0, n)
 
 
 @settings(max_examples=300, deadline=None)
