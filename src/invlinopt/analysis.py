@@ -304,11 +304,7 @@ def _gap_margin(
     worst = int(others[np.argmax(values[others])])
     if values[worst] >= value_x:
         return None, worst
-    diffs = x[None, :] - members[others]
-    if norms.kind == NormPair.LINF_L1:
-        dists = np.max(np.abs(diffs), axis=1)
-    else:
-        dists = np.sqrt(np.sum(diffs * diffs, axis=1))
+    dists = norms.primal_rows(x[None, :] - members[others])
     return float(((value_x - values[others]) / dists).min()), None
 
 

@@ -2,8 +2,9 @@
 and prediction domains.
 
 Values are immutable after construction, except that a FeasibleSet caches
-its members() enumeration on first use; a rebuilt cache holds the same rows,
-so sharing across concurrent readers is safe and every read is pure.
+its members() enumeration on first use and hands out that array uncopied; a
+rebuilt cache holds the same rows, so sharing across concurrent readers is
+safe and every read is pure.  _distinct is the one dedup rule for vertices.
 """
 
 from __future__ import annotations
@@ -115,6 +116,12 @@ class NormPair:
             return float(np.max(np.abs(v)))
         return float(np.linalg.norm(v))
 
+    def primal_rows(self, m: np.ndarray) -> np.ndarray:
+        """The primal norm of every row of a (T, n) float64 stack."""
+        if self.kind == self.LINF_L1:
+            return np.max(np.abs(m), axis=1)
+        return np.sqrt(np.sum(m * m, axis=1))
+
     def dual_rows(self, m: np.ndarray) -> np.ndarray:
         """The dual norm of every row of a (T, n) float64 stack."""
         if self.kind == self.LINF_L1:
@@ -126,14 +133,12 @@ class NormPair:
 class FeasibleSet:
     """A finite, nonempty action set with exact membership and enumeration.
 
-    Subclasses are immutable; enumeration results are cached on first use
-    (rebuilding the cache concurrently is idempotent, so sharing is safe).
+    Subclasses are immutable; members() caches its enumeration on first use
+    in the instance, over the class-level None, so no base constructor runs.
     """
 
     dimension: int
-
-    def __init__(self):
-        self._members_cache: np.ndarray | None = None
+    _members_cache: np.ndarray | None = None
 
     def _contains(self, v: np.ndarray) -> bool:
         """Exact membership of a float64 vector of shape (dimension,)."""
@@ -152,7 +157,8 @@ class FeasibleSet:
         Refuses with EnumerationRefusedError when the enumeration effort
         exceeds ``cap``, before any work; callers then stay in oracle-only
         mode rather than receiving an approximation.  This is the one place
-        the cap applies.
+        the cap applies.  _enumerate()'s array is cached as is: integer
+        bits, zeros set to 1.0 and folded vertices hold no -0.0.
         """
         effort = self.enumeration_effort()
         if effort > cap:
@@ -161,17 +167,26 @@ class FeasibleSet:
             )
         if self._members_cache is None:
             m = self._enumerate()
-            m = m + 0.0
             m.flags.writeable = False
             self._members_cache = m
         return self._members_cache
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Distinct rows of a folded (m, n) float64 array, first seen first, read-only."""
+    # equal bytes mean equal rows: one void item per row
+    items = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first = np.unique(items, return_index=True)
+    if first.size < rows.shape[0]:
+        rows = rows[np.sort(first)]
+    rows.flags.writeable = False
+    return rows
 
 
 class ExplicitVertices(FeasibleSet):
     """The set is exactly the given points, deduplicated, input order kept."""
 
     def __init__(self, vertices):
-        super().__init__()
         m = np.asarray(vertices, dtype=np.float64)
         if m.ndim == 1:
             m = m.reshape(1, -1)
@@ -183,12 +198,7 @@ class ExplicitVertices(FeasibleSet):
         # with -0.0 folded, rows whose first entries all differ are distinct,
         # so only a shared first entry calls for the full dedup
         lead = np.sort(m[:, 0])
-        if (lead[1:] == lead[:-1]).any():
-            # equal bytes mean equal rows: one void item per row
-            rows = m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel()
-            _, first = np.unique(rows, return_index=True)
-            if first.size < m.shape[0]:
-                m = m[np.sort(first)]
+        m = _distinct(m) if (lead[1:] == lead[:-1]).any() else m
         m.flags.writeable = False
         self._vertices = m
         self.dimension = int(m.shape[1])
@@ -200,8 +210,9 @@ class ExplicitVertices(FeasibleSet):
         block is a (k, m, n) float64 array that the caller drew and hands
         over: it is folded in place and made read-only, and each set keeps
         a view of its slice.  The lead-entry test of the public constructor
-        runs once over the block; a slice with a repeated lead entry goes
-        through the public constructor's full dedup.
+        runs once over the block; only a slice with a repeated lead entry
+        goes through _distinct, the dedup rule the public constructor uses.
+        The rows are neither validated nor copied a second time.
         """
         if not np.isfinite(block).all():
             raise ValueError("vertex entries must be finite")
@@ -212,12 +223,8 @@ class ExplicitVertices(FeasibleSet):
         n = int(block.shape[2])
         sets = []
         for rows, repeated in zip(block, shared.tolist()):
-            if repeated:
-                sets.append(cls(rows))
-                continue
             X = cls.__new__(cls)
-            FeasibleSet.__init__(X)
-            X._vertices = rows
+            X._vertices = _distinct(rows) if repeated else rows
             X.dimension = n
             sets.append(X)
         return sets
@@ -233,14 +240,13 @@ class ExplicitVertices(FeasibleSet):
         return int(self._vertices.shape[0])
 
     def _enumerate(self) -> np.ndarray:
-        return self._vertices.copy()
+        return self._vertices
 
 
 class Hypercube(FeasibleSet):
     """All 0/1 vectors of a given dimension."""
 
     def __init__(self, n: int):
-        super().__init__()
         n = int(n)
         if n < 1:
             raise ValueError("dimension must be at least 1")
@@ -267,7 +273,6 @@ class Knapsack(FeasibleSet):
     """
 
     def __init__(self, weights, capacity: int):
-        super().__init__()
         w = np.asarray(weights)
         wf = np.asarray(w, dtype=np.float64)
         if wf.ndim != 1 or wf.size == 0:
@@ -316,7 +321,6 @@ class DagPaths(FeasibleSet):
     """
 
     def __init__(self, num_nodes: int, arcs):
-        super().__init__()
         m = int(num_nodes)
         if m < 2:
             raise ValueError("need at least two nodes (source and sink)")
@@ -342,7 +346,6 @@ class DagPaths(FeasibleSet):
         ints with 0 <= u < v < num_nodes that include a source-to-sink path,
         as generation draws them."""
         X = cls.__new__(cls)
-        FeasibleSet.__init__(X)
         X._link(num_nodes, arcs)
         return X
 

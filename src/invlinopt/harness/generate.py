@@ -7,14 +7,15 @@ stream, and [seed, 1] drives holdout sampling.  One sampler draws both the
 stream and the holdout.
 
 Generation trusts what it draws itself.  When nothing else draws from the
-rng between two sets (fresh random vertex sets, not integral, with no gap
-test and no agent noise), one sampler call draws all its vertex sets as one
-rng.random((k, m, n)) block, which is bitwise k draws of (m, n); every
-other vertex set is a block of one.  A block is checked for finiteness and
-folded once, DAGs are built from their drawn chain and u < v arcs without
-per-arc checks, and each observation takes its choice, an oracle answer or
-a uniform_member row, without a membership scan.  The public constructors,
-and so read_stream and callers' own observations, keep every check.
+rng between two sets (fresh random vertex sets with no gap test and no
+agent noise), one sampler call draws all its vertex sets as one (k, m, n)
+block of rng.random or rng.integers(0, 2), bitwise k draws of (m, n);
+every other vertex set is a block of one.  A block is checked for
+finiteness and folded once, DAGs are built from their drawn chain and u < v
+arcs without per-arc checks, and each observation takes its choice, an
+oracle answer or a uniform_member row, uncopied and without a membership
+scan.  The public constructors, and so read_stream and callers' own
+observations, keep every check.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class GenerationFailedError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class StreamBundle:
-    """Everything a run needs: the stream, the truth, and the learner setup.
+    """Everything a run needs: the stream, the truth, and the config, which
+    fixes the learner's setup through build_domain and diameter_bound.
 
     c_star_integral is the pre-rescaling integral objective in integral gap
     mode (None otherwise); the agent and all regret accounting use c_star,
@@ -64,7 +66,6 @@ class StreamBundle:
     """
 
     config: ExperimentConfig
-    domain: PredictionDomain
     c_star: np.ndarray
     c_star_integral: np.ndarray | None
     observations: tuple[Observation, ...]
@@ -157,11 +158,12 @@ def _sample_feasible_set(
 
 
 def uniform_member(X: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random element; hypercubes avoid enumeration entirely."""
+    """A uniformly random element: an uncopied members() row, read-only and
+    folded as Observation._trusted requires; hypercubes skip enumeration."""
     if isinstance(X, Hypercube):
         return as_vector(rng.integers(0, 2, size=X.dimension).astype(np.float64))
     members = X.members()
-    return as_vector(members[int(rng.integers(0, members.shape[0]))])
+    return members[int(rng.integers(0, members.shape[0]))]
 
 
 def _gap_test(
@@ -229,7 +231,6 @@ def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
     bitwise-equal vectors.  Raises GenerationFailedError when gap-controlled
     rejection sampling exceeds RETRY_CAP draws for one set.
     """
-    domain = build_domain(cfg)
     c_star, c_star_integral = draw_objective(cfg)
     sampler = make_observation_sampler(cfg, c_star, c_star_integral)
     observations, optimal_choices = sampler(
@@ -237,7 +238,6 @@ def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
     )
     return StreamBundle(
         config=cfg,
-        domain=domain,
         c_star=c_star,
         c_star_integral=c_star_integral,
         observations=tuple(observations),
@@ -268,7 +268,6 @@ def make_observation_sampler(
         cfg.family == "random-vertices"
         and shared is None
         and cfg.gap_mode == "none"
-        and not cfg.integral_vertices
         and cfg.agent_noise == 0.0
     )
 

@@ -9,17 +9,19 @@ every failed check is named in the summary.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .. import analysis, learner, oracle
-from ..core import Observation, clamp_small_negative, tolerance
+from .. import analysis, learner
+from ..core import clamp_small_negative, tolerance
 from .config import ExperimentConfig
 from .generate import (
     StreamBundle,
+    build_domain,
     diameter_bound,
     generate_instance_stream,
     make_observation_sampler,
@@ -41,32 +43,23 @@ class RunResult:
     summary_path: str | None
 
 
-def simulate(
-    bundle: StreamBundle, observations: Sequence[Observation] | None = None
-) -> analysis.RegretLedger:
-    """Run the online loop over a stream; pure given its inputs.
+def simulate(bundle: StreamBundle) -> analysis.RegretLedger:
+    """Run the online loop over a bundle's stream; pure given the bundle.
 
-    Pass a different observation sequence to replay the same learner setup
-    on modified data (used by the protocol-order tests); the ledger's
-    optimal choices are then solved for it.  Only the learner's recursion
-    runs round by round; the ledger is built from the whole run afterwards
-    and holds the final learner state.
+    The learner is set up from the bundle's config alone: the domain
+    build_domain(config) and the diameter bound diameter_bound(config).
+    Only the learner's recursion runs round by round; the ledger is built
+    from the whole run afterwards, takes bundle.optimal_choices as its
+    references and holds the final learner state.
     """
-    if observations is None:
-        observations = bundle.observations
-        optimal_choices = bundle.optimal_choices
-    else:
-        optimal_choices = oracle.argmax_many(
-            [obs.feasible_set for obs in observations], bundle.c_star
-        )
     cfg = bundle.config
-    state = learner.init_learner(bundle.domain, cfg.schedule, diameter_bound(cfg))
+    state = learner.init_learner(build_domain(cfg), cfg.schedule, diameter_bound(cfg))
     records = []
-    for obs in observations:
+    for obs in bundle.observations:
         state, record = learner.observe(state, obs)
         records.append(record)
     return analysis.RegretLedger(
-        bundle.c_star, state, observations, records, optimal_choices
+        bundle.c_star, state, bundle.observations, records, bundle.optimal_choices
     )
 
 
@@ -165,51 +158,44 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     certificate = None
     integral_certificate = None
     delta = None
-    if cfg.gap_mode != "none":
-        if cfg.agent_noise > 0.0:
-            skipped["gap_checks"] = "agent is noisy, optimal choices required"
-        else:
-            certificate = analysis.certify_gap(
-                bundle.observations,
-                bundle.c_star,
-                bundle.domain.norm_pair,
+    norms = ledger.learner.norms
+    if cfg.gap_mode != "none" and cfg.agent_noise > 0.0:
+        skipped["gap_checks"] = "agent is noisy, optimal choices required"
+    elif cfg.gap_mode != "none":
+        certificate = analysis.certify_gap(bundle.observations, bundle.c_star, norms)
+        if certificate.satisfied:
+            delta = certificate.delta
+        if bundle.c_star_integral is not None:
+            integral_certificate = analysis.certify_gap(
+                bundle.observations, bundle.c_star_integral, norms
             )
-            if certificate.satisfied:
-                delta = certificate.delta
-            if bundle.c_star_integral is not None:
-                integral_certificate = analysis.certify_gap(
-                    bundle.observations,
-                    bundle.c_star_integral,
-                    bundle.domain.norm_pair,
-                )
 
     checks = analysis.verify_run(ledger, delta=delta, plateau_burn_in=1000)
-    if cfg.gap_mode != "none" and cfg.agent_noise == 0.0:
-        assert certificate is not None
+    if certificate is not None:
         checks.append(
             analysis.BoundCheck(
                 "gap_certified", ledger.rounds, 0.0, 0.0, certificate.satisfied
             )
         )
-        if integral_certificate is not None:
-            # integral vertex sets with an integral objective and a unique
-            # optimum have margin at least 1 / K
-            floor = 1.0 / diameter_bound(cfg)
-            value = (
-                integral_certificate.delta
-                if integral_certificate.satisfied
-                else float("-inf")
+    if integral_certificate is not None:
+        # integral vertex sets with an integral objective and a unique
+        # optimum have margin at least 1 / K
+        floor = 1.0 / ledger.learner.K
+        value = (
+            integral_certificate.delta
+            if integral_certificate.satisfied
+            else float("-inf")
+        )
+        checks.append(
+            analysis.BoundCheck(
+                "integral_gap_floor",
+                ledger.rounds,
+                floor,
+                value,
+                integral_certificate.satisfied
+                and value + tolerance(value, floor) >= floor,
             )
-            checks.append(
-                analysis.BoundCheck(
-                    "integral_gap_floor",
-                    ledger.rounds,
-                    floor,
-                    value,
-                    integral_certificate.satisfied
-                    and value + tolerance(value, floor) >= floor,
-                )
-            )
+        )
 
     averaged = analysis.average_prediction(ledger.records)
     evaluation = None
@@ -270,6 +256,8 @@ def run_sweep(
     Trials are isolated (fresh learner and stream per trial) and written to
     per-trial directories plus a sweep_index.csv.  Every trial's config is
     built before anything is written, so a bad grid value writes nothing.
+    A trial that raises ValueError or RuntimeError is named on stderr and
+    indexed with exit 2 and no regret; the other trials still run.
     """
     out = Path(out_dir)
     trials = []
@@ -283,11 +271,15 @@ def run_sweep(
     index_lines = ["trial,dir,seed,dimension,rounds,gap_mode,exit,regret,regret_sub"]
     worst = 0
     for trial, (name, cfg) in enumerate(trials):
-        result = run_experiment(cfg)
-        worst = max(worst, result.exit_code)
-        row = [trial, name, cfg.seed, cfg.dimension, cfg.rounds, cfg.gap_mode,
-               result.exit_code, fmt(result.ledger.linearized_regret()),
-               fmt(result.ledger.subopt_regret())]
+        try:
+            result = run_experiment(cfg)
+            status = [result.exit_code, fmt(result.ledger.linearized_regret()),
+                      fmt(result.ledger.subopt_regret())]
+        except (ValueError, RuntimeError) as exc:
+            print(f"error: {cfg.out}: {exc}", file=sys.stderr)
+            status = [2, "", ""]
+        worst = max(worst, status[0])
+        row = [trial, name, cfg.seed, cfg.dimension, cfg.rounds, cfg.gap_mode, *status]
         index_lines.append(",".join(map(str, row)))
     (out / "sweep_index.csv").write_text("\n".join(index_lines) + "\n")
     return worst

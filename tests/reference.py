@@ -79,14 +79,24 @@ def out_arcs(X: DagPaths, node: int) -> tuple[tuple[int, int], ...]:
 
 
 def argmax_bruteforce(feasible_set: FeasibleSet, c) -> OracleResult:
-    """Independent maximizer by exhaustive scan over the full enumeration.
+    """Independent maximizer by a plain scan of the full enumeration.
 
-    Ties resolve to the lexicographically smallest member.  Propagates
+    The values are the entries of members() @ c.  The maximizer is the
+    smallest tied member compared as a Python tuple, the lexicographic
+    minimum, and tie_count is the number of tied members.  Propagates
     members()'s EnumerationRefusedError for a set too large to enumerate.
     """
     c = np.asarray(c, dtype=np.float64)
-    oracle._check_dimension(feasible_set, c)
-    return oracle._scan(feasible_set.members(), c)
+    if c.shape != (feasible_set.dimension,):
+        raise DimensionMismatchError(
+            f"objective has shape {c.shape}, set has dimension "
+            f"{feasible_set.dimension}"
+        )
+    members = feasible_set.members()
+    values = (members @ c).tolist()
+    best = max(values)
+    tied = [tuple(row) for row, value in zip(members.tolist(), values) if value == best]
+    return OracleResult(as_vector(min(tied)), len(tied))
 
 
 def predict(state: LearnerState) -> np.ndarray:

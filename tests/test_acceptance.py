@@ -250,10 +250,10 @@ def _gap_run(seed, T, family, fresh, n, num_vertices=12):
     bundle = generate_instance_stream(cfg)
     ledger = simulate(bundle)
     certificate = certify_gap(
-        bundle.observations, bundle.c_star, bundle.domain.norm_pair
+        bundle.observations, bundle.c_star, ledger.learner.norms
     )
     integral = certify_gap(
-        bundle.observations, bundle.c_star_integral, bundle.domain.norm_pair
+        bundle.observations, bundle.c_star_integral, ledger.learner.norms
     )
     return cfg, bundle, ledger, certificate, integral
 

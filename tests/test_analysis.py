@@ -1,6 +1,7 @@
 """Ledger accounting, bound checks, gap certification, holdout evaluation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,7 +346,8 @@ def test_margin_mode_generation_meets_its_margin(seed, family, domain):
                        num_vertices=4, domain=domain, gap_mode="margin",
                        gap_margin=0.05)
     bundle = generate_instance_stream(cfg)
-    certificate = certify_gap(bundle.observations, bundle.c_star, bundle.domain.norm_pair)
+    certificate = certify_gap(bundle.observations, bundle.c_star,
+                              generate.build_domain(cfg).norm_pair)
     assert certificate.satisfied and certificate.delta >= 0.05
 
 
@@ -503,6 +505,11 @@ SAMPLER_SETUPS = {
     "knapsack-fresh": dict(family="knapsack", dimension=6),
     "knapsack-repeat": dict(family="knapsack", dimension=6, fresh_sets=False),
     "hypercube-noisy": dict(family="hypercube", dimension=5, agent_noise=0.2),
+    # integral draws in blocks: m * n even, and odd
+    "rv-integral": dict(family="random-vertices", dimension=4, num_vertices=8,
+                        integral_vertices=True),
+    "rv-integral-odd": dict(family="random-vertices", dimension=3,
+                            num_vertices=5, integral_vertices=True),
 }
 
 
@@ -520,8 +527,9 @@ def set_contents(X):
 @pytest.mark.parametrize("setup", sorted(SAMPLER_SETUPS))
 @pytest.mark.parametrize("k", [1, 256, 257, 700])
 def test_sampler_matches_the_public_constructors(monkeypatch, setup, k):
-    # rv-simplex draws its sets as one block; every other setup draws them
-    # one at a time, with trusted sets and choices
+    # rv-simplex and the rv-integral setups draw their sets as one block;
+    # every other setup draws them one at a time, with trusted sets and
+    # choices
     if setup in HOLDOUT_RETRY_CAPS:
         monkeypatch.setattr(generate, "RETRY_CAP", HOLDOUT_RETRY_CAPS[setup])
     cfg = build_config({}, seed=13, rounds=1, **SAMPLER_SETUPS[setup])
@@ -738,7 +746,9 @@ def test_whole_run_ledger_matches_round_by_round_appends(name):
     # a caller's replay of other observations solves its own references
     other = generate_instance_stream(build_config({}, seed=24, rounds=400,
                                                   **LEDGER_RUNS[name]))
-    replayed = simulate(bundle, other.observations)
+    replayed = simulate(replace(
+        bundle, observations=other.observations, optimal_choices=argmax_many(
+            [obs.feasible_set for obs in other.observations], bundle.c_star)))
     references = [argmax(obs.feasible_set, bundle.c_star).maximizer
                   for obs in other.observations]
     assert_ledger_matches_appends(replayed, other.observations, references)

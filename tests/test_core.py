@@ -232,6 +232,18 @@ def test_block_constructor_matches_the_public_one(block):
         assert not X.vertices.flags.writeable
 
 
+def test_sets_hand_out_their_own_rows():
+    # members() is the cached enumeration itself, read-only and folded; for
+    # explicit vertices it is the vertex array
+    X = ExplicitVertices([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]])
+    assert X.members() is X.vertices
+    dag = DagPaths(3, [(0, 1), (1, 2), (0, 2)])
+    for Y in (X, Hypercube(3), Knapsack([1, 2, 2], 3), dag):
+        assert Y.members() is Y.members()
+        assert not Y.members().flags.writeable
+        assert not np.signbit(Y.members()).any()
+
+
 def test_block_constructor_refuses_non_finite_entries():
     block = np.zeros((2, 3, 2))
     block[1, 2, 0] = np.nan

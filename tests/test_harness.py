@@ -1,6 +1,7 @@
 """Generation, runner, file formats, CLI, and determinism contracts."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from invlinopt import (
     NormPair,
     Observation,
     argmax,
+    argmax_many,
     certify_gap,
 )
 from invlinopt.core import ExplicitVertices, Hypercube
@@ -142,13 +144,27 @@ def test_fixed_instance_mode():
     assert len(sets) > 1
 
 
+def test_noisy_choices_are_the_members_rows_themselves():
+    bundle = generate_instance_stream(
+        make_cfg(family="dag", dimension=6, agent_noise=0.5, rounds=40)
+    )
+    noisy = 0
+    for obs, optimal in zip(bundle.observations, bundle.optimal_choices):
+        if np.shares_memory(obs.agent_choice, bundle.optimal_choices):
+            assert obs.agent_choice.tobytes() == optimal.tobytes()
+        else:
+            noisy += 1
+            assert np.shares_memory(obs.agent_choice, obs.feasible_set.members())
+    assert noisy > 0
+
+
 def test_hypercube_family_and_ball_domain():
     cube = generate_instance_stream(make_cfg(family="hypercube", rounds=10))
     assert all(isinstance(o.feasible_set, Hypercube) for o in cube.observations)
     ball = generate_instance_stream(
         make_cfg(domain="ball", rounds=10, dimension=3)
     )
-    assert in_domain(ball.domain, ball.c_star)
+    assert in_domain(generate.build_domain(ball.config), ball.c_star)
 
 
 def test_ball_domain_runs_pass_checks():
@@ -168,7 +184,7 @@ def test_ball_margin_gap_uses_euclidean_norms():
     assert result.exit_code == 0, result.summary["failed_checks"]
     assert result.certificate.satisfied
     assert result.certificate.delta >= 0.2
-    assert result.bundle.domain.norm_pair.kind == NormPair.L2_L2
+    assert result.ledger.learner.norms.kind == NormPair.L2_L2
 
 
 def test_ball_integral_objective_is_colinear_rescaling():
@@ -180,7 +196,7 @@ def test_ball_integral_objective_is_colinear_rescaling():
     alpha = bundle.c_star[0] / z[0]
     assert alpha > 0.0
     assert np.allclose(bundle.c_star, alpha * z)
-    assert in_domain(bundle.domain, bundle.c_star)
+    assert in_domain(generate.build_domain(cfg), bundle.c_star)
 
 
 def test_oracle_only_mode_beyond_enumeration_cap():
@@ -227,7 +243,8 @@ def test_protocol_order_prefix_stability():
     cut = 20
     other = generate_instance_stream(make_cfg(seed=99, rounds=40))
     perturbed = list(bundle.observations[:cut]) + list(other.observations[cut:])
-    ledger2 = simulate(bundle, perturbed)
+    optimal = argmax_many([obs.feasible_set for obs in perturbed], bundle.c_star)
+    ledger2 = simulate(replace(bundle, observations=perturbed, optimal_choices=optimal))
     for t in range(cut):
         assert (
             ledger.records[t].c_hat.tobytes() == ledger2.records[t].c_hat.tobytes()
@@ -570,6 +587,23 @@ def test_cli_sweep_bad_grid_value_writes_nothing(tmp_path, capsys, flag, values,
     assert not (tmp_path / "sw").exists()
 
 
+def test_cli_sweep_indexes_a_trial_that_fails_at_run_time(tmp_path, capsys):
+    # trial 1 is a 30-cube whose stream cannot be enumerated for saving
+    args = [
+        "sweep", "--seed", "7", "--family", "hypercube", "--dimension-list", "3,30",
+        "--rounds-list", "5", "--save-stream", "--out", str(tmp_path / "sw"),
+    ]
+    assert main(args) == 2
+    lines = (tmp_path / "sw" / "sweep_index.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[2].startswith("1,trial001_n30_T5_gapnone,")
+    assert lines[2].endswith(",2,,")
+    for name in ("stream.txt", "trace.csv", "summary.txt", "prediction.txt"):
+        assert (tmp_path / "sw" / "trial000_n3_T5_gapnone" / name).is_file()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trial001_n30_T5_gapnone" in err
+
+
 def test_cli_sweep_deterministic(tmp_path):
     args = [
         "sweep", "--seed", "31", "--family", "knapsack", "--dimension", "3",
@@ -671,10 +705,11 @@ def test_save_stream_refusal_writes_no_outputs(tmp_path, capsys):
 )
 def test_prediction_equals_a_fresh_solve_after_every_round(setup, schedule):
     from invlinopt import init_learner, observe
-    from invlinopt.harness.generate import diameter_bound
+    from invlinopt.harness.generate import build_domain, diameter_bound
 
     bundle = generate_instance_stream(make_cfg(schedule=schedule, rounds=150, **setup))
-    state = init_learner(bundle.domain, schedule, diameter_bound(bundle.config))
+    cfg = bundle.config
+    state = init_learner(build_domain(cfg), schedule, diameter_bound(cfg))
     zero_rounds = 0
     for obs in bundle.observations:
         state, record = observe(state, obs)
@@ -711,7 +746,9 @@ def test_fresh_optimal_rounds_make_two_solves_each(monkeypatch):
     assert answers[0] == 400
     # a replay of caller observations solves their optimal choices itself
     # and yields the same ledger
-    replayed = simulate(bundle, list(bundle.observations))
+    observations = list(bundle.observations)
+    replayed = simulate(replace(bundle, observations=observations, optimal_choices=(
+        oracle.argmax_many([obs.feasible_set for obs in observations], bundle.c_star))))
     assert answers[0] == 800
     for name, column in ledger.columns.items():
         assert column.tobytes() == replayed.columns[name].tobytes(), name

@@ -108,6 +108,28 @@ def test_value_agreement_with_bruteforce():
                 assert np.array_equal(fast.maximizer, brute.maximizer)
 
 
+@pytest.mark.parametrize("family", ["explicit", "hypercube"])
+def test_scan_oracles_match_the_bruteforce_with_ties(family):
+    # integral vertices and objectives in {-1, 0, 1} with zero entries make
+    # exact ties common, so the tie rule itself is compared
+    rng = np.random.default_rng(15)
+    ties = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        c = rng.integers(-1, 2, size=n).astype(np.float64)
+        if family == "hypercube":
+            X = Hypercube(n)
+        else:
+            m = int(rng.integers(1, 12))
+            X = ExplicitVertices(rng.integers(-2, 3, size=(m, n)).astype(np.float64))
+        brute = argmax_bruteforce(X, c)
+        for fast in (argmax(X, c).maximizer, argmax_many([X], c)[0]):
+            assert fast.tobytes() == brute.maximizer.tobytes()
+        assert argmax(X, c).tie_count == brute.tie_count
+        ties += brute.tie_count > 1
+    assert ties >= 50
+
+
 def test_scale_invariance_power_of_two():
     # powers of two scale float comparisons exactly, so the tie-break
     # path, and hence the maximizer, cannot move
