@@ -37,10 +37,8 @@ from .learner import (
     ADAPTIVE,
     OFFSET,
     LearnerState,
-    RoundRecord,
-    beta,
     init_learner,
-    observe,
+    play,
 )
 from .oracle import OracleResult, argmax, argmax_many
 
@@ -67,16 +65,14 @@ __all__ = [
     "OracleResult",
     "PredictionDomain",
     "RegretLedger",
-    "RoundRecord",
     "Simplex",
     "argmax",
     "argmax_many",
     "as_vector",
     "average_prediction",
-    "beta",
     "certify_gap",
     "init_learner",
-    "observe",
     "offline_evaluate",
+    "play",
     "verify_run",
 ]

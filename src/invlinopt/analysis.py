@@ -3,11 +3,12 @@
 A RegretLedger holds, per round, the suboptimality and estimate losses,
 the linearized regret (which equals the running total loss), the
 suboptimality-loss regret, and the squared gradient norms, each computed
-once from the whole run's stacked rows and read in place from its
-columns.  It takes the constants B, H and K from the learner state that
-ran; bound_columns gives every running bound as an array from them, and
-verify_run checks each certified inequality at every prefix, reporting the
-measured slack at the worst one so failures are diagnosable.
+once from the columns that learner.play filled and read in place, beside
+those, from its columns.  It takes the constants B, H and K from the
+learner state that ran; bound_columns gives every running bound as an
+array from them, and verify_run checks each certified inequality at every
+prefix, reporting the measured slack at the worst one so failures are
+diagnosable.
 certify_gap computes the exact per-instance margin between optimal and
 suboptimal actions by brute force, and offline_evaluate measures holdout
 suboptimality of an averaged prediction.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .core import (
     _row_dots,
     as_vector,
 )
-from .learner import ADAPTIVE, LearnerState, RoundRecord
+from .learner import ADAPTIVE, LearnerState
 
 ROOT_FIVE_QUARTERS = 2.0 ** 1.25  # 2^{5/4}
 
@@ -91,16 +92,18 @@ def _running(values: np.ndarray) -> np.ndarray:
 class RegretLedger:
     """Per-round accounting for one simulation run (true objective known).
 
-    Built once from the whole run: the rows of every round are stacked and
-    each column is computed with array arithmetic, in one place.  The
-    suboptimality loss is <c_hat, g> and the estimate loss, which needs the
-    true objective, is <c_star, x - x_hat>.  learner is the LearnerState
+    Built once from the whole run: played holds the (T, n) columns c_hat,
+    x_hat and g and the length-T columns beta and grad_norm, as
+    learner.play returns them, and each loss column is computed from them
+    with array arithmetic, in one place.  The suboptimality loss is
+    <c_hat, g> and the estimate loss, which needs the true objective, is
+    <c_star, x - x_hat>.  learner is the LearnerState
     that ran, and its domain, schedule, norms, B, H and K are the run's
     constants.  references is the (T, n) array whose row t is the
     maximizer of c_star over round t's feasible set, as argmax_many
     answers it, which the caller already holds: generation computes it to
-    act as the optimal agent.  columns maps each column name to its
-    read-only array.  All reads are pure.
+    act as the optimal agent.  columns maps each column name, the five
+    played ones included, to its read-only array.  All reads are pure.
     """
 
     def __init__(
@@ -108,31 +111,26 @@ class RegretLedger:
         c_star,
         learner: LearnerState,
         observations: Sequence[Observation],
-        records: Sequence[RoundRecord],
+        played: Mapping[str, np.ndarray],
         references: np.ndarray,
     ):
         self.c_star = c_star = as_vector(c_star)
         self.learner = learner
-        self.records = list(records)
-        if not len(self.records) == len(observations) == len(references):
-            raise ValueError("observations, records and references differ in length")
-
-        def stack(vectors) -> np.ndarray:
-            return np.array(vectors, dtype=np.float64).reshape(-1, c_star.size)
-
-        x = stack([obs.agent_choice for obs in observations])
-        c_hat = stack([r.c_hat for r in self.records])
-        x_hat = stack([r.x_hat for r in self.records])
-        g = stack([r.g for r in self.records])
+        c_hat, x_hat, g = played["c_hat"], played["x_hat"], played["g"]
+        grad_norm = played["grad_norm"]
+        if not len(c_hat) == len(observations) == len(references):
+            raise ValueError("observations, played rounds and references differ in length")
+        x = np.array(
+            [obs.agent_choice for obs in observations], dtype=np.float64
+        ).reshape(-1, c_star.size)
         truth = np.broadcast_to(c_star, x.shape)
         ell_sub = _row_dots(c_hat, g)
         ell_est = _row_dots(truth, x - x_hat)
         ell_sub_ref = _row_dots(truth, references - x)
         distance = c_hat - c_star
         lin_inc = _row_dots(g, distance)
-        grad_norm = np.array([r.grad_norm for r in self.records], dtype=np.float64)
         # Python's float power, as the learner squares each norm
-        sq = np.array([r.grad_norm ** 2 for r in self.records], dtype=np.float64)
+        sq = np.array([v ** 2 for v in grad_norm.tolist()], dtype=np.float64)
         columns = {
             "ell_sub": ell_sub,
             "ell_est": ell_est,
@@ -142,8 +140,11 @@ class RegretLedger:
             "regret": _running(lin_inc),
             "regret_sub": _running(ell_sub - ell_sub_ref),
             "sum_sq": _running(sq),
-            "beta": np.array([r.beta for r in self.records], dtype=np.float64),
+            "beta": played["beta"],
             "grad_norm": grad_norm,
+            "c_hat": c_hat,
+            "x_hat": x_hat,
+            "g": g,
         }
         for column in columns.values():
             column.flags.writeable = False
@@ -155,7 +156,7 @@ class RegretLedger:
 
     @property
     def rounds(self) -> int:
-        return len(self.records)
+        return len(self.columns["beta"])
 
     def linearized_regret(self) -> float:
         return float(self.columns["regret"][-1])
@@ -360,12 +361,11 @@ def certify_gap(
     )
 
 
-def average_prediction(records: Sequence[RoundRecord]) -> np.ndarray:
-    """Coordinate-wise mean of the per-round predictions."""
-    if len(records) == 0:
+def average_prediction(c_hat) -> np.ndarray:
+    """Coordinate-wise mean of the per-round predictions, the rows of c_hat."""
+    if len(c_hat) == 0:
         raise ValueError("cannot average an empty run")
-    stacked = np.stack([r.c_hat for r in records])
-    return as_vector(stacked.mean(axis=0))
+    return as_vector(np.mean(c_hat, axis=0))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Experiment execution: the online loop, certification, and file outputs.
 
 The protocol per round is strict: predict, then observe, then update, so a
-prediction never depends on the current or future observations.  The exit
+prediction never depends on the current or future observations.  simulate
+plays the learner over the whole stream, then builds the ledger.  The exit
 status is nonzero exactly when some applicable certified inequality failed;
 every failed check is named in the summary.
 """
@@ -48,18 +49,15 @@ def simulate(bundle: StreamBundle) -> analysis.RegretLedger:
 
     The learner is set up from the bundle's config alone: the domain
     build_domain(config) and the diameter bound diameter_bound(config).
-    Only the learner's recursion runs round by round; the ledger is built
-    from the whole run afterwards, takes bundle.optimal_choices as its
-    references and holds the final learner state.
+    learner.play runs the recursion over the whole stream into columns;
+    the ledger is built from those afterwards, takes bundle.optimal_choices
+    as its references and holds the final learner state.
     """
     cfg = bundle.config
     state = learner.init_learner(build_domain(cfg), cfg.schedule, diameter_bound(cfg))
-    records = []
-    for obs in bundle.observations:
-        state, record = learner.observe(state, obs)
-        records.append(record)
+    state, played = learner.play(state, bundle.observations)
     return analysis.RegretLedger(
-        bundle.c_star, state, bundle.observations, records, bundle.optimal_choices
+        bundle.c_star, state, bundle.observations, played, bundle.optimal_choices
     )
 
 
@@ -197,7 +195,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             )
         )
 
-    averaged = analysis.average_prediction(ledger.records)
+    averaged = analysis.average_prediction(ledger.columns["c_hat"])
     evaluation = None
     if cfg.holdout > 0:
         evaluation = evaluate_holdout(

@@ -6,19 +6,21 @@ regularizer, and both pairs admit closed forms: negative entropy on the
 simplex gives a softmax of -G / beta_t, and the half squared norm on a ball
 gives a radially projected step from the center.  The learner sees only the
 observations (X_t, x_t); the true objective and every loss that needs it
-belong to the analysis layer.
+belong to the analysis layer.  play runs the recursion over a whole stream
+in one loop and returns the run's per-round columns, from which
+analysis.RegretLedger computes every loss.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import oracle
-from .core import Ball, FeasibleSet, Observation, PredictionDomain, Simplex, _frozen, as_vector
+from .core import Ball, Observation, PredictionDomain, Simplex, _frozen, as_vector
 
 ADAPTIVE = "adaptive"
 OFFSET = "offset"
@@ -52,31 +54,13 @@ def _regularizer_constants(
 
 
 @dataclass(frozen=True, eq=False)
-class RoundRecord:
-    """Trace of one round: the prediction, oracle answer, and subgradient.
-
-    The losses are columns of analysis.RegretLedger, computed from these
-    fields for the whole run at once.  Its round is its position in the
-    run.
-    """
-
-    c_hat: np.ndarray
-    x_hat: np.ndarray
-    g: np.ndarray
-    beta: float
-    grad_norm: float
-
-
-@dataclass(frozen=True, eq=False)
 class LearnerState:
     """Single-writer accumulator for the regularized-leader updates.
 
     B, H and K are the constants of the schedules and of the run's
     RegretLedger, B and H derived from the domain once by init_learner.
-    last_answer is (feasible set, prediction, oracle answer) of the last
-    round, or None; observe reuses it for the same set and prediction
-    objects.  Updates return a fresh state; instances for parallel trials
-    share nothing.
+    play returns a fresh state; instances for parallel trials share
+    nothing.
     """
 
     domain: PredictionDomain
@@ -87,7 +71,6 @@ class LearnerState:
     grad_sum: np.ndarray
     sq_norm_sum: float
     current_prediction: np.ndarray
-    last_answer: tuple[FeasibleSet, np.ndarray, np.ndarray] | None = None
 
     @property
     def norms(self):
@@ -122,30 +105,20 @@ def init_learner(domain: PredictionDomain, schedule: str, K: float) -> LearnerSt
     )
 
 
-def _beta_from_sum(state: LearnerState, sq_norm_sum: float) -> float:
-    if state.schedule == ADAPTIVE:
-        return (2.0 ** 0.25 / state.B) * math.sqrt(sq_norm_sum)
-    return math.sqrt(state.K ** 2 + sq_norm_sum) / state.H
-
-
-def beta(state: LearnerState) -> float:
-    """Regularizer scale for the upcoming round.
+def _beta(state: LearnerState, sq_norm_sum: float) -> float:
+    """Regularizer scale for a round after gradients with sq_norm_sum.
 
     Adaptive: (2^{1/4} / B) * sqrt(sum of squared gradient norms), zero
     until the first nonzero gradient.  Offset: sqrt(K^2 + that sum) / H,
     always positive.  Both are nondecreasing.
     """
-    return _beta_from_sum(state, state.sq_norm_sum)
+    if state.schedule == ADAPTIVE:
+        return (2.0 ** 0.25 / state.B) * math.sqrt(sq_norm_sum)
+    return math.sqrt(state.K ** 2 + sq_norm_sum) / state.H
 
 
-def _solve(state: LearnerState, grad_sum: np.ndarray, sq_norm_sum: float) -> np.ndarray:
-    """Closed-form minimizer for the accumulators grad_sum and sq_norm_sum."""
-    b = _beta_from_sum(state, sq_norm_sum)
-    if b == 0.0:
-        # all past gradients are zero, so the objective is flat: hold the
-        # previous prediction
-        return state.current_prediction
-    domain = state.domain
+def _solve(domain: PredictionDomain, grad_sum: np.ndarray, b: float) -> np.ndarray:
+    """Closed-form minimizer of b * psi(c) + <grad_sum, c>, for b > 0."""
     if isinstance(domain, Simplex):
         z = -grad_sum / b
         z = z - z.max()
@@ -160,65 +133,59 @@ def _solve(state: LearnerState, grad_sum: np.ndarray, sq_norm_sum: float) -> np.
     return _frozen(step)
 
 
-@functools.lru_cache(maxsize=8)
-def _zeros(n: int) -> np.ndarray:
-    """A shared read-only +0.0 vector: the subgradient of a zero round."""
-    return _frozen(np.zeros(n))
+def play(
+    state: LearnerState, observations: Sequence[Observation]
+) -> tuple[LearnerState, dict[str, np.ndarray]]:
+    """Run the recursion over a whole stream: the final state and the
+    run's columns.
 
+    Round t answers its prediction c_hat, x_hat = argmax over the round's
+    feasible set, and steps along the residual g = x_hat - x.  The columns
+    are read-only arrays with one row per round: c_hat, x_hat and g of
+    shape (T, n), and beta, the scale of the regularizer that gave c_hat,
+    and grad_norm, the primal norm of g, of length T.  A set of another
+    dimension makes the oracle raise DimensionMismatchError.
 
-def _residual(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    """x_hat - x, a subgradient of the suboptimality loss at the prediction,
-    for finite float64 vectors of one shape."""
-    return _frozen(x_hat - x)
-
-
-def observe(state: LearnerState, obs: Observation) -> tuple[LearnerState, RoundRecord]:
-    """Absorb one observation and produce the next state plus a trace record.
-
-    The learner answers its own prediction, x_hat = argmax over the
-    observation's feasible set, and steps along the residual g = x_hat - x.
-    A set of another dimension makes the oracle raise DimensionMismatchError.
-
-    A round whose learner answer equals the agent's choice has a zero
-    subgradient, so the accumulators, and so the closed-form prediction,
-    stay as they are: the state keeps them instead of computing the
-    residual or solving again, and a next round on the same set object
-    takes its answer from last_answer without calling the oracle.
+    A round whose answer has the bytes of the agent's choice has a zero
+    subgradient: its g and grad_norm stay +0.0, and the accumulators, and
+    so the prediction, stay as they are.  Until the next update the
+    prediction does not move, so a round facing the set answered last
+    reuses that answer without calling the oracle.
     """
-    c_hat = state.current_prediction
-    X = obs.feasible_set
-    last = state.last_answer
-    # a writable prediction may have changed in place since it was answered
-    reuse = last and last[0] is X and last[1] is c_hat and not c_hat.flags.writeable
-    x_hat = last[2] if reuse else oracle.argmax(X, c_hat).maximizer
-    x = obs.agent_choice
-    if x_hat.tobytes() == x.tobytes():
-        # both are folded float64 vectors, so equal bytes mean x_hat - x is
-        # the +0.0 vector
-        g, grad_norm = _zeros(x.size), 0.0
-        grad_sum, sq_norm_sum, prediction = state.grad_sum, state.sq_norm_sum, c_hat
-    else:
-        g = _residual(x, x_hat)
-        grad_norm = state.norms.primal(g)
-        grad_sum = _frozen(state.grad_sum + g)
-        sq_norm_sum = state.sq_norm_sum + grad_norm ** 2
-        prediction = _solve(state, grad_sum, sq_norm_sum)
-    record = RoundRecord(
-        c_hat=c_hat,
-        x_hat=x_hat,
-        g=g,
-        beta=beta(state),
-        grad_norm=grad_norm,
-    )
-    new_state = LearnerState(
-        state.domain,
-        state.schedule,
-        state.B,
-        state.H,
-        state.K,
-        grad_sum,
-        sq_norm_sum,
-        prediction,
-        (X, c_hat, x_hat),
-    )
-    return new_state, record
+    T, n = len(observations), state.domain.dimension
+    c_hat, x_hat, g = np.empty((T, n)), np.empty((T, n)), np.zeros((T, n))
+    beta, grad_norm = np.empty(T), np.zeros(T)
+    grad_sum = state.grad_sum.copy()
+    sq_norm_sum = state.sq_norm_sum
+    prediction = state.current_prediction
+    b = _beta(state, sq_norm_sum)
+    primal = state.norms.primal
+    answered = answer = None
+    for t, obs in enumerate(observations):
+        X = obs.feasible_set
+        if X is not answered:
+            answered, answer = X, oracle.argmax(X, prediction).maximizer
+        c_hat[t] = prediction
+        x_hat[t] = answer
+        beta[t] = b
+        x = obs.agent_choice
+        if answer.tobytes() == x.tobytes():
+            continue
+        # both are folded float64 vectors, so g holds no -0.0, and neither
+        # does grad_sum after adding it
+        np.subtract(answer, x, out=g[t])
+        norm = grad_norm[t] = primal(g[t])
+        grad_sum += g[t]
+        sq_norm_sum += norm ** 2
+        b = _beta(state, sq_norm_sum)
+        if b != 0.0:
+            prediction = _solve(state.domain, grad_sum, b)
+        answered = None
+    grad_sum.flags.writeable = False
+    columns = {"c_hat": c_hat, "x_hat": x_hat, "g": g, "beta": beta,
+               "grad_norm": grad_norm}
+    for column in columns.values():
+        column.flags.writeable = False
+    final = replace(state, grad_sum=grad_sum, sq_norm_sum=sq_norm_sum,
+                    current_prediction=prediction)
+    return final, columns

@@ -17,13 +17,13 @@ are read-only, so a caller that knows a decision problem repeats may keep
 one and reuse it.
 
 argmax_many answers one objective over many sets as one read-only array,
-one row per set.  Consecutive ExplicitVertices sets of one shape are
-scanned together in one stacked product, and consecutive DagPaths sets run
-the longest-path rule on one Python list of the objective; each batch
-holds at most _STACK_CHUNK sets and writes its own rows, so memory beyond
-the answer array does not grow with the number of sets.  Every other set
-goes through argmax once per run of consecutive repeats of the same set
-object.
+one row per set.  A run of consecutive repeats of one set object, of any
+family, goes through argmax once.  Distinct consecutive ExplicitVertices
+sets of one shape are scanned together in one stacked product, and
+distinct consecutive DagPaths sets run the longest-path rule on one Python
+list of the objective; each batch holds at most _STACK_CHUNK sets and
+writes its own rows, so memory beyond the answer array does not grow with
+the number of sets.  Hypercube and Knapsack sets go through argmax.
 """
 
 from __future__ import annotations
@@ -165,24 +165,29 @@ def argmax_many(sets: Sequence[FeasibleSet], c) -> np.ndarray:
     """Read-only (len(sets), c.size) array whose row i is, bitwise,
     argmax(sets[i], c).maximizer.
 
-    A run of consecutive sets with one _run_key, at most _STACK_CHUNK long,
-    fills its rows in one batch.  A set without a batch rule goes through
-    argmax once for each run of repeats of that object.
+    A run of consecutive repeats of one set object goes through argmax
+    once.  A run of distinct consecutive sets with one _run_key, at most
+    _STACK_CHUNK long, fills its rows in one batch, which stops before a
+    set that repeats; a set without a batch rule goes through argmax.
     """
     c = np.asarray(c, dtype=np.float64)
     out = np.zeros((len(sets), c.size))
+
+    def repeats(j: int) -> bool:
+        return j + 1 < len(sets) and sets[j + 1] is sets[j]
+
     i = 0
     while i < len(sets):
         key = _run_key(sets[i])
         j = i + 1
-        while j < len(sets) and (
-            sets[j] is sets[i] if key is None
-            else j - i < _STACK_CHUNK and _run_key(sets[j]) == key
-        ):
-            j += 1
-        if key is None:
+        if key is None or repeats(i):
+            while j < len(sets) and sets[j] is sets[i]:
+                j += 1
             out[i:j] = argmax(sets[i], c).maximizer
         else:
+            while (j < len(sets) and j - i < _STACK_CHUNK
+                   and _run_key(sets[j]) == key and not repeats(j)):
+                j += 1
             # a run's sets share their dimension, so one check covers them all
             _check_dimension(sets[i], c)
             fill = _dag_rows if key[0] == "dag" else _vertex_rows

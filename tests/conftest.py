@@ -11,6 +11,7 @@ from invlinopt import (
     Hypercube,
     Knapsack,
     NormPair,
+    argmax,
 )
 
 from reference import inner_product
@@ -134,3 +135,44 @@ def naive_gap(observations, c_star, norms: NormPair):
             if best is None or ratio < best:
                 best = ratio
     return True, best
+
+
+# Streams on which the learner's carried answer is reused: (sets, choices).
+
+def repeated_knapsack(rng):
+    X = Knapsack([3, 1, 4, 1, 5, 2], 7)
+    c_star = np.array([0.05, 0.3, 0.1, 0.25, 0.2, 0.1])
+    choice = argmax(X, c_star).maximizer
+    return [X] * 30, [choice] * 30
+
+
+def noisy_choices(rng, sets):
+    """Mostly the optimum under a fixed objective, sometimes a random member."""
+    c = np.linspace(0.4, 0.1, sets[0].dimension)
+    choices = []
+    for X in sets:
+        members = X.members()
+        choices.append(members[int(rng.integers(0, len(members)))]
+                       if rng.random() < 0.3 else argmax(X, c).maximizer)
+    return choices
+
+
+def noisy_repeated_vertices(rng):
+    sets = [ExplicitVertices(rng.integers(0, 2, size=(10, 4)).astype(float))] * 60
+    return sets, noisy_choices(rng, sets)
+
+
+def equal_distinct_sets(rng):
+    # two distinct objects with equal vertices, and one set that differs
+    vertices = rng.integers(0, 2, size=(8, 3)).astype(float)
+    other = ExplicitVertices(rng.integers(0, 2, size=(8, 3)).astype(float))
+    pool = (ExplicitVertices(vertices), ExplicitVertices(vertices), other)
+    sets = [pool[int(k)] for k in rng.choice(3, size=90, p=[0.45, 0.45, 0.1])]
+    return sets, noisy_choices(rng, sets)
+
+
+CARRIED_STREAMS = {
+    "repeated-knapsack": repeated_knapsack,
+    "noisy-repeated-vertices": noisy_repeated_vertices,
+    "equal-distinct-sets": equal_distinct_sets,
+}

@@ -1,13 +1,17 @@
 """Independent references the suite checks the library against.
 
 The library computes each loss once, as a column of analysis.RegretLedger,
-and answers membership through the private FeasibleSet._contains that
-Observation uses.  The scalar forms below restate those quantities one
-instance at a time, so a test can compare the two.
+plays the learner over a whole stream in one loop, and answers membership
+through the private FeasibleSet._contains that Observation uses.  The
+scalar forms below restate those quantities one instance or one round at a
+time, so a test can compare the two.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +31,7 @@ from invlinopt.core import (
     as_vector,
     tolerance,
 )
-from invlinopt.learner import LearnerState, _solve
+from invlinopt.learner import ADAPTIVE, LearnerState, _solve
 from invlinopt.oracle import OracleResult
 
 
@@ -99,13 +103,114 @@ def argmax_bruteforce(feasible_set: FeasibleSet, c) -> OracleResult:
     return OracleResult(as_vector(min(tied)), len(tied))
 
 
+def beta(state: LearnerState) -> float:
+    """Regularizer scale for the upcoming round.
+
+    Adaptive: (2^{1/4} / B) * sqrt(sum of squared gradient norms), zero
+    until the first nonzero gradient.  Offset: sqrt(K^2 + that sum) / H.
+    """
+    if state.schedule == ADAPTIVE:
+        return (2.0 ** 0.25 / state.B) * math.sqrt(state.sq_norm_sum)
+    return math.sqrt(state.K ** 2 + state.sq_norm_sum) / state.H
+
+
 def predict(state: LearnerState) -> np.ndarray:
     """Prediction for the upcoming round.
 
     Recomputes the closed-form minimizer from the state's accumulators and
-    equals state.current_prediction bitwise.
+    equals state.current_prediction bitwise.  While beta is zero every past
+    gradient was zero, so the objective is flat and the prediction holds.
     """
-    return _solve(state, state.grad_sum, state.sq_norm_sum)
+    b = beta(state)
+    if b == 0.0:
+        return state.current_prediction
+    return _solve(state.domain, state.grad_sum, b)
+
+
+Round = namedtuple("Round", "c_hat x_hat g beta grad_norm")
+
+
+def observe(state: LearnerState, obs) -> tuple[LearnerState, Round]:
+    """One round of the recursion, the next state and the round's entries.
+
+    The round-by-round form of learner.play: the oracle answers every
+    round, and each round makes a fresh state.  A round whose answer has
+    the choice's bytes keeps the accumulators and the prediction.
+    """
+    c_hat = state.current_prediction
+    x_hat = oracle.argmax(obs.feasible_set, c_hat).maximizer
+    x = obs.agent_choice
+    if x_hat.tobytes() == x.tobytes():
+        g, grad_norm = _frozen(np.zeros(x.size)), 0.0
+        grad_sum, sq_norm_sum, prediction = state.grad_sum, state.sq_norm_sum, c_hat
+    else:
+        g = _frozen(x_hat - x)
+        grad_norm = state.norms.primal(g)
+        grad_sum = _frozen(state.grad_sum + g)
+        sq_norm_sum = state.sq_norm_sum + grad_norm ** 2
+        prediction = predict(replace(state, grad_sum=grad_sum, sq_norm_sum=sq_norm_sum))
+    new_state = replace(state, grad_sum=grad_sum, sq_norm_sum=sq_norm_sum,
+                        current_prediction=prediction)
+    return new_state, Round(c_hat, x_hat, g, beta(state), grad_norm)
+
+
+LEDGER_COLUMNS = ("ell_sub", "ell_est", "ell_sub_ref", "total", "lin_inc",
+                  "regret", "regret_sub", "sum_sq", "beta", "grad_norm",
+                  "c_hat", "x_hat", "g")
+
+
+class AppendLedger:
+    """The ledger as a per-round append, with np.dot per row."""
+
+    def __init__(self, c_star, norms):
+        self.c_star = c_star
+        self.norms = norms
+        self.columns = {name: [] for name in LEDGER_COLUMNS}
+        self.max_grad_norm = 0.0
+        self.max_dual_distance = 0.0
+
+    def append(self, obs, record: Round, reference):
+        c_star, col = self.c_star, self.columns
+        ell_sub_ref = float(np.dot(c_star, reference - obs.agent_choice))
+        distance = record.c_hat - c_star
+        lin_inc = float(np.dot(record.g, distance))
+        ell_sub = float(np.dot(record.c_hat, record.g))
+        ell_est = float(np.dot(c_star, obs.agent_choice - record.x_hat))
+        prev_r = col["regret"][-1] if col["regret"] else 0.0
+        prev_rs = col["regret_sub"][-1] if col["regret_sub"] else 0.0
+        prev_sq = col["sum_sq"][-1] if col["sum_sq"] else 0.0
+        col["ell_sub"].append(ell_sub)
+        col["ell_est"].append(ell_est)
+        col["ell_sub_ref"].append(ell_sub_ref)
+        col["total"].append(ell_sub + ell_est)
+        col["lin_inc"].append(lin_inc)
+        col["regret"].append(prev_r + lin_inc)
+        col["regret_sub"].append(prev_rs + (ell_sub - ell_sub_ref))
+        col["sum_sq"].append(prev_sq + record.grad_norm ** 2)
+        for name in ("beta", "grad_norm", "c_hat", "x_hat", "g"):
+            col[name].append(getattr(record, name))
+        self.max_grad_norm = max(self.max_grad_norm, record.grad_norm)
+        self.max_dual_distance = max(
+            self.max_dual_distance, dual_norm(self.norms, distance)
+        )
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Each column as a float64 array, the vector ones as (T, n)."""
+        n = self.c_star.size
+        return {
+            name: np.array(values, dtype=np.float64).reshape(
+                (-1, n) if name in ("c_hat", "x_hat", "g") else -1)
+            for name, values in self.columns.items()
+        }
+
+
+def simulate_by_rounds(c_star, state: LearnerState, observations, references):
+    """The final state and the AppendLedger of observe, round by round."""
+    ledger = AppendLedger(c_star, state.norms)
+    for obs, optimal in zip(observations, references):
+        state, record = observe(state, obs)
+        ledger.append(obs, record, optimal)
+    return state, ledger
 
 
 def suboptimality_loss(

@@ -31,12 +31,25 @@ from invlinopt import (
 from invlinopt import oracle
 from invlinopt.analysis import _gap_margin, bound_columns, gap_contraction_coefficient
 from invlinopt.core import as_vector
-from invlinopt.harness import build_config, generate, generate_instance_stream, simulate
+from invlinopt.harness import (
+    StreamBundle,
+    build_config,
+    generate,
+    generate_instance_stream,
+    simulate,
+)
+from invlinopt.harness.generate import draw_objective
 from invlinopt.harness.config import ExperimentConfig
 from invlinopt.harness.io import read_stream, write_stream
 
-from conftest import FAMILIES, dag_paths, naive_gap
-from reference import dual_norm, estimate_loss, in_domain, inner_product
+from conftest import CARRIED_STREAMS, FAMILIES, dag_paths, naive_gap
+from reference import (
+    LEDGER_COLUMNS,
+    estimate_loss,
+    in_domain,
+    inner_product,
+    simulate_by_rounds,
+)
 
 SQUARE = ExplicitVertices([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 LINF = NormPair.linf_l1()
@@ -97,20 +110,20 @@ def test_offset_bound_formula_other_constants():
     _, bundle, run = small_run(schedule="offset", dimension=3, rounds=400)
     state = init_learner(Simplex(3), OFFSET, 2.0)
     ledger = RegretLedger(
-        run.c_star, state, bundle.observations, run.records, bundle.optimal_choices,
+        run.c_star, state, bundle.observations, run.columns, bundle.optimal_choices,
     )
     # the ledger's constants are the state's, and nothing else sets them
     assert ledger.learner is state
     assert (state.K, state.H) == (2.0, math.sqrt(math.log(3.0)))
     for gone in ("arrays", "_columns", "domain", "norms", "B", "H", "K",
-                 "schedule", "observations"):
+                 "schedule", "observations", "records"):
         assert not hasattr(ledger, gone), gone
     # the columns are read in place and cannot be changed there
     with pytest.raises(TypeError):
         ledger.columns["total"] = ledger.columns["ell_sub"]
     assert not any(column.flags.writeable for column in ledger.columns.values())
     with pytest.raises(ValueError, match="differ in length"):
-        RegretLedger(run.c_star, state, bundle.observations[1:], run.records,
+        RegretLedger(run.c_star, state, bundle.observations[1:], run.columns,
                      bundle.optimal_choices)
     bound = bound_columns(ledger)["offset_horizon"][399]
     # 2 * 2 * sqrt(ln 3) * sqrt(400)
@@ -128,7 +141,7 @@ def test_bounds_follow_the_ledger_schedule_and_config():
     run = ledger.learner
     halved = RegretLedger(
         ledger.c_star, init_learner(run.domain, ADAPTIVE, 0.5 * run.K),
-        bundle.observations, ledger.records, bundle.optimal_choices,
+        bundle.observations, ledger.columns, bundle.optimal_choices,
     )
     horizon = {c.name: c for c in verify_run(halved)}["adaptive_horizon_bound"]
     assert horizon.bound == bound_columns(halved)["adaptive_horizon"][horizon.round - 1]
@@ -353,25 +366,23 @@ def test_margin_mode_generation_meets_its_margin(seed, family, domain):
 
 def test_average_prediction():
     _, _, ledger = small_run(rounds=40)
-    averaged = average_prediction(ledger.records)
-    stacked = np.stack([r.c_hat for r in ledger.records])
-    assert np.allclose(averaged, stacked.mean(axis=0))
+    c_hat = ledger.columns["c_hat"]
+    averaged = average_prediction(c_hat)
+    assert np.allclose(averaged, c_hat.mean(axis=0))
+    # the rows averaged one at a time, as np.stack of per-round vectors
+    stacked = np.stack([np.array(row) for row in c_hat])
+    assert averaged.tobytes() == stacked.mean(axis=0).tobytes()
     assert in_domain(Simplex(4), averaged)
-    same = average_prediction(ledger.records[:1])
-    assert np.array_equal(same, ledger.records[0].c_hat)
-    with pytest.raises(ValueError):
+    same = average_prediction(c_hat[:1])
+    assert np.array_equal(same, c_hat[0])
+    with pytest.raises(ValueError, match="empty run"):
+        average_prediction(c_hat[:0])
+    with pytest.raises(ValueError, match="empty run"):
         average_prediction([])
 
 
 def test_average_prediction_midpoint():
-    from invlinopt.learner import RoundRecord
-
-    def rec(c):
-        c = np.asarray(c, dtype=float)
-        z = np.zeros_like(c)
-        return RoundRecord(c, z, z, 0.0, 0.0)
-
-    averaged = average_prediction([rec([1.0, 0.0]), rec([0.0, 1.0])])
+    averaged = average_prediction(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert tuple(averaged) == (0.5, 0.5)
 
 
@@ -641,46 +652,8 @@ def test_certify_gap_reuse_on_a_generated_repeated_stream(tmp_path):
         assert certificate_fields(mine) == certificate_fields(fresh)
 
 
-# The whole-run ledger against the round-by-round arithmetic it replaced.
-
-LEDGER_COLUMNS = ("ell_sub", "ell_est", "ell_sub_ref", "total", "lin_inc",
-                  "regret", "regret_sub", "sum_sq", "beta", "grad_norm")
-
-
-class AppendLedger:
-    """Reference: the ledger as a per-round append, with np.dot per row."""
-
-    def __init__(self, c_star, norms):
-        self.c_star = c_star
-        self.norms = norms
-        self.columns = {name: [] for name in LEDGER_COLUMNS}
-        self.max_grad_norm = 0.0
-        self.max_dual_distance = 0.0
-
-    def append(self, obs, record, reference):
-        c_star, col = self.c_star, self.columns
-        ell_sub_ref = float(np.dot(c_star, reference - obs.agent_choice))
-        distance = record.c_hat - c_star
-        lin_inc = float(np.dot(record.g, distance))
-        ell_sub = float(np.dot(record.c_hat, record.g))
-        ell_est = float(np.dot(c_star, obs.agent_choice - record.x_hat))
-        prev_r = col["regret"][-1] if col["regret"] else 0.0
-        prev_rs = col["regret_sub"][-1] if col["regret_sub"] else 0.0
-        prev_sq = col["sum_sq"][-1] if col["sum_sq"] else 0.0
-        col["ell_sub"].append(ell_sub)
-        col["ell_est"].append(ell_est)
-        col["ell_sub_ref"].append(ell_sub_ref)
-        col["total"].append(ell_sub + ell_est)
-        col["lin_inc"].append(lin_inc)
-        col["regret"].append(prev_r + lin_inc)
-        col["regret_sub"].append(prev_rs + (ell_sub - ell_sub_ref))
-        col["sum_sq"].append(prev_sq + record.grad_norm ** 2)
-        col["beta"].append(record.beta)
-        col["grad_norm"].append(record.grad_norm)
-        self.max_grad_norm = max(self.max_grad_norm, record.grad_norm)
-        self.max_dual_distance = max(
-            self.max_dual_distance, dual_norm(self.norms, distance)
-        )
+# The whole-run learner and ledger against the round-by-round arithmetic
+# they replaced.
 
 
 def bits(value):
@@ -688,27 +661,32 @@ def bits(value):
 
 
 def assert_ledger_matches_appends(ledger, observations, references):
-    norms = ledger.learner.norms
-    reference = AppendLedger(ledger.c_star, norms)
+    """Every column of the ledger, the played ones included, and its final
+    state equal the reference's observe and append, round by round."""
+    run = ledger.learner
+    start = init_learner(run.domain, run.schedule, run.K)
+    state, reference = simulate_by_rounds(ledger.c_star, start, observations, references)
+    norms = run.norms
     arrays = ledger.columns
-    rows = zip(observations, ledger.records, references)
-    for t, (obs, record, optimal) in enumerate(rows):
-        # the record's own arithmetic and both loss columns, per round with
+    for t, obs in enumerate(observations):
+        # the played arithmetic and both loss columns, per round with
         # np.dot, zero-gradient rounds included
         x = obs.agent_choice
-        g = record.x_hat - x + 0.0
-        assert record.g.tobytes() == g.tobytes()
-        assert bits(record.grad_norm) == bits(norms.primal(g))
-        assert bits(arrays["ell_sub"][t]) == bits(np.dot(record.c_hat, g))
-        est = estimate_loss(ledger.c_star, x, record.x_hat)  # one np.dot
+        g = arrays["x_hat"][t] - x + 0.0
+        assert arrays["g"][t].tobytes() == g.tobytes()
+        assert bits(arrays["grad_norm"][t]) == bits(norms.primal(g))
+        assert bits(arrays["ell_sub"][t]) == bits(np.dot(arrays["c_hat"][t], g))
+        est = estimate_loss(ledger.c_star, x, arrays["x_hat"][t])  # one np.dot
         assert bits(arrays["ell_est"][t]) == bits(est)
-        reference.append(obs, record, optimal)
     assert sorted(arrays) == sorted(LEDGER_COLUMNS)
-    for name in LEDGER_COLUMNS:
-        expected = np.array(reference.columns[name], dtype=np.float64)
+    for name, expected in reference.arrays().items():
         assert arrays[name].tobytes() == expected.tobytes(), name
+        assert arrays[name].shape == expected.shape, name
     assert bits(ledger.max_grad_norm) == bits(reference.max_grad_norm)
     assert bits(ledger.max_dual_distance) == bits(reference.max_dual_distance)
+    for name in ("grad_sum", "current_prediction"):
+        assert getattr(run, name).tobytes() == getattr(state, name).tobytes(), name
+    assert bits(run.sq_norm_sum) == bits(state.sq_norm_sum)
 
 
 def test_running_sums_start_from_zero_like_an_accumulator():
@@ -733,12 +711,12 @@ def test_whole_run_ledger_matches_round_by_round_appends(name):
     cfg = build_config({}, seed=23, rounds=400, **LEDGER_RUNS[name])
     bundle = generate_instance_stream(cfg)
     ledger = simulate(bundle)
-    zero = sum(not r.g.any() for r in ledger.records)
+    zero = np.count_nonzero(~ledger.columns["g"].any(axis=1))
     assert 0 < zero < ledger.rounds  # both kinds of round occur
     if "ball" in name:
         # negative prediction and truth entries make -0.0 products on zero
         # rounds, and the estimate loss takes both signs
-        assert (np.stack([r.c_hat for r in ledger.records]) < 0.0).any()
+        assert (ledger.columns["c_hat"] < 0.0).any()
         assert (ledger.c_star < 0.0).any()
         ell_est = ledger.columns["ell_est"]
         assert (ell_est < 0.0).any() and (ell_est > 0.0).any()
@@ -752,3 +730,40 @@ def test_whole_run_ledger_matches_round_by_round_appends(name):
     references = [argmax(obs.feasible_set, bundle.c_star).maximizer
                   for obs in other.observations]
     assert_ledger_matches_appends(replayed, other.observations, references)
+
+
+def _short(flags, rounds=300, seed=7):
+    return lambda: generate_instance_stream(build_config({}, seed=seed, rounds=rounds, **flags))
+
+
+def _carried(name):
+    def bundle():
+        sets, choices = CARRIED_STREAMS[name](np.random.default_rng(36))
+        cfg = build_config({}, seed=36, dimension=sets[0].dimension, rounds=len(sets))
+        c_star, _ = draw_objective(cfg)
+        observations = tuple(Observation(X, x) for X, x in zip(sets, choices))
+        return StreamBundle(cfg, c_star, None, observations, argmax_many(sets, c_star))
+    return bundle
+
+
+# the benchmark's three workloads at short horizons, a ball/offset run and
+# the streams on which the learner carries its answer
+REFERENCE_STREAMS = {
+    "rv-online": _short(dict(family="random-vertices", dimension=10, num_vertices=32)),
+    "knapsack-gap-repeat": _short(dict(family="knapsack", dimension=12,
+                                       gap_mode="integral", fresh_sets=False), 200),
+    "dag-noisy-holdout": _short(dict(family="dag", dimension=10, domain="ball",
+                                     schedule="offset", agent_noise=0.1)),
+    "knapsack-ball-offset": _short(dict(family="knapsack", dimension=8,
+                                        domain="ball", schedule="offset")),
+    **{name: _carried(name) for name in CARRIED_STREAMS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_STREAMS))
+def test_simulate_matches_the_round_by_round_reference(name):
+    bundle = REFERENCE_STREAMS[name]()
+    ledger = simulate(bundle)
+    zero = np.count_nonzero(~ledger.columns["g"].any(axis=1))
+    assert 0 < zero < ledger.rounds  # both kinds of round occur
+    assert_ledger_matches_appends(ledger, bundle.observations, bundle.optimal_choices)

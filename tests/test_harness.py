@@ -245,10 +245,11 @@ def test_protocol_order_prefix_stability():
     perturbed = list(bundle.observations[:cut]) + list(other.observations[cut:])
     optimal = argmax_many([obs.feasible_set for obs in perturbed], bundle.c_star)
     ledger2 = simulate(replace(bundle, observations=perturbed, optimal_choices=optimal))
-    for t in range(cut):
-        assert (
-            ledger.records[t].c_hat.tobytes() == ledger2.records[t].c_hat.tobytes()
-        )
+    # a prediction depends only on earlier rounds: rounds up to the cut see
+    # the same predictions
+    c_hat, c_hat2 = ledger.columns["c_hat"], ledger2.columns["c_hat"]
+    assert c_hat[: cut + 1].tobytes() == c_hat2[: cut + 1].tobytes()
+    assert c_hat[cut + 1:].tobytes() != c_hat2[cut + 1:].tobytes()
 
 
 def test_run_experiment_files_and_determinism(tmp_path):
@@ -704,19 +705,54 @@ def test_save_stream_refusal_writes_no_outputs(tmp_path, capsys):
     ids=["rv-simplex", "dag-ball"],
 )
 def test_prediction_equals_a_fresh_solve_after_every_round(setup, schedule):
-    from invlinopt import init_learner, observe
+    from invlinopt import init_learner, play
     from invlinopt.harness.generate import build_domain, diameter_bound
 
     bundle = generate_instance_stream(make_cfg(schedule=schedule, rounds=150, **setup))
     cfg = bundle.config
-    state = init_learner(build_domain(cfg), schedule, diameter_bound(cfg))
-    zero_rounds = 0
+    start = init_learner(build_domain(cfg), schedule, diameter_bound(cfg))
+    # played one round at a time, the state after every round holds the
+    # prediction a fresh solve gives, and the rounds join into the columns
+    # of the whole stream played at once
+    state, rounds = start, []
     for obs in bundle.observations:
-        state, record = observe(state, obs)
-        zero_rounds += not record.g.any()
+        state, played = play(state, [obs])
+        rounds.append(played)
         assert state.current_prediction.tobytes() == predict(state).tobytes()
+    whole_state, whole = play(start, bundle.observations)
+    for name, column in whole.items():
+        joined = np.concatenate([played[name] for played in rounds])
+        assert column.tobytes() == joined.tobytes(), name
+    assert whole_state.current_prediction.tobytes() == state.current_prediction.tobytes()
     # both kinds of update happened
+    zero_rounds = np.count_nonzero(~whole["g"].any(axis=1))
     assert 0 < zero_rounds < len(bundle.observations)
+
+
+@pytest.mark.parametrize("family", ["dag", "random-vertices"])
+def test_repeated_stream_answers_its_one_set_once(family, monkeypatch):
+    from invlinopt import oracle
+
+    # _dag_path calls, and rows of stacked vertex sets
+    counts = {"paths": 0, "rows": 0}
+    dag_path, vertex_rows = oracle._dag_path, oracle._vertex_rows
+
+    def counting_paths(X, c):
+        counts["paths"] += 1
+        return dag_path(X, c)
+
+    def counting_rows(sets, c, rows):
+        counts["rows"] += len(sets)
+        return vertex_rows(sets, c, rows)
+
+    monkeypatch.setattr(oracle, "_dag_path", counting_paths)
+    monkeypatch.setattr(oracle, "_vertex_rows", counting_rows)
+    cfg = make_cfg(family=family, dimension=10, rounds=600, fresh_sets=False)
+    bundle = generate_instance_stream(cfg)
+    assert len({id(obs.feasible_set) for obs in bundle.observations}) == 1
+    # the 600 optimal choices are one answer, solved once and not stacked
+    assert counts == {"paths": int(family == "dag"), "rows": 0}
+    assert len({row.tobytes() for row in bundle.optimal_choices}) == 1
 
 
 def test_fresh_optimal_rounds_make_two_solves_each(monkeypatch):

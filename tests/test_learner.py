@@ -1,6 +1,5 @@
 """Learner closed forms, schedules, and state updates."""
 
-import dataclasses
 import math
 from dataclasses import replace
 
@@ -15,20 +14,20 @@ from invlinopt import (
     Ball,
     DimensionMismatchError,
     ExplicitVertices,
+    Hypercube,
     Knapsack,
     Observation,
     PredictionDomain,
-    RoundRecord,
     Simplex,
     argmax,
-    beta,
     init_learner,
-    observe,
+    play,
 )
 from invlinopt import oracle
 from invlinopt.core import as_vector, tolerance
 
-from reference import in_domain, predict
+from conftest import CARRIED_STREAMS
+from reference import Round, beta, in_domain, observe, predict
 
 
 def regularizer_value(domain, c):
@@ -40,24 +39,33 @@ def regularizer_value(domain, c):
     return 0.5 * float(np.linalg.norm(c - domain.center)) ** 2
 
 
+def played_beta(state):
+    """The learner's beta for the upcoming round: the first entry of the
+    beta column of a one-round run, which equals the reference's."""
+    n = state.domain.dimension
+    _, played = play(state, [Observation(Hypercube(n), np.zeros(n))])
+    assert played["beta"][0] == beta(state)
+    return float(played["beta"][0])
+
+
 def test_beta_adaptive_zero_before_first_gradient():
     state = init_learner(Simplex(2), ADAPTIVE, 1.0)
-    assert beta(state) == 0.0
+    assert played_beta(state) == 0.0
 
 
 def test_beta_offset_example():
     # K=1, H=sqrt(ln 2), lam=1, empty sum of squared norms
     state = init_learner(Simplex(2), OFFSET, 1.0)
     expected = 1.0 / math.sqrt(math.log(2.0))
-    assert abs(beta(state) - expected) < 1e-12
-    assert abs(beta(state) - 1.2011224087864498) < 1e-12
+    assert abs(played_beta(state) - expected) < 1e-12
+    assert abs(played_beta(state) - 1.2011224087864498) < 1e-12
 
 
 def test_beta_adaptive_example():
     state = init_learner(Simplex(2), ADAPTIVE, 1.0)  # B = 2^{11/4} sqrt(ln 2)
     state = replace(state, sq_norm_sum=4.0)
     expected = 2.0 ** 0.25 * 2.0 / state.B
-    assert abs(beta(state) - expected) < 1e-15
+    assert abs(played_beta(state) - expected) < 1e-15
 
 
 def test_first_prediction_is_regularizer_minimizer():
@@ -178,7 +186,10 @@ def test_exponentiated_gradient_equivalence():
 
 
 def _step(state, vertices, choice):
-    return observe(state, Observation(ExplicitVertices(vertices), choice))
+    """One round on an explicit vertex set: the next state and the round's
+    entries of each column."""
+    state, played = play(state, [Observation(ExplicitVertices(vertices), choice)])
+    return state, Round(*(played[name][0] for name in Round._fields))
 
 
 def test_zero_gradient_holds_prediction_bitwise():
@@ -186,7 +197,7 @@ def test_zero_gradient_holds_prediction_bitwise():
     # agent picks the prediction's own argmax, so the gradient is zero
     x_hat = argmax(ExplicitVertices([[1.0, 0.0], [0.0, 1.0]]), state.current_prediction)
     state2, record = _step(state, [[1.0, 0.0], [0.0, 1.0]], x_hat.maximizer)
-    assert np.all(record.g == 0.0)
+    assert record.g.tobytes() == np.zeros(2).tobytes() and record.grad_norm == 0.0
     assert state2.current_prediction.tobytes() == state.current_prediction.tobytes()
     assert state2.sq_norm_sum == state.sq_norm_sum
 
@@ -211,17 +222,20 @@ def test_beta_monotone_and_predictions_feasible():
     rng = np.random.default_rng(33)
     for schedule in (ADAPTIVE, OFFSET):
         domain = Simplex(3)
-        state = init_learner(domain, schedule, 1.0)
-        last_beta = beta(state)
+        start = init_learner(domain, schedule, 1.0)
+        observations = []
         for t in range(40):
             vertices = rng.integers(0, 2, size=(5, 3)).astype(float)
             X = ExplicitVertices(vertices)
             choice = X.members()[int(rng.integers(0, X.members().shape[0]))]
-            state, record = observe(state, Observation(X, choice))
-            assert record.beta == last_beta
-            assert in_domain(domain, state.current_prediction)
-            assert beta(state) >= last_beta
-            last_beta = beta(state)
+            observations.append(Observation(X, choice))
+        state, played = play(start, observations)
+        betas = played["beta"]
+        # each round's beta is the scale before its update
+        assert betas[0] == beta(start)
+        assert np.all(np.diff(betas) >= 0.0) and beta(state) >= betas[-1]
+        assert all(in_domain(domain, c) for c in played["c_hat"])
+        assert in_domain(domain, state.current_prediction)
 
 
 def test_record_contents():
@@ -233,16 +247,24 @@ def test_record_contents():
     assert tuple(record.x_hat) == (0.0, 1.0)
     assert tuple(record.g) == (-1.0, 1.0)
     assert record.grad_norm == 1.0
-    assert [f.name for f in dataclasses.fields(RoundRecord)] == [
-        "c_hat", "x_hat", "g", "beta", "grad_norm"
-    ]
+    _, played = play(state, [Observation(Hypercube(2), [1.0, 0.0])] * 3)
+    assert sorted(played) == ["beta", "c_hat", "g", "grad_norm", "x_hat"]
+    assert [played[name].shape for name in Round._fields] == \
+        [(3, 2), (3, 2), (3, 2), (3,), (3,)]
+    assert not any(column.flags.writeable for column in played.values())
+    # an empty stream plays no round and keeps the state's values
+    final, empty = play(state, [])
+    assert [empty[name].shape for name in Round._fields] == \
+        [(0, 2), (0, 2), (0, 2), (0,), (0,)]
+    assert final.current_prediction is state.current_prediction
+    assert final.grad_sum.tobytes() == state.grad_sum.tobytes()
 
 
-def test_observe_rejects_a_set_of_another_dimension():
+def test_play_rejects_a_set_of_another_dimension():
     state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     obs = Observation(ExplicitVertices([[1.0, 0.0, 0.0]]), [1.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatchError):
-        observe(state, obs)
+        play(state, [obs])
 
 
 def test_config_validation():
@@ -291,75 +313,34 @@ def test_predict_matches_stored_prediction():
         vertices = rng.integers(0, 2, size=(4, 3)).astype(float)
         X = ExplicitVertices(vertices)
         choice = X.members()[0]
-        state, _ = observe(state, Observation(X, choice))
+        state, _ = play(state, [Observation(X, choice)])
         assert predict(state).tobytes() == state.current_prediction.tobytes()
 
 
-def _records_without_carry(state, observations):
-    """Reference loop: the carried answer is dropped before every round, so
-    each round calls oracle.argmax."""
-    records = []
-    for obs in observations:
-        state, record = observe(replace(state, last_answer=None), obs)
-        records.append(record)
-    return records
-
-
-def _repeated_knapsack(rng):
-    X = Knapsack([3, 1, 4, 1, 5, 2], 7)
-    c_star = np.array([0.05, 0.3, 0.1, 0.25, 0.2, 0.1])
-    choice = argmax(X, c_star).maximizer
-    return [X] * 30, [choice] * 30
-
-
-def _noisy_choices(rng, sets):
-    """Mostly the optimum under a fixed objective, sometimes a random member."""
-    c = np.linspace(0.4, 0.1, sets[0].dimension)
-    choices = []
-    for X in sets:
-        members = X.members()
-        choices.append(members[int(rng.integers(0, len(members)))]
-                       if rng.random() < 0.3 else argmax(X, c).maximizer)
-    return choices
-
-
-def _noisy_repeated_vertices(rng):
-    sets = [ExplicitVertices(rng.integers(0, 2, size=(10, 4)).astype(float))] * 60
-    return sets, _noisy_choices(rng, sets)
-
-
-def _equal_distinct_sets(rng):
-    # two distinct objects with equal vertices, and one set that differs
-    vertices = rng.integers(0, 2, size=(8, 3)).astype(float)
-    other = ExplicitVertices(rng.integers(0, 2, size=(8, 3)).astype(float))
-    pool = (ExplicitVertices(vertices), ExplicitVertices(vertices), other)
-    sets = [pool[int(k)] for k in rng.choice(3, size=90, p=[0.45, 0.45, 0.1])]
-    return sets, _noisy_choices(rng, sets)
-
-
-@pytest.mark.parametrize(
-    "stream", [_repeated_knapsack, _noisy_repeated_vertices, _equal_distinct_sets],
-    ids=["repeated-knapsack", "noisy-repeated-vertices", "equal-distinct-sets"],
-)
+@pytest.mark.parametrize("stream", sorted(CARRIED_STREAMS))
 def test_carried_answer_gives_the_records_of_a_solve_every_round(stream, monkeypatch):
-    sets, choices = stream(np.random.default_rng(36))
+    sets, choices = CARRIED_STREAMS[stream](np.random.default_rng(36))
     n = sets[0].dimension
-    state = init_learner(Simplex(n), ADAPTIVE, 1.0)
+    start = init_learner(Simplex(n), ADAPTIVE, 1.0)
     observations = [Observation(X, x) for X, x in zip(sets, choices)]
-    expected = _records_without_carry(state, observations)
+    # the reference solves every round
+    expected, records = start, []
+    for obs in observations:
+        expected, record = observe(expected, obs)
+        records.append(record)
     calls = []
     solve = oracle.argmax
     monkeypatch.setattr(oracle, "argmax", lambda X, c: calls.append(X) or solve(X, c))
-    answers = set()
-    for obs, reference in zip(observations, expected):
-        state, record = observe(state, obs)
-        answers.add(record.x_hat.tobytes())
-        assert (record.beta, record.grad_norm) == \
-            (reference.beta, reference.grad_norm)
-        for name in ("c_hat", "x_hat", "g"):
-            assert getattr(record, name).tobytes() == getattr(reference, name).tobytes()
+    state, played = play(start, observations)
+    for name in Round._fields:
+        column = np.array([getattr(r, name) for r in records], dtype=np.float64)
+        assert played[name].tobytes() == column.tobytes(), name
+    for name in ("grad_sum", "current_prediction"):
+        assert getattr(state, name).tobytes() == getattr(expected, name).tobytes()
+    assert state.sq_norm_sum == expected.sq_norm_sum
     # some rounds reused the carried answer, and the learner's answer moved,
     # so a stale carried answer would show
+    answers = {row.tobytes() for row in played["x_hat"]}
     assert len(calls) < len(observations) and len(answers) > 1
 
 
@@ -367,21 +348,9 @@ def test_replaced_prediction_is_solved_afresh():
     X = Knapsack([1, 1], 1)
     state = init_learner(Simplex(2), ADAPTIVE, 1.0)
     # the agent picks the learner's own answer: a zero round that keeps the
-    # prediction object, so the next round on X could reuse the answer
-    state, record = observe(state, Observation(X, [1.0, 0.0]))
-    assert tuple(record.x_hat) == (1.0, 0.0) and not record.g.any()
+    # prediction object; nothing of the answer carries into the next run
+    state, played = play(state, [Observation(X, [1.0, 0.0])])
+    assert tuple(played["x_hat"][0]) == (1.0, 0.0) and not played["g"].any()
     state = replace(state, current_prediction=as_vector([0.2, 0.8]))
-    _, record = observe(state, Observation(X, [0.0, 1.0]))
-    assert tuple(record.x_hat) == (0.0, 1.0)
-
-
-def test_writable_prediction_changed_in_place_is_solved_afresh():
-    X = Knapsack([1, 1], 1)
-    c = np.array([0.2, 0.8])
-    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
-    state = replace(state, current_prediction=c)
-    state, record = observe(state, Observation(X, [0.0, 1.0]))
-    assert state.current_prediction is c and not record.g.any()
-    c[:] = [0.8, 0.2]
-    _, record = observe(state, Observation(X, [0.0, 1.0]))
-    assert tuple(record.x_hat) == (1.0, 0.0)
+    _, played = play(state, [Observation(X, [0.0, 1.0])])
+    assert tuple(played["x_hat"][0]) == (0.0, 1.0)

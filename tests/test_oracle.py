@@ -268,20 +268,37 @@ def test_argmax_many_equals_argmax_per_set(data):
 
 def test_argmax_many_solves_a_repeated_set_once_per_run(monkeypatch):
     X, Y, H = Knapsack([1, 2, 3], 3), Knapsack([3, 2, 1], 3), Hypercube(3)
+    V, W = ExplicitVertices(np.eye(3)), ExplicitVertices(np.eye(3)[::-1])
+    D, E = DagPaths(3, [(0, 1), (1, 2), (0, 2)]), DagPaths(3, [(0, 2), (0, 1), (1, 2)])
     c = np.array([1.0, 1.5, 0.5])
-    sets = [X, X, Y, X, H, H, X]
+    # runs of repeats of every family, between batches of distinct sets
+    sets = [X, X, Y, X, H, H, X, V, V, V, W, V, D, D, D, E, D, W, W]
     expected = [argmax(S, c).maximizer.tobytes() for S in sets]
-    assert len(set(expected)) == 3
-    solved = []
-    solve = oracle._solve
+    assert len(set(expected)) == 4
+    solved, batched, paths = [], [], []
+    solve, vertex_rows, dag_path = oracle._solve, oracle._vertex_rows, oracle._dag_path
 
     def counting(S, c):
         solved.append(S)
         return solve(S, c)
 
+    def counting_rows(batch, c, rows):
+        batched.append(list(batch))
+        return vertex_rows(batch, c, rows)
+
+    def counting_paths(S, c):
+        paths.append(S)
+        return dag_path(S, c)
+
     monkeypatch.setattr(oracle, "_solve", counting)
+    monkeypatch.setattr(oracle, "_vertex_rows", counting_rows)
+    monkeypatch.setattr(oracle, "_dag_path", counting_paths)
     assert [x.tobytes() for x in argmax_many(sets, c)] == expected
-    assert solved == [X, Y, X, H, X]
+    # a batch stops before a set that repeats, and a run of repeats is
+    # answered once
+    assert solved == [X, Y, X, H, X, V, D, W]
+    assert batched == [[W, V]]
+    assert paths == [D, E, D]
 
 
 def test_argmax_many_across_chunks_of_the_real_size():

@@ -30,17 +30,15 @@ PACKAGE_EXPORTS = [
     "OracleResult",
     "PredictionDomain",
     "RegretLedger",
-    "RoundRecord",
     "Simplex",
     "argmax",
     "argmax_many",
     "as_vector",
     "average_prediction",
-    "beta",
     "certify_gap",
     "init_learner",
-    "observe",
     "offline_evaluate",
+    "play",
     "verify_run",
 ]
 
@@ -58,7 +56,8 @@ HARNESS_EXPORTS = [
     "simulate",
 ]
 
-# (owner, name) pairs that only tests call; they live in tests/reference.py
+# (owner, name) pairs that only tests call, which live in tests/reference.py,
+# and the per-round learner API that learner.play replaced
 MOVED = [
     (invlinopt, "suboptimality_loss"),
     (invlinopt, "fenchel_young_loss"),
@@ -78,6 +77,14 @@ MOVED = [
     (core.Ball, "contains"),
     (io, "read_trace"),
     (io, "read_summary"),
+    (invlinopt, "observe"),
+    (invlinopt, "RoundRecord"),
+    (invlinopt, "beta"),
+    (learner, "observe"),
+    (learner, "RoundRecord"),
+    (learner, "beta"),
+    (learner, "_zeros"),
+    (learner, "_residual"),
 ]
 
 
@@ -110,10 +117,9 @@ def test_loss_module_is_gone():
 FIELDS = [
     (oracle.OracleResult, ["maximizer", "tie_count"]),
     (core.Observation, ["feasible_set", "agent_choice"]),
-    (learner.RoundRecord, ["c_hat", "x_hat", "g", "beta", "grad_norm"]),
     (learner.LearnerState, [
         "domain", "schedule", "B", "H", "K", "grad_sum", "sq_norm_sum",
-        "current_prediction", "last_answer",
+        "current_prediction",
     ]),
     (harness.ExperimentConfig, [
         "seed", "dimension", "rounds", "domain", "schedule", "family",
