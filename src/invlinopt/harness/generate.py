@@ -42,6 +42,7 @@ from ..core import (
 )
 from ..oracle import argmax_many
 from .config import ExperimentConfig
+from .io import fmt
 
 # Rejection-sampling draws allowed for each feasible set, and for the ball's
 # integral objective, before GenerationFailedError.
@@ -112,7 +113,9 @@ def _draw_integral_objective(
         candidate = alpha * z
         if np.linalg.norm(candidate - domain.center) <= 0.999 * domain.radius:
             return as_vector(z), as_vector(candidate)
-    raise GenerationFailedError("no integral objective ray meets the ball")
+    raise GenerationFailedError(
+        f"no integral objective ray meets the ball in {RETRY_CAP} draws"
+    )
 
 
 def draw_objective(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | None]:
@@ -171,41 +174,53 @@ def _gap_test(
     norms: NormPair,
     c_star: np.ndarray,
     c_star_integral: np.ndarray | None,
-) -> Callable[[FeasibleSet], bool]:
-    """Whether a drawn set meets the configured gap target.
+) -> tuple[Callable[[FeasibleSet], float], float]:
+    """A drawn set's margin against the configured gap target, and the
+    margin a set needs: gap_margin in margin mode, 0 in integral mode.
 
-    The first maximizer of the objective over the members (the integral
-    objective in integral mode) must be its unique maximizer and, in margin
-    mode, have a margin of at least gap_margin: the sets certify_gap would
-    certify for the optimal agent.
+    The margin is that of the first maximizer of the objective over the
+    members (the integral objective in integral mode) when it is the unique
+    maximizer, and -inf when it is not, so the sets that reach the floor
+    are those certify_gap would certify for the optimal agent.  Without a
+    gap target every set's margin is +inf.
     """
     if cfg.gap_mode == "none":
-        return lambda X: True
+        return (lambda X: math.inf), 0.0
     c = c_star if c_star_integral is None else c_star_integral
 
-    def accepts(X: FeasibleSet) -> bool:
+    def margin(X: FeasibleSet) -> float:
         members = X.members()
         best = members[int(np.argmax(members @ c))]
         delta, rival = _gap_margin(members, best, c, norms)
-        return rival is None and (cfg.gap_mode == "integral" or delta >= cfg.gap_margin)
+        return -math.inf if rival is not None else delta
 
-    return accepts
+    return margin, cfg.gap_margin if cfg.gap_mode == "margin" else 0.0
 
 
 def _draw_set(
     cfg: ExperimentConfig,
-    accepts: Callable[[FeasibleSet], bool],
+    margin: Callable[[FeasibleSet], float],
+    floor: float,
     rng: np.random.Generator,
 ) -> FeasibleSet:
+    """The first drawn set whose margin reaches the floor; after RETRY_CAP
+    draws, GenerationFailedError names them and, in margin mode, the best
+    margin seen."""
+    best = -math.inf
     for _ in range(RETRY_CAP):
         X = _sample_feasible_set(cfg, rng)
-        if accepts(X):
+        seen = margin(X)
+        if seen >= floor:
             return X
-    raise GenerationFailedError("retry budget exhausted drawing sets")
+        best = max(best, seen)
+    message = f"retry budget exhausted: {RETRY_CAP} draws for one set"
+    if cfg.gap_mode == "margin":
+        message += f", best margin {fmt(best)} against gap_margin {fmt(floor)}"
+    raise GenerationFailedError(message)
 
 
 def _fixed_set(
-    cfg: ExperimentConfig, accepts: Callable[[FeasibleSet], bool]
+    cfg: ExperimentConfig, margin: Callable[[FeasibleSet], float], floor: float
 ) -> FeasibleSet | None:
     """The per-stream constant feasible set, or None for fresh draws.
 
@@ -214,13 +229,13 @@ def _fixed_set(
     """
     if cfg.family == "hypercube":
         cube = Hypercube(cfg.dimension)
-        if not accepts(cube):
+        if margin(cube) < floor:
             raise GenerationFailedError("the hypercube misses the gap target")
         return cube
     if cfg.fresh_sets:
         return None
     rng = np.random.default_rng([cfg.seed, 3])
-    return _draw_set(cfg, accepts, rng)
+    return _draw_set(cfg, margin, floor, rng)
 
 
 def generate_instance_stream(cfg: ExperimentConfig) -> StreamBundle:
@@ -260,8 +275,8 @@ def make_observation_sampler(
     argmax_many call, so sampler(rng, k) makes the draws of k calls that
     each drew one sample.
     """
-    accepts = _gap_test(cfg, build_domain(cfg).norm_pair, c_star, c_star_integral)
-    shared = _fixed_set(cfg, accepts)
+    margin, floor = _gap_test(cfg, build_domain(cfg).norm_pair, c_star, c_star_integral)
+    shared = _fixed_set(cfg, margin, floor)
     # nothing but the sets draws from the rng and no set is rejected, so
     # the k sets of one call are one block
     in_blocks = (
@@ -278,7 +293,7 @@ def make_observation_sampler(
         else:
             sets, noisy = [], []
             for _ in range(k):
-                X = shared if shared is not None else _draw_set(cfg, accepts, rng)
+                X = shared if shared is not None else _draw_set(cfg, margin, floor, rng)
                 sets.append(X)
                 errs = cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise
                 noisy.append(uniform_member(X, rng) if errs else None)

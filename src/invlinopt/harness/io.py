@@ -1,14 +1,17 @@
 """Flat-file outputs: trace CSV, key-value summaries, stream and vector files.
 
-All decimals are printed with 17 significant digits so files round-trip
-float64 exactly and identical runs produce bitwise-identical bytes.
+Every decimal is DECIMAL, 17 significant digits, so files round-trip
+float64 exactly and identical runs produce bitwise-identical bytes.  fmt
+and the row templates of the stream and the trace all use it.  The trace
+arrives as text chunks of rendered rows and is written chunk by chunk, so
+no whole-trace text is ever held.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,18 +34,22 @@ TRACE_COLUMNS = (
 
 STREAM_MAGIC = "# invlinopt stream v1"
 
+# the %-format of every decimal in every output file
+DECIMAL = "%.17g"
+
 
 def fmt(value) -> str:
-    """17-significant-digit decimal text; None becomes the empty field."""
+    """DECIMAL text of a number; None becomes the empty field."""
     if value is None:
         return ""
-    return format(float(value), ".17g")
+    return DECIMAL % float(value)
 
 
-def write_trace(path, rows: Sequence[Sequence[str]]) -> None:
-    lines = [",".join(TRACE_COLUMNS)]
-    lines.extend(",".join(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_trace(path, chunks: Iterable[str]) -> None:
+    """The header line, then each chunk of rendered rows, to one open file."""
+    with open(path, "w") as file:
+        file.write(",".join(TRACE_COLUMNS) + "\n")
+        file.writelines(chunks)
 
 
 def write_summary(path, entries: dict) -> None:
@@ -93,8 +100,7 @@ def write_stream(path, observations: Sequence[Observation], c_star=None) -> None
     for position, obs in enumerate(observations, 1):
         members = obs.feasible_set.members()
         count, width = members.shape
-        # "%.17g" % x is the text of fmt(x)
-        row = " ".join(["%.17g"] * width)
+        row = " ".join([DECIMAL] * width)
         lines.append(f"obs {position} {count}")
         lines.append("\n".join([row] * count) % tuple(members.ravel().tolist()))
         lines.append(("choice " + row) % tuple(obs.agent_choice.tolist()))

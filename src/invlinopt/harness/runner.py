@@ -4,7 +4,9 @@ The protocol per round is strict: predict, then observe, then update, so a
 prediction never depends on the current or future observations.  simulate
 plays the learner over the whole stream, then builds the ledger.  The exit
 status is nonzero exactly when some applicable certified inequality failed;
-every failed check is named in the summary.
+every failed check is named in the summary.  trace_rows renders the trace
+from the ledger's columns in chunks of _TRACE_CHUNK rows, and write_trace
+writes each chunk as it is made, so the trace's text never exists whole.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +29,19 @@ from .generate import (
     generate_instance_stream,
     make_observation_sampler,
 )
-from .io import TRACE_COLUMNS, fmt, write_stream, write_summary, write_trace, write_vector
+from .io import (
+    DECIMAL,
+    TRACE_COLUMNS,
+    fmt,
+    write_stream,
+    write_summary,
+    write_trace,
+    write_vector,
+)
+
+# rows rendered and written at a time, so the trace's text in memory does
+# not grow with the horizon
+_TRACE_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,21 +78,21 @@ def simulate(bundle: StreamBundle) -> analysis.RegretLedger:
 def trace_rows(
     ledger: analysis.RegretLedger,
     delta: float | None = None,
-) -> list[list[str]]:
-    """Render the per-round trace with the applicable running bound columns."""
+) -> Iterator[str]:
+    """The trace body with the applicable running bound columns, as text
+    chunks of at most _TRACE_CHUNK rows: each is one % of the row template
+    over its rows' values as Python floats, %d for t, DECIMAL for a present
+    column and an empty field for an absent bound column."""
     bounds = analysis.bound_columns(ledger, delta)
-    columns = [[str(t) for t in range(1, ledger.rounds + 1)]]
-    for name in TRACE_COLUMNS[1:]:
-        values = (
-            bounds[name.removeprefix("bound_")]
-            if name.startswith("bound_") else ledger.columns[name]
-        )
-        if values is None:
-            columns.append([""] * ledger.rounds)
-        else:
-            # "%.17g" % x is the same text as fmt(x)
-            columns.append(["%.17g" % x for x in values.tolist()])
-    return [list(row) for row in zip(*columns)]
+    columns = [
+        bounds[name.removeprefix("bound_")] if name.startswith("bound_")
+        else ledger.columns[name] for name in TRACE_COLUMNS[1:]
+    ]
+    row = ",".join(["%d"] + ["" if c is None else DECIMAL for c in columns]) + "\n"
+    present = [np.arange(1.0, ledger.rounds + 1)] + [c for c in columns if c is not None]
+    for start in range(0, ledger.rounds, _TRACE_CHUNK):
+        block = np.column_stack([c[start:start + _TRACE_CHUNK] for c in present])
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _summary_entries(

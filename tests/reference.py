@@ -4,7 +4,9 @@ The library computes each loss once, as a column of analysis.RegretLedger,
 plays the learner over a whole stream in one loop, and answers membership
 through the private FeasibleSet._contains that Observation uses.  The
 scalar forms below restate those quantities one instance or one round at a
-time, so a test can compare the two.
+time, so a test can compare the two.  trace_rows and write_trace render
+trace.csv one value string at a time, as the library did before it wrote
+the trace in chunks from one row template.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from invlinopt import oracle
+from invlinopt import analysis, oracle
 from invlinopt.core import (
     Ball,
     DagPaths,
@@ -31,6 +33,7 @@ from invlinopt.core import (
     as_vector,
     tolerance,
 )
+from invlinopt.harness.io import TRACE_COLUMNS
 from invlinopt.learner import ADAPTIVE, LearnerState, _solve
 from invlinopt.oracle import OracleResult
 
@@ -259,6 +262,33 @@ def residual_subgradient(x, x_hat) -> np.ndarray:
     if x.shape != x_hat.shape:
         raise ValueError(f"shapes {x.shape} and {x_hat.shape} differ")
     return _frozen(x_hat - x)
+
+
+def trace_rows(
+    ledger: analysis.RegretLedger,
+    delta: float | None = None,
+) -> list[list[str]]:
+    """The per-round trace with the applicable running bound columns, one
+    string per value."""
+    bounds = analysis.bound_columns(ledger, delta)
+    columns = [[str(t) for t in range(1, ledger.rounds + 1)]]
+    for name in TRACE_COLUMNS[1:]:
+        values = (
+            bounds[name.removeprefix("bound_")]
+            if name.startswith("bound_") else ledger.columns[name]
+        )
+        if values is None:
+            columns.append([""] * ledger.rounds)
+        else:
+            columns.append(["%.17g" % x for x in values.tolist()])
+    return [list(row) for row in zip(*columns)]
+
+
+def write_trace(path, rows) -> None:
+    """trace.csv from trace_rows's rows, joined into one text."""
+    lines = [",".join(TRACE_COLUMNS)]
+    lines.extend(",".join(row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_trace(path) -> list[dict[str, str]]:

@@ -333,7 +333,8 @@ def test_gap_margin_matches_the_naive_pass(case, norms):
 def test_margin_mode_accepts_exactly_what_certify_gap_certifies(case, norms, floor):
     X, _, c = case
     cfg = ExperimentConfig(seed=0, gap_mode="margin", gap_margin=floor)
-    accepted = generate._gap_test(cfg, norms, c, None)(X)
+    margin, floor = generate._gap_test(cfg, norms, c, None)
+    accepted = margin(X) >= floor
     certificate = certify_gap([Observation(X, argmax(X, c).maximizer)], c, norms)
     assert accepted == (certificate.satisfied and certificate.delta >= floor)
 
@@ -345,7 +346,8 @@ def test_integral_mode_accepts_exactly_one_maximizer(case, norms):
     cfg = ExperimentConfig(seed=0, gap_mode="integral")
     values = X.members() @ c
     unique = int(np.sum(values == values.max())) == 1
-    assert generate._gap_test(cfg, norms, c, c)(X) == unique
+    margin, floor = generate._gap_test(cfg, norms, c, c)
+    assert (margin(X) >= floor) == unique
 
 
 @settings(max_examples=20, deadline=None)
@@ -436,12 +438,12 @@ def reference_set(cfg, rng):
 
 def reference_sampler(cfg, c_star, c_star_integral):
     norms = generate.build_domain(cfg).norm_pair
-    accepts = generate._gap_test(cfg, norms, c_star, c_star_integral)
+    margin, floor = generate._gap_test(cfg, norms, c_star, c_star_integral)
 
     def draw_set(rng):
         for _ in range(generate.RETRY_CAP):
             X = reference_set(cfg, rng)
-            if accepts(X):
+            if margin(X) >= floor:
                 return X
         raise generate.GenerationFailedError("retry budget exhausted drawing sets")
 

@@ -1,6 +1,7 @@
 """Generation, runner, file formats, CLI, and determinism contracts."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from invlinopt.harness import (
 )
 from invlinopt.harness.cli import main
 from invlinopt.harness.config import ExperimentConfig
-from invlinopt.harness import generate
+from invlinopt.harness import generate, runner
 from invlinopt.harness.generate import GenerationFailedError, draw_objective
 from invlinopt.harness.io import (
     TRACE_COLUMNS,
@@ -34,9 +35,11 @@ from invlinopt.harness.io import (
     read_stream,
     read_vector,
     write_stream,
+    write_trace,
     write_vector,
 )
 
+import reference
 from reference import (
     argmax_bruteforce,
     in_domain,
@@ -122,6 +125,29 @@ def test_margin_gap_unreachable_fails(monkeypatch):
         generate_instance_stream(
             make_cfg(gap_mode="margin", gap_margin=50.0, rounds=5)
         )
+
+
+def test_generation_failure_names_its_draws_and_best_margin(tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(generate, "RETRY_CAP", 5)
+    args = ["run", "--seed", "3", "--family", "random-vertices", "--dimension", "4",
+            "--num-vertices", "6", "--gap", "margin", "--gap-margin", "50",
+            "--rounds", "5", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    # the first round's five draws, each margin certified independently
+    cfg = make_cfg(seed=3, num_vertices=6, gap_mode="margin", gap_margin=50.0)
+    c_star, _ = draw_objective(cfg)
+    rng = np.random.default_rng([3, 0])
+    margins = []
+    for _ in range(5):
+        X = ExplicitVertices(rng.random((6, 4)))
+        obs = Observation(X, argmax(X, c_star).maximizer)
+        certificate = certify_gap([obs], c_star, NormPair.linf_l1())
+        margins.append(certificate.delta if certificate.satisfied else -math.inf)
+    assert "5 draws" in err
+    assert f"best margin {fmt(max(margins))} against gap_margin 50" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_retry_cap_is_per_set_not_per_stream(monkeypatch):
@@ -280,6 +306,49 @@ def test_trace_bound_columns_match_schedule(tmp_path):
     rows = read_trace(tmp_path / "off" / "trace.csv")
     assert rows[0]["bound_adaptive_grad"] == ""
     assert rows[0]["bound_offset_horizon"] != ""
+
+
+CHUNK = runner._TRACE_CHUNK
+# run overrides, and the bound columns they leave empty
+TRACE_SETUPS = {
+    "adaptive-simplex": ({}, {"bound_offset_horizon", "bound_gap_constant"}),
+    "offset-ball": (
+        dict(domain="ball", schedule="offset"),
+        {"bound_adaptive_grad", "bound_adaptive_horizon", "bound_gap_constant"},
+    ),
+    "integral-repeat": (
+        dict(gap_mode="integral", fresh_sets=False), {"bound_offset_horizon"}
+    ),
+}
+
+
+@pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("setup", sorted(TRACE_SETUPS))
+def test_trace_file_matches_the_value_by_value_reference(tmp_path, setup, rounds):
+    overrides, empty = TRACE_SETUPS[setup]
+    out = tmp_path / "run"
+    result = run_experiment(make_cfg(rounds=rounds, out=str(out), **overrides))
+    certificate = result.certificate
+    delta = certificate.delta if certificate and certificate.satisfied else None
+    expected = tmp_path / "reference.csv"
+    reference.write_trace(expected, reference.trace_rows(result.ledger, delta))
+    assert (out / "trace.csv").read_bytes() == expected.read_bytes()
+    rows = read_trace(out / "trace.csv")
+    assert len(rows) == rounds
+    assert {name for name in TRACE_COLUMNS if rows[-1][name] == ""} == empty
+
+
+def test_writing_a_long_trace_holds_no_whole_trace_text(tmp_path):
+    # rendered whole, this trace's strings peak near 19 MB
+    ledger = simulate(generate_instance_stream(make_cfg(seed=7, rounds=20_000)))
+    tracemalloc.start()
+    try:
+        write_trace(tmp_path / "trace.csv", runner.trace_rows(ledger))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(read_trace(tmp_path / "trace.csv")) == 20_000
+    assert peak < 4_000_000
 
 
 def test_run_failure_is_named_and_nonzero(tmp_path):
