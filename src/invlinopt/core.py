@@ -184,7 +184,15 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
 
 
 class ExplicitVertices(FeasibleSet):
-    """The set is exactly the given points, deduplicated, input order kept."""
+    """The set is exactly the given points, deduplicated, input order kept.
+
+    A set built by _from_block that keeps its row as is records the block
+    and its row index in _block and _row, so that consecutive rows of one
+    block can be read as one slice of it.
+    """
+
+    _block: np.ndarray | None = None
+    _row = 0
 
     def __init__(self, vertices):
         m = np.asarray(vertices, dtype=np.float64)
@@ -212,7 +220,8 @@ class ExplicitVertices(FeasibleSet):
         a view of its slice.  The lead-entry test of the public constructor
         runs once over the block; only a slice with a repeated lead entry
         goes through _distinct, the dedup rule the public constructor uses.
-        The rows are neither validated nor copied a second time.
+        The rows are neither validated nor copied a second time.  A set
+        that keeps its view records the block and its row index.
         """
         if not np.isfinite(block).all():
             raise ValueError("vertex entries must be finite")
@@ -222,10 +231,12 @@ class ExplicitVertices(FeasibleSet):
         shared = (lead[:, 1:] == lead[:, :-1]).any(axis=1)
         n = int(block.shape[2])
         sets = []
-        for rows, repeated in zip(block, shared.tolist()):
+        for i, (rows, repeated) in enumerate(zip(block, shared.tolist())):
             X = cls.__new__(cls)
             X._vertices = _distinct(rows) if repeated else rows
             X.dimension = n
+            if X._vertices is rows:
+                X._block, X._row = block, i
             sets.append(X)
         return sets
 
@@ -318,6 +329,11 @@ class DagPaths(FeasibleSet):
     Nodes are 0..num_nodes-1 listed in topological order, so every arc (u, v)
     must satisfy u < v; anything else is rejected as a cycle.  Arc k maps to
     coordinate k.  Source is node 0 and sink is node num_nodes-1.
+
+    A set holds num_nodes, dimension and one read-only (dimension, 2) int
+    array of its (tail, head) arcs, and besides the members() cache nothing
+    else: membership, the path count and the enumeration derive what they
+    need from the array when called.
     """
 
     def __init__(self, num_nodes: int, arcs):
@@ -336,73 +352,84 @@ class DagPaths(FeasibleSet):
             arc_list.append((u, v))
         if not arc_list:
             raise ValueError("need at least one arc")
-        self._link(m, arc_list)
-        if self._path_count == 0:
+        ends = np.array(arc_list, dtype=np.intp)
+        ends.flags.writeable = False
+        self.num_nodes = m
+        self.dimension = len(arc_list)
+        self._ends = ends
+        if self.enumeration_effort() == 0:
             raise ValueError("no source-to-sink path exists")
 
     @classmethod
-    def _trusted(cls, num_nodes: int, arcs: list[tuple[int, int]]) -> "DagPaths":
-        """DagPaths(num_nodes, arcs) without the checks, for arcs of Python
-        ints with 0 <= u < v < num_nodes that include a source-to-sink path,
-        as generation draws them."""
-        X = cls.__new__(cls)
-        X._link(num_nodes, arcs)
-        return X
+    def _from_block(cls, num_nodes: int, block: np.ndarray) -> list["DagPaths"]:
+        """[DagPaths(num_nodes, block[i]) for each i], without the checks.
 
-    def _link(self, m: int, arcs: list[tuple[int, int]]) -> None:
-        """Out-lists and the exact path count of valid arcs on m nodes."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for k, (u, v) in enumerate(arcs):
-            out[u].append((k, v))
-        self.num_nodes = m
-        self._arcs = tuple(arcs)
-        self._out = tuple(map(tuple, out))
-        # path counts from each node to the sink, exact integers
-        counts = [0] * m
-        counts[m - 1] = 1
-        for u in range(m - 2, -1, -1):
-            total = 0
-            for _, v in out[u]:
-                total += counts[v]
-            counts[u] = total
-        self._path_count = counts[0]
-        self.dimension = len(arcs)
+        block is a (k, n, 2) intp array of arcs that the caller drew and
+        hands over, each row with 0 <= u < v < num_nodes and a
+        source-to-sink path, as generation draws them.  block is made
+        read-only and each set keeps a view of its row; the caller may
+        still overwrite a row through the array block is a view of, as
+        generation does to redraw a rejected set, after which only a new
+        set reads that row.
+        """
+        block.flags.writeable = False
+        n = int(block.shape[1])
+        sets = []
+        for ends in block:
+            X = cls.__new__(cls)
+            X.num_nodes = num_nodes
+            X.dimension = n
+            X._ends = ends
+            sets.append(X)
+        return sets
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        return self._arcs
+        return tuple(map(tuple, self._ends.tolist()))
 
     def _contains(self, v: np.ndarray) -> bool:
         x = v.tolist()
         # -0.0 equals 0.0 and nan equals neither
         if not _BINARY.issuperset(x):
             return False
+        # the step out of each node takes its selected arc of highest index
+        step = dict(arc for arc, b in zip(self._ends.tolist(), x) if b == 1.0)
         sink = self.num_nodes - 1
         cur = 0
         steps = 0
         while cur != sink:
-            nxt = -1
-            for k, w in self._out[cur]:
-                if x[k] == 1.0:
-                    nxt = w
-            if nxt < 0:
+            cur = step.get(cur, -1)
+            if cur < 0:
                 return False
             steps += 1
-            cur = nxt
         # a second selected arc out of a walked node is never walked, so
         # it leaves the walk shorter than the selection
         return steps == x.count(1.0)
 
     def enumeration_effort(self) -> int:
-        return self._path_count
+        """The exact number of source-to-sink paths."""
+        if self._members_cache is not None:
+            # the enumeration holds one row per path
+            return int(self._members_cache.shape[0])
+        # paths from each node to the sink: in decreasing tail order, every
+        # arc out of v is counted before an arc into v reads counts[v]
+        counts = [0] * self.num_nodes
+        counts[-1] = 1
+        for u, v in sorted(self._ends.tolist(), reverse=True):
+            counts[u] += counts[v]
+        return counts[0]
 
     def _enumerate(self) -> np.ndarray:
         m = self.num_nodes
+        # (arc index, head) pairs out of each node, in arc-index order
+        out: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        for k, (u, v) in enumerate(self._ends.tolist()):
+            out[u].append((k, v))
         reached = [False] * m
         reached[0] = True
         for u in range(m - 1):
             if reached[u]:
-                for _, v in self._out[u]:
+                for _, v in out[u]:
                     reached[v] = True
         # paths[u]: arc tuples of the u-to-sink paths, in the order a
         # depth-first walk from u meets them; only nodes the source reaches
@@ -411,7 +438,7 @@ class DagPaths(FeasibleSet):
         paths[m - 1] = [()]
         for u in range(m - 2, -1, -1):
             if reached[u]:
-                paths[u] = [(k,) + p for k, v in self._out[u] for p in paths[v]]
+                paths[u] = [(k,) + p for k, v in out[u] for p in paths[v]]
         found = paths[0]
         n = self.dimension
         rows = np.zeros((len(found), n))
@@ -441,7 +468,7 @@ class Observation:
             raise MembershipError("agent choice is not in the feasible set")
 
     @classmethod
-    def _trusted(cls, feasible_set: FeasibleSet, choice: np.ndarray) -> "Observation":
+    def _of_member(cls, feasible_set: FeasibleSet, choice: np.ndarray) -> "Observation":
         """Observation(feasible_set, choice) without the checks, for a
         read-only, folded member of the set: an oracle answer or a
         uniform_member row."""

@@ -11,11 +11,14 @@ rng between two sets (fresh random vertex sets with no gap test and no
 agent noise), one sampler call draws all its vertex sets as one (k, m, n)
 block of rng.random or rng.integers(0, 2), bitwise k draws of (m, n);
 every other vertex set is a block of one.  A block is checked for
-finiteness and folded once, DAGs are built from their drawn chain and u < v
-arcs without per-arc checks, and each observation takes its choice, an
-oracle answer or a uniform_member row, uncopied and without a membership
-scan.  The public constructors, and so read_stream and callers' own
-observations, keep every check.
+finiteness and folded once.  The fresh DAGs of one sampler call write
+their arcs into one (k, n, 2) intp block: its rows' chain is filled in
+once, the scalar rng.integers draws of each extra arc follow in the order
+a per-set draw makes them, a rejected draw's redraw overwrites its row,
+and each set keeps a read-only view of its row, without per-arc checks.
+Each observation takes its choice, an oracle answer or a uniform_member
+row, uncopied and without a membership scan.  The public constructors,
+and so read_stream and callers' own observations, keep every check.
 """
 
 from __future__ import annotations
@@ -140,9 +143,22 @@ def _vertex_sets(
     return ExplicitVertices._from_block(block)
 
 
+def _dag_block(cfg: ExperimentConfig, k: int) -> np.ndarray:
+    """A (k, n, 2) intp block of DAG arcs on min(n + 1, 8) nodes, each
+    row's chain of arcs (i, i + 1) through the sink filled in; the draws
+    fill the rest of a row."""
+    num_nodes = min(cfg.dimension + 1, 8)
+    block = np.empty((k, cfg.dimension, 2), dtype=np.intp)
+    block[:, : num_nodes - 1, 0] = np.arange(num_nodes - 1)
+    block[:, : num_nodes - 1, 1] = np.arange(1, num_nodes)
+    return block
+
+
 def _sample_feasible_set(
-    cfg: ExperimentConfig, rng: np.random.Generator
+    cfg: ExperimentConfig, rng: np.random.Generator, arcs: np.ndarray | None = None
 ) -> FeasibleSet:
+    """One drawn set.  A DAG's arcs go into arcs, a writable row of a
+    _dag_block block, or into a block of one; a redraw overwrites them."""
     # the hypercube family is handled as a per-stream fixed set
     n = cfg.dimension
     if cfg.family == "random-vertices":
@@ -151,18 +167,18 @@ def _sample_feasible_set(
         weights = rng.integers(0, 10, size=n)
         capacity = int(rng.integers(0, int(weights.sum()) + 1))
         return Knapsack(weights, capacity)
+    if arcs is None:
+        arcs = _dag_block(cfg, 1)[0]
     num_nodes = min(n + 1, 8)
-    arcs = [(i, i + 1) for i in range(num_nodes - 1)]
-    while len(arcs) < n:
+    for j in range(num_nodes - 1, n):
         u = int(rng.integers(0, num_nodes - 1))
-        v = int(rng.integers(u + 1, num_nodes))
-        arcs.append((u, v))
-    return DagPaths._trusted(num_nodes, arcs)
+        arcs[j] = u, int(rng.integers(u + 1, num_nodes))
+    return DagPaths._from_block(num_nodes, arcs[None])[0]
 
 
 def uniform_member(X: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
     """A uniformly random element: an uncopied members() row, read-only and
-    folded as Observation._trusted requires; hypercubes skip enumeration."""
+    folded as Observation._of_member requires; hypercubes skip enumeration."""
     if isinstance(X, Hypercube):
         return as_vector(rng.integers(0, 2, size=X.dimension).astype(np.float64))
     members = X.members()
@@ -202,13 +218,15 @@ def _draw_set(
     margin: Callable[[FeasibleSet], float],
     floor: float,
     rng: np.random.Generator,
+    arcs: np.ndarray | None = None,
 ) -> FeasibleSet:
-    """The first drawn set whose margin reaches the floor; after RETRY_CAP
-    draws, GenerationFailedError names them and, in margin mode, the best
-    margin seen."""
+    """The first drawn set whose margin reaches the floor, a DAG's arcs
+    drawn into arcs as _sample_feasible_set does; after RETRY_CAP draws,
+    GenerationFailedError names them and, in margin mode, the best margin
+    seen."""
     best = -math.inf
     for _ in range(RETRY_CAP):
-        X = _sample_feasible_set(cfg, rng)
+        X = _sample_feasible_set(cfg, rng, arcs)
         seen = margin(X)
         if seen >= floor:
             return X
@@ -292,14 +310,17 @@ def make_observation_sampler(
             noisy = [None] * k
         else:
             sets, noisy = [], []
-            for _ in range(k):
-                X = shared if shared is not None else _draw_set(cfg, margin, floor, rng)
+            # fresh DAGs draw their arcs into the rows of one block
+            fresh_dags = cfg.family == "dag" and shared is None
+            rows = _dag_block(cfg, k) if fresh_dags else [None] * k
+            for arcs in rows:
+                X = shared if shared is not None else _draw_set(cfg, margin, floor, rng, arcs)
                 sets.append(X)
                 errs = cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise
                 noisy.append(uniform_member(X, rng) if errs else None)
         optimal_choices = argmax_many(sets, c_star)
         observations = [
-            Observation._trusted(X, optimal if choice is None else choice)
+            Observation._of_member(X, optimal if choice is None else choice)
             for X, choice, optimal in zip(sets, noisy, optimal_choices)
         ]
         return observations, optimal_choices

@@ -9,8 +9,8 @@ tie-breaking rule, so repeated runs reproduce bitwise-identical traces:
 * Knapsack: 0/1 dynamic program over the integer capacity grid; items with
   c_i <= 0 are never packed, and strict-improvement updates prefer leaving an
   item out on ties.
-* DagPaths: longest-path relaxation in topological order with strict
-  improvement, so the first-found predecessor wins ties.
+* DagPaths: longest-path relaxation of the arcs in (tail, index) order
+  with strict improvement, so the first-found predecessor wins ties.
 
 argmax is a pure function of its arguments and keeps no state; answers
 are read-only, so a caller that knows a decision problem repeats may keep
@@ -19,11 +19,15 @@ one and reuse it.
 argmax_many answers one objective over many sets as one read-only array,
 one row per set.  A run of consecutive repeats of one set object, of any
 family, goes through argmax once.  Distinct consecutive ExplicitVertices
-sets of one shape are scanned together in one stacked product, and
-distinct consecutive DagPaths sets run the longest-path rule on one Python
-list of the objective; each batch holds at most _STACK_CHUNK sets and
-writes its own rows, so memory beyond the answer array does not grow with
-the number of sets.  Hypercube and Knapsack sets go through argmax.
+sets of one shape are scanned together in one stacked product, which reads
+consecutive rows of one generation block as a slice of it, uncopied.
+Distinct consecutive DagPaths sets of one arc and node count are relaxed
+together: their arc arrays are stacked, slot j of every set is relaxed at
+once with the same binary64 sums and strict comparisons as the one-set
+rule, and one vectorized walk back from the sinks marks the paths.  Each
+batch holds at most _STACK_CHUNK sets and writes its own rows, so memory
+beyond the answer array does not grow with the number of sets.  Hypercube
+and Knapsack sets go through argmax.
 """
 
 from __future__ import annotations
@@ -115,29 +119,30 @@ def _knapsack_argmax(X: Knapsack, c: np.ndarray) -> OracleResult:
 def _dag_path(X: DagPaths, c: list[float]) -> list[int]:
     """Arc indices of the longest source-to-sink path, sink end first.
 
-    c holds the objective as Python floats: their additions and comparisons
-    are the same binary64 operations as on numpy scalars, only cheaper.
+    The arcs are relaxed in (tail, index) order, so every arc into a node
+    comes before the arcs out of it.  c holds the objective as Python
+    floats: their additions and comparisons are the same binary64
+    operations as on numpy scalars, only cheaper.
     """
     m = X.num_nodes
+    ends = X._ends.tolist()
     dist = [-math.inf] * m
     dist[0] = 0.0
     pred = [-1] * m
-    for u, arcs in enumerate(X._out[:-1]):
+    for u, k, v in sorted([(u, k, v) for k, (u, v) in enumerate(ends)]):
         base = dist[u]
         if base == -math.inf:
             continue
-        for k, v in arcs:
-            cand = base + c[k]
-            if cand > dist[v]:
-                dist[v] = cand
-                pred[v] = k
-    tails = X.arcs
+        cand = base + c[k]
+        if cand > dist[v]:
+            dist[v] = cand
+            pred[v] = k
     path = []
     node = m - 1
     while node != 0:
         k = pred[node]
         path.append(k)
-        node = tails[k][0]
+        node = ends[k][0]
     return path
 
 
@@ -199,12 +204,25 @@ def argmax_many(sets: Sequence[FeasibleSet], c) -> np.ndarray:
 
 def _run_key(X: FeasibleSet) -> tuple | None:
     """Sets with equal keys share a batch: ExplicitVertices sets of one
-    shape, or DagPaths sets of one dimension."""
+    shape, or DagPaths sets of one dimension and node count."""
     if isinstance(X, ExplicitVertices):
         return ("vertices", X.vertices.shape)
     if isinstance(X, DagPaths):
-        return ("dag", X.dimension)
+        return ("dag", X.dimension, X.num_nodes)
     return None
+
+
+def _vertex_stack(sets: Sequence[ExplicitVertices]) -> np.ndarray:
+    """The sets' vertex arrays as one (k, m, n) array: a slice of their
+    block when they are its consecutive rows, known by the block's identity
+    and each set's row index, and a stacked copy otherwise."""
+    block, start = sets[0]._block, sets[0]._row
+    if block is not None and all(
+        X._block is block and X._row == row
+        for row, X in enumerate(sets, start)
+    ):
+        return block[start:start + len(sets)]
+    return np.stack([X.vertices for X in sets])
 
 
 def _vertex_rows(
@@ -213,7 +231,7 @@ def _vertex_rows(
     """A stacked product gives each set the same values as its own scan, so
     a set without an exact tie takes the row at its first maximum; a set
     with a tie goes through the scan's lexicographic rule."""
-    stack = np.stack([X.vertices for X in sets])
+    stack = _vertex_stack(sets)
     values = stack @ c
     first = values.argmax(axis=1)
     picked = np.arange(len(sets))
@@ -224,14 +242,41 @@ def _vertex_rows(
 
 
 def _dag_rows(sets: Sequence[DagPaths], c: np.ndarray, rows: np.ndarray) -> None:
-    """The longest-path rule of argmax, on one list of c for all sets; rows
-    start as zeros."""
-    weights = c.tolist()
-    n = c.size
-    hits: list[int] = []
-    for r, X in enumerate(sets):
-        hits.extend([r * n + k for k in _dag_path(X, weights)])
-    rows.flat[hits] = 1.0
+    """The longest-path rule of argmax, relaxed across the whole chunk at
+    once; the sets share their arc and node counts, and rows start as zeros.
+
+    Slot j holds each set's j-th arc in stable (tail, index) order, the
+    order _dag_path relaxes them in, so relaxing slot j of every set at
+    once makes the same binary64 sums and the same strict > comparisons.
+    A set's skipped unreached tail (distance -inf) gives a sum that is
+    -inf or nan, which the comparison never takes.  The walk back from the
+    sink then runs over the sets still away from the source.
+    """
+    k, m = len(sets), sets[0].num_nodes
+    ends = np.stack([X._ends for X in sets])
+    tails = ends[:, :, 0]
+    order = np.argsort(tails, axis=1, kind="stable")
+    # node v of set r is entry r * m + v of the flat dist and pred arrays
+    offset = np.arange(0, k * m, m)[:, None]
+    tail_at = np.take_along_axis(tails, order, axis=1) + offset
+    head_at = np.take_along_axis(ends[:, :, 1], order, axis=1) + offset
+    dist = np.full(k * m, -math.inf)
+    dist[offset[:, 0]] = 0.0
+    pred = np.full(k * m, -1)
+    for tail, head, w, arc in zip(tail_at.T, head_at.T, c[order].T, order.T):
+        cand = dist[tail] + w
+        better = cand > dist[head]
+        head = head[better]
+        dist[head] = cand[better]
+        pred[head] = arc[better]
+    live = np.arange(k)
+    node = np.full(k, m - 1)
+    while live.size:
+        arc = pred[live * m + node]
+        rows[live, arc] = 1.0
+        node = tails[live, arc]
+        away = node != 0
+        live, node = live[away], node[away]
 
 
 def _solve(feasible_set: FeasibleSet, c: np.ndarray) -> OracleResult:

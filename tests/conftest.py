@@ -51,14 +51,15 @@ def random_dag(rng, max_extra=4):
 
 
 @st.composite
-def dag_paths(draw, num_arcs=None, max_nodes=7, max_arcs=10):
+def dag_paths(draw, num_arcs=None, max_nodes=7, max_arcs=10, num_nodes=None):
     """A DagPaths with one planted source-to-sink path and random extra arcs.
 
     The extra arcs bring parallel arcs, nodes the source cannot reach and
     nodes that cannot reach the sink; arc indices are shuffled, since they
-    decide the oracle's ties.  num_arcs fixes the dimension.
+    decide the oracle's ties.  num_arcs fixes the dimension and num_nodes
+    the node count.
     """
-    nodes = draw(st.integers(2, max_nodes))
+    nodes = draw(st.integers(2, max_nodes)) if num_nodes is None else num_nodes
     sink = nodes - 1
     longest = sink - 1 if num_arcs is None else min(sink - 1, num_arcs - 1)
     inner = []

@@ -6,7 +6,9 @@ through the private FeasibleSet._contains that Observation uses.  The
 scalar forms below restate those quantities one instance or one round at a
 time, so a test can compare the two.  trace_rows and write_trace render
 trace.csv one value string at a time, as the library did before it wrote
-the trace in chunks from one row template.
+the trace in chunks from one row template.  reference_set and
+reference_sampler draw one sample at a time through the public
+constructors, as generation did before it drew sets into blocks.
 """
 
 from __future__ import annotations
@@ -23,9 +25,13 @@ from invlinopt.core import (
     Ball,
     DagPaths,
     DimensionMismatchError,
+    ExplicitVertices,
     FeasibleSet,
+    Hypercube,
+    Knapsack,
     MembershipError,
     NormPair,
+    Observation,
     PredictionDomain,
     Simplex,
     _dot,
@@ -33,6 +39,7 @@ from invlinopt.core import (
     as_vector,
     tolerance,
 )
+from invlinopt.harness import generate
 from invlinopt.harness.io import TRACE_COLUMNS
 from invlinopt.learner import ADAPTIVE, LearnerState, _solve
 from invlinopt.oracle import OracleResult
@@ -82,7 +89,7 @@ def in_domain(domain: PredictionDomain, v) -> bool:
 
 def out_arcs(X: DagPaths, node: int) -> tuple[tuple[int, int], ...]:
     """Outgoing (arc_index, head) pairs of a node, in arc-index order."""
-    return X._out[node]
+    return tuple((k, v) for k, (u, v) in enumerate(X.arcs) if u == node)
 
 
 def argmax_bruteforce(feasible_set: FeasibleSet, c) -> OracleResult:
@@ -307,3 +314,52 @@ def read_summary(path) -> dict[str, str]:
         key, value = line.split(" = ", 1)
         entries[key] = value
     return entries
+
+
+def reference_set(cfg, rng) -> FeasibleSet:
+    """One draw of generation's feasible set, in generation's RNG order,
+    built by the public constructor: a DAG takes its chain as tuple arcs
+    and draws each extra arc with two scalar rng.integers calls."""
+    n = cfg.dimension
+    if cfg.family == "random-vertices":
+        shape = (cfg.num_vertices, n)
+        if cfg.integral_vertices or cfg.gap_mode == "integral":
+            return ExplicitVertices(rng.integers(0, 2, size=shape).astype(np.float64))
+        return ExplicitVertices(rng.random(shape))
+    if cfg.family == "knapsack":
+        weights = rng.integers(0, 10, size=n)
+        return Knapsack(weights, int(rng.integers(0, int(weights.sum()) + 1)))
+    nodes = min(n + 1, 8)
+    arcs = [(i, i + 1) for i in range(nodes - 1)]
+    while len(arcs) < n:
+        u = int(rng.integers(0, nodes - 1))
+        arcs.append((u, int(rng.integers(u + 1, nodes))))
+    return DagPaths(nodes, arcs)
+
+
+def reference_sampler(cfg, c_star, c_star_integral):
+    """sampler(rng): one observation of the stream's distribution, with the
+    optimal agent's choice solved by argmax for that set alone."""
+    norms = generate.build_domain(cfg).norm_pair
+    margin, floor = generate._gap_test(cfg, norms, c_star, c_star_integral)
+
+    def draw_set(rng):
+        for _ in range(generate.RETRY_CAP):
+            X = reference_set(cfg, rng)
+            if margin(X) >= floor:
+                return X
+        raise generate.GenerationFailedError("retry budget exhausted drawing sets")
+
+    shared = None
+    if cfg.family == "hypercube":
+        shared = Hypercube(cfg.dimension)
+    elif not cfg.fresh_sets:
+        shared = draw_set(np.random.default_rng([cfg.seed, 3]))
+
+    def sampler(rng):
+        X = shared if shared is not None else draw_set(rng)
+        if cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise:
+            return Observation(X, generate.uniform_member(X, rng))
+        return Observation(X, oracle.argmax(X, c_star).maximizer)
+
+    return sampler

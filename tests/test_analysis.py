@@ -48,6 +48,7 @@ from reference import (
     estimate_loss,
     in_domain,
     inner_product,
+    reference_sampler,
     simulate_by_rounds,
 )
 
@@ -412,54 +413,9 @@ def test_offline_evaluate_exact_zeros():
 
 
 # The one-sample protocol offline_evaluate had before its samples came in
-# chunks: the reference for the chunked sampler and evaluation.  It builds
-# every set and observation with the public constructors, which check
-# everything generation trusts.
-
-
-def reference_set(cfg, rng):
-    """One draw of generation's feasible set, in generation's RNG order."""
-    n = cfg.dimension
-    if cfg.family == "random-vertices":
-        shape = (cfg.num_vertices, n)
-        if cfg.integral_vertices or cfg.gap_mode == "integral":
-            return ExplicitVertices(rng.integers(0, 2, size=shape).astype(np.float64))
-        return ExplicitVertices(rng.random(shape))
-    if cfg.family == "knapsack":
-        weights = rng.integers(0, 10, size=n)
-        return Knapsack(weights, int(rng.integers(0, int(weights.sum()) + 1)))
-    nodes = min(n + 1, 8)
-    arcs = [(i, i + 1) for i in range(nodes - 1)]
-    while len(arcs) < n:
-        u = int(rng.integers(0, nodes - 1))
-        arcs.append((u, int(rng.integers(u + 1, nodes))))
-    return DagPaths(nodes, arcs)
-
-
-def reference_sampler(cfg, c_star, c_star_integral):
-    norms = generate.build_domain(cfg).norm_pair
-    margin, floor = generate._gap_test(cfg, norms, c_star, c_star_integral)
-
-    def draw_set(rng):
-        for _ in range(generate.RETRY_CAP):
-            X = reference_set(cfg, rng)
-            if margin(X) >= floor:
-                return X
-        raise generate.GenerationFailedError("retry budget exhausted drawing sets")
-
-    shared = None
-    if cfg.family == "hypercube":
-        shared = Hypercube(cfg.dimension)
-    elif not cfg.fresh_sets:
-        shared = draw_set(np.random.default_rng([cfg.seed, 3]))
-
-    def sampler(rng):
-        X = shared if shared is not None else draw_set(rng)
-        if cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise:
-            return Observation(X, generate.uniform_member(X, rng))
-        return Observation(X, argmax(X, c_star).maximizer)
-
-    return sampler
+# chunks: the reference for the chunked evaluation.  Its sampler,
+# reference.reference_sampler, builds every set and observation with the
+# public constructors, which check everything generation trusts.
 
 
 def reference_offline_evaluate(c_bar, c_star, sampler, m, seed):
@@ -531,7 +487,7 @@ def set_contents(X):
     if isinstance(X, ExplicitVertices):
         return X.vertices.shape, X.vertices.tobytes()
     if isinstance(X, DagPaths):
-        return X.num_nodes, X.arcs, X._out, X.enumeration_effort()
+        return X.num_nodes, X.arcs, X._ends.dtype, X.enumeration_effort()
     if isinstance(X, Knapsack):
         return X.weights.dtype, X.weights.tobytes(), X.capacity
     return type(X)
@@ -561,6 +517,33 @@ def test_sampler_matches_the_public_constructors(monkeypatch, setup, k):
         assert X.members().tobytes() == Y.members().tobytes()
         assert obs.agent_choice.tobytes() == expected.agent_choice.tobytes()
         assert not obs.agent_choice.flags.writeable
+        assert optimal.tobytes() == argmax(Y, c_star).maximizer.tobytes()
+    assert rng.random(4).tobytes() == reference_rng.random(4).tobytes()
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+@pytest.mark.parametrize("n", [3, 7, 8, 10, 30])
+@pytest.mark.parametrize("gap", ["none", "margin", "integral"])
+def test_dag_sampler_matches_the_per_set_reference_draw(gap, n, noise):
+    # the sampler draws a call's DAG arcs into one block, the chain filled
+    # in once; the reference draws tuple arcs one set at a time.  With
+    # n <= 7 a set is its chain alone; n = 30 holds hundreds of paths, and
+    # the gap modes redraw rejected rows.  2 * 256 + 3 samples cross
+    # argmax_many's chunk boundaries.
+    cfg = build_config({}, seed=13, rounds=1, family="dag", dimension=n,
+                       gap_mode=gap, gap_margin=0.01, agent_noise=noise)
+    c_star, c_star_integral = generate.draw_objective(cfg)
+    sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
+    reference = reference_sampler(cfg, c_star, c_star_integral)
+    rng = np.random.default_rng([cfg.seed, 1])
+    reference_rng = np.random.default_rng([cfg.seed, 1])
+    k = 2 * oracle._STACK_CHUNK + 3
+    observations, optimal_choices = sampler(rng, k)
+    for obs, optimal in zip(observations, optimal_choices):
+        expected = reference(reference_rng)
+        X, Y = obs.feasible_set, expected.feasible_set
+        assert (X.num_nodes, X.arcs) == (Y.num_nodes, Y.arcs)
+        assert obs.agent_choice.tobytes() == expected.agent_choice.tobytes()
         assert optimal.tobytes() == argmax(Y, c_star).maximizer.tobytes()
     assert rng.random(4).tobytes() == reference_rng.random(4).tobytes()
 

@@ -253,13 +253,27 @@ def test_block_constructor_refuses_non_finite_entries():
 
 
 @settings(max_examples=150, deadline=None)
-@given(dag_paths())
-def test_trusted_dag_matches_the_public_one(X):
-    trusted = DagPaths._trusted(X.num_nodes, list(X.arcs))
-    assert (trusted.arcs, trusted._out, trusted.enumeration_effort(), trusted.dimension) == (
-        X.arcs, X._out, X.enumeration_effort(), X.dimension
-    )
-    assert trusted.members().tobytes() == X.members().tobytes()
+@given(st.data())
+def test_block_dags_match_the_public_ones(data):
+    first = data.draw(dag_paths(max_arcs=8))
+    n, nodes = first.dimension, first.num_nodes
+    public = [first] + data.draw(
+        st.lists(dag_paths(num_arcs=n, num_nodes=nodes), max_size=3))
+    block = np.array([X.arcs for X in public], dtype=np.intp)
+    born = DagPaths._from_block(nodes, block)
+    assert len(born) == len(public)
+    for X, Y in zip(born, public):
+        assert (X.num_nodes, X.dimension, X.arcs, X.enumeration_effort()) == (
+            Y.num_nodes, Y.dimension, Y.arcs, Y.enumeration_effort()
+        )
+        for bits in itertools.product((0.0, 1.0), repeat=n):
+            v = np.array(bits)
+            assert X._contains(v) == Y._contains(v)
+        assert X.members().tobytes() == Y.members().tobytes()
+        # with the enumeration cached, the path count is its row count
+        assert X.enumeration_effort() == Y.enumeration_effort() == len(X.members())
+        # each set reads its row of the block in place, read-only
+        assert X._ends.base is block and not X._ends.flags.writeable
 
 
 TWO_POINTS = ExplicitVertices([[0.0, 0.0], [1.0, 0.0]])

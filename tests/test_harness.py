@@ -802,24 +802,27 @@ def test_prediction_equals_a_fresh_solve_after_every_round(setup, schedule):
 def test_repeated_stream_answers_its_one_set_once(family, monkeypatch):
     from invlinopt import oracle
 
-    # _dag_path calls, and rows of stacked vertex sets
+    # single-set _dag_path calls, and rows of batched vertex and DAG sets
     counts = {"paths": 0, "rows": 0}
-    dag_path, vertex_rows = oracle._dag_path, oracle._vertex_rows
+    dag_path, vertex_rows, dag_rows = oracle._dag_path, oracle._vertex_rows, oracle._dag_rows
 
     def counting_paths(X, c):
         counts["paths"] += 1
         return dag_path(X, c)
 
-    def counting_rows(sets, c, rows):
-        counts["rows"] += len(sets)
-        return vertex_rows(sets, c, rows)
+    def counting_rows(fill):
+        def counted(sets, c, rows):
+            counts["rows"] += len(sets)
+            return fill(sets, c, rows)
+        return counted
 
     monkeypatch.setattr(oracle, "_dag_path", counting_paths)
-    monkeypatch.setattr(oracle, "_vertex_rows", counting_rows)
+    monkeypatch.setattr(oracle, "_vertex_rows", counting_rows(vertex_rows))
+    monkeypatch.setattr(oracle, "_dag_rows", counting_rows(dag_rows))
     cfg = make_cfg(family=family, dimension=10, rounds=600, fresh_sets=False)
     bundle = generate_instance_stream(cfg)
     assert len({id(obs.feasible_set) for obs in bundle.observations}) == 1
-    # the 600 optimal choices are one answer, solved once and not stacked
+    # the 600 optimal choices are one answer, solved once and not batched
     assert counts == {"paths": int(family == "dag"), "rows": 0}
     assert len({row.tobytes() for row in bundle.optimal_choices}) == 1
 

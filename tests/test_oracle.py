@@ -250,14 +250,29 @@ def assert_many_matches_argmax(sets, c):
         assert x.shape == (X.dimension,) and not x.flags.writeable
 
 
+@st.composite
+def dag_group(draw, n):
+    """Up to four DAGs with n arcs on one node count, with dead ends,
+    unreachable nodes and parallel arcs, built by the public constructor or
+    born in one _from_block block."""
+    nodes = draw(st.integers(2, 6))
+    dags = draw(st.lists(dag_paths(num_arcs=n, num_nodes=nodes), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        block = np.array([X.arcs for X in dags], dtype=np.intp)
+        dags = DagPaths._from_block(nodes, block)
+    return dags
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_argmax_many_equals_argmax_per_set(data):
-    n = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 5))
     c = data.draw(hnp.arrays(np.float64, n, elements=OBJECTIVE_POOL))
-    # set objects come again, in a row and later on, as in [X, X, Y, X]
+    # set objects come again, in a row and later on, as in [X, X, Y, X];
+    # public and block-born DAGs of one shape share batches
     sets = []
-    for X in data.draw(st.lists(sets_of_dimension(n), max_size=12)):
+    group = st.one_of(sets_of_dimension(n).map(lambda X: [X]), dag_group(n))
+    for X in [X for g in data.draw(st.lists(group, max_size=12)) for X in g]:
         sets += [X] * data.draw(st.integers(1, 3))
         if data.draw(st.booleans()):
             sets.append(data.draw(st.sampled_from(sets)))
@@ -275,8 +290,8 @@ def test_argmax_many_solves_a_repeated_set_once_per_run(monkeypatch):
     sets = [X, X, Y, X, H, H, X, V, V, V, W, V, D, D, D, E, D, W, W]
     expected = [argmax(S, c).maximizer.tobytes() for S in sets]
     assert len(set(expected)) == 4
-    solved, batched, paths = [], [], []
-    solve, vertex_rows, dag_path = oracle._solve, oracle._vertex_rows, oracle._dag_path
+    solved, batched, dag_batched = [], [], []
+    solve, vertex_rows, dag_rows = oracle._solve, oracle._vertex_rows, oracle._dag_rows
 
     def counting(S, c):
         solved.append(S)
@@ -286,19 +301,19 @@ def test_argmax_many_solves_a_repeated_set_once_per_run(monkeypatch):
         batched.append(list(batch))
         return vertex_rows(batch, c, rows)
 
-    def counting_paths(S, c):
-        paths.append(S)
-        return dag_path(S, c)
+    def counting_dag_rows(batch, c, rows):
+        dag_batched.append(list(batch))
+        return dag_rows(batch, c, rows)
 
     monkeypatch.setattr(oracle, "_solve", counting)
     monkeypatch.setattr(oracle, "_vertex_rows", counting_rows)
-    monkeypatch.setattr(oracle, "_dag_path", counting_paths)
+    monkeypatch.setattr(oracle, "_dag_rows", counting_dag_rows)
     assert [x.tobytes() for x in argmax_many(sets, c)] == expected
     # a batch stops before a set that repeats, and a run of repeats is
     # answered once
     assert solved == [X, Y, X, H, X, V, D, W]
     assert batched == [[W, V]]
-    assert paths == [D, E, D]
+    assert dag_batched == [[E, D]]
 
 
 def test_argmax_many_across_chunks_of_the_real_size():
@@ -317,6 +332,33 @@ def test_argmax_many_across_chunks_of_the_real_size():
     for c in (rng.standard_normal(n), np.array([1.0, 1.0, 0.0, -0.0, 2.0, 1.0])):
         assert_many_matches_argmax(sets, c)
     assert argmax_many([], rng.standard_normal(n)).shape == (0, n)
+
+
+def test_vertex_batches_read_consecutive_block_rows_in_place(monkeypatch):
+    rng = np.random.default_rng(5)
+    block = rng.random((600, 5, 3))
+    # a repeated lead entry keeps the row; a repeated row is deduplicated
+    # into a copy of another shape, which ends the run of block rows
+    block[::7, 1, 0] = block[::7, 0, 0]
+    block[::97, 1] = block[::97, 0]
+    sets = ExplicitVertices._from_block(block)
+    # a public set of the same shape joins a batch but is no block row
+    sets[300] = ExplicitVertices(block[300])
+    stacks = []
+    vertex_stack = oracle._vertex_stack
+
+    def recording(batch):
+        stack = vertex_stack(batch)
+        stacks.append((batch, stack))
+        return stack
+
+    monkeypatch.setattr(oracle, "_vertex_stack", recording)
+    assert_many_matches_argmax(sets, rng.standard_normal(3))
+    # either way the stack holds exactly the batch's vertices
+    for batch, stack in stacks:
+        assert stack.tobytes() == np.stack([X.vertices for X in batch]).tobytes()
+    in_place = [stack.base is block for _, stack in stacks]
+    assert any(in_place) and not all(in_place)
 
 
 @settings(max_examples=300, deadline=None)
