@@ -183,7 +183,9 @@ def gap_contraction_coefficient(K: float, B: float, delta: float) -> float:
 
 def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, rounds: np.ndarray) -> BoundCheck:
     tol = TOL * (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
-    slack = rhs + tol - lhs
+    # a +inf value or a -inf bound makes tol infinite and the slack nan, which fails
+    with np.errstate(invalid="ignore"):
+        slack = rhs + tol - lhs
     worst = int(np.argmin(slack))
     return BoundCheck(
         name,

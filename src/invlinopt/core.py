@@ -16,7 +16,6 @@ import numpy as np
 
 TOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2 ** 20
-_BINARY = frozenset((0.0, 1.0))
 
 
 class DimensionMismatchError(ValueError):
@@ -154,18 +153,19 @@ class FeasibleSet:
     def members(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """All elements as rows of a read-only (m, n) float array.
 
-        Refuses with EnumerationRefusedError when the enumeration effort
-        exceeds ``cap``, before any work; callers then stay in oracle-only
-        mode rather than receiving an approximation.  This is the one place
-        the cap applies.  _enumerate()'s array is cached as is: integer
-        bits, zeros set to 1.0 and folded vertices hold no -0.0.
+        The cached enumeration is returned as is; before enumerating, this
+        refuses with EnumerationRefusedError when the enumeration effort
+        exceeds ``cap``, so callers stay in oracle-only mode rather than
+        receive an approximation.  This is the one place the cap applies.
+        _enumerate()'s array is cached as is: integer bits, zeros set to 1.0
+        and folded vertices hold no -0.0.
         """
-        effort = self.enumeration_effort()
-        if effort > cap:
-            raise EnumerationRefusedError(
-                f"enumeration effort {effort} exceeds cap {cap}"
-            )
         if self._members_cache is None:
+            effort = self.enumeration_effort()
+            if effort > cap:
+                raise EnumerationRefusedError(
+                    f"enumeration effort {effort} exceeds cap {cap}"
+                )
             m = self._enumerate()
             m.flags.writeable = False
             self._members_cache = m
@@ -332,8 +332,8 @@ class DagPaths(FeasibleSet):
 
     A set holds num_nodes, dimension and one read-only (dimension, 2) int
     array of its (tail, head) arcs, and besides the members() cache nothing
-    else: membership, the path count and the enumeration derive what they
-    need from the array when called.
+    else: membership (flow balance at each node), the path count and the
+    enumeration derive what they need from the array when called.
     """
 
     def __init__(self, num_nodes: int, arcs):
@@ -361,56 +361,36 @@ class DagPaths(FeasibleSet):
             raise ValueError("no source-to-sink path exists")
 
     @classmethod
-    def _from_block(cls, num_nodes: int, block: np.ndarray) -> list["DagPaths"]:
-        """[DagPaths(num_nodes, block[i]) for each i], without the checks.
-
-        block is a (k, n, 2) intp array of arcs that the caller drew and
-        hands over, each row with 0 <= u < v < num_nodes and a
-        source-to-sink path, as generation draws them.  block is made
-        read-only and each set keeps a view of its row; the caller may
-        still overwrite a row through the array block is a view of, as
-        generation does to redraw a rejected set, after which only a new
-        set reads that row.
-        """
-        block.flags.writeable = False
-        n = int(block.shape[1])
-        sets = []
-        for ends in block:
-            X = cls.__new__(cls)
-            X.num_nodes = num_nodes
-            X.dimension = n
-            X._ends = ends
-            sets.append(X)
-        return sets
+    def _of_row(cls, num_nodes: int, arcs: np.ndarray) -> "DagPaths":
+        """DagPaths(num_nodes, arcs) without the checks, for an (n, 2) intp
+        array drawn as generation draws arcs.  The set reads arcs through a
+        read-only view; arcs stays writable, since a rejected set's redraw
+        overwrites it for a new set."""
+        X = cls.__new__(cls)
+        X.num_nodes = num_nodes
+        X.dimension = int(arcs.shape[0])
+        X._ends = arcs.view()
+        X._ends.flags.writeable = False
+        return X
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(tuple, self._ends.tolist()))
 
     def _contains(self, v: np.ndarray) -> bool:
-        x = v.tolist()
-        # -0.0 equals 0.0 and nan equals neither
-        if not _BINARY.issuperset(x):
-            return False
-        # the step out of each node takes its selected arc of highest index
-        step = dict(arc for arc, b in zip(self._ends.tolist(), x) if b == 1.0)
-        sink = self.num_nodes - 1
-        cur = 0
-        steps = 0
-        while cur != sink:
-            cur = step.get(cur, -1)
-            if cur < 0:
-                return False
-            steps += 1
-        # a second selected arc out of a walked node is never walked, so
-        # it leaves the walk shorter than the selection
-        return steps == x.count(1.0)
+        # a 0/1 choice whose arcs leave the source once and leave each inner
+        # node as often as they enter it is one path, as a DAG has no cycle
+        net = [0] * self.num_nodes
+        for (u, w), b in zip(self._ends.tolist(), v.tolist()):
+            if b != 0.0:
+                if b != 1.0:
+                    return False
+                net[u] += 1
+                net[w] -= 1
+        return net[0] == 1 and not any(net[1:-1])
 
     def enumeration_effort(self) -> int:
         """The exact number of source-to-sink paths."""
-        if self._members_cache is not None:
-            # the enumeration holds one row per path
-            return int(self._members_cache.shape[0])
         # paths from each node to the sink: in decreasing tail order, every
         # arc out of v is counted before an arc into v reads counts[v]
         counts = [0] * self.num_nodes

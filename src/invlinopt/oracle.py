@@ -61,12 +61,17 @@ class OracleResult:
     tie_count: int
 
 
-def _check_dimension(feasible_set: FeasibleSet, c: np.ndarray) -> None:
+def _check_objective(feasible_set: FeasibleSet, c: np.ndarray) -> None:
+    """c has the set's dimension and finite entries, without which a DAG's
+    walk back from its sink would not end."""
     if c.shape != (feasible_set.dimension,):
         raise DimensionMismatchError(
             f"objective has shape {c.shape}, set has dimension "
             f"{feasible_set.dimension}"
         )
+    # cheaper than np.isfinite(c).all() at the sizes the learner calls with
+    if not all(map(math.isfinite, c.tolist())):
+        raise ValueError("objective entries must be finite")
 
 
 def _scan(rows: np.ndarray, c: np.ndarray) -> OracleResult:
@@ -156,10 +161,10 @@ def argmax(feasible_set: FeasibleSet, c) -> OracleResult:
     """Exact maximizer of <c, x> over the feasible set.
 
     Dispatches to the variant-specific exact algorithm; see the module
-    docstring for the deterministic tie rules.
+    docstring for the deterministic tie rules.  c must be finite.
     """
     c = np.asarray(c, dtype=np.float64)
-    _check_dimension(feasible_set, c)
+    _check_objective(feasible_set, c)
     return _solve(feasible_set, c)
 
 
@@ -194,7 +199,7 @@ def argmax_many(sets: Sequence[FeasibleSet], c) -> np.ndarray:
                    and _run_key(sets[j]) == key and not repeats(j)):
                 j += 1
             # a run's sets share their dimension, so one check covers them all
-            _check_dimension(sets[i], c)
+            _check_objective(sets[i], c)
             fill = _dag_rows if key[0] == "dag" else _vertex_rows
             fill(sets[i:j], c, out[i:j])
         i = j

@@ -337,6 +337,23 @@ def reference_set(cfg, rng) -> FeasibleSet:
     return DagPaths(nodes, arcs)
 
 
+def reference_ball_objective(cfg):
+    """draw_objective of a ball's integral gap mode as first written: z is
+    redrawn until the point of its ray nearest the center lies within
+    0.999 r of the center; returns (scaled, integral)."""
+    domain = generate.build_domain(cfg)
+    rng = np.random.default_rng([cfg.seed, 2])
+    for _ in range(generate.RETRY_CAP):
+        z = rng.integers(5, 11, size=cfg.dimension).astype(np.float64)
+        alpha = float(np.dot(z, domain.center) / np.dot(z, z))
+        if alpha <= 0.0:
+            continue
+        candidate = alpha * z
+        if np.linalg.norm(candidate - domain.center) <= 0.999 * domain.radius:
+            return as_vector(candidate), as_vector(z)
+    raise generate.GenerationFailedError("no integral objective ray meets the ball")
+
+
 def reference_sampler(cfg, c_star, c_star_integral):
     """sampler(rng): one observation of the stream's distribution, with the
     optimal agent's choice solved by argmax for that set alone."""

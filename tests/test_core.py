@@ -260,7 +260,7 @@ def test_block_dags_match_the_public_ones(data):
     public = [first] + data.draw(
         st.lists(dag_paths(num_arcs=n, num_nodes=nodes), max_size=3))
     block = np.array([X.arcs for X in public], dtype=np.intp)
-    born = DagPaths._from_block(nodes, block)
+    born = [DagPaths._of_row(nodes, row) for row in block]
     assert len(born) == len(public)
     for X, Y in zip(born, public):
         assert (X.num_nodes, X.dimension, X.arcs, X.enumeration_effort()) == (
@@ -270,10 +270,12 @@ def test_block_dags_match_the_public_ones(data):
             v = np.array(bits)
             assert X._contains(v) == Y._contains(v)
         assert X.members().tobytes() == Y.members().tobytes()
-        # with the enumeration cached, the path count is its row count
+        # the path count is the enumeration's row count
         assert X.enumeration_effort() == Y.enumeration_effort() == len(X.members())
-        # each set reads its row of the block in place, read-only
+        # each set reads its row of the block in place through a read-only
+        # view; the block stays writable for redraws
         assert X._ends.base is block and not X._ends.flags.writeable
+    assert block.flags.writeable
 
 
 TWO_POINTS = ExplicitVertices([[0.0, 0.0], [1.0, 0.0]])
@@ -338,6 +340,23 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationRefusedError):
         Hypercube(3).members(cap=4)
     assert Hypercube(3).members(cap=8).shape == (8, 3)
+
+
+def test_cap_gates_an_enumeration_and_not_a_cached_read(monkeypatch):
+    def forbidden():
+        raise AssertionError("called")
+
+    for X in (ExplicitVertices(np.eye(3)), Hypercube(3), Knapsack([1, 2, 2], 3),
+              DagPaths(3, [(0, 1), (1, 2), (0, 2)])):
+        # past the cap the refusal comes before any enumeration
+        with monkeypatch.context() as patch:
+            patch.setattr(X, "_enumerate", forbidden)
+            with pytest.raises(EnumerationRefusedError):
+                X.members(cap=1)
+        cached = X.members()
+        # a cached read counts nothing and meets no cap
+        monkeypatch.setattr(X, "enumeration_effort", forbidden)
+        assert X.members(cap=0) is cached
 
 
 def test_knapsack_validation():
@@ -480,15 +499,19 @@ def test_dag_constructor_errors(nodes, arcs, message):
 @settings(max_examples=150, deadline=None)
 @given(dag_paths(max_arcs=8), st.data())
 def test_dag_contains_matches_reference_walk(X, data):
+    # the flow rule against the walk and against the depth-first enumeration
     n = X.dimension
+    paths = {row.tobytes() for row in reference_enumerate(X)}
     for bits in itertools.product((0.0, 1.0), repeat=n):
         assert contains(X, bits) == reference_contains(X, bits)
+        assert contains(X, bits) == (np.array(bits).tobytes() in paths)
     for row in X.members():
         signed = np.where(row == 0.0, -0.0, row)
         assert contains(X, signed) and reference_contains(X, signed)
     entries = st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, 2.0, np.nan, np.inf])
     probe = data.draw(hnp.arrays(np.float64, n, elements=entries))
     assert contains(X, probe) == reference_contains(X, probe)
+    assert contains(X, probe) == bool((X.members() == probe).all(axis=1).any())
     for shape in [(n - 1,), (n + 1,), (1, n), ()]:
         assert not contains(X, np.ones(shape))
         assert not reference_contains(X, np.ones(shape))

@@ -110,6 +110,24 @@ def test_integral_gap_mode_properties():
     assert scaled.satisfied and scaled.delta > 0.0
 
 
+def test_integral_gap_floor_fails_without_an_integral_certificate(monkeypatch):
+    # an uncertified integral objective reads as a -inf margin, whose nan
+    # slack fails the check without a RuntimeWarning
+    certify, calls = runner.analysis.certify_gap, []
+
+    def integral_pass_fails(observations, c, norms):
+        calls.append(c)
+        if len(calls) == 2:
+            return runner.analysis.GapCertificate(False, None, (), None)
+        return certify(observations, c, norms)
+
+    monkeypatch.setattr(runner.analysis, "certify_gap", integral_pass_fails)
+    result = run_experiment(make_cfg(gap_mode="integral", dimension=3, rounds=40))
+    check = next(c for c in result.checks if c.name == "integral_gap_floor")
+    assert (check.round, check.value, check.bound, check.passed) == (40, 1.0, -math.inf, False)
+    assert result.exit_code == 1
+
+
 def test_margin_gap_mode():
     cfg = make_cfg(gap_mode="margin", gap_margin=0.25, dimension=3, rounds=30)
     bundle = generate_instance_stream(cfg)
@@ -223,6 +241,19 @@ def test_ball_integral_objective_is_colinear_rescaling():
     assert alpha > 0.0
     assert np.allclose(bundle.c_star, alpha * z)
     assert in_domain(generate.build_domain(cfg), bundle.c_star)
+
+
+def test_ball_integral_objective_is_the_first_draw_of_the_rejection_loop():
+    # every ray through [5, 10]^n passes within 2r / 3 of the diagonal
+    # center, so the reference loop keeps its first draw
+    for seed in range(8):
+        for dimension in (1, 2, 3, 5, 10, 31, 200):
+            for radius in (1e-3, 0.37, 1.0, 42.0, 1e6):
+                cfg = make_cfg(seed=seed, dimension=dimension, domain="ball",
+                               gap_mode="integral", ball_radius=radius)
+                got = draw_objective(cfg)
+                expected = reference.reference_ball_objective(cfg)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
 
 
 def test_oracle_only_mode_beyond_enumeration_cap():
@@ -501,9 +532,13 @@ def test_empty_out_writes_nothing(tmp_path, monkeypatch, capsys, how):
         (["--seed", "-1"], "seed must be nonnegative"),
         (["--family", "hypercube", "--dimension", "21", "--gap", "integral"],
          "exceeds cap"),
+        (["--gap", "integral", "--gap-margin", "0.5"],
+         "gap_margin is read only in margin mode, not gap mode 'integral'"),
+        (["--gap-margin", "0.5"],
+         "gap_margin is read only in margin mode, not gap mode 'none'"),
     ],
     ids=["ball-radius-nan", "ball-radius-inf", "gap-margin-inf", "negative-seed",
-         "integral-gap-past-the-cap"],
+         "integral-gap-past-the-cap", "gap-margin-with-integral", "gap-margin-with-none"],
 )
 def test_out_of_range_config_is_a_named_usage_error(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
@@ -672,6 +707,21 @@ def test_cli_sweep_indexes_a_trial_that_fails_at_run_time(tmp_path, capsys):
         assert (tmp_path / "sw" / "trial000_n3_T5_gapnone" / name).is_file()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "trial001_n30_T5_gapnone" in err
+
+
+def test_cli_sweep_gives_gap_margin_to_its_margin_trials_only(tmp_path):
+    args = [
+        "sweep", "--seed", "7", "--rounds-list", "50", "--dimension-list", "3",
+        "--gap-list", "none,margin", "--gap-margin", "0.05", "--out", str(tmp_path),
+    ]
+    assert main(args) == 0
+    assert len((tmp_path / "sweep_index.csv").read_text().splitlines()) == 3
+    margins = {
+        name: read_summary(tmp_path / name / "summary.txt")["config.gap_margin"]
+        for name in ("trial000_n3_T50_gapnone", "trial001_n3_T50_gapmargin")
+    }
+    assert margins == {"trial000_n3_T50_gapnone": fmt(0.0),
+                       "trial001_n3_T50_gapmargin": fmt(0.05)}
 
 
 def test_cli_sweep_deterministic(tmp_path):

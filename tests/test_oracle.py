@@ -1,5 +1,6 @@
 """Exact argmax oracles: examples, cross-checks, ties, determinism."""
 
+import signal
 from contextlib import contextmanager
 
 import numpy as np
@@ -165,6 +166,43 @@ def test_dimension_mismatch():
         argmax_bruteforce(Hypercube(3), [1.0, 2.0])
 
 
+@contextmanager
+def time_limit(seconds):
+    """Fail a call that runs past seconds instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# two distinct sets of dimension 2 per family, so argmax_many batches the
+# vertex and DAG pairs
+NON_FINITE_PAIRS = {
+    "explicit": lambda: [ExplicitVertices(np.eye(2)), ExplicitVertices(np.eye(2)[::-1])],
+    "hypercube": lambda: [Hypercube(2), Hypercube(2)],
+    "knapsack": lambda: [Knapsack([1, 1], 1), Knapsack([1, 2], 2)],
+    "dag": lambda: [DagPaths(3, [(0, 1), (1, 2)]), DagPaths(3, [(0, 2), (0, 1)])],
+}
+
+
+@pytest.mark.parametrize("answer", ["argmax", "argmax_many"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family", sorted(NON_FINITE_PAIRS))
+def test_non_finite_objectives_are_refused(family, entry, answer):
+    # a DAG's walk back from the sink once looped forever on these
+    sets = NON_FINITE_PAIRS[family]()
+    c = np.array([entry, 1.0])
+    with time_limit(5), pytest.raises(ValueError) as got:
+        argmax(sets[0], c) if answer == "argmax" else argmax_many(sets, c)
+    assert str(got.value) == "objective entries must be finite"
+
+
 def assert_optimal(X, c, result):
     """result is a member of X whose value agrees with brute force."""
     assert contains(X, result.maximizer)
@@ -254,12 +292,12 @@ def assert_many_matches_argmax(sets, c):
 def dag_group(draw, n):
     """Up to four DAGs with n arcs on one node count, with dead ends,
     unreachable nodes and parallel arcs, built by the public constructor or
-    born in one _from_block block."""
+    by _of_row from the rows of one block."""
     nodes = draw(st.integers(2, 6))
     dags = draw(st.lists(dag_paths(num_arcs=n, num_nodes=nodes), min_size=1, max_size=4))
     if draw(st.booleans()):
         block = np.array([X.arcs for X in dags], dtype=np.intp)
-        dags = DagPaths._from_block(nodes, block)
+        dags = [DagPaths._of_row(nodes, row) for row in block]
     return dags
 
 
