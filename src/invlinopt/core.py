@@ -2,20 +2,27 @@
 and prediction domains.
 
 Values are immutable after construction, except that a FeasibleSet caches
-its members() enumeration on first use and hands out that array uncopied; a
-rebuilt cache holds the same rows, so sharing across concurrent readers is
-safe and every read is pure.  _distinct is the one dedup rule for vertices.
+its members() enumeration on first use, or when _fill_members enumerates a
+batch of sets, and hands out that array uncopied; a rebuilt cache holds the
+same rows, so sharing across concurrent readers is safe and every read is
+pure.  _distinct is the one dedup rule for vertices, and _check_cap the one
+enumeration cap rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 TOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2 ** 20
+
+# sets per batch, in _fill_members and oracle.argmax_many: a batch's memory
+# beyond its own rows does not grow with the number of sets
+_STACK_CHUNK = 256
 
 
 class DimensionMismatchError(ValueError):
@@ -28,6 +35,12 @@ class MembershipError(ValueError):
 
 class EnumerationRefusedError(RuntimeError):
     """Exact enumeration would exceed the element cap."""
+
+
+def _check_cap(effort: int, cap: int) -> None:
+    """Refuse an enumeration whose effort exceeds the cap."""
+    if effort > cap:
+        raise EnumerationRefusedError(f"enumeration effort {effort} exceeds cap {cap}")
 
 
 def as_vector(values) -> np.ndarray:
@@ -156,16 +169,13 @@ class FeasibleSet:
         The cached enumeration is returned as is; before enumerating, this
         refuses with EnumerationRefusedError when the enumeration effort
         exceeds ``cap``, so callers stay in oracle-only mode rather than
-        receive an approximation.  This is the one place the cap applies.
-        _enumerate()'s array is cached as is: integer bits, zeros set to 1.0
-        and folded vertices hold no -0.0.
+        receive an approximation.  _check_cap is the cap's one rule; besides
+        members(), only _fill_members and a DAG's unranked draw, which stand
+        in for members() calls, apply it.  _enumerate()'s array is cached as
+        is: integer bits, zeros set to 1.0 and folded vertices hold no -0.0.
         """
         if self._members_cache is None:
-            effort = self.enumeration_effort()
-            if effort > cap:
-                raise EnumerationRefusedError(
-                    f"enumeration effort {effort} exceeds cap {cap}"
-                )
+            _check_cap(self.enumeration_effort(), cap)
             m = self._enumerate()
             m.flags.writeable = False
             self._members_cache = m
@@ -332,8 +342,12 @@ class DagPaths(FeasibleSet):
 
     A set holds num_nodes, dimension and one read-only (dimension, 2) int
     array of its (tail, head) arcs, and besides the members() cache nothing
-    else: membership (flow balance at each node), the path count and the
-    enumeration derive what they need from the array when called.
+    else: membership (flow balance at each node), the path counts, the
+    enumeration and the unranking of one member derive what they need from
+    the array when called.  members() lists the paths in the order a
+    depth-first walk from the source meets them, out-arcs in index order,
+    so member i follows from the path counts alone: _member unranks one,
+    and _cache_many unranks every path of a batch of sets.
     """
 
     def __init__(self, num_nodes: int, arcs):
@@ -389,15 +403,40 @@ class DagPaths(FeasibleSet):
                 net[w] -= 1
         return net[0] == 1 and not any(net[1:-1])
 
-    def enumeration_effort(self) -> int:
-        """The exact number of source-to-sink paths."""
-        # paths from each node to the sink: in decreasing tail order, every
-        # arc out of v is counted before an arc into v reads counts[v]
+    def _path_counts(self) -> list[int]:
+        """The exact number of paths from each node to the sink."""
+        # in decreasing tail order, every arc out of v is counted before an
+        # arc into v reads counts[v]
         counts = [0] * self.num_nodes
         counts[-1] = 1
         for u, v in sorted(self._ends.tolist(), reverse=True):
             counts[u] += counts[v]
-        return counts[0]
+        return counts
+
+    def enumeration_effort(self) -> int:
+        """The exact number of source-to-sink paths."""
+        return self._path_counts()[0]
+
+    def _member(self, counts: list[int], i: int) -> np.ndarray:
+        """members()[i], bitwise, read-only and folded, without enumerating;
+        counts is _path_counts() and 0 <= i < counts[0].
+
+        From the source, the arcs out of the walk's node are met in index
+        order: an arc (u, v) whose counts[v] paths all come before path i
+        is skipped, and the first one holding path i is taken.
+        """
+        row = np.zeros(self.dimension)
+        node = 0
+        for u, k, v in sorted([(u, k, v) for k, (u, v) in enumerate(self._ends.tolist())]):
+            if u != node:
+                continue
+            if i < counts[v]:
+                row[k] = 1.0
+                node = v
+            else:
+                i -= counts[v]
+        row.flags.writeable = False
+        return row
 
     def _enumerate(self) -> np.ndarray:
         m = self.num_nodes
@@ -424,6 +463,84 @@ class DagPaths(FeasibleSet):
         rows = np.zeros((len(found), n))
         rows.reshape(-1)[[r * n + k for r, p in enumerate(found) for k in p]] = 1.0
         return rows
+
+    @staticmethod
+    def _cache_many(sets: Sequence["DagPaths"]) -> None:
+        """Cache members() of distinct cold sets of one num_nodes and
+        dimension, each bitwise its _enumerate(), in one batch.
+
+        Each set's arcs are taken in stable (tail, index) order, the order
+        argmax relaxes them in.  One path-count pass runs over those slots
+        backwards, across the batch at once; a count is held at cap + 1, so
+        a set within the cap has the exact count at every node it reaches.
+        The first set past DEFAULT_ENUMERATION_CAP is refused with its
+        exact count, as members() would refuse it.  Then every path index
+        of every set is unranked at once, as _member unranks one, and each
+        set caches a read-only view of its rows of the batch.
+        """
+        k, m, n = len(sets), sets[0].num_nodes, sets[0].dimension
+        cap = DEFAULT_ENUMERATION_CAP
+        ends = np.stack([X._ends for X in sets])
+        order = np.argsort(ends[:, :, 0], axis=1, kind="stable")
+        # node v of set r is entry r * m + v of the flat counts
+        source = np.arange(0, k * m, m)
+        tails = np.take_along_axis(ends[:, :, 0], order, axis=1) + source[:, None]
+        heads = np.take_along_axis(ends[:, :, 1], order, axis=1) + source[:, None]
+        counts = np.zeros(k * m, dtype=np.int64)
+        counts[source + m - 1] = 1
+        for tail, head in zip(tails.T[::-1], heads.T[::-1]):
+            counts[tail] = np.minimum(counts[tail] + counts[head], cap + 1)
+        totals = counts[source]
+        refused = np.flatnonzero(totals > cap)
+        if refused.size:
+            # the first such set's exact count, which exceeds the cap
+            _check_cap(sets[int(refused[0])].enumeration_effort(), cap)
+        # path p is path rank[p] of set owner[p]; node[p] is where its walk is
+        owner = np.repeat(np.arange(k), totals)
+        first = np.cumsum(totals) - totals
+        rank = np.arange(owner.size) - first[owner]
+        node = source[owner]
+        rows = np.zeros((owner.size, n))
+        for j in range(n):
+            head = heads[owner, j]
+            below = counts[head]
+            here = node == tails[owner, j]
+            take = here & (rank < below)
+            rank -= below * (here & ~take)
+            node = np.where(take, head, node)
+            taken = np.flatnonzero(take)
+            rows[taken, order[owner[taken], j]] = 1.0
+        rows.flags.writeable = False
+        for X, start, total in zip(sets, first.tolist(), totals.tolist()):
+            X._members_cache = rows[start:start + total]
+
+
+def _fill_members(sets: Sequence[FeasibleSet]) -> None:
+    """Fill every cold members() cache of sets, in order, as a members()
+    call on each set would, refusing the first set past the cap.
+
+    A set object that comes again is enumerated once.  Consecutive cold
+    DagPaths sets of one num_nodes and dimension, at most _STACK_CHUNK of
+    them, are enumerated in one DagPaths._cache_many batch, which stops
+    before a set of another shape or family; any other cold set goes
+    through members().
+    """
+    batch: dict[int, DagPaths] = {}  # the batch's sets by identity, in order
+    shape = None
+    for X in sets:
+        if X._members_cache is not None or id(X) in batch:
+            continue
+        key = (X.num_nodes, X.dimension) if isinstance(X, DagPaths) else None
+        if batch and (key != shape or len(batch) == _STACK_CHUNK):
+            DagPaths._cache_many(list(batch.values()))
+            batch.clear()
+        if key is None:
+            X.members()
+        else:
+            batch[id(X)] = X
+            shape = key
+    if batch:
+        DagPaths._cache_many(list(batch.values()))
 
 
 @dataclass(frozen=True, eq=False)

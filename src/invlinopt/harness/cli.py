@@ -19,7 +19,7 @@ from .config import (
 )
 from .generate import draw_objective
 from .io import fmt, read_stream, read_vector, write_summary
-from .runner import evaluate_holdout, run_experiment, run_sweep
+from .runner import check_usage, evaluate_holdout, run_experiment, run_sweep
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
@@ -120,6 +120,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     # eval writes no stream, and its --out names a summary file, not a run
     # directory, so a config file's writer keys are refused, not ignored
     cfg = _config_from_args(args, refused=("save_stream", "out"))
+    check_usage(cfg)
     if cfg.holdout < 1:
         print("eval requires --holdout >= 1", file=sys.stderr)
         return 2

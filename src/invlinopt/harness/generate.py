@@ -31,6 +31,7 @@ import numpy as np
 
 from ..analysis import _gap_margin
 from ..core import (
+    DEFAULT_ENUMERATION_CAP,
     Ball,
     DagPaths,
     ExplicitVertices,
@@ -41,6 +42,7 @@ from ..core import (
     Observation,
     PredictionDomain,
     Simplex,
+    _check_cap,
     as_vector,
 )
 from ..oracle import argmax_many
@@ -170,10 +172,18 @@ def _sample_feasible_set(
 
 
 def uniform_member(X: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random element: an uncopied members() row, read-only and
-    folded as Observation._of_member requires; hypercubes skip enumeration."""
+    """A uniformly random element, read-only and folded as
+    Observation._of_member requires: row i of members(), for i drawn by
+    rng.integers(0, count).  A DAG unranks row i from its path counts
+    without enumerating, and refuses a count past the enumeration cap as
+    members() would; other sets return the uncopied members() row, and
+    hypercubes skip enumeration."""
     if isinstance(X, Hypercube):
         return as_vector(rng.integers(0, 2, size=X.dimension).astype(np.float64))
+    if isinstance(X, DagPaths):
+        counts = X._path_counts()
+        _check_cap(counts[0], DEFAULT_ENUMERATION_CAP)
+        return X._member(counts, int(rng.integers(0, counts[0])))
     members = X.members()
     return members[int(rng.integers(0, members.shape[0]))]
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core import ExplicitVertices, Observation, as_vector
+from ..core import ExplicitVertices, Observation, _fill_members, as_vector
 
 TRACE_COLUMNS = (
     "t",
@@ -36,6 +36,10 @@ STREAM_MAGIC = "# invlinopt stream v1"
 
 # the %-format of every decimal in every output file
 DECIMAL = "%.17g"
+
+# distinct stream rows whose texts write_stream keeps for reuse, so that
+# its memory beyond the stream's text stays bounded
+_RENDERED_ROWS = 4096
 
 
 def fmt(value) -> str:
@@ -88,22 +92,42 @@ def write_stream(path, observations: Sequence[Observation], c_star=None) -> None
         <m vertex lines of n floats>
         choice <n floats>
     Every feasible set is written as its members(), so a reloaded stream
-    always uses ExplicitVertices; a set too large to enumerate raises
-    EnumerationRefusedError.  The whole text is rendered before the
-    file or its directory is made, so a refusal writes nothing.
+    always uses ExplicitVertices.  The cold members() caches are filled
+    first, in stream order, by core._fill_members, which enumerates DAG
+    sets in batches; a set too large to enumerate raises
+    EnumerationRefusedError.  Each distinct row, keyed on its bytes, is
+    rendered once, with one % for a set's rows not seen before, and a
+    choice line reuses its member's text; the texts seen are dropped
+    before a set when they number more than _RENDERED_ROWS, so a stream
+    whose rows seldom repeat holds few.  The whole text is rendered before
+    the file or its directory is made, so a refusal writes nothing.
     """
+    _fill_members([obs.feasible_set for obs in observations])
     lines = [STREAM_MAGIC]
     dim = observations[0].feasible_set.dimension
     lines.append(f"dim {dim}")
     if c_star is not None:
         lines.append("c_star " + " ".join(fmt(v) for v in c_star))
+    rendered: dict[bytes, str] = {}
+    text_of = rendered.get
     for position, obs in enumerate(observations, 1):
+        if len(rendered) > _RENDERED_ROWS:
+            rendered.clear()
         members = obs.feasible_set.members()
-        count, width = members.shape
-        row = " ".join([DECIMAL] * width)
-        lines.append(f"obs {position} {count}")
-        lines.append("\n".join([row] * count) % tuple(members.ravel().tolist()))
-        lines.append(("choice " + row) % tuple(obs.agent_choice.tolist()))
+        data, width = members.tobytes(), members.itemsize * members.shape[1]
+        keys = [data[i:i + width] for i in range(0, len(data), width)]
+        texts = list(map(text_of, keys))
+        if None in texts:
+            new = [i for i, text in enumerate(texts) if text is None]
+            row = " ".join([DECIMAL] * members.shape[1])
+            text = "\n".join([row] * len(new)) % tuple(members[new].ravel().tolist())
+            rendered.update(zip([keys[i] for i in new], text.split("\n")))
+            texts = list(map(text_of, keys))
+        lines.append(f"obs {position} {len(keys)}")
+        lines += texts
+        # a choice is a member of its set, and both are folded: its bytes
+        # are those of one of the rows just rendered
+        lines.append("choice " + rendered[obs.agent_choice.tobytes()])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")

@@ -159,13 +159,24 @@ def evaluate_holdout(
     return analysis.offline_evaluate(prediction, c_star, sampler, cfg.holdout, seed)
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Generate, simulate, certify, and (when configured) write outputs."""
+def check_usage(cfg: ExperimentConfig) -> None:
+    """Refuse, with a ValueError, a saved stream without an output
+    directory and a gap margin outside margin mode, which would be ignored.
+
+    run_experiment and eval call it on one run's config.  It is not part
+    of ExperimentConfig, because a sweep's base config may hold a gap
+    margin that only its margin trials take.
+    """
     if cfg.save_stream and cfg.out is None:
         raise ValueError("save_stream needs out: the stream is written there")
     if cfg.gap_margin != 0.0 and cfg.gap_mode != "margin":
         raise ValueError(f"gap_margin is read only in margin mode, "
                          f"not gap mode {cfg.gap_mode!r}")
+
+
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
+    """Generate, simulate, certify, and (when configured) write outputs."""
+    check_usage(cfg)
     bundle = generate_instance_stream(cfg)
     ledger = simulate(bundle)
     skipped: dict[str, str] = {}

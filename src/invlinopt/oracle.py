@@ -45,6 +45,7 @@ from .core import (
     FeasibleSet,
     Hypercube,
     Knapsack,
+    _STACK_CHUNK,
     _frozen,
 )
 
@@ -166,9 +167,6 @@ def argmax(feasible_set: FeasibleSet, c) -> OracleResult:
     c = np.asarray(c, dtype=np.float64)
     _check_objective(feasible_set, c)
     return _solve(feasible_set, c)
-
-
-_STACK_CHUNK = 256
 
 
 def argmax_many(sets: Sequence[FeasibleSet], c) -> np.ndarray:

@@ -8,7 +8,11 @@ time, so a test can compare the two.  trace_rows and write_trace render
 trace.csv one value string at a time, as the library did before it wrote
 the trace in chunks from one row template.  reference_set and
 reference_sampler draw one sample at a time through the public
-constructors, as generation did before it drew sets into blocks.
+constructors, as generation did before it drew sets into blocks, and
+uniform_member draws a noisy choice from the whole enumeration, as
+generation did before it unranked DAG paths.  write_stream renders each
+set's rows and its choice with one % each, as the library did before it
+rendered each distinct row once.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from invlinopt.core import (
     tolerance,
 )
 from invlinopt.harness import generate
-from invlinopt.harness.io import TRACE_COLUMNS
+from invlinopt.harness.io import DECIMAL, STREAM_MAGIC, TRACE_COLUMNS, fmt
 from invlinopt.learner import ADAPTIVE, LearnerState, _solve
 from invlinopt.oracle import OracleResult
 
@@ -354,6 +358,35 @@ def reference_ball_objective(cfg):
     raise generate.GenerationFailedError("no integral objective ray meets the ball")
 
 
+def uniform_member(X: FeasibleSet, rng) -> np.ndarray:
+    """A uniformly random element: an uncopied members() row; hypercubes
+    skip enumeration."""
+    if isinstance(X, Hypercube):
+        return as_vector(rng.integers(0, 2, size=X.dimension).astype(np.float64))
+    members = X.members()
+    return members[int(rng.integers(0, members.shape[0]))]
+
+
+def write_stream(path, observations, c_star=None) -> None:
+    """The stream file, each set's rows and its choice line rendered with
+    one % each; members() enumerates each set on its own."""
+    lines = [STREAM_MAGIC]
+    dim = observations[0].feasible_set.dimension
+    lines.append(f"dim {dim}")
+    if c_star is not None:
+        lines.append("c_star " + " ".join(fmt(v) for v in c_star))
+    for position, obs in enumerate(observations, 1):
+        members = obs.feasible_set.members()
+        count, width = members.shape
+        row = " ".join([DECIMAL] * width)
+        lines.append(f"obs {position} {count}")
+        lines.append("\n".join([row] * count) % tuple(members.ravel().tolist()))
+        lines.append(("choice " + row) % tuple(obs.agent_choice.tolist()))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def reference_sampler(cfg, c_star, c_star_integral):
     """sampler(rng): one observation of the stream's distribution, with the
     optimal agent's choice solved by argmax for that set alone."""
@@ -376,7 +409,7 @@ def reference_sampler(cfg, c_star, c_star_integral):
     def sampler(rng):
         X = shared if shared is not None else draw_set(rng)
         if cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise:
-            return Observation(X, generate.uniform_member(X, rng))
+            return Observation(X, uniform_member(X, rng))
         return Observation(X, oracle.argmax(X, c_star).maximizer)
 
     return sampler

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from invlinopt import (
     Simplex,
     as_vector,
 )
+from invlinopt import core
 from invlinopt.core import clamp_small_negative, tolerance
 
 from conftest import FAMILIES, dag_paths, random_feasible_set
@@ -524,6 +526,98 @@ def test_dag_enumeration_matches_reference_dfs(X):
     expected = reference_enumerate(X)
     assert got.shape == expected.shape == (X.enumeration_effort(), X.dimension)
     assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag_paths())
+def test_dag_unranking_gives_each_enumerated_row(X):
+    counts = X._path_counts()
+    expected = reference_enumerate(X)
+    assert counts[0] == X.enumeration_effort() == len(expected)
+    for i, row in enumerate(expected):
+        got = X._member(counts, i)
+        assert got.tobytes() == row.tobytes() and not got.flags.writeable
+
+
+@contextmanager
+def fill_chunk(size):
+    previous = core._STACK_CHUNK
+    core._STACK_CHUNK = size
+    try:
+        yield
+    finally:
+        core._STACK_CHUNK = previous
+
+
+@st.composite
+def stream_sets(draw):
+    """A stream's sets: runs of DAGs of one shape, public or born from one
+    block's rows, with dead ends, unreachable nodes and parallel arcs;
+    between them DAGs of other shapes and sets of other families.  Set
+    objects come again, in a row and later on."""
+    sets = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["dag", "dag", "dag", "vertices", "knapsack"]))
+        if kind == "vertices":
+            group = [ExplicitVertices(np.eye(3))]
+        elif kind == "knapsack":
+            group = [Knapsack([1, 2, 2], 3)]
+        else:
+            first = draw(dag_paths(max_arcs=7))
+            group = [first] + draw(st.lists(
+                dag_paths(num_arcs=first.dimension, num_nodes=first.num_nodes),
+                max_size=5))
+            if draw(st.booleans()):
+                block = np.array([X.arcs for X in group], dtype=np.intp)
+                group = [DagPaths._of_row(first.num_nodes, row) for row in block]
+        for X in group:
+            sets += [X] * draw(st.integers(1, 2))
+            if draw(st.booleans()):
+                sets.append(draw(st.sampled_from(sets)))
+    return sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream_sets(), st.data())
+def test_batched_fill_matches_the_per_set_enumeration(sets, data):
+    cached = {id(X): X.members() for X in sets if data.draw(st.booleans())}
+    # small chunks make short streams cross several batch boundaries
+    with fill_chunk(data.draw(st.sampled_from([1, 2, 3, core._STACK_CHUNK]))):
+        core._fill_members(sets)
+    for X in sets:
+        got = X._members_cache
+        if id(X) in cached:
+            # a cached set is left as it was
+            assert got is cached[id(X)]
+        expected = X._enumerate()
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+        assert X.members() is got
+
+
+def test_batched_fill_refuses_the_first_set_past_the_cap():
+    # 2**21 and 3 * 2**19 paths on 22 nodes and 42 arcs: one batch
+    double = DagPaths(22, [(i, i + 1) for i in range(21)] * 2)
+    triple = DagPaths(22, [(0, 1)] * 3 + [(i, i + 1) for i in range(1, 20)] * 2
+                      + [(20, 21)])
+    small = DagPaths(3, [(0, 1), (1, 2), (0, 2)])
+    cube = Hypercube(23)
+    # 2**64 paths, a count that int64 arithmetic would wrap to 0
+    huge = DagPaths(65, [(i, i + 1) for i in range(64)] * 2)
+    for sets, first in [([small, double, triple], double),
+                        ([triple, double], triple),
+                        ([small, cube, double], cube),
+                        ([huge], huge),
+                        ([double, cube], double)]:
+        with pytest.raises(EnumerationRefusedError) as expected:
+            first.members()
+        with pytest.raises(EnumerationRefusedError) as got:
+            core._fill_members(sets)
+        assert str(got.value) == str(expected.value)
+    assert "effort 2097152 exceeds cap 1048576" in str(got.value)
+    # the refusal leaves the big sets cold
+    assert double._members_cache is None and triple._members_cache is None
 
 
 def test_dag_enumeration_skips_what_the_source_cannot_reach():

@@ -16,7 +16,7 @@ from invlinopt import (
     argmax_many,
     certify_gap,
 )
-from invlinopt.core import ExplicitVertices, Hypercube
+from invlinopt.core import DagPaths, ExplicitVertices, Hypercube
 from invlinopt.harness import (
     build_config,
     generate_instance_stream,
@@ -28,6 +28,7 @@ from invlinopt.harness import (
 from invlinopt.harness.cli import main
 from invlinopt.harness.config import ExperimentConfig
 from invlinopt.harness import generate, runner
+from invlinopt.harness import io as harness_io
 from invlinopt.harness.generate import GenerationFailedError, draw_objective
 from invlinopt.harness.io import (
     TRACE_COLUMNS,
@@ -188,18 +189,44 @@ def test_fixed_instance_mode():
     assert len(sets) > 1
 
 
-def test_noisy_choices_are_the_members_rows_themselves():
+@pytest.mark.parametrize("family", ["dag", "knapsack"])
+def test_noisy_choices_are_read_only_member_rows(family):
     bundle = generate_instance_stream(
-        make_cfg(family="dag", dimension=6, agent_noise=0.5, rounds=40)
+        make_cfg(family=family, dimension=6, agent_noise=0.5, rounds=40)
     )
     noisy = 0
     for obs, optimal in zip(bundle.observations, bundle.optimal_choices):
-        if np.shares_memory(obs.agent_choice, bundle.optimal_choices):
-            assert obs.agent_choice.tobytes() == optimal.tobytes()
-        else:
-            noisy += 1
-            assert np.shares_memory(obs.agent_choice, obs.feasible_set.members())
+        choice = obs.agent_choice
+        if np.shares_memory(choice, bundle.optimal_choices):
+            assert choice.tobytes() == optimal.tobytes()
+            continue
+        noisy += 1
+        members = obs.feasible_set.members()
+        assert not choice.flags.writeable
+        assert choice.tobytes() in {row.tobytes() for row in members}
+        # a DAG's choice is unranked on its own; any other set's is a row
+        # of its members()
+        assert np.shares_memory(choice, members) == (family != "dag")
     assert noisy > 0
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 10, 30])
+def test_unranked_dag_draw_matches_the_enumerating_draw(n):
+    # with n <= 7 each set is its chain alone, one path; n = 30 holds
+    # hundreds of paths
+    bundle = generate_instance_stream(
+        make_cfg(family="dag", dimension=n, agent_noise=0.3, rounds=100)
+    )
+    rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for obs in bundle.observations:
+        X = obs.feasible_set
+        for _ in range(3):
+            got = generate.uniform_member(X, rng)
+            expected = reference.uniform_member(X, reference_rng)
+            assert got.tobytes() == expected.tobytes()
+            assert not got.flags.writeable
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert X._members_cache is not None  # the reference enumerated it
 
 
 def test_hypercube_family_and_ball_domain():
@@ -422,6 +449,58 @@ def test_stream_file_round_trip(tmp_path):
         read_stream(write_text(tmp_path / "bad.txt", "not a stream\n"))
 
 
+STREAM_SETUPS = {
+    # 600 rounds span three batches of DAG sets
+    "noisy-dag": dict(family="dag", dimension=10, agent_noise=0.3, rounds=600),
+    # one set every round, its rows and the noisy choices repeating
+    "repeated-vertices": dict(family="random-vertices", dimension=4,
+                              num_vertices=8, fresh_sets=False, agent_noise=0.3),
+    "integral-vertices": dict(family="random-vertices", dimension=3,
+                              num_vertices=6, integral_vertices=True, agent_noise=0.3),
+    "knapsack-repeat": dict(family="knapsack", dimension=6, gap_mode="integral",
+                            fresh_sets=False),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(STREAM_SETUPS))
+def test_write_stream_matches_the_per_set_renderer(tmp_path, monkeypatch, setup):
+    # each side renders its own bundle, so the reference enumerates each
+    # set on its own and write_stream fills its sets' caches in batches
+    cfg = make_cfg(**STREAM_SETUPS[setup])
+    expected, got = tmp_path / "expected.txt", tmp_path / "got.txt"
+    bundle = generate_instance_stream(cfg)
+    reference.write_stream(expected, bundle.observations, bundle.c_star)
+    bundle = generate_instance_stream(cfg)
+    write_stream(got, bundle.observations, bundle.c_star)
+    assert got.read_bytes() == expected.read_bytes()
+    # a few kept texts make the renderer drop them again and again
+    monkeypatch.setattr(harness_io, "_RENDERED_ROWS", 3)
+    write_stream(got, bundle.observations)
+    reference.write_stream(expected, bundle.observations)
+    assert got.read_bytes() == expected.read_bytes()
+
+
+def test_stream_past_the_cap_is_refused_before_anything_is_written(tmp_path):
+    # 2**21 paths on a ladder of parallel arcs, after a batch of small DAGs
+    big = DagPaths(22, [(i, i + 1) for i in range(21)] * 2)
+    c = np.linspace(1.0, 2.0, big.dimension)
+    small = [DagPaths(3, [(0, 1), (1, 2), (0, 2)]) for _ in range(3)]
+    observations = [Observation(X, argmax(X, c[:X.dimension]).maximizer)
+                    for X in small + [big]]
+    path = tmp_path / "out" / "stream.txt"
+    with pytest.raises(EnumerationRefusedError) as got:
+        write_stream(path, observations)
+    assert str(got.value) == "enumeration effort 2097152 exceeds cap 1048576"
+    assert not (tmp_path / "out").exists()
+    # the noisy draw refuses it alike, before drawing
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(EnumerationRefusedError) as drawn:
+        generate.uniform_member(big, rng)
+    assert str(drawn.value) == str(got.value)
+    assert rng.bit_generator.state == state
+
+
 def test_stream_refuses_a_round_other_than_its_position(tmp_path, capsys):
     X = ExplicitVertices([[0.0, 1.0], [1.0, 0.0]])
     path = tmp_path / "stream.txt"
@@ -544,6 +623,19 @@ def test_out_of_range_config_is_a_named_usage_error(tmp_path, capsys, flags, mes
     out = tmp_path / "out"
     args = ["run", "--seed", "3", "--dimension", "3", "--rounds", "5", "--out", str(out)]
     assert main(args + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gap", ["integral", "none"])
+def test_eval_refuses_a_gap_margin_it_would_ignore(tmp_path, capsys, gap):
+    prediction = write_text(tmp_path / "prediction.txt", "0.25 0.25 0.5\n")
+    out = tmp_path / "eval.txt"
+    assert main([
+        "eval", "--seed", "7", "--dimension", "3", "--gap", gap, "--gap-margin",
+        "0.5", "--holdout", "50", "--prediction", str(prediction), "--out", str(out),
+    ]) == 2
+    message = f"gap_margin is read only in margin mode, not gap mode '{gap}'"
     assert message in capsys.readouterr().err
     assert not out.exists()
 
