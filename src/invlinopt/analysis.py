@@ -3,8 +3,8 @@
 A RegretLedger holds, per round, the suboptimality and estimate losses,
 the linearized regret (which equals the running total loss), the
 suboptimality-loss regret, and the squared gradient norms, each computed
-once from the columns that learner.play filled and read in place, beside
-those, from its columns.  It takes the constants B, H and K from the
+once, a chunk of rounds at a time, from the columns that learner.play
+filled, and read in place.  It takes the constants B, H and K from the
 learner state that ran; bound_columns gives every running bound as an
 array from them, and verify_run checks each certified inequality at every
 prefix, reporting the measured slack at the worst one so failures are
@@ -16,8 +16,9 @@ suboptimality of an averaged prediction.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -35,6 +36,8 @@ from .core import (
 from .learner import ADAPTIVE, LearnerState
 
 ROOT_FIVE_QUARTERS = 2.0 ** 1.25  # 2^{5/4}
+LEDGER_COLUMNS = ("ell_sub", "ell_est", "ell_sub_ref", "total", "lin_inc",
+                  "regret", "regret_sub", "sum_sq", "beta", "grad_norm")
 
 
 @dataclass(frozen=True)
@@ -84,42 +87,64 @@ class GapCertificate:
     witness: GapWitness | None
 
 
-def _running(values: np.ndarray) -> np.ndarray:
-    """Running sums that start from 0.0, as a round-by-round accumulator does."""
-    return np.cumsum(np.concatenate(([0.0], values)))[1:]
+def _running(values: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """Running sums from start, as a round-by-round accumulator makes them:
+    from 0.0 for a run's first rounds, from the carried last sum after."""
+    return np.cumsum(np.concatenate(([start], values)))[1:]
+
+
+def _row_sum(start: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """start plus the rows of a (T, n) stack, added in round order as a
+    loop of += adds them; np.sum(axis=0) sums a single column pairwise."""
+    return np.cumsum(np.vstack([start, rows]), axis=0)[-1]
 
 
 class RegretLedger:
     """Per-round accounting for one simulation run (true objective known).
 
-    Built once from the whole run: played holds the (T, n) columns c_hat,
-    x_hat and g and the length-T columns beta and grad_norm, as
-    learner.play returns them, and each loss column is computed from them
-    with array arithmetic, in one place.  The suboptimality loss is
-    <c_hat, g> and the estimate loss, which needs the true objective, is
-    <c_star, x - x_hat>.  learner is the LearnerState
-    that ran, and its domain, schedule, norms, B, H and K are the run's
-    constants.  references is the (T, n) array whose row t is the
-    maximizer of c_star over round t's feasible set, as argmax_many
-    answers it, which the caller already holds: generation computes it to
-    act as the optimal agent.  columns maps each column name, the five
-    played ones included, to its read-only array.  All reads are pure.
+    RegretLedger(c_star, learner, rounds) makes room for rounds rounds,
+    and record fills the next ones from one chunk: the learner state after
+    it, its observations, learner.play's columns for it and its
+    references, the (k, n) array whose row t is the maximizer of c_star
+    over round t's set, which generation already holds.  Each length-T
+    column is computed there with array arithmetic, in one place, and a
+    running sum goes on from the last one recorded, so chunks fill the
+    columns bitwise as one whole stream does; the (k, n) columns are then
+    dropped.  The suboptimality loss is <c_hat, g> and the estimate loss,
+    which needs the true objective, is <c_star, x - x_hat>.  learner is
+    the last state recorded, and its domain, schedule, norms, B, H and K
+    are the run's constants.  columns maps each name to a read-only view
+    of the rounds recorded so far; c_hat_sum, max_grad_norm and
+    max_dual_distance carry the row sum and the largest norms of the
+    played columns.
     """
 
-    def __init__(
+    def __init__(self, c_star, learner: LearnerState, rounds: int):
+        self.c_star = as_vector(c_star)
+        self.learner = learner
+        self.rounds = 0
+        self.c_hat_sum = np.zeros(self.c_star.size)
+        self.max_grad_norm = 0.0
+        self.max_dual_distance = 0.0
+        self._room = {name: np.empty(rounds) for name in LEDGER_COLUMNS}
+        self._view_columns()
+
+    def record(
         self,
-        c_star,
         learner: LearnerState,
         observations: Sequence[Observation],
         played: Mapping[str, np.ndarray],
         references: np.ndarray,
-    ):
-        self.c_star = c_star = as_vector(c_star)
-        self.learner = learner
+    ) -> None:
+        """Fill the next len(observations) rounds from one played chunk."""
+        c_star = self.c_star
         c_hat, x_hat, g = played["c_hat"], played["x_hat"], played["g"]
         grad_norm = played["grad_norm"]
         if not len(c_hat) == len(observations) == len(references):
             raise ValueError("observations, played rounds and references differ in length")
+        start, stop = self.rounds, self.rounds + len(c_hat)
+        if stop > len(self._room["beta"]):
+            raise ValueError("more rounds than the ledger has room for")
         x = np.array(
             [obs.agent_choice for obs in observations], dtype=np.float64
         ).reshape(-1, c_star.size)
@@ -131,32 +156,45 @@ class RegretLedger:
         lin_inc = _row_dots(g, distance)
         # Python's float power, as the learner squares each norm
         sq = np.array([v ** 2 for v in grad_norm.tolist()], dtype=np.float64)
-        columns = {
-            "ell_sub": ell_sub,
-            "ell_est": ell_est,
-            "ell_sub_ref": ell_sub_ref,
-            "total": ell_sub + ell_est,
-            "lin_inc": lin_inc,
-            "regret": _running(lin_inc),
-            "regret_sub": _running(ell_sub - ell_sub_ref),
-            "sum_sq": _running(sq),
-            "beta": played["beta"],
-            "grad_norm": grad_norm,
-            "c_hat": c_hat,
-            "x_hat": x_hat,
-            "g": g,
-        }
-        for column in columns.values():
-            column.flags.writeable = False
-        self.columns = MappingProxyType(columns)
-        self.max_grad_norm = float(np.max(grad_norm, initial=0.0))
-        self.max_dual_distance = float(
+        for name, values in (
+            ("ell_sub", ell_sub),
+            ("ell_est", ell_est),
+            ("ell_sub_ref", ell_sub_ref),
+            ("total", ell_sub + ell_est),
+            ("lin_inc", lin_inc),
+            # the three running sums
+            ("regret", lin_inc),
+            ("regret_sub", ell_sub - ell_sub_ref),
+            ("sum_sq", sq),
+            ("beta", played["beta"]),
+            ("grad_norm", grad_norm),
+        ):
+            column = self._room[name]
+            if name in ("regret", "regret_sub", "sum_sq"):
+                values = _running(values, column[start - 1] if start else 0.0)
+            column[start:stop] = values
+        self.learner = learner
+        self.rounds = stop
+        self._view_columns()
+        self.c_hat_sum = _row_sum(self.c_hat_sum, c_hat)
+        self.max_grad_norm = max(self.max_grad_norm, float(np.max(grad_norm, initial=0.0)))
+        self.max_dual_distance = max(self.max_dual_distance, float(
             np.max(learner.norms.dual_rows(distance), initial=0.0)
-        )
+        ))
 
-    @property
-    def rounds(self) -> int:
-        return len(self.columns["beta"])
+    def _view_columns(self) -> None:
+        """columns: read-only views of the rounds recorded so far."""
+        views = {}
+        for name, column in self._room.items():
+            views[name] = view = column[: self.rounds]
+            view.flags.writeable = False
+        self.columns = MappingProxyType(views)
+
+    def average_prediction(self) -> np.ndarray:
+        """average_prediction of the rounds recorded, from their row sum."""
+        if not self.rounds:
+            raise ValueError("cannot average an empty run")
+        return as_vector(self.c_hat_sum / self.rounds)
 
     def linearized_regret(self) -> float:
         return float(self.columns["regret"][-1])
@@ -363,11 +401,29 @@ def certify_gap(
     )
 
 
+def _join_certificates(parts: Sequence[GapCertificate]) -> GapCertificate:
+    """One certificate for consecutive chunks of a stream from certify_gap
+    of each, every part but the last satisfied: the smallest delta, the
+    per-round deltas in order, and the last part's witness, its round
+    counted from the start of the stream."""
+    deltas = tuple(itertools.chain.from_iterable(p.per_round_deltas for p in parts))
+    last = parts[-1]
+    if last.satisfied:
+        return GapCertificate(True, min(p.delta for p in parts), deltas, None)
+    witness = last.witness
+    if witness is not None:
+        offset = len(deltas) - len(last.per_round_deltas)
+        witness = replace(witness, round_index=witness.round_index + offset)
+    return GapCertificate(False, None, deltas, witness)
+
+
 def average_prediction(c_hat) -> np.ndarray:
-    """Coordinate-wise mean of the per-round predictions, the rows of c_hat."""
+    """Coordinate-wise mean of the per-round predictions, the rows of c_hat
+    added in round order and divided by their number."""
     if len(c_hat) == 0:
         raise ValueError("cannot average an empty run")
-    return as_vector(np.mean(c_hat, axis=0))
+    c_hat = np.asarray(c_hat, dtype=np.float64)
+    return as_vector(_row_sum(np.zeros(c_hat.shape[1]), c_hat) / len(c_hat))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from ..core import (
     _check_cap,
     as_vector,
 )
-from ..oracle import argmax_many
+from ..oracle import argmax, argmax_many
 from .config import ExperimentConfig
 from .io import fmt
 
@@ -65,7 +65,7 @@ class StreamBundle:
 
     c_star_integral is the pre-rescaling integral objective in integral gap
     mode (None otherwise); the agent and all regret accounting use c_star,
-    which lies in the prediction domain.  optimal_choices is argmax_many's
+    which lies in the prediction domain.  optimal_choices is the sampler's
     read-only (rounds, n) array: row t is the maximizer of c_star over
     round t's set, the optimal agent's response, drawn before any noise
     replaces it.
@@ -288,16 +288,18 @@ def make_observation_sampler(
 ) -> Callable[[np.random.Generator, int], tuple[list[Observation], np.ndarray]]:
     """Sampler drawing k i.i.d. observations from the stream's distribution.
 
-    sampler(rng, k) also returns argmax_many's (k, n) array of the
+    sampler(rng, k) also returns a read-only (k, n) array of the
     maximizers of c_star over the sets: the optimal agent's responses,
     before any noise replaces them.  Each sample draws its set (RETRY_CAP
     draws allowed for each), then, when the agent errs, its random choice;
     the optimal choices draw no randomness and are solved afterwards in one
     argmax_many call, so sampler(rng, k) makes the draws of k calls that
-    each drew one sample.
+    each drew one sample.  A fixed set's optimal choice is solved once,
+    when the sampler is made, and each call broadcasts it to its k rows.
     """
     margin, floor = _gap_test(cfg, build_domain(cfg).norm_pair, c_star, c_star_integral)
     shared = _fixed_set(cfg, margin, floor)
+    shared_choice = None if shared is None else argmax(shared, c_star).maximizer
     # nothing but the sets draws from the rng and no set is rejected, so
     # the k sets of one call are one block
     in_blocks = (
@@ -321,7 +323,10 @@ def make_observation_sampler(
                 sets.append(X)
                 errs = cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise
                 noisy.append(uniform_member(X, rng) if errs else None)
-        optimal_choices = argmax_many(sets, c_star)
+        optimal_choices = (
+            argmax_many(sets, c_star) if shared is None
+            else np.broadcast_to(shared_choice, (k, shared.dimension))
+        )
         observations = [
             Observation._of_member(X, optimal if choice is None else choice)
             for X, choice, optimal in zip(sets, noisy, optimal_choices)

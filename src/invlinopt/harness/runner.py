@@ -1,12 +1,15 @@
 """Experiment execution: the online loop, certification, and file outputs.
 
 The protocol per round is strict: predict, then observe, then update, so a
-prediction never depends on the current or future observations.  simulate
-plays the learner over the whole stream, then builds the ledger.  The exit
-status is nonzero exactly when some applicable certified inequality failed;
-every failed check is named in the summary.  trace_rows renders the trace
-from the ledger's columns in chunks of _TRACE_CHUNK rows, and write_trace
-writes each chunk as it is made, so the trace's text never exists whole.
+prediction never depends on the current or future observations.  A run
+plays its stream core._STACK_CHUNK rounds at a time: each chunk is drawn,
+played, recorded in the ledger and certified, then dropped, so that only
+the ledger's length-T columns, its carried sums and the gap certificates
+grow with the horizon.  The exit status is nonzero exactly when some
+applicable certified inequality failed; every failed check is named in
+the summary.  trace_rows renders the trace from the ledger's columns in
+chunks of _TRACE_CHUNK rows, and write_trace writes each chunk as it is
+made, so the trace's text never exists whole.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .. import analysis, learner
-from ..core import clamp_small_negative, tolerance
+from .. import analysis, core, learner
+from ..core import Observation, clamp_small_negative, tolerance
 from .config import ExperimentConfig
 from .generate import (
     StreamBundle,
     build_domain,
     diameter_bound,
-    generate_instance_stream,
+    draw_objective,
     make_observation_sampler,
 )
 from .io import (
@@ -49,7 +52,6 @@ class RunResult:
     """Everything a caller might want to inspect after a run."""
 
     exit_code: int
-    bundle: StreamBundle
     ledger: analysis.RegretLedger
     checks: list[analysis.BoundCheck]
     certificate: analysis.GapCertificate | None
@@ -58,21 +60,34 @@ class RunResult:
     summary_path: str | None
 
 
+def _ledger(cfg: ExperimentConfig, c_star, rounds: int) -> analysis.RegretLedger:
+    """An empty ledger, its learner set up from the config alone."""
+    state = learner.init_learner(build_domain(cfg), cfg.schedule, diameter_bound(cfg))
+    return analysis.RegretLedger(c_star, state, rounds)
+
+
+def _play_chunk(ledger: analysis.RegretLedger, observations, references) -> None:
+    """Play the ledger's learner over one chunk and record the chunk."""
+    state, played = learner.play(ledger.learner, observations)
+    ledger.record(state, observations, played, references)
+
+
 def simulate(bundle: StreamBundle) -> analysis.RegretLedger:
     """Run the online loop over a bundle's stream; pure given the bundle.
 
-    The learner is set up from the bundle's config alone: the domain
-    build_domain(config) and the diameter bound diameter_bound(config).
-    learner.play runs the recursion over the whole stream into columns;
-    the ledger is built from those afterwards, takes bundle.optimal_choices
-    as its references and holds the final learner state.
+    The stream is played and recorded core._STACK_CHUNK rounds at a time,
+    as run_experiment plays its chunks, with the bundle's optimal_choices
+    as the references; the ledger holds the final learner state.
     """
-    cfg = bundle.config
-    state = learner.init_learner(build_domain(cfg), cfg.schedule, diameter_bound(cfg))
-    state, played = learner.play(state, bundle.observations)
-    return analysis.RegretLedger(
-        bundle.c_star, state, bundle.observations, played, bundle.optimal_choices
-    )
+    rounds = len(bundle.observations)
+    if len(bundle.optimal_choices) != rounds:
+        raise ValueError("observations and references differ in length")
+    ledger = _ledger(bundle.config, bundle.c_star, rounds)
+    step = core._STACK_CHUNK
+    for start in range(0, rounds, step):
+        chunk = slice(start, start + step)
+        _play_chunk(ledger, bundle.observations[chunk], bundle.optimal_choices[chunk])
+    return ledger
 
 
 def trace_rows(
@@ -175,26 +190,42 @@ def check_usage(cfg: ExperimentConfig) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Generate, simulate, certify, and (when configured) write outputs."""
+    """Generate, simulate, certify, and (when configured) write outputs.
+
+    The stream generate_instance_stream would draw is drawn, played,
+    recorded and certified core._STACK_CHUNK rounds at a time, and each
+    chunk is dropped after it; save_stream keeps every observation for
+    write_stream, so such a run's memory grows with the horizon.
+    """
     check_usage(cfg)
-    bundle = generate_instance_stream(cfg)
-    ledger = simulate(bundle)
+    c_star, c_star_integral = draw_objective(cfg)
+    sampler = make_observation_sampler(cfg, c_star, c_star_integral)
+    rng = np.random.default_rng([cfg.seed, 0])
+    ledger = _ledger(cfg, c_star, cfg.rounds)
     skipped: dict[str, str] = {}
 
-    certificate = None
-    integral_certificate = None
-    delta = None
-    norms = ledger.learner.norms
+    # each gap objective with its chunks' certificates; a failed chunk ends
+    # its objective's certification
+    gaps: list[tuple[np.ndarray, list[analysis.GapCertificate]]] = []
     if cfg.gap_mode != "none" and cfg.agent_noise > 0.0:
         skipped["gap_checks"] = "agent is noisy, optimal choices required"
     elif cfg.gap_mode != "none":
-        certificate = analysis.certify_gap(bundle.observations, bundle.c_star, norms)
-        if certificate.satisfied:
-            delta = certificate.delta
-        if bundle.c_star_integral is not None:
-            integral_certificate = analysis.certify_gap(
-                bundle.observations, bundle.c_star_integral, norms
-            )
+        gaps = [(c, []) for c in (c_star, c_star_integral) if c is not None]
+    norms = ledger.learner.norms
+    stream: list[Observation] = []
+    step = core._STACK_CHUNK
+    for start in range(0, cfg.rounds, step):
+        observations, references = sampler(rng, min(step, cfg.rounds - start))
+        _play_chunk(ledger, observations, references)
+        for c, parts in gaps:
+            if not parts or parts[-1].satisfied:
+                parts.append(analysis.certify_gap(observations, c, norms))
+        if cfg.save_stream:
+            stream.extend(observations)
+    joined = [analysis._join_certificates(parts) for _, parts in gaps]
+    certificate = joined[0] if joined else None
+    integral_certificate = joined[1] if len(joined) == 2 else None
+    delta = certificate.delta if certificate is not None else None
 
     checks = analysis.verify_run(ledger, delta=delta, plateau_burn_in=1000)
     if certificate is not None:
@@ -211,12 +242,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         checks.append(analysis._worst("integral_gap_floor", np.array([floor]),
                                       np.array([value]), np.array([ledger.rounds])))
 
-    averaged = analysis.average_prediction(ledger.columns["c_hat"])
+    averaged = ledger.average_prediction()
     evaluation = None
     if cfg.holdout > 0:
-        evaluation = evaluate_holdout(
-            cfg, averaged, bundle.c_star, bundle.c_star_integral
-        )
+        evaluation = evaluate_holdout(cfg, averaged, c_star, c_star_integral)
         budget = ledger.subopt_regret() / ledger.rounds
         slack = 3.0 * evaluation.stderr_gap + tolerance(evaluation.mean_gap, budget)
         checks.append(
@@ -239,7 +268,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         out = Path(cfg.out)
         if cfg.save_stream:
             # first, so that an enumeration refusal leaves nothing behind
-            write_stream(out / "stream.txt", bundle.observations, bundle.c_star)
+            write_stream(out / "stream.txt", stream, c_star)
         out.mkdir(parents=True, exist_ok=True)
         summary_path = str(out / "summary.txt")
         write_trace(out / "trace.csv", trace_rows(ledger, delta))
@@ -248,7 +277,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     return RunResult(
         exit_code=exit_code,
-        bundle=bundle,
         ledger=ledger,
         checks=checks,
         certificate=certificate,

@@ -7,8 +7,8 @@ simplex gives a softmax of -G / beta_t, and the half squared norm on a ball
 gives a radially projected step from the center.  The learner sees only the
 observations (X_t, x_t); the true objective and every loss that needs it
 belong to the analysis layer.  play runs the recursion over a whole stream
-in one loop and returns the run's per-round columns, from which
-analysis.RegretLedger computes every loss.
+or one chunk of it in one loop and returns the per-round columns, from
+which analysis.RegretLedger computes every loss.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from .core import Ball, Observation, PredictionDomain, Simplex, _frozen, as_vector
+from .core import Ball, FeasibleSet, Observation, PredictionDomain, Simplex, _frozen, as_vector
 
 ADAPTIVE = "adaptive"
 OFFSET = "offset"
@@ -59,8 +59,12 @@ class LearnerState:
 
     B, H and K are the constants of the schedules and of the run's
     RegretLedger, B and H derived from the domain once by init_learner.
-    play returns a fresh state; instances for parallel trials share
-    nothing.
+    last_answer is (feasible set, prediction, oracle answer) of the last
+    round played when that round did not update, else None; play reuses
+    it for a first round facing the same set object under the same
+    prediction object, so a stream played in chunks calls the oracle as
+    often as the whole stream played at once.  play returns a fresh state;
+    instances for parallel trials share nothing.
     """
 
     domain: PredictionDomain
@@ -71,6 +75,7 @@ class LearnerState:
     grad_sum: np.ndarray
     sq_norm_sum: float
     current_prediction: np.ndarray
+    last_answer: tuple[FeasibleSet, np.ndarray, np.ndarray] | None = None
 
     @property
     def norms(self):
@@ -136,8 +141,8 @@ def _solve(domain: PredictionDomain, grad_sum: np.ndarray, b: float) -> np.ndarr
 def play(
     state: LearnerState, observations: Sequence[Observation]
 ) -> tuple[LearnerState, dict[str, np.ndarray]]:
-    """Run the recursion over a whole stream: the final state and the
-    run's columns.
+    """Run the recursion over a stream, or over one chunk of it after the
+    chunks before: the final state and the chunk's columns.
 
     Round t answers its prediction c_hat, x_hat = argmax over the round's
     feasible set, and steps along the residual g = x_hat - x.  The columns
@@ -149,8 +154,9 @@ def play(
     A round whose answer has the bytes of the agent's choice has a zero
     subgradient: its g and grad_norm stay +0.0, and the accumulators, and
     so the prediction, stay as they are.  Until the next update the
-    prediction does not move, so a round facing the set answered last
-    reuses that answer without calling the oracle.
+    prediction does not move, so a round facing the set answered last,
+    in this chunk or as the state's last_answer, reuses that answer
+    without calling the oracle.
     """
     T, n = len(observations), state.domain.dimension
     c_hat, x_hat, g = np.empty((T, n)), np.empty((T, n)), np.zeros((T, n))
@@ -161,6 +167,8 @@ def play(
     b = _beta(state, sq_norm_sum)
     primal = state.norms.primal
     answered = answer = None
+    if state.last_answer is not None and state.last_answer[1] is prediction:
+        answered, _, answer = state.last_answer
     for t, obs in enumerate(observations):
         X = obs.feasible_set
         if X is not answered:
@@ -186,6 +194,7 @@ def play(
                "grad_norm": grad_norm}
     for column in columns.values():
         column.flags.writeable = False
+    last_answer = None if answered is None else (answered, prediction, answer)
     final = replace(state, grad_sum=grad_sum, sq_norm_sum=sq_norm_sum,
-                    current_prediction=prediction)
+                    current_prediction=prediction, last_answer=last_answer)
     return final, columns

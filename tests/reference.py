@@ -1,7 +1,8 @@
 """Independent references the suite checks the library against.
 
 The library computes each loss once, as a column of analysis.RegretLedger,
-plays the learner over a whole stream in one loop, and answers membership
+plays the learner over a stream in chunks of rounds, one loop each, and
+records each chunk in the ledger, and it answers membership
 through the private FeasibleSet._contains that Observation uses.  The
 scalar forms below restate those quantities one instance or one round at a
 time, so a test can compare the two.  trace_rows and write_trace render
@@ -168,18 +169,23 @@ def observe(state: LearnerState, obs) -> tuple[LearnerState, Round]:
     return new_state, Round(c_hat, x_hat, g, beta(state), grad_norm)
 
 
+# the length-T columns a RegretLedger keeps, and the (T, n) ones that
+# learner.play fills beside beta and grad_norm
 LEDGER_COLUMNS = ("ell_sub", "ell_est", "ell_sub_ref", "total", "lin_inc",
-                  "regret", "regret_sub", "sum_sq", "beta", "grad_norm",
-                  "c_hat", "x_hat", "g")
+                  "regret", "regret_sub", "sum_sq", "beta", "grad_norm")
+PLAYED_COLUMNS = ("c_hat", "x_hat", "g")
 
 
 class AppendLedger:
-    """The ledger as a per-round append, with np.dot per row."""
+    """The ledger as a per-round append, with np.dot per row, keeping the
+    played (T, n) columns too; c_hat_sum adds the predictions one at a
+    time."""
 
     def __init__(self, c_star, norms):
         self.c_star = c_star
         self.norms = norms
-        self.columns = {name: [] for name in LEDGER_COLUMNS}
+        self.columns = {name: [] for name in LEDGER_COLUMNS + PLAYED_COLUMNS}
+        self.c_hat_sum = None
         self.max_grad_norm = 0.0
         self.max_dual_distance = 0.0
 
@@ -201,8 +207,10 @@ class AppendLedger:
         col["regret"].append(prev_r + lin_inc)
         col["regret_sub"].append(prev_rs + (ell_sub - ell_sub_ref))
         col["sum_sq"].append(prev_sq + record.grad_norm ** 2)
-        for name in ("beta", "grad_norm", "c_hat", "x_hat", "g"):
+        for name in ("beta", "grad_norm") + PLAYED_COLUMNS:
             col[name].append(getattr(record, name))
+        c_hat = np.array(record.c_hat)
+        self.c_hat_sum = c_hat if self.c_hat_sum is None else self.c_hat_sum + c_hat
         self.max_grad_norm = max(self.max_grad_norm, record.grad_norm)
         self.max_dual_distance = max(
             self.max_dual_distance, dual_norm(self.norms, distance)
@@ -213,7 +221,7 @@ class AppendLedger:
         n = self.c_star.size
         return {
             name: np.array(values, dtype=np.float64).reshape(
-                (-1, n) if name in ("c_hat", "x_hat", "g") else -1)
+                (-1, n) if name in PLAYED_COLUMNS else -1)
             for name, values in self.columns.items()
         }
 

@@ -26,16 +26,23 @@ from invlinopt import (
     certify_gap,
     init_learner,
     offline_evaluate,
+    play,
     verify_run,
 )
-from invlinopt import oracle
-from invlinopt.analysis import _gap_margin, bound_columns, gap_contraction_coefficient
+from invlinopt import core, oracle
+from invlinopt.analysis import (
+    _gap_margin,
+    _join_certificates,
+    bound_columns,
+    gap_contraction_coefficient,
+)
 from invlinopt.core import as_vector
 from invlinopt.harness import (
     StreamBundle,
     build_config,
     generate,
     generate_instance_stream,
+    run_experiment,
     simulate,
 )
 from invlinopt.harness.generate import draw_objective
@@ -45,6 +52,7 @@ from invlinopt.harness.io import read_stream, write_stream
 from conftest import CARRIED_STREAMS, FAMILIES, dag_paths, naive_gap
 from reference import (
     LEDGER_COLUMNS,
+    PLAYED_COLUMNS,
     estimate_loss,
     in_domain,
     inner_product,
@@ -72,6 +80,20 @@ def small_run(seed=7, rounds=300, schedule="adaptive", noise=0.0, gap="none", **
     bundle = generate_instance_stream(cfg)
     ledger = simulate(bundle)
     return cfg, bundle, ledger
+
+
+def played_columns(cfg, observations):
+    """learner.play's columns for a whole stream, from the run's setup."""
+    start = init_learner(generate.build_domain(cfg), cfg.schedule,
+                         generate.diameter_bound(cfg))
+    return play(start, observations)[1]
+
+
+def ledger_of(c_star, state, observations, played, references):
+    """A ledger of one recorded chunk, the whole stream."""
+    ledger = RegretLedger(c_star, state, len(observations))
+    ledger.record(state, observations, played, references)
+    return ledger
 
 
 def checks_by_name(ledger, **kw):
@@ -108,24 +130,30 @@ def test_offset_bound_checks_pass_each_prefix():
 
 def test_offset_bound_formula_other_constants():
     # the simplex fixes H = sqrt(ln 3); K = 2 is twice the run's own
-    _, bundle, run = small_run(schedule="offset", dimension=3, rounds=400)
+    cfg, bundle, run = small_run(schedule="offset", dimension=3, rounds=400)
+    played = played_columns(cfg, bundle.observations)
     state = init_learner(Simplex(3), OFFSET, 2.0)
-    ledger = RegretLedger(
-        run.c_star, state, bundle.observations, run.columns, bundle.optimal_choices,
-    )
+    ledger = ledger_of(run.c_star, state, bundle.observations, played,
+                       bundle.optimal_choices)
     # the ledger's constants are the state's, and nothing else sets them
     assert ledger.learner is state
     assert (state.K, state.H) == (2.0, math.sqrt(math.log(3.0)))
     for gone in ("arrays", "_columns", "domain", "norms", "B", "H", "K",
                  "schedule", "observations", "records"):
         assert not hasattr(ledger, gone), gone
-    # the columns are read in place and cannot be changed there
+    # the ledger keeps the length-T columns only, read in place and not
+    # changed there
+    assert sorted(ledger.columns) == sorted(LEDGER_COLUMNS)
     with pytest.raises(TypeError):
         ledger.columns["total"] = ledger.columns["ell_sub"]
     assert not any(column.flags.writeable for column in ledger.columns.values())
     with pytest.raises(ValueError, match="differ in length"):
-        RegretLedger(run.c_star, state, bundle.observations[1:], run.columns,
-                     bundle.optimal_choices)
+        ledger_of(run.c_star, state, bundle.observations[1:], played,
+                  bundle.optimal_choices)
+    with pytest.raises(ValueError, match="room"):
+        ledger.record(state, bundle.observations[:1], {
+            name: column[:1] for name, column in played.items()
+        }, bundle.optimal_choices[:1])
     bound = bound_columns(ledger)["offset_horizon"][399]
     # 2 * 2 * sqrt(ln 3) * sqrt(400)
     assert abs(bound - 83.85176591745639) < 1e-9
@@ -133,16 +161,17 @@ def test_offset_bound_formula_other_constants():
 
 
 def test_bounds_follow_the_ledger_schedule_and_config():
-    _, bundle, ledger = small_run(schedule="adaptive")
+    cfg, bundle, ledger = small_run(schedule="adaptive")
     bounds = bound_columns(ledger)
     assert bounds["offset_horizon"] is None
     assert bounds["adaptive_grad"] is not None and bounds["adaptive_horizon"] is not None
     # verify_run reads the constants from the ledger: a ledger with half
     # the K checks half the horizon bound
     run = ledger.learner
-    halved = RegretLedger(
+    halved = ledger_of(
         ledger.c_star, init_learner(run.domain, ADAPTIVE, 0.5 * run.K),
-        bundle.observations, ledger.columns, bundle.optimal_choices,
+        bundle.observations, played_columns(cfg, bundle.observations),
+        bundle.optimal_choices,
     )
     horizon = {c.name: c for c in verify_run(halved)}["adaptive_horizon_bound"]
     assert horizon.bound == bound_columns(halved)["adaptive_horizon"][horizon.round - 1]
@@ -220,6 +249,48 @@ def test_plateau_can_fail_honestly():
     _, check = fresh_gap_run()
     assert not check.passed
     assert check.margin < 0.0
+
+
+def test_plateau_counts_the_first_late_round():
+    # one nonzero total, 2.0, at round n // 2 + 1, the first round of the
+    # late half; recorded three rounds at a time, so the total column is
+    # assembled from chunks
+    n = 10
+    x, other = as_vector([0.0, 1.0]), as_vector([1.0, 0.0])
+    references = np.tile(x, (n, 1))
+    x_hat = references.copy()
+    x_hat[n // 2] = other
+    g = x_hat - x + 0.0
+    played = {"c_hat": np.tile([1.0, 0.0], (n, 1)), "x_hat": x_hat, "g": g,
+              "beta": np.ones(n), "grad_norm": np.max(np.abs(g), axis=1)}
+    observations = [Observation(SQUARE, x)] * n
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
+    ledger = RegretLedger([0.0, 1.0], state, n)
+    for start in range(0, n, 3):
+        rows = slice(start, start + 3)
+        ledger.record(state, observations[rows],
+                      {name: column[rows] for name, column in played.items()},
+                      references[rows])
+    total = ledger.columns["total"]
+    assert np.flatnonzero(total).tolist() == [n // 2] and total[n // 2] == 2.0
+    check = checks_by_name(ledger, delta=1.0, plateau_burn_in=n)["loss_plateau"]
+    assert not check.passed
+    assert (check.round, check.value, check.bound) == (n, 2.0, 1e-9 * n)
+
+
+def test_gap_constant_bound_is_its_closed_form():
+    cfg = build_config({}, seed=5, dimension=4, rounds=300, num_vertices=8,
+                       gap_mode="integral", fresh_sets=False)
+    result = run_experiment(cfg)
+    delta = result.certificate.delta
+    # the simplex of dimension 4: K = 1 and B = 2^{11/4} sqrt(ln 4)
+    K, B = 1.0, 2.0 ** 2.75 * math.sqrt(math.log(4.0))
+    expected = pytest.approx(2.0 ** 1.25 * K * B ** 3 / delta ** 2, rel=1e-12)
+    column = bound_columns(result.ledger, delta)["gap_constant"]
+    assert column.shape == (300,) and column.tolist() == [expected] * 300
+    check = next(c for c in result.checks if c.name == "gap_constant_bound")
+    assert check.bound == expected
+    assert result.summary["check.gap_constant_bound.bound"] == expected
 
 
 def test_plateau_value_is_a_difference_of_pairwise_sums():
@@ -368,9 +439,11 @@ def test_margin_mode_generation_meets_its_margin(seed, family, domain):
 
 
 def test_average_prediction():
-    _, _, ledger = small_run(rounds=40)
-    c_hat = ledger.columns["c_hat"]
+    cfg, bundle, ledger = small_run(rounds=40)
+    c_hat = played_columns(cfg, bundle.observations)["c_hat"]
     averaged = average_prediction(c_hat)
+    # the ledger averages from its carried row sum, to the same bits
+    assert ledger.average_prediction().tobytes() == averaged.tobytes()
     assert np.allclose(averaged, c_hat.mean(axis=0))
     # the rows averaged one at a time, as np.stack of per-round vectors
     stacked = np.stack([np.array(row) for row in c_hat])
@@ -623,6 +696,32 @@ def test_certify_gap_reuse_matches_a_stream_without_shared_sets(tmp_path):
     )
 
 
+def chunk_certificates(observations, c_star, step):
+    """certify_gap of each chunk of step rounds, as a run certifies its
+    chunks: none after a chunk that fails."""
+    parts = []
+    for start in range(0, len(observations), step):
+        if parts and not parts[-1].satisfied:
+            break
+        parts.append(certify_gap(observations[start:start + step], c_star, LINF))
+    return parts
+
+
+def test_chunk_certificates_join_to_the_whole_stream_certificate():
+    _, bundle, _ = small_run(seed=5, rounds=40, gap="integral", dimension=4)
+    observations = list(bundle.observations)
+    # an agent that picks a suboptimal member at round 24
+    X, best = observations[23].feasible_set, observations[23].agent_choice
+    wrong = next(m for m in X.members() if m.tobytes() != best.tobytes())
+    failing = observations[:23] + [Observation(X, wrong)] + observations[24:]
+    assert certify_gap(failing, bundle.c_star, LINF).witness.round_index == 24
+    for stream in (observations, failing):
+        whole = certificate_fields(certify_gap(stream, bundle.c_star, LINF))
+        for step in (1, 7, 40):
+            parts = chunk_certificates(stream, bundle.c_star, step)
+            assert certificate_fields(_join_certificates(parts)) == whole, step
+
+
 def test_certify_gap_reuse_on_a_generated_repeated_stream(tmp_path):
     cfg = build_config({}, seed=17, dimension=6, rounds=80, family="knapsack",
                        gap_mode="integral", fresh_sets=False)
@@ -646,32 +745,40 @@ def bits(value):
 
 
 def assert_ledger_matches_appends(ledger, observations, references):
-    """Every column of the ledger, the played ones included, and its final
-    state equal the reference's observe and append, round by round."""
+    """Every column of the ledger, the columns learner.play fills for the
+    whole stream, the averaged prediction and the final state equal the
+    reference's observe and append, round by round."""
     run = ledger.learner
     start = init_learner(run.domain, run.schedule, run.K)
     state, reference = simulate_by_rounds(ledger.c_star, start, observations, references)
+    whole, played = play(start, observations)
     norms = run.norms
     arrays = ledger.columns
     for t, obs in enumerate(observations):
         # the played arithmetic and both loss columns, per round with
         # np.dot, zero-gradient rounds included
         x = obs.agent_choice
-        g = arrays["x_hat"][t] - x + 0.0
-        assert arrays["g"][t].tobytes() == g.tobytes()
+        g = played["x_hat"][t] - x + 0.0
+        assert played["g"][t].tobytes() == g.tobytes()
         assert bits(arrays["grad_norm"][t]) == bits(norms.primal(g))
-        assert bits(arrays["ell_sub"][t]) == bits(np.dot(arrays["c_hat"][t], g))
-        est = estimate_loss(ledger.c_star, x, arrays["x_hat"][t])  # one np.dot
+        assert bits(arrays["ell_sub"][t]) == bits(np.dot(played["c_hat"][t], g))
+        est = estimate_loss(ledger.c_star, x, played["x_hat"][t])  # one np.dot
         assert bits(arrays["ell_est"][t]) == bits(est)
     assert sorted(arrays) == sorted(LEDGER_COLUMNS)
+    assert ledger.rounds == len(observations)
     for name, expected in reference.arrays().items():
-        assert arrays[name].tobytes() == expected.tobytes(), name
-        assert arrays[name].shape == expected.shape, name
+        actual = played[name] if name in PLAYED_COLUMNS else arrays[name]
+        assert actual.tobytes() == expected.tobytes(), name
+        assert actual.shape == expected.shape, name
+    averaged = as_vector(reference.c_hat_sum / len(observations))
+    assert ledger.average_prediction().tobytes() == averaged.tobytes()
+    assert average_prediction(played["c_hat"]).tobytes() == averaged.tobytes()
     assert bits(ledger.max_grad_norm) == bits(reference.max_grad_norm)
     assert bits(ledger.max_dual_distance) == bits(reference.max_dual_distance)
-    for name in ("grad_sum", "current_prediction"):
-        assert getattr(run, name).tobytes() == getattr(state, name).tobytes(), name
-    assert bits(run.sq_norm_sum) == bits(state.sq_norm_sum)
+    for final in (run, whole):
+        for name in ("grad_sum", "current_prediction"):
+            assert getattr(final, name).tobytes() == getattr(state, name).tobytes(), name
+        assert bits(final.sq_norm_sum) == bits(state.sq_norm_sum)
 
 
 def test_running_sums_start_from_zero_like_an_accumulator():
@@ -681,6 +788,11 @@ def test_running_sums_start_from_zero_like_an_accumulator():
     # 0.0 + (-0.0) is +0.0, as the first step of a loop from 0.0 gives
     assert sums.tobytes() == np.array([0.0, 1.0, 1.0]).tobytes()
     assert _running(np.array([])).size == 0
+    # a later chunk goes on from the carried last sum, to the same bits
+    values = np.random.default_rng(3).normal(size=100)
+    whole = _running(values)
+    split = np.concatenate([_running(values[:37]), _running(values[37:], whole[36])])
+    assert split.tobytes() == whole.tobytes()
 
 
 LEDGER_RUNS = {
@@ -696,12 +808,13 @@ def test_whole_run_ledger_matches_round_by_round_appends(name):
     cfg = build_config({}, seed=23, rounds=400, **LEDGER_RUNS[name])
     bundle = generate_instance_stream(cfg)
     ledger = simulate(bundle)
-    zero = np.count_nonzero(~ledger.columns["g"].any(axis=1))
+    played = played_columns(cfg, bundle.observations)
+    zero = np.count_nonzero(~played["g"].any(axis=1))
     assert 0 < zero < ledger.rounds  # both kinds of round occur
     if "ball" in name:
         # negative prediction and truth entries make -0.0 products on zero
         # rounds, and the estimate loss takes both signs
-        assert (ledger.columns["c_hat"] < 0.0).any()
+        assert (played["c_hat"] < 0.0).any()
         assert (ledger.c_star < 0.0).any()
         ell_est = ledger.columns["ell_est"]
         assert (ell_est < 0.0).any() and (ell_est > 0.0).any()
@@ -715,6 +828,9 @@ def test_whole_run_ledger_matches_round_by_round_appends(name):
     references = [argmax(obs.feasible_set, bundle.c_star).maximizer
                   for obs in other.observations]
     assert_ledger_matches_appends(replayed, other.observations, references)
+    # and references of another length are refused
+    with pytest.raises(ValueError, match="differ in length"):
+        simulate(replace(bundle, optimal_choices=bundle.optimal_choices[1:]))
 
 
 def _short(flags, rounds=300, seed=7):
@@ -746,9 +862,25 @@ REFERENCE_STREAMS = {
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_STREAMS))
-def test_simulate_matches_the_round_by_round_reference(name):
+def test_simulate_matches_the_round_by_round_reference(name, monkeypatch):
     bundle = REFERENCE_STREAMS[name]()
-    ledger = simulate(bundle)
-    zero = np.count_nonzero(~ledger.columns["g"].any(axis=1))
-    assert 0 < zero < ledger.rounds  # both kinds of round occur
-    assert_ledger_matches_appends(ledger, bundle.observations, bundle.optimal_choices)
+    solves, argmax_of = [0], oracle.argmax
+
+    def counting(X, c):
+        solves[0] += 1
+        return argmax_of(X, c)
+
+    monkeypatch.setattr(oracle, "argmax", counting)
+    played = played_columns(bundle.config, bundle.observations)
+    whole = solves[0]
+    zero = np.count_nonzero(~played["g"].any(axis=1))
+    assert 0 < zero < len(bundle.observations)  # both kinds of round occur
+    # chunks of one round put every repeat of a set across a chunk
+    # boundary; each chunking makes the same ledger and, carrying the last
+    # answer across boundaries, as many oracle calls as one whole play
+    for step in (1, 7, core._STACK_CHUNK):
+        monkeypatch.setattr(core, "_STACK_CHUNK", step)
+        solves[0] = 0
+        ledger = simulate(bundle)
+        assert solves[0] == whole, step
+        assert_ledger_matches_appends(ledger, bundle.observations, bundle.optimal_choices)

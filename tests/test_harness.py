@@ -1,6 +1,9 @@
 """Generation, runner, file formats, CLI, and determinism contracts."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -8,13 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import invlinopt
+from invlinopt import core
 from invlinopt import (
     EnumerationRefusedError,
     NormPair,
     Observation,
     argmax,
-    argmax_many,
     certify_gap,
+    init_learner,
+    play,
 )
 from invlinopt.core import DagPaths, ExplicitVertices, Hypercube
 from invlinopt.harness import (
@@ -29,7 +35,12 @@ from invlinopt.harness.cli import main
 from invlinopt.harness.config import ExperimentConfig
 from invlinopt.harness import generate, runner
 from invlinopt.harness import io as harness_io
-from invlinopt.harness.generate import GenerationFailedError, draw_objective
+from invlinopt.harness.generate import (
+    GenerationFailedError,
+    build_domain,
+    diameter_bound,
+    draw_objective,
+)
 from invlinopt.harness.io import (
     TRACE_COLUMNS,
     fmt,
@@ -41,6 +52,7 @@ from invlinopt.harness.io import (
 )
 
 import reference
+import test_golden
 from reference import (
     argmax_bruteforce,
     in_domain,
@@ -322,16 +334,15 @@ def test_objective_reproducible_without_stream():
 def test_protocol_order_prefix_stability():
     cfg = make_cfg(rounds=40)
     bundle = generate_instance_stream(cfg)
-    ledger = simulate(bundle)
+    start = init_learner(build_domain(cfg), cfg.schedule, diameter_bound(cfg))
     # perturb observations from round 21 on and replay
     cut = 20
     other = generate_instance_stream(make_cfg(seed=99, rounds=40))
     perturbed = list(bundle.observations[:cut]) + list(other.observations[cut:])
-    optimal = argmax_many([obs.feasible_set for obs in perturbed], bundle.c_star)
-    ledger2 = simulate(replace(bundle, observations=perturbed, optimal_choices=optimal))
     # a prediction depends only on earlier rounds: rounds up to the cut see
     # the same predictions
-    c_hat, c_hat2 = ledger.columns["c_hat"], ledger2.columns["c_hat"]
+    c_hat = play(start, bundle.observations)[1]["c_hat"]
+    c_hat2 = play(start, perturbed)[1]["c_hat"]
     assert c_hat[: cut + 1].tobytes() == c_hat2[: cut + 1].tobytes()
     assert c_hat[cut + 1:].tobytes() != c_hat2[cut + 1:].tobytes()
 
@@ -407,6 +418,44 @@ def test_writing_a_long_trace_holds_no_whole_trace_text(tmp_path):
         tracemalloc.stop()
     assert len(read_trace(tmp_path / "trace.csv")) == 20_000
     assert peak < 4_000_000
+
+
+def test_a_long_run_holds_no_stream(tmp_path):
+    # 200,000 rounds of the knapsack-gap-repeat benchmark's shape: with its
+    # whole stream and (T, n) columns held at once this run peaked near
+    # 217 MB of RSS; played in chunks, near 75 MB.  A small launcher runs
+    # it and reports its peak, since a child forked from this process
+    # would count this process's pages too.
+    launcher = ("import resource, subprocess, sys; "
+                "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    src = Path(invlinopt.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    command = [sys.executable, "-c", launcher,
+               sys.executable, "-m", "invlinopt.harness.cli", "run",
+               "--family", "knapsack", "--dimension", "12", "--gap", "integral",
+               "--repeat-instance", "--rounds", "200000", "--seed", "30",
+               "--out", str(tmp_path / "long")]
+    peak_kb = int(subprocess.run(command, env=env, check=True, capture_output=True,
+                                 text=True).stdout)
+    assert peak_kb / 1024 < 120, peak_kb
+
+
+@pytest.mark.parametrize("name", sorted(test_golden.CONFIGS))
+def test_golden_bytes_at_any_chunk_size(name, tmp_path, monkeypatch, capsys):
+    # one round per chunk, chunks of 7, and the whole run as one chunk
+    args = test_golden.CONFIGS[name]
+    rounds = int(args[args.index("--rounds") + 1])
+    expected = test_golden.GOLDEN_DIR / name
+    for step in (1, 7, rounds):
+        monkeypatch.setattr(core, "_STACK_CHUNK", step)
+        out = tmp_path / str(step)
+        assert main(["run", *args, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in expected.iterdir())
+        for path in expected.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), (step, path.name)
 
 
 def test_run_failure_is_named_and_nonzero(tmp_path):

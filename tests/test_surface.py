@@ -119,7 +119,7 @@ FIELDS = [
     (core.Observation, ["feasible_set", "agent_choice"]),
     (learner.LearnerState, [
         "domain", "schedule", "B", "H", "K", "grad_sum", "sq_norm_sum",
-        "current_prediction",
+        "current_prediction", "last_answer",
     ]),
     (harness.ExperimentConfig, [
         "seed", "dimension", "rounds", "domain", "schedule", "family",
@@ -127,7 +127,7 @@ FIELDS = [
         "integral_vertices", "fresh_sets", "ball_radius", "save_stream", "out",
     ]),
     (harness.RunResult, [
-        "exit_code", "bundle", "ledger", "checks", "certificate", "evaluation",
+        "exit_code", "ledger", "checks", "certificate", "evaluation",
         "summary", "summary_path",
     ]),
 ]
