@@ -26,6 +26,7 @@ import numpy as np
 
 from . import oracle
 from .core import (
+    FeasibleSet,
     NormPair,
     Observation,
     TOL,
@@ -353,6 +354,8 @@ def certify_gap(
     observations: Sequence[Observation],
     c_star,
     norms: NormPair,
+    *,
+    before: tuple[FeasibleSet, bytes, float] | None = None,
 ) -> GapCertificate:
     """Exact gap margin by exhaustive enumeration of every feasible set.
 
@@ -360,17 +363,19 @@ def certify_gap(
     c_star over its feasible set; otherwise returns a witness.  The margin
     is min over rounds and competitors of the objective loss per unit of
     primal-norm distance.  A round facing the same set object with the same
-    choice bytes as the round before reuses that round's margin.  A set
-    too large to enumerate raises members()'s EnumerationRefusedError.
+    choice bytes as the round before reuses that round's margin; before,
+    the (set, choice bytes, margin) of the round before the first, lets a
+    stream certified in chunks do so across chunks.  A set too large to
+    enumerate raises members()'s EnumerationRefusedError.
     """
     c_star = as_vector(c_star)
     per_round: list[float] = []
-    prev_set = prev_choice = None
+    prev_set, prev_choice, delta = before or (None, None, None)
     for position, obs in enumerate(observations, 1):
         x = obs.agent_choice
         choice = x.tobytes()
         if obs.feasible_set is prev_set and choice == prev_choice:
-            per_round.append(per_round[-1])
+            per_round.append(delta)
             continue
         prev_set, prev_choice = obs.feasible_set, choice
         members = obs.feasible_set.members()

@@ -3,15 +3,18 @@
 Every decimal is DECIMAL, 17 significant digits, so files round-trip
 float64 exactly and identical runs produce bitwise-identical bytes.  fmt
 and the row templates of the stream and the trace all use it.  The trace
-arrives as text chunks of rendered rows and is written chunk by chunk, so
-no whole-trace text is ever held.
+and the stream are written a chunk at a time, so neither text is ever
+held whole.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,8 +40,8 @@ STREAM_MAGIC = "# invlinopt stream v1"
 # the %-format of every decimal in every output file
 DECIMAL = "%.17g"
 
-# distinct stream rows whose texts write_stream keeps for reuse, so that
-# its memory beyond the stream's text stays bounded
+# distinct stream rows whose texts a stream_writer keeps for reuse, so that
+# its memory beyond a chunk's text stays bounded
 _RENDERED_ROWS = 4096
 
 
@@ -81,8 +84,9 @@ def read_vector(path) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_stream(path, observations: Sequence[Observation], c_star=None) -> None:
-    """Store observations as dimension-tagged explicit vertex lists.
+@contextmanager
+def stream_writer(path, dim: int, c_star=None) -> Iterator[Callable[[Sequence], None]]:
+    """A function that appends chunks of observations to the stream at path.
 
     Line format:
         # invlinopt stream v1
@@ -91,46 +95,68 @@ def write_stream(path, observations: Sequence[Observation], c_star=None) -> None
         obs <round> <m>              (round: the position, from 1)
         <m vertex lines of n floats>
         choice <n floats>
-    Every feasible set is written as its members(), so a reloaded stream
-    always uses ExplicitVertices.  The cold members() caches are filled
-    first, in stream order, by core._fill_members, which enumerates DAG
-    sets in batches; a set too large to enumerate raises
-    EnumerationRefusedError.  Each distinct row, keyed on its bytes, is
-    rendered once, with one % for a set's rows not seen before, and a
-    choice line reuses its member's text; the texts seen are dropped
-    before a set when they number more than _RENDERED_ROWS, so a stream
-    whose rows seldom repeat holds few.  The whole text is rendered before
-    the file or its directory is made, so a refusal writes nothing.
+    The header is written once, and rounds are numbered on across chunks.
+    Every set is written as its members(), so a reloaded stream uses
+    ExplicitVertices.  A chunk's cold members() caches are filled first,
+    in order, by core._fill_members (DAGs in batches); a set past the cap
+    raises EnumerationRefusedError.  Each distinct row, keyed on its bytes,
+    is rendered once, with one % for a set's new rows; rows and choices
+    reuse the kept texts, dropped before a set past _RENDERED_ROWS.
+    Records go to path's .part sibling, which becomes path when the block
+    ends.  When it raises, the part and the directories made for it are
+    removed, deepest first, and nothing that was there before is touched.
     """
-    _fill_members([obs.feasible_set for obs in observations])
-    lines = [STREAM_MAGIC]
-    dim = observations[0].feasible_set.dimension
-    lines.append(f"dim {dim}")
-    if c_star is not None:
-        lines.append("c_star " + " ".join(fmt(v) for v in c_star))
-    rendered: dict[bytes, str] = {}
-    text_of = rendered.get
-    for position, obs in enumerate(observations, 1):
-        if len(rendered) > _RENDERED_ROWS:
-            rendered.clear()
-        members = obs.feasible_set.members()
-        data, width = members.tobytes(), members.itemsize * members.shape[1]
-        keys = [data[i:i + width] for i in range(0, len(data), width)]
-        texts = list(map(text_of, keys))
-        if None in texts:
-            new = [i for i, text in enumerate(texts) if text is None]
-            row = " ".join([DECIMAL] * members.shape[1])
-            text = "\n".join([row] * len(new)) % tuple(members[new].ravel().tolist())
-            rendered.update(zip([keys[i] for i in new], text.split("\n")))
-            texts = list(map(text_of, keys))
-        lines.append(f"obs {position} {len(keys)}")
-        lines += texts
-        # a choice is a member of its set, and both are folded: its bytes
-        # are those of one of the rows just rendered
-        lines.append("choice " + rendered[obs.agent_choice.tobytes()])
     path = Path(path)
+    part = path.with_name(path.name + ".part")
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    file = open(part, "x")
+    rendered: dict[bytes, str] = {}
+    text_of, positions = rendered.get, itertools.count(1)
+
+    def write(observations: Sequence[Observation]) -> None:
+        _fill_members([obs.feasible_set for obs in observations])
+        lines = []
+        for obs in observations:
+            if len(rendered) > _RENDERED_ROWS:
+                rendered.clear()
+            members = obs.feasible_set.members()
+            data, width = members.tobytes(), members.itemsize * members.shape[1]
+            keys = [data[i:i + width] for i in range(0, len(data), width)]
+            texts = list(map(text_of, keys))
+            if None in texts:
+                new = [i for i, text in enumerate(texts) if text is None]
+                row = " ".join([DECIMAL] * members.shape[1])
+                text = "\n".join([row] * len(new)) % tuple(members[new].ravel().tolist())
+                rendered.update(zip([keys[i] for i in new], text.split("\n")))
+                texts = list(map(text_of, keys))
+            lines.append(f"obs {next(positions)} {len(keys)}")
+            lines += texts
+            # a choice is a member of its set, and both are folded: its bytes
+            # are those of one of the rows just rendered
+            lines.append("choice " + rendered[obs.agent_choice.tobytes()])
+        file.write("\n".join(lines) + "\n")
+
+    try:
+        with file:
+            file.write(f"{STREAM_MAGIC}\ndim {dim}\n")
+            if c_star is not None:
+                file.write("c_star " + " ".join(fmt(v) for v in c_star) + "\n")
+            yield write
+        os.replace(part, path)
+    except BaseException:
+        part.unlink()
+        with suppress(OSError):
+            for folder in made:
+                os.rmdir(folder)
+        raise
+
+
+def write_stream(path, observations: Sequence[Observation], c_star=None) -> None:
+    """The whole stream through one stream_writer, so a refused set leaves
+    no file and no directory."""
+    with stream_writer(path, observations[0].feasible_set.dimension, c_star) as write:
+        write(observations)
 
 
 def read_stream(path) -> tuple[list[Observation], np.ndarray | None]:

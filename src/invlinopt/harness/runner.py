@@ -3,7 +3,7 @@
 The protocol per round is strict: predict, then observe, then update, so a
 prediction never depends on the current or future observations.  A run
 plays its stream core._STACK_CHUNK rounds at a time: each chunk is drawn,
-played, recorded in the ledger and certified, then dropped, so that only
+saved, played, recorded and certified, then dropped, so that only
 the ledger's length-T columns, its carried sums and the gap certificates
 grow with the horizon.  The exit status is nonzero exactly when some
 applicable certified inequality failed; every failed check is named in
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -23,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .. import analysis, core, learner
-from ..core import Observation, clamp_small_negative, tolerance
+from ..core import clamp_small_negative, tolerance
 from .config import ExperimentConfig
 from .generate import (
     StreamBundle,
@@ -36,7 +37,7 @@ from .io import (
     DECIMAL,
     TRACE_COLUMNS,
     fmt,
-    write_stream,
+    stream_writer,
     write_summary,
     write_trace,
     write_vector,
@@ -194,8 +195,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     The stream generate_instance_stream would draw is drawn, played,
     recorded and certified core._STACK_CHUNK rounds at a time, and each
-    chunk is dropped after it; save_stream keeps every observation for
-    write_stream, so such a run's memory grows with the horizon.
+    chunk is dropped after it, once save_stream's stream_writer has it.
+    The stream is in place before the other files are written.
     """
     check_usage(cfg)
     c_star, c_star_integral = draw_objective(cfg)
@@ -212,63 +213,64 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     elif cfg.gap_mode != "none":
         gaps = [(c, []) for c in (c_star, c_star_integral) if c is not None]
     norms = ledger.learner.norms
-    stream: list[Observation] = []
     step = core._STACK_CHUNK
-    for start in range(0, cfg.rounds, step):
-        observations, references = sampler(rng, min(step, cfg.rounds - start))
-        _play_chunk(ledger, observations, references)
-        for c, parts in gaps:
-            if not parts or parts[-1].satisfied:
-                parts.append(analysis.certify_gap(observations, c, norms))
-        if cfg.save_stream:
-            stream.extend(observations)
-    joined = [analysis._join_certificates(parts) for _, parts in gaps]
-    certificate = joined[0] if joined else None
-    integral_certificate = joined[1] if len(joined) == 2 else None
-    delta = certificate.delta if certificate is not None else None
+    saving = (stream_writer(Path(cfg.out) / "stream.txt", cfg.dimension, c_star)
+              if cfg.save_stream else nullcontext(lambda observations: None))
+    with saving as write_chunk:
+        for start in range(0, cfg.rounds, step):
+            observations, references = sampler(rng, min(step, cfg.rounds - start))
+            write_chunk(observations)
+            _play_chunk(ledger, observations, references)
+            for c, parts in gaps:
+                if not parts or parts[-1].satisfied:
+                    # a repeated set's margin carries over from the last chunk
+                    before = (*last, parts[-1].per_round_deltas[-1]) if parts else None
+                    parts.append(analysis.certify_gap(observations, c, norms, before=before))
+            last = observations[-1].feasible_set, observations[-1].agent_choice.tobytes()
+        joined = [analysis._join_certificates(parts) for _, parts in gaps]
+        certificate = joined[0] if joined else None
+        integral_certificate = joined[1] if len(joined) == 2 else None
+        delta = certificate.delta if certificate is not None else None
 
-    checks = analysis.verify_run(ledger, delta=delta, plateau_burn_in=1000)
-    if certificate is not None:
-        checks.append(
-            analysis.BoundCheck(
-                "gap_certified", ledger.rounds, 0.0, 0.0, certificate.satisfied
+        checks = analysis.verify_run(ledger, delta=delta, plateau_burn_in=1000)
+        if certificate is not None:
+            checks.append(
+                analysis.BoundCheck(
+                    "gap_certified", ledger.rounds, 0.0, 0.0, certificate.satisfied
+                )
             )
-        )
-    if integral_certificate is not None:
-        # integral vertex sets with an integral objective and a unique
-        # optimum have margin at least 1 / K
-        floor = 1.0 / ledger.learner.K
-        value = integral_certificate.delta if integral_certificate.satisfied else -np.inf
-        checks.append(analysis._worst("integral_gap_floor", np.array([floor]),
-                                      np.array([value]), np.array([ledger.rounds])))
+        if integral_certificate is not None:
+            # integral vertex sets with an integral objective and a unique
+            # optimum have margin at least 1 / K
+            floor = 1.0 / ledger.learner.K
+            value = integral_certificate.delta if integral_certificate.satisfied else -np.inf
+            checks.append(analysis._worst("integral_gap_floor", np.array([floor]),
+                                          np.array([value]), np.array([ledger.rounds])))
 
-    averaged = ledger.average_prediction()
-    evaluation = None
-    if cfg.holdout > 0:
-        evaluation = evaluate_holdout(cfg, averaged, c_star, c_star_integral)
-        budget = ledger.subopt_regret() / ledger.rounds
-        slack = 3.0 * evaluation.stderr_gap + tolerance(evaluation.mean_gap, budget)
-        checks.append(
-            analysis.BoundCheck(
-                "holdout_generalization",
-                ledger.rounds,
-                evaluation.mean_gap,
-                budget + slack,
-                evaluation.mean_gap <= budget + slack,
+        averaged = ledger.average_prediction()
+        evaluation = None
+        if cfg.holdout > 0:
+            evaluation = evaluate_holdout(cfg, averaged, c_star, c_star_integral)
+            budget = ledger.subopt_regret() / ledger.rounds
+            slack = 3.0 * evaluation.stderr_gap + tolerance(evaluation.mean_gap, budget)
+            checks.append(
+                analysis.BoundCheck(
+                    "holdout_generalization",
+                    ledger.rounds,
+                    evaluation.mean_gap,
+                    budget + slack,
+                    evaluation.mean_gap <= budget + slack,
+                )
             )
-        )
 
-    summary = _summary_entries(
-        cfg, ledger, checks, certificate, integral_certificate, evaluation, skipped
-    )
-    exit_code = 0 if summary["status"] == "ok" else 1
+        summary = _summary_entries(
+            cfg, ledger, checks, certificate, integral_certificate, evaluation, skipped
+        )
+        exit_code = 0 if summary["status"] == "ok" else 1
 
     summary_path = None
     if cfg.out is not None:
         out = Path(cfg.out)
-        if cfg.save_stream:
-            # first, so that an enumeration refusal leaves nothing behind
-            write_stream(out / "stream.txt", stream, c_star)
         out.mkdir(parents=True, exist_ok=True)
         summary_path = str(out / "summary.txt")
         write_trace(out / "trace.csv", trace_rows(ledger, delta))

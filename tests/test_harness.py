@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import invlinopt
-from invlinopt import core
+from invlinopt import analysis, core
 from invlinopt import (
     EnumerationRefusedError,
     NormPair,
@@ -22,7 +22,7 @@ from invlinopt import (
     init_learner,
     play,
 )
-from invlinopt.core import DagPaths, ExplicitVertices, Hypercube
+from invlinopt.core import DagPaths, ExplicitVertices, Hypercube, tolerance
 from invlinopt.harness import (
     build_config,
     generate_instance_stream,
@@ -128,11 +128,11 @@ def test_integral_gap_floor_fails_without_an_integral_certificate(monkeypatch):
     # slack fails the check without a RuntimeWarning
     certify, calls = runner.analysis.certify_gap, []
 
-    def integral_pass_fails(observations, c, norms):
+    def integral_pass_fails(observations, c, norms, **carried):
         calls.append(c)
         if len(calls) == 2:
             return runner.analysis.GapCertificate(False, None, (), None)
-        return certify(observations, c, norms)
+        return certify(observations, c, norms, **carried)
 
     monkeypatch.setattr(runner.analysis, "certify_gap", integral_pass_fails)
     result = run_experiment(make_cfg(gap_mode="integral", dimension=3, rounds=40))
@@ -420,12 +420,10 @@ def test_writing_a_long_trace_holds_no_whole_trace_text(tmp_path):
     assert peak < 4_000_000
 
 
-def test_a_long_run_holds_no_stream(tmp_path):
-    # 200,000 rounds of the knapsack-gap-repeat benchmark's shape: with its
-    # whole stream and (T, n) columns held at once this run peaked near
-    # 217 MB of RSS; played in chunks, near 75 MB.  A small launcher runs
-    # it and reports its peak, since a child forked from this process
-    # would count this process's pages too.
+def child_peak_mb(*args: str) -> float:
+    """Peak RSS in MB of one `invlinopt` command.  A small launcher runs it
+    and reports its peak, since a child forked from this process would
+    count this process's pages too."""
     launcher = ("import resource, subprocess, sys; "
                 "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
@@ -433,13 +431,33 @@ def test_a_long_run_holds_no_stream(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
     command = [sys.executable, "-c", launcher,
-               sys.executable, "-m", "invlinopt.harness.cli", "run",
-               "--family", "knapsack", "--dimension", "12", "--gap", "integral",
-               "--repeat-instance", "--rounds", "200000", "--seed", "30",
-               "--out", str(tmp_path / "long")]
-    peak_kb = int(subprocess.run(command, env=env, check=True, capture_output=True,
-                                 text=True).stdout)
-    assert peak_kb / 1024 < 120, peak_kb
+               sys.executable, "-m", "invlinopt.harness.cli", *args]
+    return int(subprocess.run(command, env=env, check=True, capture_output=True,
+                              text=True).stdout) / 1024
+
+
+def test_a_long_run_holds_no_stream(tmp_path):
+    # 200,000 rounds of the knapsack-gap-repeat benchmark's shape: with its
+    # whole stream and (T, n) columns held at once this run peaked near
+    # 217 MB of RSS; played in chunks, near 75 MB
+    peak_mb = child_peak_mb(
+        "run", "--family", "knapsack", "--dimension", "12", "--gap", "integral",
+        "--repeat-instance", "--rounds", "200000", "--seed", "30",
+        "--out", str(tmp_path / "long"))
+    assert peak_mb < 120, peak_mb
+
+
+def test_a_long_saved_stream_is_written_as_it_is_played(tmp_path):
+    # 20,000 rounds of noisy DAGs, saved: with the stream kept for one
+    # write at the end this run peaked near 73 MB of RSS; with each chunk
+    # written as it is drawn, near 39 MB
+    out = tmp_path / "saved"
+    peak_mb = child_peak_mb(
+        "run", "--family", "dag", "--dimension", "10", "--agent-noise", "0.1",
+        "--rounds", "20000", "--seed", "7", "--save-stream", "--out", str(out))
+    assert peak_mb < 55, peak_mb
+    assert sorted(p.name for p in out.iterdir()) == [
+        "prediction.txt", "stream.txt", "summary.txt", "trace.csv"]
 
 
 @pytest.mark.parametrize("name", sorted(test_golden.CONFIGS))
@@ -456,6 +474,46 @@ def test_golden_bytes_at_any_chunk_size(name, tmp_path, monkeypatch, capsys):
             p.name for p in expected.iterdir())
         for path in expected.iterdir():
             assert (out / path.name).read_bytes() == path.read_bytes(), (step, path.name)
+
+
+def test_gap_margins_carry_across_chunks(monkeypatch):
+    # one repeated knapsack and two objectives: each objective's margin is
+    # computed once, whatever the chunk size, and every certificate is the
+    # same
+    margin, calls = analysis._gap_margin, []
+
+    def counted(*args):
+        calls.append(args)
+        return margin(*args)
+
+    monkeypatch.setattr(analysis, "_gap_margin", counted)
+    cfg = make_cfg(family="knapsack", dimension=6, gap_mode="integral",
+                   fresh_sets=False, rounds=300)
+    seen = set()
+    for step in (1, 7, 256):
+        monkeypatch.setattr(core, "_STACK_CHUNK", step)
+        calls.clear()
+        result = run_experiment(cfg)
+        assert len(calls) == 2, step
+        certificate = result.certificate
+        assert certificate.satisfied
+        gap = tuple((k, v) for k, v in result.summary.items() if k.startswith("gap."))
+        seen.add((certificate.delta, np.array(certificate.per_round_deltas).tobytes(), gap))
+    assert len(seen) == 1
+
+
+def test_holdout_bound_is_rebuilt_from_the_summary(tmp_path):
+    # the mean regret per round plus three standard errors of the paired
+    # holdout gaps, and the comparison tolerance
+    out = tmp_path / "holdout"
+    run_experiment(make_cfg(agent_noise=0.3, holdout=200, out=str(out)))
+    summary = read_summary(out / "summary.txt")
+    budget = float(summary["result.regret_sub"]) / int(summary["config.rounds"])
+    mean_gap = float(summary["offline.mean_gap"])
+    stderr = float(summary["offline.stderr_gap"])
+    assert stderr > 0.0
+    bound = budget + (3.0 * stderr + tolerance(mean_gap, budget))
+    assert float(summary["check.holdout_generalization.bound"]) == bound
 
 
 def test_run_failure_is_named_and_nonzero(tmp_path):
@@ -548,6 +606,84 @@ def test_stream_past_the_cap_is_refused_before_anything_is_written(tmp_path):
         generate.uniform_member(big, rng)
     assert str(drawn.value) == str(got.value)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("setup", sorted(STREAM_SETUPS))
+def test_stream_written_in_chunks_matches_one_write(tmp_path, monkeypatch, setup):
+    bundle = generate_instance_stream(make_cfg(**STREAM_SETUPS[setup]))
+    observations, dim = bundle.observations, bundle.config.dimension
+    whole = tmp_path / "whole.txt"
+    for kept in (harness_io._RENDERED_ROWS, 3):
+        monkeypatch.setattr(harness_io, "_RENDERED_ROWS", kept)
+        write_stream(whole, observations, bundle.c_star)
+        for step in (1, 7, len(observations) - 1):
+            path = tmp_path / f"{kept}-{step}" / "stream.txt"
+            with harness_io.stream_writer(path, dim, bundle.c_star) as write:
+                for start in range(0, len(observations), step):
+                    write(observations[start:start + step])
+            assert path.read_bytes() == whole.read_bytes(), (kept, step)
+            assert sorted(p.name for p in path.parent.iterdir()) == ["stream.txt"]
+
+
+def refused_in_a_later_chunk(monkeypatch, cfg):
+    """Chunks of 4 rounds and a cap that the first chunk's DAGs fit and a
+    later chunk's do not (the third, at seed 6); the refusal's message."""
+    monkeypatch.setattr(core, "_STACK_CHUNK", 4)
+    efforts = [obs.feasible_set.enumeration_effort()
+               for obs in generate_instance_stream(cfg).observations]
+    cap = max(efforts[:4])
+    late = next(effort for effort in efforts if effort > cap)
+    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", cap)
+    return f"enumeration effort {late} exceeds cap {cap}"
+
+
+def test_a_stream_refused_in_a_later_chunk_leaves_nothing(tmp_path, monkeypatch):
+    out = tmp_path / "made" / "out"
+    cfg = make_cfg(seed=6, family="dag", dimension=10, rounds=40, holdout=20,
+                   save_stream=True, out=str(out))
+    message = refused_in_a_later_chunk(monkeypatch, cfg)
+    # each chunk's sets are enumerated with the part open, in the
+    # directories the run made, and the third chunk's are refused
+    written, fill = [], harness_io._fill_members
+
+    def watched(sets):
+        written.append((out / "stream.txt.part").is_file())
+        fill(sets)
+
+    monkeypatch.setattr(harness_io, "_fill_members", watched)
+    with pytest.raises(EnumerationRefusedError) as got:
+        run_experiment(cfg)
+    assert str(got.value) == message
+    assert written == [True] * 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_run_leaves_an_existing_out_untouched(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    before = {name: f"{name} of an earlier run\n".encode()
+              for name in ("stream.txt", "trace.csv", "summary.txt", "prediction.txt",
+                           "notes.md")}
+    for name, data in before.items():
+        (out / name).write_bytes(data)
+    args = ["run", "--seed", "6", "--family", "dag", "--dimension", "10",
+            "--rounds", "40", "--save-stream", "--out", str(out)]
+    message = refused_in_a_later_chunk(
+        monkeypatch, make_cfg(seed=6, family="dag", dimension=10, rounds=40))
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_part_left_in_out_is_refused_not_replaced(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stream.txt.part").write_bytes(b"a part of another run\n")
+    assert main(["run", "--seed", "7", "--rounds", "20", "--save-stream",
+                 "--out", str(out)]) == 2
+    assert "stream.txt.part" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["stream.txt.part"]
+    assert (out / "stream.txt.part").read_bytes() == b"a part of another run\n"
 
 
 def test_stream_refuses_a_round_other_than_its_position(tmp_path, capsys):
