@@ -458,8 +458,9 @@ def offline_evaluate(
 
     sampler(rng, k) returns k samples and, as RegretLedger's references,
     the maximizer of c_star over each sample's set; only c_bar is solved
-    here.  Samples are drawn and answered oracle._STACK_CHUNK at a time, so
-    memory beyond the two loss columns does not grow with m.
+    here.  Samples are drawn and answered oracle._STACK_CHUNK at a time, and
+    each chunk is freed before the next is drawn, so memory beyond the two
+    loss columns does not grow with m.
     """
     if m < 1:
         raise ValueError("need at least one sample")
@@ -474,12 +475,9 @@ def offline_evaluate(
         x = np.stack([obs.agent_choice for obs in samples])
         answers = oracle.argmax_many([obs.feasible_set for obs in samples], c_bar)
         chunk = slice(start, start + k)
-        for c, best, losses in (
-            (c_bar, answers, model), (c_star, references, reference)
-        ):
-            residuals = best - x
-            rows = np.broadcast_to(c, residuals.shape)
-            losses[chunk] = _row_dots(rows, residuals)
+        model[chunk] = _row_dots(np.broadcast_to(c_bar, x.shape), answers - x)
+        reference[chunk] = _row_dots(np.broadcast_to(c_star, x.shape), references - x)
+        del samples, references
     gaps = model - reference
     stderr = float(gaps.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
     return OfflineEvaluation(

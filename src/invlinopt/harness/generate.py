@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from .. import core
 from ..analysis import _gap_margin
 from ..core import (
     DEFAULT_ENUMERATION_CAP,
@@ -129,10 +130,14 @@ def draw_objective(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | None
 def _vertex_sets(
     cfg: ExperimentConfig, rng: np.random.Generator, k: int
 ) -> list[ExplicitVertices]:
-    """k random vertex sets, drawn as one (k, m, n) block."""
+    """k random vertex sets, drawn as one (k, m, n) block, integral bits
+    core._STACK_CHUNK sets at a time: one whole draw's bits and state."""
     shape = (k, cfg.num_vertices, cfg.dimension)
     if cfg.integral_vertices or cfg.gap_mode == "integral":
-        block = rng.integers(0, 2, size=shape).astype(np.float64)
+        block = np.empty(shape)
+        for start in range(0, k, core._STACK_CHUNK):
+            rows = block[start:start + core._STACK_CHUNK]
+            rows[...] = rng.integers(0, 2, size=rows.shape)
     else:
         block = rng.random(shape)
     return ExplicitVertices._from_block(block)

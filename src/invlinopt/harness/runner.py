@@ -3,19 +3,20 @@
 The protocol per round is strict: predict, then observe, then update, so a
 prediction never depends on the current or future observations.  A run
 plays its stream core._STACK_CHUNK rounds at a time: each chunk is drawn,
-saved, played, recorded and certified, then dropped, so that only
-the ledger's length-T columns, its carried sums and the gap certificates
-grow with the horizon.  The exit status is nonzero exactly when some
-applicable certified inequality failed; every failed check is named in
-the summary.  trace_rows renders the trace from the ledger's columns in
-chunks of _TRACE_CHUNK rows, and write_trace writes each chunk as it is
-made, so the trace's text never exists whole.
+saved, played, recorded and certified, then freed before the next draw, so
+that only the ledger's length-T columns, its carried sums and the gap
+certificates grow with the horizon.  The exit status is nonzero exactly
+when some applicable certified inequality failed; every failed check is
+named in the summary.  trace_rows renders the trace from the ledger's
+columns in chunks of core._STACK_CHUNK rows, and write_trace writes each
+chunk as it is made, so the trace's text never exists whole.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -42,11 +43,6 @@ from .io import (
     write_trace,
     write_vector,
 )
-
-# rows rendered and written at a time, so the trace's text in memory does
-# not grow with the horizon
-_TRACE_CHUNK = 1024
-
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
@@ -96,9 +92,9 @@ def trace_rows(
     delta: float | None = None,
 ) -> Iterator[str]:
     """The trace body with the applicable running bound columns, as text
-    chunks of at most _TRACE_CHUNK rows: each is one % of the row template
-    over its rows' values as Python floats, %d for t, DECIMAL for a present
-    column and an empty field for an absent bound column."""
+    chunks of at most core._STACK_CHUNK rows: each is one % of the row
+    template over its rows' values as Python floats, %d for t, DECIMAL for
+    a present column and an empty field for an absent bound column."""
     bounds = analysis.bound_columns(ledger, delta)
     columns = [
         bounds[name.removeprefix("bound_")] if name.startswith("bound_")
@@ -106,8 +102,9 @@ def trace_rows(
     ]
     row = ",".join(["%d"] + ["" if c is None else DECIMAL for c in columns]) + "\n"
     present = [np.arange(1.0, ledger.rounds + 1)] + [c for c in columns if c is not None]
-    for start in range(0, ledger.rounds, _TRACE_CHUNK):
-        block = np.column_stack([c[start:start + _TRACE_CHUNK] for c in present])
+    step = core._STACK_CHUNK
+    for start in range(0, ledger.rounds, step):
+        block = np.column_stack([c[start:start + step] for c in present])
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -195,7 +192,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     The stream generate_instance_stream would draw is drawn, played,
     recorded and certified core._STACK_CHUNK rounds at a time, and each
-    chunk is dropped after it, once save_stream's stream_writer has it.
+    chunk is freed before the next is drawn, once save_stream's
+    stream_writer has it.
     The stream is in place before the other files are written.
     """
     check_usage(cfg)
@@ -223,10 +221,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             _play_chunk(ledger, observations, references)
             for c, parts in gaps:
                 if not parts or parts[-1].satisfied:
-                    # a repeated set's margin carries over from the last chunk
-                    before = (*last, parts[-1].per_round_deltas[-1]) if parts else None
+                    before = None
+                    if parts:
+                        # a repeated set's margin carries over from the last chunk
+                        before = (last[0](), last[1], parts[-1].per_round_deltas[-1])
                     parts.append(analysis.certify_gap(observations, c, norms, before=before))
-            last = observations[-1].feasible_set, observations[-1].agent_choice.tobytes()
+            # freed before the next draw: only a repeated set outlives its chunk
+            last = (weakref.ref(observations[-1].feasible_set),
+                    observations[-1].agent_choice.tobytes())
+            del observations, references
         joined = [analysis._join_certificates(parts) for _, parts in gaps]
         certificate = joined[0] if joined else None
         integral_certificate = joined[1] if len(joined) == 2 else None

@@ -14,6 +14,7 @@ which analysis.RegretLedger computes every loss.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -59,12 +60,13 @@ class LearnerState:
 
     B, H and K are the constants of the schedules and of the run's
     RegretLedger, B and H derived from the domain once by init_learner.
-    last_answer is (feasible set, prediction, oracle answer) of the last
-    round played when that round did not update, else None; play reuses
-    it for a first round facing the same set object under the same
-    prediction object, so a stream played in chunks calls the oracle as
-    often as the whole stream played at once.  play returns a fresh state;
-    instances for parallel trials share nothing.
+    last_answer is (weak reference to the feasible set, prediction, oracle
+    answer) of the last round played when that round did not update, else
+    None; play reuses it for a first round facing the same live set object
+    under the same prediction object, so a stream played in chunks calls
+    the oracle as often as the whole stream played at once, and a state
+    keeps no played set alive.  play returns a fresh state; instances for
+    parallel trials share nothing.
     """
 
     domain: PredictionDomain
@@ -75,7 +77,7 @@ class LearnerState:
     grad_sum: np.ndarray
     sq_norm_sum: float
     current_prediction: np.ndarray
-    last_answer: tuple[FeasibleSet, np.ndarray, np.ndarray] | None = None
+    last_answer: tuple[weakref.ref[FeasibleSet], np.ndarray, np.ndarray] | None = None
 
     @property
     def norms(self):
@@ -155,8 +157,8 @@ def play(
     subgradient: its g and grad_norm stay +0.0, and the accumulators, and
     so the prediction, stay as they are.  Until the next update the
     prediction does not move, so a round facing the set answered last,
-    in this chunk or as the state's last_answer, reuses that answer
-    without calling the oracle.
+    in this chunk or as the state's last_answer while that set is alive,
+    reuses that answer without calling the oracle.
     """
     T, n = len(observations), state.domain.dimension
     c_hat, x_hat, g = np.empty((T, n)), np.empty((T, n)), np.zeros((T, n))
@@ -168,7 +170,8 @@ def play(
     primal = state.norms.primal
     answered = answer = None
     if state.last_answer is not None and state.last_answer[1] is prediction:
-        answered, _, answer = state.last_answer
+        held, _, answer = state.last_answer
+        answered = held()
     for t, obs in enumerate(observations):
         X = obs.feasible_set
         if X is not answered:
@@ -194,7 +197,7 @@ def play(
                "grad_norm": grad_norm}
     for column in columns.values():
         column.flags.writeable = False
-    last_answer = None if answered is None else (answered, prediction, answer)
+    last_answer = None if answered is None else (weakref.ref(answered), prediction, answer)
     final = replace(state, grad_sum=grad_sum, sq_norm_sum=sq_norm_sum,
                     current_prediction=prediction, last_answer=last_answer)
     return final, columns

@@ -7,7 +7,6 @@ calibration.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,10 +158,6 @@ def _bound_suite_run(n: int, schedule: str):
     ledger = simulate(bundle)
     elapsed = time.perf_counter() - start
     checks = {c.name: c for c in verify_run(ledger)}
-    # the fixtures keep six of these runs: neither the stream nor, through
-    # the learner's last answer, its last set, whose vertices view the
-    # whole (T, m, n) block drawn for it, is kept with them
-    ledger.learner = replace(ledger.learner, last_answer=None)
     return cfg, ledger, checks, elapsed
 
 

@@ -1,10 +1,12 @@
 """Generation, runner, file formats, CLI, and determinism contracts."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -241,6 +243,20 @@ def test_unranked_dag_draw_matches_the_enumerating_draw(n):
     assert X._members_cache is not None  # the reference enumerated it
 
 
+@pytest.mark.parametrize("step", [1, 3, 7, 256])
+def test_integral_vertex_bits_drawn_in_pieces_are_one_draw(step, monkeypatch):
+    # 5 x 3 bits a set, an odd count, in pieces of `step` sets: the same
+    # bits and the same generator state as one integer draw of the block
+    monkeypatch.setattr(core, "_STACK_CHUNK", step)
+    cfg = make_cfg(dimension=3, num_vertices=5, integral_vertices=True)
+    rng, whole = np.random.default_rng(8), np.random.default_rng(8)
+    sets = generate._vertex_sets(cfg, rng, 20)
+    bits = whole.integers(0, 2, size=(20, 5, 3)).astype(np.float64)
+    assert [X.vertices.tobytes() for X in sets] == [
+        ExplicitVertices(rows).vertices.tobytes() for rows in bits]
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
 def test_hypercube_family_and_ball_domain():
     cube = generate_instance_stream(make_cfg(family="hypercube", rounds=10))
     assert all(isinstance(o.feasible_set, Hypercube) for o in cube.observations)
@@ -377,7 +393,7 @@ def test_trace_bound_columns_match_schedule(tmp_path):
     assert rows[0]["bound_offset_horizon"] != ""
 
 
-CHUNK = runner._TRACE_CHUNK
+CHUNK = core._STACK_CHUNK
 # run overrides, and the bound columns they leave empty
 TRACE_SETUPS = {
     "adaptive-simplex": ({}, {"bound_offset_horizon", "bound_gap_constant"}),
@@ -391,7 +407,10 @@ TRACE_SETUPS = {
 }
 
 
-@pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+# one row short of, exactly at and one row past a chunk boundary, and
+# three rows into a chunk, each after several whole chunks
+@pytest.mark.parametrize(
+    "rounds", [1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 3])
 @pytest.mark.parametrize("setup", sorted(TRACE_SETUPS))
 def test_trace_file_matches_the_value_by_value_reference(tmp_path, setup, rounds):
     overrides, empty = TRACE_SETUPS[setup]
@@ -458,6 +477,52 @@ def test_a_long_saved_stream_is_written_as_it_is_played(tmp_path):
     assert peak_mb < 55, peak_mb
     assert sorted(p.name for p in out.iterdir()) == [
         "prediction.txt", "stream.txt", "summary.txt", "trace.csv"]
+
+
+def test_a_simulated_ledger_keeps_no_set_of_its_stream():
+    # the learner's last answer is kept, but its set only weakly: once the
+    # bundle is dropped, no set of the stream, nor the vertex block the
+    # sets view, is alive
+    bundle = generate_instance_stream(make_cfg(rounds=600))
+    sets = [weakref.ref(obs.feasible_set) for obs in bundle.observations]
+    ledger = simulate(bundle)
+    assert ledger.learner.last_answer is not None
+    del bundle
+    gc.collect()
+    assert [ref for ref in sets if ref() is not None] == []
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(save_stream=True, holdout=300),
+    dict(gap_mode="integral", holdout=300),
+    dict(family="dag", dimension=10, domain="ball", agent_noise=0.2,
+         save_stream=True, holdout=300),
+], ids=["rv-saved", "rv-integral-gap", "dag-noisy"])
+def test_each_chunk_is_freed_before_the_next_is_drawn(overrides, tmp_path, monkeypatch):
+    # every set and reference array a sampler drew, in the stream or the
+    # holdout, is dead when it draws again
+    drawn, calls = [], [0]
+    make = runner.make_observation_sampler
+
+    def checking(*args):
+        sampler = make(*args)
+
+        def draw(rng, k):
+            gc.collect()
+            assert [ref for ref in drawn if ref() is not None] == []
+            calls[0] += 1
+            observations, references = sampler(rng, k)
+            drawn.append(weakref.ref(references))
+            drawn.extend(weakref.ref(obs.feasible_set) for obs in observations)
+            return observations, references
+
+        return draw
+
+    monkeypatch.setattr(runner, "make_observation_sampler", checking)
+    cfg = make_cfg(rounds=600, out=str(tmp_path / "run"), **overrides)
+    assert run_experiment(cfg).exit_code == 0
+    # three stream chunks and two holdout chunks
+    assert calls[0] == 5
 
 
 @pytest.mark.parametrize("name", sorted(test_golden.CONFIGS))

@@ -1,6 +1,8 @@
 """Learner closed forms, schedules, and state updates."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -354,3 +356,27 @@ def test_replaced_prediction_is_solved_afresh():
     state = replace(state, current_prediction=as_vector([0.2, 0.8]))
     _, played = play(state, [Observation(X, [0.0, 1.0])])
     assert tuple(played["x_hat"][0]) == (0.0, 1.0)
+
+
+def test_a_piece_after_its_set_was_freed_calls_the_oracle(monkeypatch):
+    # a zero round leaves its answer in the state, its set held weakly
+    X = Knapsack([1, 1], 1)
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
+    state, played = play(state, [Observation(X, [1.0, 0.0])])
+    assert tuple(played["x_hat"][0]) == (1.0, 0.0) and not played["g"].any()
+    calls = []
+    solve = oracle.argmax
+    monkeypatch.setattr(oracle, "argmax", lambda X, c: calls.append(X) or solve(X, c))
+    # while the set lives, the next piece facing it reuses the answer
+    state, _ = play(state, [Observation(X, [1.0, 0.0])])
+    assert calls == []
+    # once it is freed, the state keeps nothing of it, and a piece facing
+    # another set under the same prediction solves that set
+    freed = weakref.ref(X)
+    del X
+    gc.collect()
+    assert freed() is None
+    Y = Knapsack([1, 1], 0)
+    _, played = play(state, [Observation(Y, [0.0, 0.0])])
+    assert calls == [Y]
+    assert tuple(played["x_hat"][0]) == (0.0, 0.0)
