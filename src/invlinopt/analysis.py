@@ -9,22 +9,22 @@ learner state that ran; bound_columns gives every running bound as an
 array from them, and verify_run checks each certified inequality at every
 prefix, reporting the measured slack at the worst one so failures are
 diagnosable.
-certify_gap computes the exact per-instance margin between optimal and
-suboptimal actions by brute force, and offline_evaluate measures holdout
-suboptimality of an averaged prediction.
+certify_gap computes the exact margin between optimal and suboptimal
+actions by brute force, one chunk of a stream at a time, and
+offline_evaluate measures holdout suboptimality of an averaged prediction.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import oracle
+from . import core, oracle
 from .core import (
     FeasibleSet,
     NormPair,
@@ -64,7 +64,7 @@ class BoundCheck:
 class GapWitness:
     """Why gap certification failed: a competitor matching the optimum.
 
-    round_index is the failing observation's position, counted from 1.
+    round_index is the failing round's position in its stream, from 1.
     """
 
     round_index: int
@@ -75,17 +75,20 @@ class GapWitness:
 
 @dataclass(frozen=True, eq=False)
 class GapCertificate:
-    """Exact minimum margin-per-distance over all rounds, or a witness.
+    """Exact minimum margin-per-distance over a stream's rounds, or a witness.
 
     delta is the smallest ratio <c_star, x_t - x'> / ||x_t - x'|| over all
     rounds t and all feasible x' != x_t.  Rounds whose feasible set is a
-    singleton impose no constraint and contribute +inf.
+    singleton impose no constraint and contribute +inf.  rounds counts the
+    rounds certified, the witness's last; last is a satisfied certificate's
+    last round as (weak reference to its set, choice bytes, margin).
     """
 
     satisfied: bool
     delta: float | None
-    per_round_deltas: tuple[float, ...]
     witness: GapWitness | None
+    rounds: int
+    last: tuple[weakref.ref[FeasibleSet], bytes, float] | None
 
 
 def _running(values: np.ndarray, start: float = 0.0) -> np.ndarray:
@@ -355,71 +358,43 @@ def certify_gap(
     c_star,
     norms: NormPair,
     *,
-    before: tuple[FeasibleSet, bytes, float] | None = None,
+    before: GapCertificate | None = None,
 ) -> GapCertificate:
     """Exact gap margin by exhaustive enumeration of every feasible set.
 
     Requires each observed choice to be the unique exact maximizer of
     c_star over its feasible set; otherwise returns a witness.  The margin
     is min over rounds and competitors of the objective loss per unit of
-    primal-norm distance.  A round facing the same set object with the same
-    choice bytes as the round before reuses that round's margin; before,
-    the (set, choice bytes, margin) of the round before the first, lets a
-    stream certified in chunks do so across chunks.  A set too large to
-    enumerate raises members()'s EnumerationRefusedError.
+    primal-norm distance.  Given before, the certificate of the rounds
+    before these (returned as it is if failed), it certifies the stream up
+    to their last.  A round facing the same set object and choice bytes as
+    the round before, here or as before.last, reuses that round's margin.
+    A set too large to enumerate raises members()'s EnumerationRefusedError.
     """
+    if not observations:
+        raise ValueError("no observations to certify")
+    if before is not None and not before.satisfied:
+        return before
     c_star = as_vector(c_star)
-    per_round: list[float] = []
-    prev_set, prev_choice, delta = before or (None, None, None)
-    for position, obs in enumerate(observations, 1):
-        x = obs.agent_choice
-        choice = x.tobytes()
+    rounds, delta, held, prev_choice, margin = 0, math.inf, None, None, None
+    if before is not None:
+        rounds, delta, (held, prev_choice, margin) = before.rounds, before.delta, before.last
+    prev_set = None if held is None else held()
+    for rounds, obs in enumerate(observations, rounds + 1):
+        x, choice = obs.agent_choice, obs.agent_choice.tobytes()
         if obs.feasible_set is prev_set and choice == prev_choice:
-            per_round.append(delta)
             continue
         prev_set, prev_choice = obs.feasible_set, choice
-        members = obs.feasible_set.members()
-        delta, rival = _gap_margin(members, x, c_star, norms)
+        members = prev_set.members()
+        margin, rival = _gap_margin(members, x, c_star, norms)
         if rival is not None:
             value = float((members @ c_star)[rival])
-            reason = (
-                "tied-optimum"
-                if value == _dot(c_star, x)
-                else "agent-suboptimal"
-            )
-            return GapCertificate(
-                satisfied=False,
-                delta=None,
-                per_round_deltas=tuple(per_round),
-                witness=GapWitness(
-                    position, as_vector(members[rival]), value, reason
-                ),
-            )
-        per_round.append(delta)
-    if not per_round:
-        raise ValueError("no observations to certify")
-    return GapCertificate(
-        satisfied=True,
-        delta=float(min(per_round)),
-        per_round_deltas=tuple(per_round),
-        witness=None,
-    )
-
-
-def _join_certificates(parts: Sequence[GapCertificate]) -> GapCertificate:
-    """One certificate for consecutive chunks of a stream from certify_gap
-    of each, every part but the last satisfied: the smallest delta, the
-    per-round deltas in order, and the last part's witness, its round
-    counted from the start of the stream."""
-    deltas = tuple(itertools.chain.from_iterable(p.per_round_deltas for p in parts))
-    last = parts[-1]
-    if last.satisfied:
-        return GapCertificate(True, min(p.delta for p in parts), deltas, None)
-    witness = last.witness
-    if witness is not None:
-        offset = len(deltas) - len(last.per_round_deltas)
-        witness = replace(witness, round_index=witness.round_index + offset)
-    return GapCertificate(False, None, deltas, witness)
+            reason = "tied-optimum" if value == _dot(c_star, x) else "agent-suboptimal"
+            witness = GapWitness(rounds, as_vector(members[rival]), value, reason)
+            return GapCertificate(False, None, witness, rounds, None)
+        delta = min(delta, margin)
+    return GapCertificate(True, delta, None, rounds,
+                          (weakref.ref(prev_set), prev_choice, margin))
 
 
 def average_prediction(c_hat) -> np.ndarray:
@@ -458,7 +433,7 @@ def offline_evaluate(
 
     sampler(rng, k) returns k samples and, as RegretLedger's references,
     the maximizer of c_star over each sample's set; only c_bar is solved
-    here.  Samples are drawn and answered oracle._STACK_CHUNK at a time, and
+    here.  Samples are drawn and answered core._STACK_CHUNK at a time, and
     each chunk is freed before the next is drawn, so memory beyond the two
     loss columns does not grow with m.
     """
@@ -469,8 +444,8 @@ def offline_evaluate(
     rng = np.random.default_rng(seed)
     model = np.empty(m)
     reference = np.empty(m)
-    for start in range(0, m, oracle._STACK_CHUNK):
-        k = min(oracle._STACK_CHUNK, m - start)
+    for start in range(0, m, core._STACK_CHUNK):
+        k = min(core._STACK_CHUNK, m - start)
         samples, references = sampler(rng, k)
         x = np.stack([obs.agent_choice for obs in samples])
         answers = oracle.argmax_many([obs.feasible_set for obs in samples], c_bar)

@@ -43,6 +43,12 @@ def _check_cap(effort: int, cap: int) -> None:
         raise EnumerationRefusedError(f"enumeration effort {effort} exceeds cap {cap}")
 
 
+def _arc_order(tails: np.ndarray) -> np.ndarray:
+    """Arc indices in stable (tail, index) order, along the last axis of a
+    1-D or 2-D array of DAG arc tails: arcs into a node before arcs out."""
+    return tails.argsort(axis=-1, kind="stable")
+
+
 def as_vector(values) -> np.ndarray:
     """Normalize input into a read-only 1-D float64 array.
 
@@ -409,7 +415,9 @@ class DagPaths(FeasibleSet):
         # arc into v reads counts[v]
         counts = [0] * self.num_nodes
         counts[-1] = 1
-        for u, v in sorted(self._ends.tolist(), reverse=True):
+        ends = self._ends.tolist()
+        for k in _arc_order(self._ends[:, 0])[::-1].tolist():
+            u, v = ends[k]
             counts[u] += counts[v]
         return counts
 
@@ -425,9 +433,10 @@ class DagPaths(FeasibleSet):
         order: an arc (u, v) whose counts[v] paths all come before path i
         is skipped, and the first one holding path i is taken.
         """
-        row = np.zeros(self.dimension)
-        node = 0
-        for u, k, v in sorted([(u, k, v) for k, (u, v) in enumerate(self._ends.tolist())]):
+        row, node = np.zeros(self.dimension), 0
+        ends = self._ends.tolist()
+        for k in _arc_order(self._ends[:, 0]).tolist():
+            u, v = ends[k]
             if u != node:
                 continue
             if i < counts[v]:
@@ -469,10 +478,10 @@ class DagPaths(FeasibleSet):
         """Cache members() of distinct cold sets of one num_nodes and
         dimension, each bitwise its _enumerate(), in one batch.
 
-        Each set's arcs are taken in stable (tail, index) order, the order
-        argmax relaxes them in.  One path-count pass runs over those slots
-        backwards, across the batch at once; a count is held at cap + 1, so
-        a set within the cap has the exact count at every node it reaches.
+        Each set's arcs are taken in _arc_order, as argmax relaxes them.
+        One path-count pass runs over those slots backwards, across the
+        batch at once; a count is held at cap + 1, so a set within the cap
+        has the exact count at every node it reaches.
         The first set past DEFAULT_ENUMERATION_CAP is refused with its
         exact count, as members() would refuse it.  Then every path index
         of every set is unranked at once, as _member unranks one, and each
@@ -481,7 +490,7 @@ class DagPaths(FeasibleSet):
         k, m, n = len(sets), sets[0].num_nodes, sets[0].dimension
         cap = DEFAULT_ENUMERATION_CAP
         ends = np.stack([X._ends for X in sets])
-        order = np.argsort(ends[:, :, 0], axis=1, kind="stable")
+        order = _arc_order(ends[:, :, 0])
         # node v of set r is entry r * m + v of the flat counts
         source = np.arange(0, k * m, m)
         tails = np.take_along_axis(ends[:, :, 0], order, axis=1) + source[:, None]

@@ -4,10 +4,10 @@ The protocol per round is strict: predict, then observe, then update, so a
 prediction never depends on the current or future observations.  A run
 plays its stream core._STACK_CHUNK rounds at a time: each chunk is drawn,
 saved, played, recorded and certified, then freed before the next draw, so
-that only the ledger's length-T columns, its carried sums and the gap
-certificates grow with the horizon.  The exit status is nonzero exactly
-when some applicable certified inequality failed; every failed check is
-named in the summary.  trace_rows renders the trace from the ledger's
+that only the ledger's length-T columns grow with the horizon; each gap
+objective's one certificate is carried on to the next chunk.  The exit
+status is nonzero exactly when some applicable certified inequality
+failed; every failed check is named in the summary.  trace_rows renders the trace from the ledger's
 columns in chunks of core._STACK_CHUNK rows, and write_trace writes each
 chunk as it is made, so the trace's text never exists whole.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -203,13 +202,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     ledger = _ledger(cfg, c_star, cfg.rounds)
     skipped: dict[str, str] = {}
 
-    # each gap objective with its chunks' certificates; a failed chunk ends
-    # its objective's certification
-    gaps: list[tuple[np.ndarray, list[analysis.GapCertificate]]] = []
+    # each gap objective with the certificate of the rounds played so far
+    objectives: list[np.ndarray] = []
     if cfg.gap_mode != "none" and cfg.agent_noise > 0.0:
         skipped["gap_checks"] = "agent is noisy, optimal choices required"
     elif cfg.gap_mode != "none":
-        gaps = [(c, []) for c in (c_star, c_star_integral) if c is not None]
+        objectives = [c for c in (c_star, c_star_integral) if c is not None]
+    certificates = [None] * len(objectives)
     norms = ledger.learner.norms
     step = core._STACK_CHUNK
     saving = (stream_writer(Path(cfg.out) / "stream.txt", cfg.dimension, c_star)
@@ -219,20 +218,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             observations, references = sampler(rng, min(step, cfg.rounds - start))
             write_chunk(observations)
             _play_chunk(ledger, observations, references)
-            for c, parts in gaps:
-                if not parts or parts[-1].satisfied:
-                    before = None
-                    if parts:
-                        # a repeated set's margin carries over from the last chunk
-                        before = (last[0](), last[1], parts[-1].per_round_deltas[-1])
-                    parts.append(analysis.certify_gap(observations, c, norms, before=before))
+            certificates = [analysis.certify_gap(observations, c, norms, before=before)
+                            for c, before in zip(objectives, certificates)]
             # freed before the next draw: only a repeated set outlives its chunk
-            last = (weakref.ref(observations[-1].feasible_set),
-                    observations[-1].agent_choice.tobytes())
             del observations, references
-        joined = [analysis._join_certificates(parts) for _, parts in gaps]
-        certificate = joined[0] if joined else None
-        integral_certificate = joined[1] if len(joined) == 2 else None
+        certificate, integral_certificate = (certificates + [None, None])[:2]
         delta = certificate.delta if certificate is not None else None
 
         checks = analysis.verify_run(ledger, delta=delta, plateau_burn_in=1000)

@@ -25,9 +25,9 @@ Distinct consecutive DagPaths sets of one arc and node count are relaxed
 together: their arc arrays are stacked, slot j of every set is relaxed at
 once with the same binary64 sums and strict comparisons as the one-set
 rule, and one vectorized walk back from the sinks marks the paths.  Each
-batch holds at most _STACK_CHUNK sets and writes its own rows, so memory
-beyond the answer array does not grow with the number of sets.  Hypercube
-and Knapsack sets go through argmax.
+batch holds at most core._STACK_CHUNK sets and writes its own rows, so
+memory beyond the answer array does not grow with the number of sets.
+Hypercube and Knapsack sets go through argmax.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     DagPaths,
     DimensionMismatchError,
@@ -45,7 +46,7 @@ from .core import (
     FeasibleSet,
     Hypercube,
     Knapsack,
-    _STACK_CHUNK,
+    _arc_order,
     _frozen,
 )
 
@@ -125,9 +126,8 @@ def _knapsack_argmax(X: Knapsack, c: np.ndarray) -> OracleResult:
 def _dag_path(X: DagPaths, c: list[float]) -> list[int]:
     """Arc indices of the longest source-to-sink path, sink end first.
 
-    The arcs are relaxed in (tail, index) order, so every arc into a node
-    comes before the arcs out of it.  c holds the objective as Python
-    floats: their additions and comparisons are the same binary64
+    The arcs are relaxed in core._arc_order.  c holds the objective as
+    Python floats: their additions and comparisons are the same binary64
     operations as on numpy scalars, only cheaper.
     """
     m = X.num_nodes
@@ -135,7 +135,8 @@ def _dag_path(X: DagPaths, c: list[float]) -> list[int]:
     dist = [-math.inf] * m
     dist[0] = 0.0
     pred = [-1] * m
-    for u, k, v in sorted([(u, k, v) for k, (u, v) in enumerate(ends)]):
+    for k in _arc_order(X._ends[:, 0]).tolist():
+        u, v = ends[k]
         base = dist[u]
         if base == -math.inf:
             continue
@@ -175,8 +176,8 @@ def argmax_many(sets: Sequence[FeasibleSet], c) -> np.ndarray:
 
     A run of consecutive repeats of one set object goes through argmax
     once.  A run of distinct consecutive sets with one _run_key, at most
-    _STACK_CHUNK long, fills its rows in one batch, which stops before a
-    set that repeats; a set without a batch rule goes through argmax.
+    core._STACK_CHUNK long, fills its rows in one batch, which stops before
+    a set that repeats; a set without a batch rule goes through argmax.
     """
     c = np.asarray(c, dtype=np.float64)
     out = np.zeros((len(sets), c.size))
@@ -193,7 +194,7 @@ def argmax_many(sets: Sequence[FeasibleSet], c) -> np.ndarray:
                 j += 1
             out[i:j] = argmax(sets[i], c).maximizer
         else:
-            while (j < len(sets) and j - i < _STACK_CHUNK
+            while (j < len(sets) and j - i < core._STACK_CHUNK
                    and _run_key(sets[j]) == key and not repeats(j)):
                 j += 1
             # a run's sets share their dimension, so one check covers them all
@@ -248,9 +249,9 @@ def _dag_rows(sets: Sequence[DagPaths], c: np.ndarray, rows: np.ndarray) -> None
     """The longest-path rule of argmax, relaxed across the whole chunk at
     once; the sets share their arc and node counts, and rows start as zeros.
 
-    Slot j holds each set's j-th arc in stable (tail, index) order, the
-    order _dag_path relaxes them in, so relaxing slot j of every set at
-    once makes the same binary64 sums and the same strict > comparisons.
+    Slot j holds each set's j-th arc in core._arc_order, as _dag_path
+    relaxes them, so relaxing slot j of every set at once makes the same
+    binary64 sums and the same strict > comparisons.
     A set's skipped unreached tail (distance -inf) gives a sum that is
     -inf or nan, which the comparison never takes.  The walk back from the
     sink then runs over the sets still away from the source.
@@ -258,7 +259,7 @@ def _dag_rows(sets: Sequence[DagPaths], c: np.ndarray, rows: np.ndarray) -> None
     k, m = len(sets), sets[0].num_nodes
     ends = np.stack([X._ends for X in sets])
     tails = ends[:, :, 0]
-    order = np.argsort(tails, axis=1, kind="stable")
+    order = _arc_order(tails)
     # node v of set r is entry r * m + v of the flat dist and pred arrays
     offset = np.arange(0, k * m, m)[:, None]
     tail_at = np.take_along_axis(tails, order, axis=1) + offset

@@ -32,7 +32,6 @@ from invlinopt import (
 from invlinopt import core, oracle
 from invlinopt.analysis import (
     _gap_margin,
-    _join_certificates,
     bound_columns,
     gap_contraction_coefficient,
 )
@@ -309,7 +308,7 @@ def test_certify_gap_square_example():
     certificate = certify_gap([obs], c_star, LINF)
     assert certificate.satisfied
     assert certificate.delta == 1.0
-    assert certificate.per_round_deltas == (1.0,)
+    assert (certificate.witness, certificate.rounds) == (None, 1)
 
 
 def test_certify_gap_not_satisfied():
@@ -610,7 +609,7 @@ def test_dag_sampler_matches_the_per_set_reference_draw(gap, n, noise):
     reference = reference_sampler(cfg, c_star, c_star_integral)
     rng = np.random.default_rng([cfg.seed, 1])
     reference_rng = np.random.default_rng([cfg.seed, 1])
-    k = 2 * oracle._STACK_CHUNK + 3
+    k = 2 * core._STACK_CHUNK + 3
     observations, optimal_choices = sampler(rng, k)
     for obs, optimal in zip(observations, optimal_choices):
         expected = reference(reference_rng)
@@ -650,14 +649,21 @@ def test_offline_evaluate_solves_only_c_bar(monkeypatch):
     monkeypatch.setattr(oracle, "argmax_many", counting)
     offline_evaluate(np.ones(3) / 3.0, c_star, sampler, 700, 1)
     assert calls == [256, 256, 188]
+    # the holdout is chunked by the one chunk constant, read at call time
+    monkeypatch.setattr(core, "_STACK_CHUNK", 300)
+    calls.clear()
+    offline_evaluate(np.ones(3) / 3.0, c_star, sampler, 700, 1)
+    assert calls == [300, 300, 100]
 
 
 def certificate_fields(certificate):
-    witness = certificate.witness
+    """Everything a certificate holds but the last set's weak reference."""
+    witness, last = certificate.witness, certificate.last
     return (
         certificate.satisfied,
         certificate.delta,
-        certificate.per_round_deltas,
+        certificate.rounds,
+        None if last is None else last[1:],
         None if witness is None else (
             witness.round_index,
             witness.competitor.tobytes(),
@@ -674,9 +680,15 @@ def test_certify_gap_reuse_matches_a_stream_without_shared_sets(tmp_path):
     best = (SQUARE, [1.0, 1.0])  # margin 1
     pair = (ExplicitVertices([[1.0, 0.0], [0.0, 0.5]]), [1.0, 0.0])  # margin 1.5
     single = (ExplicitVertices([[0.5, 0.5]]), [0.5, 0.5])  # margin +inf
+    # another set, the pair's choice bytes, margin 1.1: a margin reused by
+    # choice bytes alone would leave delta at 1.5
+    narrow = (ExplicitVertices([[1.0, 0.0], [0.0, 0.9]]), [1.0, 0.0])
     cases = {
         "repeated": [best] * 6 + [single] * 2,
         "alternating": [pair, pair, best, best, pair, single, single, pair],
+        "same-choice": [pair, pair, narrow, narrow, pair],
+        # the square again with another choice: a margin reused by set
+        # alone would certify the stream
         "suboptimal-late": [best] * 4 + [(SQUARE, [0.0, 0.0])] + [best] * 2,
     }
     for name, rounds in cases.items():
@@ -688,23 +700,32 @@ def test_certify_gap_reuse_matches_a_stream_without_shared_sets(tmp_path):
             mine = certify_gap(observations, c_star, norms)
             fresh = certify_gap(reloaded, c_star, norms)
             assert certificate_fields(mine) == certificate_fields(fresh), name
-    alternating = [
-        Observation(X, x) for X, x in cases["alternating"]
-    ]
-    assert certify_gap(alternating, c_star, LINF).per_round_deltas == (
-        1.5, 1.5, 1.0, 1.0, 1.5, math.inf, math.inf, 1.5
-    )
+    streams = {name: [Observation(X, x) for X, x in rounds]
+               for name, rounds in cases.items()}
+    # delta is the running minimum of each prefix's margins
+    alternating = streams["alternating"]
+    assert [certify_gap(alternating[:t], c_star, LINF).delta
+            for t in range(1, 9)] == [1.5, 1.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert certify_gap(alternating[5:7], c_star, LINF).delta == math.inf
+    same_choice = certify_gap(streams["same-choice"], c_star, LINF)
+    assert (same_choice.delta, same_choice.rounds) == (pytest.approx(1.1), 5)
+    late = certify_gap(streams["suboptimal-late"], c_star, LINF)
+    assert not late.satisfied and late.delta is None
+    assert (late.witness.round_index, late.witness.reason) == (5, "agent-suboptimal")
+    # each of these, certified a round at a time, carries the last margin
+    for name, stream in streams.items():
+        whole = certificate_fields(certify_gap(stream, c_star, LINF))
+        assert certificate_fields(chunk_certificates(stream, c_star, 1)) == whole, name
 
 
 def chunk_certificates(observations, c_star, step):
-    """certify_gap of each chunk of step rounds, as a run certifies its
-    chunks: none after a chunk that fails."""
-    parts = []
+    """certify_gap of each chunk of step rounds in turn, each from the
+    certificate of the chunks before, as a run certifies its chunks."""
+    certificate = None
     for start in range(0, len(observations), step):
-        if parts and not parts[-1].satisfied:
-            break
-        parts.append(certify_gap(observations[start:start + step], c_star, LINF))
-    return parts
+        certificate = certify_gap(observations[start:start + step], c_star, LINF,
+                                  before=certificate)
+    return certificate
 
 
 def test_chunk_certificates_join_to_the_whole_stream_certificate():
@@ -718,8 +739,8 @@ def test_chunk_certificates_join_to_the_whole_stream_certificate():
     for stream in (observations, failing):
         whole = certificate_fields(certify_gap(stream, bundle.c_star, LINF))
         for step in (1, 7, 40):
-            parts = chunk_certificates(stream, bundle.c_star, step)
-            assert certificate_fields(_join_certificates(parts)) == whole, step
+            chained = chunk_certificates(stream, bundle.c_star, step)
+            assert certificate_fields(chained) == whole, step
 
 
 def test_certify_gap_reuse_on_a_generated_repeated_stream(tmp_path):

@@ -18,7 +18,7 @@ from invlinopt import (
     argmax,
     argmax_many,
 )
-from invlinopt import oracle
+from invlinopt import core, oracle
 from invlinopt.core import tolerance
 
 from conftest import FAMILIES, dag_paths, random_feasible_set
@@ -270,12 +270,12 @@ def sets_of_dimension(draw, n):
 
 @contextmanager
 def stack_chunk(size):
-    previous = oracle._STACK_CHUNK
-    oracle._STACK_CHUNK = size
+    previous = core._STACK_CHUNK
+    core._STACK_CHUNK = size
     try:
         yield
     finally:
-        oracle._STACK_CHUNK = previous
+        core._STACK_CHUNK = previous
 
 
 def assert_many_matches_argmax(sets, c):
@@ -315,7 +315,7 @@ def test_argmax_many_equals_argmax_per_set(data):
         if data.draw(st.booleans()):
             sets.append(data.draw(st.sampled_from(sets)))
     # small chunks make short lists cross several chunk boundaries
-    with stack_chunk(data.draw(st.sampled_from([1, 2, 3, oracle._STACK_CHUNK]))):
+    with stack_chunk(data.draw(st.sampled_from([1, 2, 3, core._STACK_CHUNK]))):
         assert_many_matches_argmax(sets, c)
 
 
@@ -358,7 +358,7 @@ def test_argmax_many_across_chunks_of_the_real_size():
     rng = np.random.default_rng(21)
     n = 6
     sets = []
-    for k in range(2 * oracle._STACK_CHUNK + 7):
+    for k in range(2 * core._STACK_CHUNK + 7):
         if k % 97 == 0:
             sets.append(Knapsack(rng.integers(0, 5, size=n), 6))
         else:
@@ -406,7 +406,7 @@ def test_argmax_many_over_dags_equals_argmax_and_bruteforce(data):
     c = data.draw(hnp.arrays(np.float64, n, elements=OBJECTIVE_POOL))
     dag = dag_paths(num_arcs=n)
     sets = data.draw(st.lists(st.one_of(dag, dag, sets_of_dimension(n)), max_size=12))
-    with stack_chunk(data.draw(st.sampled_from([1, 2, 3, oracle._STACK_CHUNK]))):
+    with stack_chunk(data.draw(st.sampled_from([1, 2, 3, core._STACK_CHUNK]))):
         assert_many_matches_argmax(sets, c)
         got = argmax_many(sets, c)
     # halves and integers below 2**52 add exactly, so any order of summing
@@ -427,7 +427,7 @@ def test_argmax_many_dags_across_chunks_of_the_real_size():
     rng = np.random.default_rng(23)
     n = 7
     sets = []
-    for k in range(2 * oracle._STACK_CHUNK + 7):
+    for k in range(2 * core._STACK_CHUNK + 7):
         if k % 97 == 0:
             sets.append(Knapsack(rng.integers(0, 5, size=n), 6))
         elif k % 50 == 0:

@@ -6,7 +6,7 @@ import importlib
 import pytest
 
 import invlinopt
-from invlinopt import core, harness, learner, oracle
+from invlinopt import analysis, core, harness, learner, oracle
 from invlinopt.harness import io
 
 PACKAGE_EXPORTS = [
@@ -113,7 +113,8 @@ def test_loss_module_is_gone():
 
 
 # the round is an observation's position in its stream, so no record
-# carries a round index, and no config field sets the retry budget
+# carries a round index, and no config field sets the retry budget; a gap
+# certificate holds what the next chunk needs, not a margin per round
 FIELDS = [
     (oracle.OracleResult, ["maximizer", "tie_count"]),
     (core.Observation, ["feasible_set", "agent_choice"]),
@@ -126,6 +127,7 @@ FIELDS = [
         "agent_noise", "gap_mode", "gap_margin", "holdout", "num_vertices",
         "integral_vertices", "fresh_sets", "ball_radius", "save_stream", "out",
     ]),
+    (analysis.GapCertificate, ["satisfied", "delta", "witness", "rounds", "last"]),
     (harness.RunResult, [
         "exit_code", "ledger", "checks", "certificate", "evaluation",
         "summary", "summary_path",
