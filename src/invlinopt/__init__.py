@@ -12,7 +12,6 @@ from .analysis import (
     GapCertificate,
     OfflineEvaluation,
     RegretLedger,
-    average_prediction,
     certify_gap,
     offline_evaluate,
     verify_run,
@@ -69,7 +68,6 @@ __all__ = [
     "argmax",
     "argmax_many",
     "as_vector",
-    "average_prediction",
     "certify_gap",
     "init_learner",
     "offline_evaluate",

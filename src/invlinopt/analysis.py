@@ -97,12 +97,6 @@ def _running(values: np.ndarray, start: float = 0.0) -> np.ndarray:
     return np.cumsum(np.concatenate(([start], values)))[1:]
 
 
-def _row_sum(start: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """start plus the rows of a (T, n) stack, added in round order as a
-    loop of += adds them; np.sum(axis=0) sums a single column pairwise."""
-    return np.cumsum(np.vstack([start, rows]), axis=0)[-1]
-
-
 class RegretLedger:
     """Per-round accounting for one simulation run (true objective known).
 
@@ -180,7 +174,9 @@ class RegretLedger:
         self.learner = learner
         self.rounds = stop
         self._view_columns()
-        self.c_hat_sum = _row_sum(self.c_hat_sum, c_hat)
+        # rows added in round order, as a loop of += adds them; np.sum(axis=0)
+        # would sum a single column pairwise
+        self.c_hat_sum = np.cumsum(np.vstack([self.c_hat_sum, c_hat]), axis=0)[-1]
         self.max_grad_norm = max(self.max_grad_norm, float(np.max(grad_norm, initial=0.0)))
         self.max_dual_distance = max(self.max_dual_distance, float(
             np.max(learner.norms.dual_rows(distance), initial=0.0)
@@ -195,7 +191,8 @@ class RegretLedger:
         self.columns = MappingProxyType(views)
 
     def average_prediction(self) -> np.ndarray:
-        """average_prediction of the rounds recorded, from their row sum."""
+        """Coordinate-wise mean of the predictions played so far: the rows
+        of c_hat added in round order, divided by their number."""
         if not self.rounds:
             raise ValueError("cannot average an empty run")
         return as_vector(self.c_hat_sum / self.rounds)
@@ -397,29 +394,21 @@ def certify_gap(
                           (weakref.ref(prev_set), prev_choice, margin))
 
 
-def average_prediction(c_hat) -> np.ndarray:
-    """Coordinate-wise mean of the per-round predictions, the rows of c_hat
-    added in round order and divided by their number."""
-    if len(c_hat) == 0:
-        raise ValueError("cannot average an empty run")
-    c_hat = np.asarray(c_hat, dtype=np.float64)
-    return as_vector(_row_sum(np.zeros(c_hat.shape[1]), c_hat) / len(c_hat))
-
-
 @dataclass(frozen=True)
 class OfflineEvaluation:
     """Monte-Carlo holdout suboptimality of a prediction and the reference.
 
     mean_gap and stderr_gap are for the paired per-sample differences
     (model loss minus reference loss), which is what generalization
-    assertions should use.
+    assertions should use.  The fields are in the order that a run's
+    summary and eval write them.
     """
 
+    samples: int
     mean_model: float
     mean_reference: float
     mean_gap: float
     stderr_gap: float
-    samples: int
 
 
 def offline_evaluate(

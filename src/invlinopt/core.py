@@ -216,33 +216,26 @@ class ExplicitVertices(FeasibleSet):
             m = m.reshape(1, -1)
         if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
             raise ValueError("vertices must form a non-empty (m, n) array")
-        if not np.isfinite(m).all():
-            raise ValueError("vertex entries must be finite")
-        m = np.ascontiguousarray(m + 0.0)
-        # with -0.0 folded, rows whose first entries all differ are distinct,
-        # so only a shared first entry calls for the full dedup
-        lead = np.sort(m[:, 0])
-        m = _distinct(m) if (lead[1:] == lead[:-1]).any() else m
-        m.flags.writeable = False
-        self._vertices = m
-        self.dimension = int(m.shape[1])
+        # a C-ordered copy, so the caller's array is neither folded nor frozen
+        self.__dict__ = self._from_block(m[None].copy())[0].__dict__
 
     @classmethod
     def _from_block(cls, block: np.ndarray) -> list["ExplicitVertices"]:
         """[ExplicitVertices(block[i]) for each i], validated and folded once.
 
-        block is a (k, m, n) float64 array that the caller drew and hands
+        block is a C-ordered (k, m, n) float64 array that the caller hands
         over: it is folded in place and made read-only, and each set keeps
-        a view of its slice.  The lead-entry test of the public constructor
-        runs once over the block; only a slice with a repeated lead entry
-        goes through _distinct, the dedup rule the public constructor uses.
-        The rows are neither validated nor copied a second time.  A set
-        that keeps its view records the block and its row index.
+        a view of its slice.  The public constructor builds through here,
+        with a block of one.  The lead-entry test runs once over the block;
+        only a slice with a repeated lead entry goes through _distinct.  A
+        set that keeps its view records the block and its row index.
         """
         if not np.isfinite(block).all():
             raise ValueError("vertex entries must be finite")
         block += 0.0
         block.flags.writeable = False
+        # with -0.0 folded, rows whose first entries all differ are distinct,
+        # so only a shared first entry calls for the full dedup
         lead = np.sort(block[:, :, 0], axis=1)
         shared = (lead[:, 1:] == lead[:, :-1]).any(axis=1)
         n = int(block.shape[2])
@@ -300,8 +293,7 @@ class Knapsack(FeasibleSet):
     """
 
     def __init__(self, weights, capacity: int):
-        w = np.asarray(weights)
-        wf = np.asarray(w, dtype=np.float64)
+        wf = np.asarray(weights, dtype=np.float64)
         if wf.ndim != 1 or wf.size == 0:
             raise ValueError("weights must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(wf)) or np.any(wf != np.round(wf)):

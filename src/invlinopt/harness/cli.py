@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .. import analysis
 from ..core import NormPair
@@ -17,7 +17,6 @@ from .config import (
     build_config,
     load_config_file,
 )
-from .generate import draw_objective
 from .io import fmt, read_stream, read_vector, write_summary
 from .runner import check_usage, evaluate_holdout, run_experiment, run_sweep
 
@@ -90,7 +89,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rounds_list = _int_list(args, "rounds_list", cfg.rounds)
     dims = _int_list(args, "dimension_list", cfg.dimension)
     gaps = args.gap_list.split(",") if args.gap_list else [cfg.gap_mode]
-    return run_sweep(cfg, rounds_list, dims, gaps, cfg.out)
+    return run_sweep(cfg, rounds_list, dims, gaps)
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -128,14 +127,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if prediction.size != cfg.dimension:
         raise ValueError(f"{args.prediction} holds {prediction.size} entries, "
                          f"the dimension is {cfg.dimension}")
-    evaluation = evaluate_holdout(cfg, prediction, *draw_objective(cfg))
-    entries = {
-        "samples": evaluation.samples,
-        "mean_model": evaluation.mean_model,
-        "mean_reference": evaluation.mean_reference,
-        "mean_gap": evaluation.mean_gap,
-        "stderr_gap": evaluation.stderr_gap,
-    }
+    entries = asdict(evaluate_holdout(cfg, prediction))
     for key, value in entries.items():
         print(f"{key} = {fmt(value) if isinstance(value, float) else value}")
     if args.out:
@@ -184,7 +176,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

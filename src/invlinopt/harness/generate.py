@@ -143,11 +143,16 @@ def _vertex_sets(
     return ExplicitVertices._from_block(block)
 
 
+def _dag_nodes(cfg: ExperimentConfig) -> int:
+    """The node count of every drawn DAG, whose n arcs include the chain."""
+    return min(cfg.dimension + 1, 8)
+
+
 def _dag_block(cfg: ExperimentConfig, k: int) -> np.ndarray:
-    """A (k, n, 2) intp block of DAG arcs on min(n + 1, 8) nodes, each
+    """A (k, n, 2) intp block of DAG arcs on _dag_nodes(cfg) nodes, each
     row's chain of arcs (i, i + 1) through the sink filled in; the draws
     fill the rest of a row."""
-    num_nodes = min(cfg.dimension + 1, 8)
+    num_nodes = _dag_nodes(cfg)
     block = np.empty((k, cfg.dimension, 2), dtype=np.intp)
     block[:, : num_nodes - 1, 0] = np.arange(num_nodes - 1)
     block[:, : num_nodes - 1, 1] = np.arange(1, num_nodes)
@@ -169,7 +174,7 @@ def _sample_feasible_set(
         return Knapsack(weights, capacity)
     if arcs is None:
         arcs = _dag_block(cfg, 1)[0]
-    num_nodes = min(n + 1, 8)
+    num_nodes = _dag_nodes(cfg)
     for j in range(num_nodes - 1, n):
         u = int(rng.integers(0, num_nodes - 1))
         arcs[j] = u, int(rng.integers(u + 1, num_nodes))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -149,23 +149,20 @@ def _summary_entries(
     if integral_certificate is not None and integral_certificate.satisfied:
         entries["gap.integral_delta"] = integral_certificate.delta
     if evaluation is not None:
-        entries["offline.samples"] = evaluation.samples
-        entries["offline.mean_model"] = evaluation.mean_model
-        entries["offline.mean_reference"] = evaluation.mean_reference
-        entries["offline.mean_gap"] = evaluation.mean_gap
-        entries["offline.stderr_gap"] = evaluation.stderr_gap
+        for key, value in asdict(evaluation).items():
+            entries[f"offline.{key}"] = value
     for name, reason in skipped.items():
         entries[f"skipped.{name}"] = reason
     return entries
 
 
-def evaluate_holdout(
-    cfg: ExperimentConfig, prediction, c_star, c_star_integral
-) -> analysis.OfflineEvaluation:
-    """offline_evaluate of a prediction on holdout samples from [cfg.seed, 1].
+def evaluate_holdout(cfg: ExperimentConfig, prediction) -> analysis.OfflineEvaluation:
+    """offline_evaluate of a prediction on holdout samples from [cfg.seed, 1],
+    against the objective draw_objective(cfg) gives.
 
     A run and a later eval of its prediction score the same holdout.
     """
+    c_star, c_star_integral = draw_objective(cfg)
     sampler = make_observation_sampler(cfg, c_star, c_star_integral)
     seed = np.random.SeedSequence([cfg.seed, 1])
     return analysis.offline_evaluate(prediction, c_star, sampler, cfg.holdout, seed)
@@ -243,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         averaged = ledger.average_prediction()
         evaluation = None
         if cfg.holdout > 0:
-            evaluation = evaluate_holdout(cfg, averaged, c_star, c_star_integral)
+            evaluation = evaluate_holdout(cfg, averaged)
             budget = ledger.subopt_regret() / ledger.rounds
             slack = 3.0 * evaluation.stderr_gap + tolerance(evaluation.mean_gap, budget)
             checks.append(
@@ -286,17 +283,17 @@ def run_sweep(
     rounds_list: Sequence[int],
     dimension_list: Sequence[int],
     gap_list: Sequence[str],
-    out_dir,
 ) -> int:
     """Grid of runs with derived seeds base.seed + i; returns the worst status.
 
     Trials are isolated (fresh learner and stream per trial) and written to
-    per-trial directories plus a sweep_index.csv.  Every trial's config is
-    built before anything is written, so a bad grid value writes nothing.
-    A trial that raises ValueError or RuntimeError is named on stderr and
-    indexed with exit 2 and no regret; the other trials still run.
+    per-trial directories of base.out plus a sweep_index.csv there.  Every
+    trial's config is built before anything is written, so a bad grid value
+    writes nothing.  A trial that raises ValueError, RuntimeError or
+    MemoryError is named on stderr and indexed with exit 2 and no regret;
+    the other trials still run.
     """
-    out = Path(out_dir)
+    out = Path(base.out)
     trials = []
     grid = itertools.product(rounds_list, dimension_list, gap_list)
     for trial, (rounds, dimension, gap_mode) in enumerate(grid):
@@ -313,7 +310,7 @@ def run_sweep(
             result = run_experiment(cfg)
             status = [result.exit_code, fmt(result.ledger.linearized_regret()),
                       fmt(result.ledger.subopt_regret())]
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, MemoryError) as exc:
             print(f"error: {cfg.out}: {exc}", file=sys.stderr)
             status = [2, "", ""]
         worst = max(worst, status[0])

@@ -22,7 +22,6 @@ from invlinopt import (
     Simplex,
     argmax,
     argmax_many,
-    average_prediction,
     certify_gap,
     init_learner,
     offline_evaluate,
@@ -440,25 +439,31 @@ def test_margin_mode_generation_meets_its_margin(seed, family, domain):
 def test_average_prediction():
     cfg, bundle, ledger = small_run(rounds=40)
     c_hat = played_columns(cfg, bundle.observations)["c_hat"]
-    averaged = average_prediction(c_hat)
-    # the ledger averages from its carried row sum, to the same bits
-    assert ledger.average_prediction().tobytes() == averaged.tobytes()
+    # the ledger averages from its carried row sum: the rows of the played
+    # c_hat added one at a time in round order, then divided by their number
+    total = np.zeros(c_hat.shape[1])
+    for row in c_hat:
+        total = total + row
+    averaged = ledger.average_prediction()
+    assert averaged.tobytes() == (total / len(c_hat)).tobytes()
     assert np.allclose(averaged, c_hat.mean(axis=0))
     # the rows averaged one at a time, as np.stack of per-round vectors
     stacked = np.stack([np.array(row) for row in c_hat])
     assert averaged.tobytes() == stacked.mean(axis=0).tobytes()
     assert in_domain(Simplex(4), averaged)
-    same = average_prediction(c_hat[:1])
-    assert np.array_equal(same, c_hat[0])
     with pytest.raises(ValueError, match="empty run"):
-        average_prediction(c_hat[:0])
-    with pytest.raises(ValueError, match="empty run"):
-        average_prediction([])
+        RegretLedger(ledger.c_star, ledger.learner, 0).average_prediction()
 
 
 def test_average_prediction_midpoint():
-    averaged = average_prediction(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert tuple(averaged) == (0.5, 0.5)
+    # a two-round ledger whose played predictions are the two unit vectors
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
+    observations = [Observation(SQUARE, [0.0, 0.0])] * 2
+    zeros = np.zeros((2, 2))
+    played = {"c_hat": np.eye(2), "x_hat": zeros, "g": zeros,
+              "beta": np.ones(2), "grad_norm": np.zeros(2)}
+    ledger = ledger_of([0.5, 0.5], state, observations, played, zeros)
+    assert tuple(ledger.average_prediction()) == (0.5, 0.5)
 
 
 def test_offline_evaluate_exact_zeros():
@@ -793,7 +798,6 @@ def assert_ledger_matches_appends(ledger, observations, references):
         assert actual.shape == expected.shape, name
     averaged = as_vector(reference.c_hat_sum / len(observations))
     assert ledger.average_prediction().tobytes() == averaged.tobytes()
-    assert average_prediction(played["c_hat"]).tobytes() == averaged.tobytes()
     assert bits(ledger.max_grad_norm) == bits(reference.max_grad_norm)
     assert bits(ledger.max_dual_distance) == bits(reference.max_dual_distance)
     for final in (run, whole):

@@ -288,6 +288,9 @@ TWO_POINTS = ExplicitVertices([[0.0, 0.0], [1.0, 0.0]])
      "vertices must form a non-empty (m, n) array"),
     (lambda: ExplicitVertices(np.zeros((2, 2, 2))), ValueError,
      "vertices must form a non-empty (m, n) array"),
+    # a 0-d input is refused too, which an ndmin=2 conversion would accept
+    (lambda: ExplicitVertices(1.0), ValueError,
+     "vertices must form a non-empty (m, n) array"),
     (lambda: ExplicitVertices([[0.0, np.inf]]), ValueError,
      "vertex entries must be finite"),
     (lambda: DagPaths(3, [(0, 1), (2, 1)]), ValueError,
@@ -300,7 +303,7 @@ TWO_POINTS = ExplicitVertices([[0.0, 0.0], [1.0, 0.0]])
      "choice has dimension 3, set has 2"),
     (lambda: Observation(TWO_POINTS, [0.0, 1.0]), MembershipError,
      "agent choice is not in the feasible set"),
-], ids=["empty", "three-d", "inf", "cycle", "no-path", "nan-choice", "dimension",
+], ids=["empty", "three-d", "zero-d", "inf", "cycle", "no-path", "nan-choice", "dimension",
         "non-member"])
 def test_public_constructors_keep_their_checks(build, error, message):
     # generation skips these checks for what it drew itself; everyone else

@@ -964,6 +964,9 @@ def test_cli_eval(tmp_path, capsys):
     entries = read_summary(tmp_path / "eval.txt")
     assert entries["samples"] == "200"
     assert float(entries["mean_reference"]) == 0.0
+    # the printed lines are the lines of the --out file
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-len(entries):] == (tmp_path / "eval.txt").read_text().splitlines()
 
 
 def test_cli_eval_refuses_save_stream(tmp_path, monkeypatch, capsys):
@@ -1049,6 +1052,26 @@ def test_cli_sweep_indexes_a_trial_that_fails_at_run_time(tmp_path, capsys):
         assert (tmp_path / "sw" / "trial000_n3_T5_gapnone" / name).is_file()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "trial001_n30_T5_gapnone" in err
+
+
+def test_a_failed_allocation_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # exit 1 means a failed certified inequality; a run that cannot get its
+    # ledger's memory is an error, as a refused enumeration is
+    def refuse(self, *args):
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setattr(analysis.RegretLedger, "__init__", refuse)
+    out = tmp_path / "d"
+    args = ["run", "--seed", "1", "--rounds", "5", "--save-stream", "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert not out.exists()
+    # a sweep indexes the trial with exit 2 and goes on to the next
+    base = make_cfg(dimension=3, rounds=5, out=str(tmp_path / "sw"))
+    assert run_sweep(base, [5, 6], [3], ["none"]) == 2
+    lines = (tmp_path / "sw" / "sweep_index.csv").read_text().splitlines()
+    assert [line.split(",")[-3:] for line in lines[1:]] == [["2", "", ""]] * 2
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_cli_sweep_gives_gap_margin_to_its_margin_trials_only(tmp_path):

@@ -34,7 +34,6 @@ PACKAGE_EXPORTS = [
     "argmax",
     "argmax_many",
     "as_vector",
-    "average_prediction",
     "certify_gap",
     "init_learner",
     "offline_evaluate",
@@ -57,7 +56,8 @@ HARNESS_EXPORTS = [
 ]
 
 # (owner, name) pairs that only tests call, which live in tests/reference.py,
-# and the per-round learner API that learner.play replaced
+# the per-round learner API that learner.play replaced, and the array
+# average that RegretLedger.average_prediction replaced
 MOVED = [
     (invlinopt, "suboptimality_loss"),
     (invlinopt, "fenchel_young_loss"),
@@ -85,6 +85,8 @@ MOVED = [
     (learner, "beta"),
     (learner, "_zeros"),
     (learner, "_residual"),
+    (invlinopt, "average_prediction"),
+    (analysis, "average_prediction"),
 ]
 
 
@@ -128,6 +130,10 @@ FIELDS = [
         "integral_vertices", "fresh_sets", "ball_radius", "save_stream", "out",
     ]),
     (analysis.GapCertificate, ["satisfied", "delta", "witness", "rounds", "last"]),
+    # in the order of the summary's offline.* keys and eval's lines
+    (analysis.OfflineEvaluation, [
+        "samples", "mean_model", "mean_reference", "mean_gap", "stderr_gap",
+    ]),
     (harness.RunResult, [
         "exit_code", "ledger", "checks", "certificate", "evaluation",
         "summary", "summary_path",
