@@ -135,10 +135,11 @@ class NormPair:
         return float(np.linalg.norm(v))
 
     def primal_rows(self, m: np.ndarray) -> np.ndarray:
-        """The primal norm of every row of a (T, n) float64 stack."""
+        """The primal norm of every row of a (T, n) float64 stack; row t is
+        bitwise primal(m[t])."""
         if self.kind == self.LINF_L1:
             return np.max(np.abs(m), axis=1)
-        return np.sqrt(np.sum(m * m, axis=1))
+        return np.sqrt(_row_dots(m, m))
 
     def dual_rows(self, m: np.ndarray) -> np.ndarray:
         """The dual norm of every row of a (T, n) float64 stack."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import asdict, fields
 
@@ -181,5 +182,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The process entry of `invlinopt` and `python -m invlinopt.harness.cli`.
+
+    Exits with main's status.  On every way out, argparse's SystemExit
+    included, the collector's objects are frozen first, so the
+    interpreter's final collection does not walk every object numpy and
+    invlinopt built; the operating system takes them back with the
+    process.  In-process callers of main keep the default exit.
+    """
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -13,7 +13,9 @@ constructors, as generation did before it drew sets into blocks, and
 uniform_member draws a noisy choice from the whole enumeration, as
 generation did before it unranked DAG paths.  write_stream renders each
 set's rows and its choice with one % each, as the library did before it
-rendered each distinct row once.
+rendered each distinct row once.  ftrl_residual checks play's columns
+against the regularized leader's optimality conditions, written apart
+from learner._beta and learner._solve.
 """
 
 from __future__ import annotations
@@ -233,6 +235,69 @@ def simulate_by_rounds(c_star, state: LearnerState, observations, references):
         state, record = observe(state, obs)
         ledger.append(obs, record, optimal)
     return state, ledger
+
+
+FtrlResidual = namedtuple("FtrlResidual", "schedule leader")
+
+# an entry below the normal range has too few bits for its logarithm
+TINY = np.finfo(np.float64).tiny
+LOG_TINY = math.log(TINY)
+
+
+def ftrl_residual(state: LearnerState, played) -> FtrlResidual:
+    """The largest relative residuals of play's columns against FTRL's
+    optimality conditions, given the state before the played rounds.
+
+    schedule: beta_t against the schedule of the squared gradient norms
+    before round t, the formula written again rather than learner._beta.
+    leader: c_hat_t against argmin beta_t psi(c) + <G_{t-1}, c> over the
+    domain, G_{t-1} the sum of the earlier residuals g, checked as relations
+    rather than by learner._solve.  Where beta_t = 0, c_hat_t is the
+    regularizer's minimizer.  On the simplex, beta_t log c_hat_{t,i} +
+    G_{t-1,i} is the same value q for every i, against the larger of its
+    two terms; an entry below the normal range, zero included, instead
+    needs the exponent q implies for it, (q - G_{t-1,i}) / beta_t, below
+    the normal range too.  On a ball, c_hat_t - center is a nonnegative
+    multiple of -G_{t-1} with norm min(r, ||G_{t-1}|| / beta_t), both against r.
+    """
+    c_hat, g, beta = played["c_hat"], played["g"], played["beta"]
+    T = len(beta)
+    sums = np.cumsum(np.concatenate([[state.sq_norm_sum], played["grad_norm"] ** 2]))[:T]
+    if state.schedule == ADAPTIVE:
+        scheduled = 2.0 ** 0.25 / state.B * np.sqrt(sums)
+    else:
+        scheduled = np.sqrt(state.K ** 2 + sums) / state.H
+    schedule = np.abs(beta - scheduled) / np.maximum(scheduled, TINY)
+    G = np.cumsum(np.vstack([state.grad_sum, g]), axis=0)[:T]
+    flat = beta == 0.0
+    leader = np.zeros(T)
+    if isinstance(state.domain, Simplex):
+        n = state.domain.dimension
+        leader[flat] = np.max(np.abs(c_hat[flat] * n - 1.0), axis=1, initial=0.0)
+        c, G, b = c_hat[~flat], G[~flat], beta[~flat, None]
+        normal = c >= TINY
+        term = b * np.log(np.where(normal, c, 1.0))
+        q = term + G
+        common = q[np.arange(len(c)), np.argmax(c, axis=1)][:, None]
+        scale = np.max(np.where(normal, np.maximum(np.abs(term), np.abs(G)), 0.0), axis=1)
+        spread = np.max(np.where(normal, np.abs(q - common), 0.0), axis=1)
+        exponent = (common - G) / b
+        above = np.max(np.where(normal, 0.0, exponent - LOG_TINY), axis=1, initial=0.0)
+        leader[~flat] = np.maximum(spread / np.maximum(scale, TINY), above / -LOG_TINY)
+    else:
+        assert isinstance(state.domain, Ball)
+        r = state.domain.radius
+        d = c_hat - state.domain.center
+        length = np.linalg.norm(d, axis=1)
+        leader[flat] = length[flat] / r
+        d, G, b, length = d[~flat], G[~flat], beta[~flat], length[~flat]
+        G_norm = np.linalg.norm(G, axis=1)
+        towards = -G / np.maximum(G_norm, TINY)[:, None]
+        direction = np.linalg.norm(d - length[:, None] * towards, axis=1)
+        size = np.abs(length - np.minimum(r, G_norm / b))
+        leader[~flat] = np.maximum(direction, size) / r
+    return FtrlResidual(float(np.max(schedule, initial=0.0)),
+                        float(np.max(leader, initial=0.0)))
 
 
 def suboptimality_loss(

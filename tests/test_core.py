@@ -125,6 +125,26 @@ def test_dual_norm_via_extreme_points():
         assert abs(inner_product(v, v / norm) - dual_norm(euclid, v)) <= 1e-9
 
 
+# signed zeros, and magnitudes whose squares and sums round
+ROW_ENTRIES = st.one_of(
+    st.just(-0.0), st.just(0.0),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+)
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 24)),
+                  elements=ROW_ENTRIES))
+def test_primal_rows_round_as_primal(m):
+    # the stacked norm of each row has the bits of the one-vector norm, so
+    # a margin's distance does not depend on how many rows share a stack
+    for pair in (NormPair.linf_l1(), NormPair.l2_l2()):
+        for stack in (m, m[:1]):
+            rows = pair.primal_rows(stack)
+            assert [float(v).hex() for v in rows] == [
+                pair.primal(row).hex() for row in stack
+            ]
+
+
 def test_hypercube_members():
     members = Hypercube(2).members()
     expected = {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}

@@ -1,10 +1,14 @@
 """Generation, runner, file formats, CLI, and determinism contracts."""
 
+import ast
 import gc
+import importlib
+import inspect
 import math
 import os
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -35,7 +39,7 @@ from invlinopt.harness import (
 )
 from invlinopt.harness.cli import main
 from invlinopt.harness.config import ExperimentConfig
-from invlinopt.harness import generate, runner
+from invlinopt.harness import cli, generate, runner
 from invlinopt.harness import io as harness_io
 from invlinopt.harness.generate import (
     GenerationFailedError,
@@ -439,6 +443,14 @@ def test_writing_a_long_trace_holds_no_whole_trace_text(tmp_path):
     assert peak < 4_000_000
 
 
+def child_env() -> dict[str, str]:
+    """This process's environment with the imported invlinopt's source first
+    on PYTHONPATH, for a child interpreter."""
+    src = Path(invlinopt.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+
+
 def child_peak_mb(*args: str) -> float:
     """Peak RSS in MB of one `invlinopt` command.  A small launcher runs it
     and reports its peak, since a child forked from this process would
@@ -446,12 +458,9 @@ def child_peak_mb(*args: str) -> float:
     launcher = ("import resource, subprocess, sys; "
                 "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
-    src = Path(invlinopt.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")]))
     command = [sys.executable, "-c", launcher,
                sys.executable, "-m", "invlinopt.harness.cli", *args]
-    return int(subprocess.run(command, env=env, check=True, capture_output=True,
+    return int(subprocess.run(command, env=child_env(), check=True, capture_output=True,
                               text=True).stdout) / 1024
 
 
@@ -1278,3 +1287,108 @@ def test_fresh_optimal_rounds_make_two_solves_each(monkeypatch):
     answers[0] = 0
     assert run_experiment(cfg).exit_code == 0
     assert answers[0] == 400
+
+
+def test_a_margin_on_the_ball_uses_the_norm_of_one_row(tmp_path, capsys):
+    # the margin's Euclidean distances are stacked row norms with the bits
+    # of NormPair.primal; the summed-square form ended this delta in ...181
+    out = tmp_path / "run"
+    assert main([
+        "run", "--family", "random-vertices", "--dimension", "6",
+        "--num-vertices", "12", "--gap", "margin", "--gap-margin", "0.02",
+        "--domain", "ball", "--rounds", "300", "--seed", "23", "--out", str(out),
+    ]) == 0
+    assert read_summary(out / "summary.txt")["gap.delta"] == "0.020282381815941178"
+
+
+# The process entry, run in a child interpreter.
+
+ROOT = Path(__file__).resolve().parent.parent
+
+NOISY_DAG = ["--seed", "7", "--family", "dag", "--dimension", "10", "--domain", "ball",
+             "--schedule", "offset", "--agent-noise", "0.1", "--rounds", "300",
+             "--holdout", "300", "--save-stream"]
+
+
+def test_the_process_entry_writes_the_bytes_of_main(tmp_path, capsys):
+    child = subprocess.run(
+        [sys.executable, "-m", "invlinopt.harness.cli",
+         "run", *NOISY_DAG, "--out", str(tmp_path / "child")],
+        env=child_env(), capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert main(["run", *NOISY_DAG, "--out", str(tmp_path / "main")]) == 0
+    printed = capsys.readouterr().out
+    assert child.stdout.replace(str(tmp_path / "child"), str(tmp_path / "main")) == printed
+    for fname in test_golden.OUTPUT_FILES:
+        assert (tmp_path / "child" / fname).read_bytes() == (
+            tmp_path / "main" / fname).read_bytes(), fname
+
+
+SMALL_RUN = ["run", "--seed", "7", "--dimension", "3", "--rounds", "20"]
+
+
+# The entry in a child whose atexit handler, which runs after main and
+# before the interpreter's last collection, reports the frozen objects.
+# --fail-a-check adds a failed check to the run's verdict.
+ENTRY_CHILD = """
+import atexit, gc, sys
+from invlinopt import analysis
+from invlinopt.harness import cli
+
+if sys.argv[1] == "--fail-a-check":
+    del sys.argv[1]
+    checks = analysis.verify_run
+    def failing(ledger, **kwargs):
+        return checks(ledger, **kwargs) + [
+            analysis.BoundCheck("forced", ledger.rounds, 1.0, 0.0, False)]
+    analysis.verify_run = failing
+print("frozen before:", gc.get_freeze_count())
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+cli.entry()
+"""
+
+
+@pytest.mark.parametrize("args, status, message", [
+    (SMALL_RUN, 0, "status: ok"),
+    (["--fail-a-check"] + SMALL_RUN, 1, "failed: forced"),
+    (SMALL_RUN + ["--gap", "integral", "--gap-margin", "0.5"], 2,
+     "error: gap_margin is read only in margin mode"),
+    (SMALL_RUN + ["--bogus"], 2, "unrecognized arguments: --bogus"),
+], ids=["ok", "failed-check", "usage", "argparse"])
+def test_the_process_entry_keeps_the_status_and_freezes_on_every_way_out(
+        args, status, message):
+    child = subprocess.run([sys.executable, "-c", ENTRY_CHILD, *args],
+                           env=child_env(), capture_output=True, text=True)
+    assert child.returncode == status, child.stderr
+    assert message in child.stdout + child.stderr
+    lines = child.stdout.splitlines()
+    assert lines[0] == "frozen before: 0"
+    assert lines[-1] == "frozen at exit: True"
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    assert main([*SMALL_RUN, "--out", str(tmp_path / "run")]) == 0
+    with pytest.raises(SystemExit):
+        main([*SMALL_RUN, "--bogus"])
+    assert gc.get_freeze_count() == before
+
+
+def test_the_installed_command_is_the_process_entry():
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["invlinopt"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    # the one statement of cli's `if __name__ == "__main__":` block calls it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (statement,) = block.body
+    call = statement.value
+    assert isinstance(call, ast.Call) and not call.args and not call.keywords
+    assert getattr(cli, call.func.id) is target
+    # and it holds src/'s one collector freeze
+    src = Path(invlinopt.__file__).resolve().parent
+    freezes = [path for path in src.rglob("*.py")
+               for line in path.read_text().splitlines() if "gc.freeze(" in line]
+    assert freezes == [Path(cli.__file__).resolve()]
+    assert "gc.freeze()" in inspect.getsource(target)

@@ -4,6 +4,7 @@ import gc
 import math
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ from invlinopt import (
     init_learner,
     play,
 )
-from invlinopt import oracle
+from invlinopt import learner, oracle
 from invlinopt.core import as_vector, tolerance
+from invlinopt.harness.cli import main
 
+import test_golden
 from conftest import CARRIED_STREAMS
-from reference import Round, beta, in_domain, observe, predict
+from reference import Round, beta, ftrl_residual, in_domain, observe, predict
 
 
 def regularizer_value(domain, c):
@@ -380,3 +383,92 @@ def test_a_piece_after_its_set_was_freed_calls_the_oracle(monkeypatch):
     _, played = play(state, [Observation(Y, [0.0, 0.0])])
     assert calls == [Y]
     assert tuple(played["x_hat"][0]) == (0.0, 0.0)
+
+
+# Every golden config, and each benchmark workload's shape at a shorter
+# horizon: (CLI seed, rounds, holdout).  At the knapsack workload's default
+# seed the first prediction already answers every round; at seed 30 the
+# learner moves.
+SHORTER_WORKLOADS = {
+    "rv-online": (7, 1_000, 0),
+    "knapsack-gap-repeat": (30, 600, 0),
+    "dag-noisy-holdout": (7, 500, 100),
+}
+
+
+def ftrl_configs(out):
+    configs = {name: ["run", *argv, "--out", str(out / name)]
+               for name, argv in test_golden.CONFIGS.items()}
+    for name, (seed, rounds, holdout) in SHORTER_WORKLOADS.items():
+        workload = test_golden.WORKLOADS.WORKLOADS[name]
+        configs[name] = workload.argv(seed, out / name, rounds, holdout)
+    return configs
+
+
+FTRL_CONFIG_NAMES = sorted(ftrl_configs(Path()))
+
+
+def largest_ftrl_residual(argv, monkeypatch) -> float:
+    """The largest residual of any chunk a CLI run plays, each checked
+    against the learner state before it."""
+    played = learner.play
+    worst = 0.0
+
+    def checked(state, observations):
+        nonlocal worst
+        final, columns = played(state, observations)
+        worst = max(worst, *ftrl_residual(state, columns))
+        return final, columns
+
+    with monkeypatch.context() as patch:
+        patch.setattr(learner, "play", checked)
+        main(argv)
+    return worst
+
+
+@pytest.mark.parametrize("name", FTRL_CONFIG_NAMES)
+def test_each_prediction_is_the_regularized_leader(name, tmp_path, monkeypatch, capsys):
+    argv = ftrl_configs(tmp_path)[name]
+    assert largest_ftrl_residual(argv, monkeypatch) <= 1e-12
+
+
+_solve, _beta = learner._solve, learner._beta
+WRONG_LEARNERS = {
+    "frozen": ("_solve", lambda domain, G, b: learner._minimizer_of_regularizer(domain)),
+    "sign-flipped": ("_solve", lambda domain, G, b: _solve(domain, -G, b)),
+    "steps x100": ("_solve", lambda domain, G, b: _solve(domain, G, b / 100.0)),
+    "steps x0.01": ("_solve", lambda domain, G, b: _solve(domain, G, b * 100.0)),
+    # a wrong schedule solves for the beta it reports, so only the
+    # schedule's residual sees it
+    "scheduled steps x100": ("_beta", lambda state, s: _beta(state, s) / 100.0),
+    "scheduled steps x0.01": ("_beta", lambda state, s: _beta(state, s) * 100.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_LEARNERS))
+def test_a_wrong_learner_is_not_the_regularized_leader(name, tmp_path, monkeypatch, capsys):
+    attribute, wrong = WRONG_LEARNERS[name]
+    monkeypatch.setattr(learner, attribute, wrong)
+    configs = ftrl_configs(tmp_path)
+    residuals = {}
+    for config in FTRL_CONFIG_NAMES:
+        residuals[config] = largest_ftrl_residual(configs[config], monkeypatch)
+        if residuals[config] > 1e-3:
+            break
+    assert max(residuals.values()) > 1e-3, residuals
+
+
+def test_an_underflowed_entry_is_checked_as_an_inequality():
+    # a long run can push a softmax entry below the float range; its log is
+    # not taken, and the exponent the other entries imply must be below too
+    start = init_learner(Simplex(3), ADAPTIVE, 1.0)
+    state = replace(start, sq_norm_sum=1.0, grad_sum=as_vector([0.0, 1000.0, 0.0]))
+    b = learner._beta(state, 1.0)
+    c_hat = learner._solve(state.domain, state.grad_sum, b)
+    played = {"c_hat": c_hat[None, :], "g": np.zeros((1, 3)),
+              "beta": np.array([b]), "grad_norm": np.zeros(1)}
+    assert c_hat[1] == 0.0
+    assert max(ftrl_residual(state, played)) <= 1e-12
+    # the same zero where the leader's entry is near 1e-258
+    nearer = replace(state, grad_sum=as_vector([0.0, 100.0, 0.0]))
+    assert max(ftrl_residual(nearer, played)) > 1e-3
