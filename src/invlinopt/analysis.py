@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +40,7 @@ LEDGER_COLUMNS = ("ell_sub", "ell_est", "ell_sub_ref", "total", "lin_inc",
                   "regret", "regret_sub", "sum_sq", "beta", "grad_norm")
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Outcome of one certified inequality: value <= bound up to tolerance.
 
     round is the prefix (or round) at which the slack was smallest; margin
@@ -60,8 +58,7 @@ class BoundCheck:
         return self.bound - self.value
 
 
-@dataclass(frozen=True, eq=False)
-class GapWitness:
+class GapWitness(NamedTuple):
     """Why gap certification failed: a competitor matching the optimum.
 
     round_index is the failing round's position in its stream, from 1.
@@ -73,8 +70,7 @@ class GapWitness:
     reason: str
 
 
-@dataclass(frozen=True, eq=False)
-class GapCertificate:
+class GapCertificate(NamedTuple):
     """Exact minimum margin-per-distance over a stream's rounds, or a witness.
 
     delta is the smallest ratio <c_star, x_t - x'> / ||x_t - x'|| over all
@@ -394,8 +390,7 @@ def certify_gap(
                           (weakref.ref(prev_set), prev_choice, margin))
 
 
-@dataclass(frozen=True)
-class OfflineEvaluation:
+class OfflineEvaluation(NamedTuple):
     """Monte-Carlo holdout suboptimality of a prediction and the reference.
 
     mean_gap and stderr_gap are for the paired per-sample differences

@@ -6,14 +6,15 @@ its members() enumeration on first use, or when _fill_members enumerates a
 batch of sets, and hands out that array uncopied; a rebuilt cache holds the
 same rows, so sharing across concurrent readers is safe and every read is
 pure.  _distinct is the one dedup rule for vertices, and _check_cap the one
-enumeration cap rule.
+enumeration cap rule.  Records are NamedTuples; one that checks its fields
+subclasses a NamedTuple of them with a checking __new__ and a _make that
+builds through it, so _replace checks too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,22 +104,30 @@ def clamp_small_negative(value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class NormPair:
+class _NormPairFields(NamedTuple):
+    kind: str
+
+
+class NormPair(_NormPairFields):
     """A primal norm on the action space paired with its dual on objectives.
 
     kind "linf-l1": primal sup norm, dual 1-norm.
     kind "l2-l2":   Euclidean on both sides (self-dual).
     """
 
-    kind: str
+    __slots__ = ()
 
     LINF_L1 = "linf-l1"
     L2_L2 = "l2-l2"
 
-    def __post_init__(self):
-        if self.kind not in (self.LINF_L1, self.L2_L2):
-            raise ValueError(f"unknown norm pair kind {self.kind!r}")
+    def __new__(cls, kind: str):
+        if kind not in (cls.LINF_L1, cls.L2_L2):
+            raise ValueError(f"unknown norm pair kind {kind!r}")
+        return super().__new__(cls, kind)
+
+    @classmethod
+    def _make(cls, values) -> "NormPair":
+        return cls(*values)
 
     @classmethod
     def linf_l1(cls) -> "NormPair":
@@ -545,36 +554,40 @@ def _fill_members(sets: Sequence[FeasibleSet]) -> None:
         DagPaths._cache_many(list(batch.values()))
 
 
-@dataclass(frozen=True, eq=False)
-class Observation:
+class _ObservationFields(NamedTuple):
+    feasible_set: FeasibleSet
+    agent_choice: np.ndarray
+
+
+class Observation(_ObservationFields):
     """One round of interaction: the feasible set and the agent's choice.
 
     A round is its position in the stream, counted from 1.
     """
 
-    feasible_set: FeasibleSet
-    agent_choice: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        choice = as_vector(self.agent_choice)
-        object.__setattr__(self, "agent_choice", choice)
-        if choice.size != self.feasible_set.dimension:
+    def __new__(cls, feasible_set: FeasibleSet, agent_choice) -> "Observation":
+        choice = as_vector(agent_choice)
+        if choice.size != feasible_set.dimension:
             raise DimensionMismatchError(
                 f"choice has dimension {choice.size}, "
-                f"set has {self.feasible_set.dimension}"
+                f"set has {feasible_set.dimension}"
             )
-        if not self.feasible_set._contains(choice):
+        if not feasible_set._contains(choice):
             raise MembershipError("agent choice is not in the feasible set")
+        return super().__new__(cls, feasible_set, choice)
+
+    @classmethod
+    def _make(cls, values) -> "Observation":
+        return cls(*values)
 
     @classmethod
     def _of_member(cls, feasible_set: FeasibleSet, choice: np.ndarray) -> "Observation":
         """Observation(feasible_set, choice) without the checks, for a
         read-only, folded member of the set: an oracle answer or a
         uniform_member row."""
-        obs = cls.__new__(cls)
-        object.__setattr__(obs, "feasible_set", feasible_set)
-        object.__setattr__(obs, "agent_choice", choice)
-        return obs
+        return tuple.__new__(cls, (feasible_set, choice))
 
 
 class PredictionDomain:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import asdict, fields
 
 from .. import analysis
 from ..core import NormPair
@@ -50,9 +49,7 @@ def _config_from_args(args: argparse.Namespace, refused: tuple[str, ...] = ()):
         if key in file_values:
             raise ValueError(f"{args.config}: {args.command} does not read {key!r}")
     # keys without a flag read as None, which leaves the file value in place
-    overrides = {
-        f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)
-    }
+    overrides = {name: getattr(args, name, None) for name in ExperimentConfig._fields}
     return build_config(file_values, **overrides)
 
 
@@ -128,7 +125,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if prediction.size != cfg.dimension:
         raise ValueError(f"{args.prediction} holds {prediction.size} entries, "
                          f"the dimension is {cfg.dimension}")
-    entries = asdict(evaluate_holdout(cfg, prediction))
+    entries = evaluate_holdout(cfg, prediction)._asdict()
     for key, value in entries.items():
         print(f"{key} = {fmt(value) if isinstance(value, float) else value}")
     if args.out:

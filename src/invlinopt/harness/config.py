@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 from ..learner import SCHEDULES
 
@@ -13,19 +13,7 @@ FAMILIES = ("random-vertices", "hypercube", "knapsack", "dag")
 GAP_MODES = ("none", "integral", "margin")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """All knobs of one experiment.  The seed is mandatory.
-
-    gap_mode "integral" draws integral vertices and an integral objective
-    (rescaled into the prediction domain) and regenerates sets until the
-    optimum is unique; "margin" regenerates sets until the certified
-    per-round gap reaches gap_margin.  agent_noise is the probability of
-    replacing the optimal choice with a uniformly random feasible point.
-    fresh_sets=False draws one feasible set per stream and repeats it every
-    round (the repeated-decision-problem regime).
-    """
-
+class _ExperimentConfigFields(NamedTuple):
     seed: int
     dimension: int = 5
     rounds: int = 1000
@@ -43,7 +31,23 @@ class ExperimentConfig:
     save_stream: bool = False
     out: str | None = None
 
-    def __post_init__(self):
+
+class ExperimentConfig(_ExperimentConfigFields):
+    """All knobs of one experiment.  The seed is mandatory.
+
+    gap_mode "integral" draws integral vertices and an integral objective
+    (rescaled into the prediction domain) and regenerates sets until the
+    optimum is unique; "margin" regenerates sets until the certified
+    per-round gap reaches gap_margin.  agent_noise is the probability of
+    replacing the optimal choice with a uniformly random feasible point.
+    fresh_sets=False draws one feasible set per stream and repeats it every
+    round (the repeated-decision-problem regime).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ExperimentConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.dimension < 1:
@@ -66,13 +70,20 @@ class ExperimentConfig:
             raise ValueError("holdout must be nonnegative")
         if self.num_vertices < 1:
             raise ValueError("num_vertices must be at least 1")
-        if not 0.0 < self.ball_radius < math.inf:
-            raise ValueError("ball_radius must be positive and finite")
+        if not 1e-100 <= self.ball_radius <= 1e100:
+            # past either end a ball's squared norms, or the gap bound's B^3,
+            # leave the normal floats
+            raise ValueError("ball_radius must be in [1e-100, 1e100]")
         if self.domain == "simplex" and self.dimension < 2:
             raise ValueError("the simplex domain needs dimension >= 2")
         if self.out == "":
             # an empty path would put the outputs in the working directory
             raise ValueError("out must be a non-empty directory path")
+        return self
+
+    @classmethod
+    def _make(cls, values) -> "ExperimentConfig":
+        return cls(*values)
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
@@ -93,18 +104,9 @@ def _coerce(kind, raw: str):
 
 
 def _field_kinds() -> dict[str, str]:
-    kinds: dict[str, str] = {}
-    for f in fields(ExperimentConfig):
-        t = str(f.type)
-        if "bool" in t:
-            kinds[f.name] = "bool"
-        elif "int" in t:
-            kinds[f.name] = "int"
-        elif "float" in t:
-            kinds[f.name] = "float"
-        else:
-            kinds[f.name] = "str"
-    return kinds
+    kinds = {bool: "bool", int: "int", float: "float"}
+    return {name: kinds.get(kind, "str")
+            for name, kind in get_type_hints(ExperimentConfig).items()}
 
 
 def load_config_file(path) -> dict:

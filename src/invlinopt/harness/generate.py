@@ -24,8 +24,7 @@ and so read_stream and callers' own observations, keep every check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,8 +58,7 @@ class GenerationFailedError(RuntimeError):
     """The rejection-sampling retry budget ran out."""
 
 
-@dataclass(frozen=True, eq=False)
-class StreamBundle:
+class StreamBundle(NamedTuple):
     """Everything a run needs: the stream, the truth, and the config, which
     fixes the learner's setup through build_domain and diameter_bound.
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,8 +42,7 @@ from .io import (
     write_vector,
 )
 
-@dataclass(frozen=True, eq=False)
-class RunResult:
+class RunResult(NamedTuple):
     """Everything a caller might want to inspect after a run."""
 
     exit_code: int
@@ -149,7 +147,7 @@ def _summary_entries(
     if integral_certificate is not None and integral_certificate.satisfied:
         entries["gap.integral_delta"] = integral_certificate.delta
     if evaluation is not None:
-        for key, value in asdict(evaluation).items():
+        for key, value in evaluation._asdict().items():
             entries[f"offline.{key}"] = value
     for name, reason in skipped.items():
         entries[f"skipped.{name}"] = reason
@@ -298,9 +296,9 @@ def run_sweep(
     grid = itertools.product(rounds_list, dimension_list, gap_list)
     for trial, (rounds, dimension, gap_mode) in enumerate(grid):
         name = f"trial{trial:03d}_n{dimension}_T{rounds}_gap{gap_mode}"
-        cfg = replace(base, seed=base.seed + trial, rounds=int(rounds),
-                      dimension=int(dimension), gap_mode=gap_mode, out=str(out / name),
-                      gap_margin=base.gap_margin if gap_mode == "margin" else 0.0)
+        cfg = base._replace(seed=base.seed + trial, rounds=int(rounds),
+                            dimension=int(dimension), gap_mode=gap_mode, out=str(out / name),
+                            gap_margin=base.gap_margin if gap_mode == "margin" else 0.0)
         trials.append((name, cfg))
     out.mkdir(parents=True, exist_ok=True)
     index_lines = ["trial,dir,seed,dimension,rounds,gap_mode,exit,regret,regret_sub"]

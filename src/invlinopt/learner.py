@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,8 +53,7 @@ def _regularizer_constants(
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class LearnerState:
+class LearnerState(NamedTuple):
     """Single-writer accumulator for the regularized-leader updates.
 
     B, H and K are the constants of the schedules and of the run's
@@ -198,6 +196,6 @@ def play(
     for column in columns.values():
         column.flags.writeable = False
     last_answer = None if answered is None else (weakref.ref(answered), prediction, answer)
-    final = replace(state, grad_sum=grad_sum, sq_norm_sum=sq_norm_sum,
-                    current_prediction=prediction, last_answer=last_answer)
+    final = state._replace(grad_sum=grad_sum, sq_norm_sum=sq_norm_sum,
+                           current_prediction=prediction, last_answer=last_answer)
     return final, columns

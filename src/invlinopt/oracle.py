@@ -33,8 +33,7 @@ Hypercube and Knapsack sets go through argmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,8 +50,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class OracleResult:
+class OracleResult(NamedTuple):
     """A maximizer and the exact-tie multiplicity.
 
     tie_count is reported when it is cheap to compute (scans and the

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -165,9 +164,9 @@ def observe(state: LearnerState, obs) -> tuple[LearnerState, Round]:
         grad_norm = state.norms.primal(g)
         grad_sum = _frozen(state.grad_sum + g)
         sq_norm_sum = state.sq_norm_sum + grad_norm ** 2
-        prediction = predict(replace(state, grad_sum=grad_sum, sq_norm_sum=sq_norm_sum))
-    new_state = replace(state, grad_sum=grad_sum, sq_norm_sum=sq_norm_sum,
-                        current_prediction=prediction)
+        prediction = predict(state._replace(grad_sum=grad_sum, sq_norm_sum=sq_norm_sum))
+    new_state = state._replace(grad_sum=grad_sum, sq_norm_sum=sq_norm_sum,
+                               current_prediction=prediction)
     return new_state, Round(c_hat, x_hat, g, beta(state), grad_norm)
 
 

@@ -1,7 +1,6 @@
 """Ledger accounting, bound checks, gap certification, holdout evaluation."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -847,15 +846,15 @@ def test_whole_run_ledger_matches_round_by_round_appends(name):
     # a caller's replay of other observations solves its own references
     other = generate_instance_stream(build_config({}, seed=24, rounds=400,
                                                   **LEDGER_RUNS[name]))
-    replayed = simulate(replace(
-        bundle, observations=other.observations, optimal_choices=argmax_many(
+    replayed = simulate(bundle._replace(
+        observations=other.observations, optimal_choices=argmax_many(
             [obs.feasible_set for obs in other.observations], bundle.c_star)))
     references = [argmax(obs.feasible_set, bundle.c_star).maximizer
                   for obs in other.observations]
     assert_ledger_matches_appends(replayed, other.observations, references)
     # and references of another length are refused
     with pytest.raises(ValueError, match="differ in length"):
-        simulate(replace(bundle, optimal_choices=bundle.optimal_choices[1:]))
+        simulate(bundle._replace(optimal_choices=bundle.optimal_choices[1:]))
 
 
 def _short(flags, rounds=300, seed=7):

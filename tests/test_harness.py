@@ -11,7 +11,6 @@ import sys
 import tomllib
 import tracemalloc
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -866,6 +865,11 @@ def test_empty_out_writes_nothing(tmp_path, monkeypatch, capsys, how):
     [
         (["--domain", "ball", "--ball-radius", "nan"], "ball_radius must be"),
         (["--domain", "ball", "--ball-radius", "inf"], "ball_radius must be"),
+        # the ball's squared norms overflow past 1e100 and underflow below
+        (["--domain", "ball", "--ball-radius", "1e101"],
+         "ball_radius must be in [1e-100, 1e100]"),
+        (["--domain", "ball", "--ball-radius", "1e-101"],
+         "ball_radius must be in [1e-100, 1e100]"),
         (["--gap", "margin", "--gap-margin", "inf"], "gap_margin must be positive and finite"),
         (["--seed", "-1"], "seed must be nonnegative"),
         (["--family", "hypercube", "--dimension", "21", "--gap", "integral"],
@@ -875,7 +879,8 @@ def test_empty_out_writes_nothing(tmp_path, monkeypatch, capsys, how):
         (["--gap-margin", "0.5"],
          "gap_margin is read only in margin mode, not gap mode 'none'"),
     ],
-    ids=["ball-radius-nan", "ball-radius-inf", "gap-margin-inf", "negative-seed",
+    ids=["ball-radius-nan", "ball-radius-inf", "ball-radius-huge", "ball-radius-tiny",
+         "gap-margin-inf", "negative-seed",
          "integral-gap-past-the-cap", "gap-margin-with-integral", "gap-margin-with-none"],
 )
 def test_out_of_range_config_is_a_named_usage_error(tmp_path, capsys, flags, message):
@@ -1279,7 +1284,7 @@ def test_fresh_optimal_rounds_make_two_solves_each(monkeypatch):
     # a replay of caller observations solves their optimal choices itself
     # and yields the same ledger
     observations = list(bundle.observations)
-    replayed = simulate(replace(bundle, observations=observations, optimal_choices=(
+    replayed = simulate(bundle._replace(observations=observations, optimal_choices=(
         oracle.argmax_many([obs.feasible_set for obs in observations], bundle.c_star))))
     assert answers[0] == 800
     for name, column in ledger.columns.items():
@@ -1392,3 +1397,14 @@ def test_the_installed_command_is_the_process_entry():
                for line in path.read_text().splitlines() if "gc.freeze(" in line]
     assert freezes == [Path(cli.__file__).resolve()]
     assert "gc.freeze()" in inspect.getsource(target)
+
+
+def test_the_process_entry_imports_no_dataclasses():
+    # src/'s records are NamedTuples: generating dataclass methods, one exec
+    # each, cost every process about 9 ms of start-up
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, invlinopt.harness.cli; print('dataclasses' in sys.modules)"],
+        env=child_env(), capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False\n"

@@ -3,7 +3,6 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +67,7 @@ def test_beta_offset_example():
 
 def test_beta_adaptive_example():
     state = init_learner(Simplex(2), ADAPTIVE, 1.0)  # B = 2^{11/4} sqrt(ln 2)
-    state = replace(state, sq_norm_sum=4.0)
+    state = state._replace(sq_norm_sum=4.0)
     expected = 2.0 ** 0.25 * 2.0 / state.B
     assert abs(played_beta(state) - expected) < 1e-15
 
@@ -85,7 +84,7 @@ def test_first_prediction_is_regularizer_minimizer():
 
 def test_symmetric_gradients_give_uniform():
     state = init_learner(Simplex(2), OFFSET, 1.0)
-    state = replace(state, grad_sum=np.zeros(2))
+    state = state._replace(grad_sum=np.zeros(2))
     assert tuple(predict(state)) == (0.5, 0.5)
 
 
@@ -95,7 +94,7 @@ def test_softmax_closed_form_against_grid():
     b = beta(state)
     assert b == 1.0 / math.sqrt(math.log(2.0))
     G = np.asarray([1.0, 0.0])
-    state = replace(state, grad_sum=G)
+    state = state._replace(grad_sum=G)
     got = predict(state)
     e = math.exp(1.0 / b)
     expected = np.array([1.0, e]) / (1.0 + e)  # softmax of -G / beta
@@ -120,7 +119,7 @@ def test_closed_form_beats_simplex_grid_n3():
     grid = np.maximum(grid, 1e-12)
     for _ in range(5):
         state = init_learner(domain, OFFSET, 1.0)
-        state = replace(state, grad_sum=rng.standard_normal(3), sq_norm_sum=1.0)
+        state = state._replace(grad_sum=rng.standard_normal(3), sq_norm_sum=1.0)
         b = beta(state)
         pred = predict(state)
         grid_objective = b * np.sum(grid * np.log(grid), axis=1) + grid @ state.grad_sum
@@ -135,7 +134,7 @@ def test_prediction_objective_beats_random_candidates():
     for n in (2, 3, 6):
         domain = Simplex(n)
         state = init_learner(domain, OFFSET, 1.0)
-        state = replace(state, grad_sum=rng.standard_normal(n), sq_norm_sum=2.0)
+        state = state._replace(grad_sum=rng.standard_normal(n), sq_norm_sum=2.0)
         b = beta(state)
         pred = predict(state)
 
@@ -154,8 +153,7 @@ def test_ball_prediction_objective_and_projection():
     domain = Ball(center, 1.0)
     for _ in range(20):
         state = init_learner(domain, OFFSET, 1.0)
-        state = replace(
-            state,
+        state = state._replace(
             grad_sum=rng.standard_normal(3) * 5.0,
             sq_norm_sum=float(rng.random()),
         )
@@ -171,7 +169,7 @@ def test_ball_prediction_objective_and_projection():
             assert best <= objective(domain.sample(rng)) + tolerance(best)
     # a long step lands exactly on the sphere
     state = init_learner(domain, OFFSET, 1.0)
-    state = replace(state, grad_sum=np.asarray([50.0, 0.0, 0.0]))
+    state = state._replace(grad_sum=np.asarray([50.0, 0.0, 0.0]))
     pred = predict(state)
     assert abs(np.linalg.norm(pred - center) - 1.0) <= 1e-12
 
@@ -182,8 +180,8 @@ def test_exponentiated_gradient_equivalence():
     for _ in range(50):
         n = int(rng.integers(2, 7))
         state = init_learner(Simplex(n), OFFSET, 1.0)
-        state = replace(
-            state, grad_sum=rng.standard_normal(n), sq_norm_sum=float(rng.random())
+        state = state._replace(
+            grad_sum=rng.standard_normal(n), sq_norm_sum=float(rng.random())
         )
         b = beta(state)
         weights = np.exp(-state.grad_sum / b)
@@ -356,7 +354,7 @@ def test_replaced_prediction_is_solved_afresh():
     # prediction object; nothing of the answer carries into the next run
     state, played = play(state, [Observation(X, [1.0, 0.0])])
     assert tuple(played["x_hat"][0]) == (1.0, 0.0) and not played["g"].any()
-    state = replace(state, current_prediction=as_vector([0.2, 0.8]))
+    state = state._replace(current_prediction=as_vector([0.2, 0.8]))
     _, played = play(state, [Observation(X, [0.0, 1.0])])
     assert tuple(played["x_hat"][0]) == (0.0, 1.0)
 
@@ -462,7 +460,7 @@ def test_an_underflowed_entry_is_checked_as_an_inequality():
     # a long run can push a softmax entry below the float range; its log is
     # not taken, and the exponent the other entries imply must be below too
     start = init_learner(Simplex(3), ADAPTIVE, 1.0)
-    state = replace(start, sq_norm_sum=1.0, grad_sum=as_vector([0.0, 1000.0, 0.0]))
+    state = start._replace(sq_norm_sum=1.0, grad_sum=as_vector([0.0, 1000.0, 0.0]))
     b = learner._beta(state, 1.0)
     c_hat = learner._solve(state.domain, state.grad_sum, b)
     played = {"c_hat": c_hat[None, :], "g": np.zeros((1, 3)),
@@ -470,5 +468,5 @@ def test_an_underflowed_entry_is_checked_as_an_inequality():
     assert c_hat[1] == 0.0
     assert max(ftrl_residual(state, played)) <= 1e-12
     # the same zero where the leader's entry is near 1e-258
-    nearer = replace(state, grad_sum=as_vector([0.0, 100.0, 0.0]))
+    nearer = state._replace(grad_sum=as_vector([0.0, 100.0, 0.0]))
     assert max(ftrl_residual(nearer, played)) > 1e-3

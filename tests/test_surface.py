@@ -1,6 +1,6 @@
-"""The public surface: exact export lists, and no test-only name in src/."""
+"""The public surface: exact export lists, no test-only name in src/, and
+immutable records that validate on every construction path."""
 
-import dataclasses
 import importlib
 
 import pytest
@@ -129,6 +129,9 @@ FIELDS = [
         "agent_noise", "gap_mode", "gap_margin", "holdout", "num_vertices",
         "integral_vertices", "fresh_sets", "ball_radius", "save_stream", "out",
     ]),
+    (core.NormPair, ["kind"]),
+    (analysis.BoundCheck, ["name", "round", "value", "bound", "passed"]),
+    (analysis.GapWitness, ["round_index", "competitor", "value", "reason"]),
     (analysis.GapCertificate, ["satisfied", "delta", "witness", "rounds", "last"]),
     # in the order of the summary's offline.* keys and eval's lines
     (analysis.OfflineEvaluation, [
@@ -138,11 +141,74 @@ FIELDS = [
         "exit_code", "ledger", "checks", "certificate", "evaluation",
         "summary", "summary_path",
     ]),
+    (harness.StreamBundle, [
+        "config", "c_star", "c_star_integral", "observations", "optimal_choices",
+    ]),
 ]
 
 
 @pytest.mark.parametrize(
     "cls, names", FIELDS, ids=[cls.__name__ for cls, _ in FIELDS]
 )
-def test_dataclass_fields(cls, names):
-    assert [f.name for f in dataclasses.fields(cls)] == names
+def test_record_fields(cls, names):
+    assert list(cls._fields) == names
+
+
+def _records():
+    """One instance of each record, most from a short integral-gap run."""
+    cfg = harness.build_config({}, seed=7, dimension=3, rounds=10,
+                               gap_mode="integral", holdout=20)
+    result = harness.run_experiment(cfg)
+    bundle = harness.generate_instance_stream(cfg)
+    obs = bundle.observations[0]
+    suboptimal = [core.Observation(core.Hypercube(2), [0.0, 0.0])]
+    witness = analysis.certify_gap(suboptimal, [0.5, 0.5], core.NormPair.linf_l1()).witness
+    return [oracle.argmax(obs.feasible_set, bundle.c_star),
+            obs, result.ledger.learner, cfg, result.checks[0], witness,
+            result.certificate, result.evaluation, result, bundle, core.NormPair.l2_l2()]
+
+
+def test_every_record_is_immutable():
+    records = _records()
+    assert sorted(type(r).__name__ for r in records) == sorted(
+        cls.__name__ for cls, _ in FIELDS)
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+
+def _message(make):
+    with pytest.raises(ValueError) as caught:
+        make()
+    return type(caught.value), str(caught.value)
+
+
+def test_replace_validates_as_the_constructor_does():
+    cfg = harness.ExperimentConfig(seed=7)
+    assert _message(lambda: cfg._replace(rounds=0)) == _message(
+        lambda: harness.ExperimentConfig(seed=7, rounds=0)) == (
+        ValueError, "rounds must be at least 1")
+    norms = core.NormPair.l2_l2()
+    assert _message(lambda: norms._replace(kind="l1-linf")) == _message(
+        lambda: core.NormPair("l1-linf")) == (
+        ValueError, "unknown norm pair kind 'l1-linf'")
+    X = core.Hypercube(2)
+    obs = core.Observation(X, [1.0, 0.0])
+    assert _message(lambda: obs._replace(agent_choice=[0.5, 0.0])) == _message(
+        lambda: core.Observation(X, [0.5, 0.0])) == (
+        core.MembershipError, "agent choice is not in the feasible set")
+    assert _message(lambda: obs._replace(agent_choice=[1.0])) == _message(
+        lambda: core.Observation(X, [1.0])) == (
+        core.DimensionMismatchError, "choice has dimension 1, set has 2")
+    # a replaced choice is folded and frozen as a constructed one is
+    replaced = obs._replace(agent_choice=[-0.0, 1.0]).agent_choice
+    assert replaced.tobytes() == core.as_vector([0.0, 1.0]).tobytes()
+    assert not replaced.flags.writeable
+
+
+def test_of_member_does_not_validate():
+    X, choice = core.Hypercube(2), core.as_vector([0.5, 0.0])
+    obs = core.Observation._of_member(X, choice)
+    assert type(obs) is core.Observation
+    assert obs.feasible_set is X and obs.agent_choice is choice
