@@ -6,9 +6,9 @@ suboptimality-loss regret, and the squared gradient norms, each computed
 once, a chunk of rounds at a time, from the columns that learner.play
 filled, and read in place.  It takes the constants B, H and K from the
 learner state that ran; bound_columns gives every running bound as an
-array from them, and verify_run checks each certified inequality at every
-prefix, reporting the measured slack at the worst one so failures are
-diagnosable.
+array from them, and verify_run returns every check a run reports: each
+certified inequality at every prefix, with the measured slack at the worst
+one so failures are diagnosable, the gap certificates and the holdout.
 certify_gap computes the exact margin between optimal and suboptimal
 actions by brute force, one chunk of a stream at a time, and
 offline_evaluate measures holdout suboptimality of an averaged prediction.
@@ -32,6 +32,7 @@ from .core import (
     _dot,
     _row_dots,
     as_vector,
+    tolerance,
 )
 from .learner import ADAPTIVE, LearnerState
 
@@ -265,16 +266,22 @@ def bound_columns(
 
 def verify_run(
     ledger: RegretLedger,
-    delta: float | None = None,
+    certificate: GapCertificate | None = None,
+    integral: GapCertificate | None = None,
+    evaluation: OfflineEvaluation | None = None,
     plateau_burn_in: int | None = None,
 ) -> list[BoundCheck]:
-    """Evaluate every applicable certified inequality at every prefix.
+    """Every check a run reports, in the order its summary lists them.
 
-    Returns one BoundCheck per inequality, reporting the prefix (or round)
-    with the smallest slack; passed is False if any prefix failed.  The
-    bounds use the ledger's constants.  The gap checks run exactly when a
-    certified delta is given, which must be positive; loss_plateau joins
-    them for runs of at least plateau_burn_in rounds.
+    Each certified inequality is evaluated at every prefix, and its
+    BoundCheck reports the prefix (or round) with the smallest slack;
+    passed is False if any prefix failed.  The bounds use the ledger's
+    constants.  The gap checks run exactly when certificate is satisfied,
+    and its delta must be positive; loss_plateau joins them for runs of at
+    least plateau_burn_in rounds.  Given certificate, gap_certified follows;
+    given integral, the certificate of the integral objective, so does
+    integral_gap_floor; given evaluation, the holdout of the average
+    prediction, so does holdout_generalization.
     """
     n = ledger.rounds
     if n == 0:
@@ -294,6 +301,7 @@ def verify_run(
         _worst("regret_ordering", a["regret_sub"], regret + TOL * (1.0 + scale) * t, t)
     )
 
+    delta = certificate.delta if certificate is not None else None
     if delta is not None and not delta > 0.0:
         raise ValueError("gap checks need a certified positive delta")
     bounds = bound_columns(ledger, delta)
@@ -316,6 +324,22 @@ def verify_run(
             checks.append(
                 _worst("loss_plateau", np.array([late]), np.array([TOL * n]), np.array([n]))
             )
+
+    if certificate is not None:
+        checks.append(BoundCheck("gap_certified", n, 0.0, 0.0, certificate.satisfied))
+    if integral is not None:
+        # integral vertex sets with an integral objective and a unique
+        # optimum have margin at least 1 / K
+        value = integral.delta if integral.satisfied else -np.inf
+        checks.append(_worst("integral_gap_floor", np.array([1.0 / ledger.learner.K]),
+                             np.array([value]), np.array([n])))
+    if evaluation is not None:
+        # the mean suboptimality regret per round, three standard errors of
+        # the paired holdout gaps, and the comparison tolerance
+        mean_gap, budget = evaluation.mean_gap, ledger.subopt_regret() / n
+        bound = budget + (3.0 * evaluation.stderr_gap + tolerance(mean_gap, budget))
+        checks.append(BoundCheck("holdout_generalization", n, mean_gap, bound,
+                                 mean_gap <= bound))
     return checks
 
 

@@ -275,7 +275,7 @@ def test_criterion_7_gap_inequalities(gap_runs):
         assert certificate.satisfied
         checks = {
             c.name: c
-            for c in verify_run(ledger, delta=certificate.delta)
+            for c in verify_run(ledger, certificate)
         }
         residual = checks["gap_residual_bound"]
         aggregate = checks["gap_gradient_sum_bound"]
@@ -307,7 +307,7 @@ def test_criterion_8_gap_constant_and_plateau(plateau_runs):
         floor_ok = integral.satisfied and integral.delta >= 1.0 / ledger.learner.K
         checks = {
             c.name: c
-            for c in verify_run(ledger, delta=certificate.delta, plateau_burn_in=1000)
+            for c in verify_run(ledger, certificate, plateau_burn_in=1000)
         }
         constant_ok = checks["gap_constant_bound"].passed
         total = ledger.columns["total"]

@@ -13,6 +13,7 @@ from invlinopt import (
     OFFSET,
     DagPaths,
     ExplicitVertices,
+    GapCertificate,
     Hypercube,
     Knapsack,
     NormPair,
@@ -195,12 +196,12 @@ def certified_repeat_run(rounds):
     )
     certificate = certify_gap(bundle.observations, bundle.c_star, LINF)
     assert certificate.satisfied and certificate.delta > 0.0
-    return bundle, ledger, certificate.delta
+    return bundle, ledger, certificate
 
 
 def test_gap_checks_on_certified_run():
-    bundle, ledger, delta = certified_repeat_run(600)
-    checks = checks_by_name(ledger, delta=delta, plateau_burn_in=100)
+    bundle, ledger, certificate = certified_repeat_run(600)
+    checks = checks_by_name(ledger, certificate=certificate, plateau_burn_in=100)
     for name in ("gap_residual_bound", "gap_gradient_sum_bound", "gap_constant_bound",
                  "loss_plateau"):
         assert checks[name].passed, name
@@ -226,9 +227,9 @@ def test_residual_bound_direct_evaluation():
 
 
 def test_plateau_needs_enough_rounds():
-    bundle, ledger, delta = certified_repeat_run(50)
+    bundle, ledger, certificate = certified_repeat_run(50)
     for burn_in, present in ((100, False), (50, True)):
-        checks = checks_by_name(ledger, delta=delta, plateau_burn_in=burn_in)
+        checks = checks_by_name(ledger, certificate=certificate, plateau_burn_in=burn_in)
         assert ("loss_plateau" in checks) == present
 
 
@@ -238,7 +239,7 @@ def fresh_gap_run():
         seed=11, rounds=1500, gap="integral", dimension=5, num_vertices=12
     )
     certificate = certify_gap(bundle.observations, bundle.c_star, LINF)
-    checks = checks_by_name(ledger, delta=certificate.delta, plateau_burn_in=1000)
+    checks = checks_by_name(ledger, certificate=certificate, plateau_burn_in=1000)
     return ledger, checks["loss_plateau"]
 
 
@@ -270,7 +271,8 @@ def test_plateau_counts_the_first_late_round():
                       references[rows])
     total = ledger.columns["total"]
     assert np.flatnonzero(total).tolist() == [n // 2] and total[n // 2] == 2.0
-    check = checks_by_name(ledger, delta=1.0, plateau_burn_in=n)["loss_plateau"]
+    certificate = GapCertificate(True, 1.0, None, n, None)
+    check = checks_by_name(ledger, certificate=certificate, plateau_burn_in=n)["loss_plateau"]
     assert not check.passed
     assert (check.round, check.value, check.bound) == (n, 2.0, 1e-9 * n)
 

@@ -57,7 +57,34 @@ CONFIGS = {
         "--num-vertices", "10", "--gap", "margin", "--gap-margin", "0.02",
         "--domain", "ball", "--rounds", "60", "--save-stream", "--seed", "8",
     ],
+    # a noisy agent on a wide ball with two holdout samples: every certified
+    # inequality holds and the run exits 1 on holdout_generalization alone
+    "ball-noisy-holdout-fail": [
+        "--seed", "1", "--domain", "ball", "--ball-radius", "50",
+        "--agent-noise", "0.3", "--rounds", "300", "--holdout", "2",
+        "--dimension", "10",
+    ],
+    # the gap checks, gap_certified, integral_gap_floor and
+    # holdout_generalization in one summary
+    "integral-holdout": [
+        "--seed", "7", "--dimension", "3", "--rounds", "200", "--gap",
+        "integral", "--holdout", "100",
+    ],
+    # a gap mode with a noisy agent skips the gap checks and says so
+    "noisy-gap-skipped": [
+        "--seed", "7", "--dimension", "4", "--rounds", "60", "--gap",
+        "integral", "--agent-noise", "0.2", "--holdout", "40",
+    ],
+    # a hypercube whose learner moves: its squared gradient norms sum to 35
+    "hypercube-ball-noisy": [
+        "--seed", "9", "--family", "hypercube", "--dimension", "6",
+        "--domain", "ball", "--agent-noise", "0.2", "--rounds", "60",
+        "--holdout", "40",
+    ],
 }
+
+# the exit status each config's run is recorded with: 0 unless named here
+EXIT_STATUS = {"ball-noisy-holdout-fail": 1}
 
 
 # `invlinopt eval` of a committed prediction; 600 holdout samples cross the
@@ -88,7 +115,7 @@ def _eval(name: str, out: Path) -> int:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_bytes(name, tmp_path, capsys):
-    assert _run(name, tmp_path) == 0
+    assert _run(name, tmp_path) == EXIT_STATUS.get(name, 0)
     expected_dir = GOLDEN_DIR / name
     expected = sorted(p.name for p in expected_dir.iterdir())
     produced = sorted(p.name for p in tmp_path.iterdir())
@@ -139,8 +166,9 @@ def record() -> None:
         out.mkdir(parents=True, exist_ok=True)
         for fname in OUTPUT_FILES:
             (out / fname).unlink(missing_ok=True)
-        if _run(name, out) != 0:
-            raise SystemExit(f"{name}: run failed, golden files not usable")
+        status = EXIT_STATUS.get(name, 0)
+        if _run(name, out) != status:
+            raise SystemExit(f"{name}: run did not exit {status}, golden files not usable")
     for name in EVAL_CONFIGS:
         out = GOLDEN_DIR / f"eval-{name}"
         out.mkdir(parents=True, exist_ok=True)

@@ -542,7 +542,7 @@ def test_golden_bytes_at_any_chunk_size(name, tmp_path, monkeypatch, capsys):
     for step in (1, 7, rounds):
         monkeypatch.setattr(core, "_STACK_CHUNK", step)
         out = tmp_path / str(step)
-        assert main(["run", *args, "--out", str(out)]) == 0
+        assert main(["run", *args, "--out", str(out)]) == test_golden.EXIT_STATUS.get(name, 0)
         assert sorted(p.name for p in out.iterdir()) == sorted(
             p.name for p in expected.iterdir())
         for path in expected.iterdir():
@@ -587,6 +587,49 @@ def test_holdout_bound_is_rebuilt_from_the_summary(tmp_path):
     assert stderr > 0.0
     bound = budget + (3.0 * stderr + tolerance(mean_gap, budget))
     assert float(summary["check.holdout_generalization.bound"]) == bound
+
+
+# the golden configs of the same names
+INTEGRAL_HOLDOUT = dict(seed=7, dimension=3, rounds=200, gap_mode="integral", holdout=100)
+BALL_NOISY_HOLDOUT_FAIL = dict(seed=1, domain="ball", ball_radius=50.0, agent_noise=0.3,
+                               rounds=300, holdout=2, dimension=10)
+
+
+def test_a_run_reports_exactly_the_checks_of_verify_run():
+    cfg = build_config({}, **INTEGRAL_HOLDOUT)
+    result = run_experiment(cfg)
+    bundle = generate_instance_stream(cfg)
+    integral = certify_gap(bundle.observations, bundle.c_star_integral,
+                           result.ledger.learner.norms)
+    checks = analysis.verify_run(result.ledger, result.certificate, integral,
+                                 result.evaluation, plateau_burn_in=1000)
+    assert len(result.checks) == len(checks)
+    for reported, verified in zip(result.checks, checks):
+        assert reported == verified
+    assert [c.name for c in checks[-3:]] == [
+        "gap_certified", "integral_gap_floor", "holdout_generalization"]
+
+
+@pytest.mark.parametrize("config, failed", [
+    (INTEGRAL_HOLDOUT, []),
+    (BALL_NOISY_HOLDOUT_FAIL, ["holdout_generalization"]),
+], ids=["integral-holdout", "ball-noisy-holdout-fail"])
+def test_the_exit_status_is_1_exactly_when_a_check_failed(config, failed):
+    result = run_experiment(build_config({}, **config))
+    assert [c.name for c in result.checks if not c.passed] == failed
+    assert result.exit_code == (1 if failed else 0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: total_loss_identity's bound 1e-9 * t has no term for "
+    "the size of the losses, and a radius-1e12 ball's losses round by far "
+    "more; widening it moves every summary's check.total_loss_identity.bound, "
+    "so it waits for a re-record of the golden summaries and digests"))
+def test_total_loss_identity_holds_on_a_huge_ball():
+    result = run_experiment(build_config({}, seed=1, domain="ball", dimension=3,
+                                         rounds=40, ball_radius=1e12))
+    check = next(c for c in result.checks if c.name == "total_loss_identity")
+    assert check.passed, check
 
 
 def test_run_failure_is_named_and_nonzero(tmp_path):
@@ -1343,8 +1386,8 @@ from invlinopt.harness import cli
 if sys.argv[1] == "--fail-a-check":
     del sys.argv[1]
     checks = analysis.verify_run
-    def failing(ledger, **kwargs):
-        return checks(ledger, **kwargs) + [
+    def failing(ledger, *args, **kwargs):
+        return checks(ledger, *args, **kwargs) + [
             analysis.BoundCheck("forced", ledger.rounds, 1.0, 0.0, False)]
     analysis.verify_run = failing
 print("frozen before:", gc.get_freeze_count())
