@@ -16,6 +16,8 @@ their arcs into one (k, n, 2) intp block: its rows' chain is filled in
 once, the scalar rng.integers draws of each extra arc follow in the order
 a per-set draw makes them, a rejected draw's redraw overwrites its row,
 and each set is DagPaths._of_row of its row, without per-arc checks.
+A DAG sampler call's scalar draws (arcs, noise flags, member indices) are
+replayed from raw PCG64 blocks by numpy's own rules (_ReplayedDraws).
 Each observation takes its choice, an oracle answer or a uniform_member
 row, uncopied and without a membership scan.  The public constructors,
 and so read_stream and callers' own observations, keep every check.
@@ -56,6 +58,63 @@ RETRY_CAP = 100_000
 
 class GenerationFailedError(RuntimeError):
     """The rejection-sampling retry budget ran out."""
+
+
+# raw PCG64 outputs pulled at a time; a memoryview makes each an int only
+# when drawn (a block's ints made at once cost a DAG run 0.2 MB of peak RSS)
+_RAW_BLOCK = 256
+
+
+class _ReplayedDraws:
+    """Inside with, integers(low, high) for a range in [1, 2**32] and
+    random() return, bit for bit, what rng's scalar calls return, read from
+    raw PCG64 outputs pulled in blocks; on exit, by a raise too, rng is where
+    those calls would leave it.  Without replay, or for another bit
+    generator, with gives rng itself."""
+
+    def __init__(self, rng: np.random.Generator, replay: bool):
+        self._rng, self._bits = rng, rng.bit_generator
+        self._replays = replay and type(self._bits) is np.random.PCG64
+
+    def __enter__(self):
+        if not self._replays:
+            return self._rng
+        self._start, self._used, self._raws = self._bits.state, 0, self._blocks()
+        self._uinteger = self._start["uinteger"]
+        self._words = [self._uinteger] * self._start["has_uint32"]
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._replays:  # reset, advanced by the raws used, the half kept
+            self._bits.state = self._start
+            self._bits.advance(self._used)
+            self._bits.state = {**self._bits.state, "has_uint32": len(self._words),
+                                "uinteger": self._uinteger}
+
+    def _blocks(self):
+        while True:
+            for raw in memoryview(self._bits.random_raw(_RAW_BLOCK)):
+                self._used += 1
+                yield raw
+
+    def integers(self, low: int, high: int) -> int:
+        # Lemire's (2019) multiply-and-reject on 32-bit words: a raw's low
+        # half, then its high half, kept pending (O'Neill 2014)
+        n = high - low
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"replayed range {n} is outside [1, 2**32]")
+        while n > 1:
+            if not self._words:
+                raw = next(self._raws)
+                self._uinteger = raw >> 32
+                self._words = [self._uinteger, raw & 0xFFFFFFFF]
+            m = self._words.pop() * n
+            if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= ((1 << 32) - n) % n:
+                return low + (m >> 32)
+        return low
+
+    def random(self) -> float:
+        return (next(self._raws) >> 11) * (1.0 / 9007199254740992.0)
 
 
 class StreamBundle(NamedTuple):
@@ -173,9 +232,12 @@ def _sample_feasible_set(
     if arcs is None:
         arcs = _dag_block(cfg, 1)[0]
     num_nodes = _dag_nodes(cfg)
-    for j in range(num_nodes - 1, n):
+    extra = []
+    for _ in range(num_nodes - 1, n):
         u = int(rng.integers(0, num_nodes - 1))
-        arcs[j] = u, int(rng.integers(u + 1, num_nodes))
+        extra.append((u, int(rng.integers(u + 1, num_nodes))))
+    if extra:  # one row write; a chain alone (n <= 7) has no extra arcs
+        arcs[num_nodes - 1:] = extra
     return DagPaths._of_row(num_nodes, arcs)
 
 
@@ -323,14 +385,17 @@ def make_observation_sampler(
             noisy = [None] * k
         else:
             sets, noisy = [], []
-            # fresh DAGs draw their arcs into the rows of one block
+            # fresh DAGs draw their arcs into the rows of one block; a DAG
+            # sample's draws are all scalar, and so replayed
             fresh_dags = cfg.family == "dag" and shared is None
             rows = _dag_block(cfg, k) if fresh_dags else [None] * k
-            for arcs in rows:
-                X = shared if shared is not None else _draw_set(cfg, margin, floor, rng, arcs)
-                sets.append(X)
-                errs = cfg.agent_noise > 0.0 and rng.random() < cfg.agent_noise
-                noisy.append(uniform_member(X, rng) if errs else None)
+            with _ReplayedDraws(rng, cfg.family == "dag") as draws:
+                for arcs in rows:
+                    X = shared if shared is not None else _draw_set(
+                        cfg, margin, floor, draws, arcs)
+                    sets.append(X)
+                    errs = cfg.agent_noise > 0.0 and draws.random() < cfg.agent_noise
+                    noisy.append(uniform_member(X, draws) if errs else None)
         optimal_choices = (
             argmax_many(sets, c_star) if shared is None
             else np.broadcast_to(shared_choice, (k, shared.dimension))

@@ -1,5 +1,6 @@
 """One property test over the whole config space: every valid config runs,
-or fails with a named error, and a run is a pure function of its config."""
+or fails with a named error, a run is a pure function of its config, and
+a saved stream reads back to the stream the config generates."""
 
 import tempfile
 from pathlib import Path
@@ -8,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlinopt.harness import ExperimentConfig, generate, run_experiment
+from invlinopt.harness import (
+    ExperimentConfig,
+    generate,
+    generate_instance_stream,
+    run_experiment,
+)
 from invlinopt.harness.config import DOMAINS, FAMILIES, GAP_MODES, SCHEDULES
+from invlinopt.harness.io import read_stream
 
 # small enough that an unreachable margin fails with GenerationFailedError
 # in milliseconds, not after the default budget's seconds
@@ -52,6 +59,20 @@ def _outputs(cfg, out: Path):
     return status, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+def _assert_stream_reads_back(cfg, path: Path) -> None:
+    """read_stream gives back the objective, each set's members and each
+    choice of the config's stream, bitwise; a stream writes every set as
+    its member rows."""
+    observations, c_star = read_stream(path)
+    bundle = generate_instance_stream(cfg)
+    assert c_star.tobytes() == bundle.c_star.tobytes()
+    assert len(observations) == len(bundle.observations)
+    for loaded, drawn in zip(observations, bundle.observations):
+        assert (loaded.feasible_set.members().tobytes()
+                == drawn.feasible_set.members().tobytes())
+        assert loaded.agent_choice.tobytes() == drawn.agent_choice.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(configs())
 def test_every_valid_config_runs_or_names_its_failure_and_repeats(cfg):
@@ -60,3 +81,5 @@ def test_every_valid_config_runs_or_names_its_failure_and_repeats(cfg):
         patch.setattr(generate, "RETRY_CAP", RETRY_CAP)
         first = _outputs(cfg, Path(tmp, "first"))
         assert _outputs(cfg, Path(tmp, "second")) == first
+        if cfg.save_stream and isinstance(first[1], dict):
+            _assert_stream_reads_back(cfg, Path(tmp, "first", "stream.txt"))

@@ -81,6 +81,23 @@ CONFIGS = {
         "--domain", "ball", "--agent-noise", "0.2", "--rounds", "60",
         "--holdout", "40",
     ],
+    # one shared DAG: noise flags and unranked members of its paths, in the
+    # run and the holdout; its learner moves (sum_sq_grad = 127)
+    "dag-repeat-noisy": [
+        "--family", "dag", "--dimension", "10", "--repeat-instance",
+        "--agent-noise", "0.3", "--rounds", "300", "--holdout", "100",
+        "--seed", "11",
+    ],
+    # rejected DAG draws overwrite their row before the next draw
+    "dag-margin": [
+        "--family", "dag", "--dimension", "9", "--gap", "margin",
+        "--gap-margin", "0.3", "--rounds", "300", "--seed", "12",
+    ],
+    # n <= 7: a chain alone, no arc draws, only noise flags and members
+    "dag-chain-noisy": [
+        "--family", "dag", "--dimension", "6", "--agent-noise", "0.2",
+        "--rounds", "300", "--holdout", "100", "--seed", "13",
+    ],
 }
 
 # the exit status each config's run is recorded with: 0 unless named here

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invlinopt
 from invlinopt import analysis, core
@@ -258,6 +260,125 @@ def test_integral_vertex_bits_drawn_in_pieces_are_one_draw(step, monkeypatch):
     assert [X.vertices.tobytes() for X in sets] == [
         ExplicitVertices(rows).vertices.tobytes() for rows in bits]
     assert rng.bit_generator.state == whole.bit_generator.state
+
+
+class _Stop(Exception):
+    pass
+
+
+# 2**31 + 5 rejects about half of its 32-bit words; 2**32 takes a word as is
+REPLAYED_RANGES = [1, 7, 2 ** 20, 2 ** 31 + 5, 2 ** 32]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    pending=st.booleans(),
+    block=st.sampled_from([1, 3, 64]),
+    draws=st.lists(st.none() | st.tuples(st.integers(-9, 9),
+                                         st.sampled_from(REPLAYED_RANGES)), max_size=60),
+    stop=st.none() | st.integers(0, 60),
+)
+def test_replayed_draws_are_numpys_scalar_draws(seed, pending, block, draws, stop):
+    # None is a random() call, (low, n) an integers(low, low + n) call; a
+    # raise before draw `stop` leaves the generator where the draws before
+    # it would
+    rng, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    if pending:  # a 32-bit draw leaves the high half of its raw output pending
+        rng.integers(0, 3), scalar.integers(0, 3)
+    expected = [scalar.random() if d is None else int(scalar.integers(d[0], d[0] + d[1]))
+                for d in draws[:stop]]
+    got = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generate, "_RAW_BLOCK", block)
+        try:
+            with generate._ReplayedDraws(rng, True) as replayed:
+                for i, d in enumerate(draws):
+                    if i == stop:
+                        raise _Stop
+                    got.append(replayed.random() if d is None
+                               else replayed.integers(d[0], d[0] + d[1]))
+        except _Stop:
+            assert stop < len(draws)
+    assert [float.hex(v) if isinstance(v, float) else v for v in got] == [
+        float.hex(v) if isinstance(v, float) else v for v in expected]
+    assert all(type(v) is int for v in got if not isinstance(v, float))
+    assert rng.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (3, 2), (0, 2 ** 32 + 1), (-5, 2 ** 32)])
+def test_a_replayed_range_outside_the_32_bit_path_is_refused(low, high):
+    rng, untouched = np.random.default_rng(4), np.random.default_rng(4)
+    rng.integers(0, 5), untouched.integers(0, 5)
+    with pytest.raises(ValueError, match=r"outside \[1, 2\*\*32\]"):
+        with generate._ReplayedDraws(rng, True) as replayed:
+            replayed.integers(low, high)
+    assert rng.bit_generator.state == untouched.bit_generator.state
+
+
+def test_replayed_draws_hold_one_raw_block():
+    # 200,000 draws, as one call's margin loop may make, spend about 100,000
+    # raw outputs: megabytes kept as one list, a few kB a block at a time
+    rng = np.random.default_rng(6)
+    tracemalloc.start()
+    try:
+        with generate._ReplayedDraws(rng, True) as replayed:
+            for _ in range(200_000):
+                replayed.integers(0, 7)
+            _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    scalar = np.random.default_rng(6)
+    for _ in range(200_000):
+        scalar.integers(0, 7)
+    assert rng.bit_generator.state == scalar.bit_generator.state
+
+
+def _pending(rng):
+    rng.integers(0, 3)
+    return rng
+
+
+@pytest.mark.parametrize("make_rng", [
+    lambda: np.random.Generator(np.random.MT19937(21)),
+    lambda: _pending(np.random.default_rng(21)),
+], ids=["mt19937", "pcg64-pending-half"])
+@pytest.mark.parametrize("repeat", [False, True])
+def test_a_dag_sampler_draws_what_numpys_scalar_calls_draw(make_rng, repeat):
+    # an MT19937 generator is drawn from directly, a PCG64 one is replayed:
+    # both give today's samples and leave the generator where the per-set
+    # reference leaves it
+    cfg = make_cfg(family="dag", dimension=10, agent_noise=0.3, rounds=1,
+                   fresh_sets=not repeat)
+    c_star, c_star_integral = draw_objective(cfg)
+    sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
+    per_set = reference.reference_sampler(cfg, c_star, c_star_integral)
+    rng, reference_rng = make_rng(), make_rng()
+    observations, _ = sampler(rng, 300)
+    for obs in observations:
+        expected = per_set(reference_rng)
+        assert obs.feasible_set.arcs == expected.feasible_set.arcs
+        assert obs.agent_choice.tobytes() == expected.agent_choice.tobytes()
+    # an MT19937 state holds its key as an array
+    np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
+
+
+def test_a_dag_sampler_out_of_retries_leaves_the_rng_where_its_draws_did(monkeypatch):
+    # the replayed draws are closed on the raise: the generator is where
+    # the reference's RETRY_CAP scalar draws leave it
+    monkeypatch.setattr(generate, "RETRY_CAP", 300)
+    cfg = make_cfg(family="dag", dimension=9, gap_mode="margin", gap_margin=50.0,
+                   rounds=1)
+    c_star, c_star_integral = draw_objective(cfg)
+    sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
+    per_set = reference.reference_sampler(cfg, c_star, c_star_integral)
+    rng, reference_rng = np.random.default_rng(2), np.random.default_rng(2)
+    with pytest.raises(GenerationFailedError, match="300 draws"):
+        sampler(rng, 5)
+    with pytest.raises(GenerationFailedError):
+        per_set(reference_rng)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_hypercube_family_and_ball_domain():
