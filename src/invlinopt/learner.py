@@ -62,9 +62,11 @@ class LearnerState(NamedTuple):
     answer) of the last round played when that round did not update, else
     None; play reuses it for a first round facing the same live set object
     under the same prediction object, so a stream played in chunks calls
-    the oracle as often as the whole stream played at once, and a state
-    keeps no played set alive.  play returns a fresh state; instances for
-    parallel trials share nothing.
+    the oracle as often as the whole stream played at once.  Its answer is
+    a copy of the last row of the played chunk's x_hat column, so a state
+    keeps no played set alive, nor the vertex block an answer views, nor
+    the column.  play returns a fresh state; instances for parallel trials
+    share nothing.
     """
 
     domain: PredictionDomain
@@ -148,8 +150,13 @@ def play(
     feasible set, and steps along the residual g = x_hat - x.  The columns
     are read-only arrays with one row per round: c_hat, x_hat and g of
     shape (T, n), and beta, the scale of the regularizer that gave c_hat,
-    and grad_norm, the primal norm of g, of length T.  A set of another
-    dimension makes the oracle raise DimensionMismatchError.
+    and grad_norm, the primal norm of g, of length T.
+
+    Rounds are answered through oracle._solve, with the objective checked
+    as oracle.argmax checks it only on a prediction object's first use,
+    and again on a set whose dimension differs from the domain's: every
+    answer, and every DimensionMismatchError or non-finite prediction
+    refused, is argmax's, at the same round.
 
     A round whose answer has the bytes of the agent's choice has a zero
     subgradient: its g and grad_norm stay +0.0, and the accumulators, and
@@ -166,14 +173,18 @@ def play(
     prediction = state.current_prediction
     b = _beta(state, sq_norm_sum)
     primal = state.norms.primal
-    answered = answer = None
+    answered = answer = checked = None
     if state.last_answer is not None and state.last_answer[1] is prediction:
         held, _, answer = state.last_answer
         answered = held()
     for t, obs in enumerate(observations):
         X = obs.feasible_set
         if X is not answered:
-            answered, answer = X, oracle.argmax(X, prediction).maximizer
+            if prediction is not checked or X.dimension != n:
+                c = np.asarray(prediction, dtype=np.float64)
+                oracle._check_objective(X, c)
+                checked = prediction if X.dimension == n else None
+            answered, answer = X, oracle._solve(X, c).maximizer
         c_hat[t] = prediction
         x_hat[t] = answer
         beta[t] = b
@@ -195,7 +206,14 @@ def play(
                "grad_norm": grad_norm}
     for column in columns.values():
         column.flags.writeable = False
-    last_answer = None if answered is None else (weakref.ref(answered), prediction, answer)
+    if T == 0:
+        last_answer = state.last_answer
+    elif answered is None:
+        last_answer = None
+    else:
+        # a copy of the last round's answer: the oracle's may view the set's
+        # vertex block, and a row of x_hat would keep the whole column
+        last_answer = (weakref.ref(answered), prediction, _frozen(x_hat[T - 1]))
     final = state._replace(grad_sum=grad_sum, sq_norm_sum=sq_norm_sum,
                            current_prediction=prediction, last_answer=last_answer)
     return final, columns

@@ -14,7 +14,11 @@ tie-breaking rule, so repeated runs reproduce bitwise-identical traces:
 
 argmax is a pure function of its arguments and keeps no state; answers
 are read-only, so a caller that knows a decision problem repeats may keep
-one and reuse it.
+one and reuse it.  An ExplicitVertices answer is a read-only view of the
+set's folded vertex rows, uncopied; the other families answer with fresh
+0/1 arrays, made read-only in place.  _solve is the dispatch behind
+argmax without the objective's conversion and check, for a caller that
+has checked the objective against the set's dimension once already.
 
 argmax_many answers one objective over many sets as one read-only array,
 one row per set.  A run of consecutive repeats of one set object, of any
@@ -46,7 +50,6 @@ from .core import (
     Hypercube,
     Knapsack,
     _arc_order,
-    _frozen,
 )
 
 
@@ -87,13 +90,20 @@ def _scan(rows: np.ndarray, c: np.ndarray) -> OracleResult:
         # lexsort uses its last key as the primary one, so feed reversed columns
         order = np.lexsort(rows[tied].T[::-1])
         row = rows[tied[order[0]]]
-    return OracleResult(_frozen(row), ties)
+    # the set's rows are folded and read-only already
+    return OracleResult(row, ties)
+
+
+def _readonly(x: np.ndarray) -> np.ndarray:
+    """x, a fresh 0/1 float64 array that holds no -0.0, made read-only."""
+    x.flags.writeable = False
+    return x
 
 
 def _hypercube_argmax(X: Hypercube, c: np.ndarray) -> OracleResult:
     x = (c > 0.0).astype(np.float64)
     ties = 2 ** int(np.count_nonzero(c == 0.0))
-    return OracleResult(_frozen(x), ties)
+    return OracleResult(_readonly(x), ties)
 
 
 def _knapsack_argmax(X: Knapsack, c: np.ndarray) -> OracleResult:
@@ -118,7 +128,7 @@ def _knapsack_argmax(X: Knapsack, c: np.ndarray) -> OracleResult:
             i = keep[j]
             sel[i] = 1.0
             budget -= int(weights[i])
-    return OracleResult(_frozen(sel), 1)
+    return OracleResult(_readonly(sel), 1)
 
 
 def _dag_path(X: DagPaths, c: list[float]) -> list[int]:
@@ -154,7 +164,7 @@ def _dag_path(X: DagPaths, c: list[float]) -> list[int]:
 def _dag_argmax(X: DagPaths, c: np.ndarray) -> OracleResult:
     sel = np.zeros(X.dimension)
     sel[_dag_path(X, c.tolist())] = 1.0
-    return OracleResult(_frozen(sel), 1)
+    return OracleResult(_readonly(sel), 1)
 
 
 def argmax(feasible_set: FeasibleSet, c) -> OracleResult:
@@ -282,6 +292,8 @@ def _dag_rows(sets: Sequence[DagPaths], c: np.ndarray, rows: np.ndarray) -> None
 
 
 def _solve(feasible_set: FeasibleSet, c: np.ndarray) -> OracleResult:
+    """argmax for a float64 c that _check_objective has passed for the
+    set's dimension."""
     if isinstance(feasible_set, ExplicitVertices):
         return _scan(feasible_set.vertices, c)
     if isinstance(feasible_set, Hypercube):

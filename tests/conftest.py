@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -76,6 +79,21 @@ def dag_paths(draw, num_arcs=None, max_nodes=7, max_arcs=10, num_nodes=None):
         extra = draw(st.lists(arc, min_size=num_arcs - len(arcs),
                               max_size=num_arcs - len(arcs)))
     return DagPaths(nodes, draw(st.permutations(arcs + extra)))
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail a call that runs past seconds instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_feasible_set(rng, family, **kwargs):

@@ -1,6 +1,7 @@
 """One property test over the whole config space: every valid config runs,
-or fails with a named error, a run is a pure function of its config, and
-a saved stream reads back to the stream the config generates."""
+or fails with a named error, a run is a pure function of its config, the
+learner plays its stream as the round-by-round reference does, and a saved
+stream reads back to the stream the config generates."""
 
 import tempfile
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invlinopt import init_learner, play
 from invlinopt.harness import (
     ExperimentConfig,
     generate,
@@ -18,6 +20,8 @@ from invlinopt.harness import (
 from invlinopt.harness.config import DOMAINS, FAMILIES, GAP_MODES, SCHEDULES
 from invlinopt.harness.io import read_stream
 
+from reference import Round, simulate_by_rounds
+
 # small enough that an unreachable margin fails with GenerationFailedError
 # in milliseconds, not after the default budget's seconds
 RETRY_CAP = 50
@@ -26,16 +30,22 @@ RETRY_CAP = 50
 @st.composite
 def configs(draw):
     """An ExperimentConfig from every field's valid range, except out, with
-    at most 40 rounds, a holdout of at most 20 and dimension at most 6."""
+    at most 40 rounds, a holdout of at most 20 and dimension at most 6, or
+    10 for a DAG."""
     domain = draw(st.sampled_from(DOMAINS))
     gap_mode = draw(st.sampled_from(GAP_MODES))
+    family = draw(st.sampled_from(FAMILIES))
+    dimension = st.integers(2 if domain == "simplex" else 1, 6)
+    if family == "dag":
+        # a DAG of dimension 8 or more has arcs beyond its chain
+        dimension = st.integers(2 if domain == "simplex" else 1, 7) | st.integers(8, 10)
     return ExperimentConfig(
         seed=draw(st.integers(0, 2 ** 32 - 1)),
-        dimension=draw(st.integers(2 if domain == "simplex" else 1, 6)),
+        dimension=draw(dimension),
         rounds=draw(st.integers(1, 40)),
         domain=domain,
         schedule=draw(st.sampled_from(SCHEDULES)),
-        family=draw(st.sampled_from(FAMILIES)),
+        family=family,
         agent_noise=draw(st.floats(0.0, 1.0)),
         gap_mode=gap_mode,
         gap_margin=(draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
@@ -59,12 +69,29 @@ def _outputs(cfg, out: Path):
     return status, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-def _assert_stream_reads_back(cfg, path: Path) -> None:
+def _assert_play_matches_the_reference(bundle) -> None:
+    """learner.play's columns and final state over the whole stream equal,
+    bitwise, those of the reference's observe, which solves every round
+    through oracle.argmax."""
+    cfg = bundle.config
+    start = init_learner(generate.build_domain(cfg), cfg.schedule,
+                         generate.diameter_bound(cfg))
+    state, played = play(start, bundle.observations)
+    expected, ledger = simulate_by_rounds(bundle.c_star, start, bundle.observations,
+                                          bundle.optimal_choices)
+    columns = ledger.arrays()
+    for name in Round._fields:
+        assert played[name].tobytes() == columns[name].tobytes(), name
+    for name in ("grad_sum", "current_prediction"):
+        assert getattr(state, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert float.hex(state.sq_norm_sum) == float.hex(expected.sq_norm_sum)
+
+
+def _assert_stream_reads_back(bundle, path: Path) -> None:
     """read_stream gives back the objective, each set's members and each
     choice of the config's stream, bitwise; a stream writes every set as
     its member rows."""
     observations, c_star = read_stream(path)
-    bundle = generate_instance_stream(cfg)
     assert c_star.tobytes() == bundle.c_star.tobytes()
     assert len(observations) == len(bundle.observations)
     for loaded, drawn in zip(observations, bundle.observations):
@@ -81,5 +108,8 @@ def test_every_valid_config_runs_or_names_its_failure_and_repeats(cfg):
         patch.setattr(generate, "RETRY_CAP", RETRY_CAP)
         first = _outputs(cfg, Path(tmp, "first"))
         assert _outputs(cfg, Path(tmp, "second")) == first
-        if cfg.save_stream and isinstance(first[1], dict):
-            _assert_stream_reads_back(cfg, Path(tmp, "first", "stream.txt"))
+        if isinstance(first[1], dict):
+            bundle = generate_instance_stream(cfg)
+            _assert_play_matches_the_reference(bundle)
+            if cfg.save_stream:
+                _assert_stream_reads_back(bundle, Path(tmp, "first", "stream.txt"))

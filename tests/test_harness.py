@@ -60,6 +60,7 @@ from invlinopt.harness.io import (
 
 import reference
 import test_golden
+from conftest import time_limit
 from reference import (
     argmax_bruteforce,
     in_domain,
@@ -282,14 +283,14 @@ REPLAYED_RANGES = [1, 7, 2 ** 20, 2 ** 31 + 5, 2 ** 32]
 def test_replayed_draws_are_numpys_scalar_draws(seed, pending, block, draws, stop):
     # None is a random() call, (low, n) an integers(low, low + n) call; a
     # raise before draw `stop` leaves the generator where the draws before
-    # it would
+    # it would.  A rejection loop that never ends fails here, in seconds.
     rng, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     if pending:  # a 32-bit draw leaves the high half of its raw output pending
         rng.integers(0, 3), scalar.integers(0, 3)
     expected = [scalar.random() if d is None else int(scalar.integers(d[0], d[0] + d[1]))
                 for d in draws[:stop]]
     got = []
-    with pytest.MonkeyPatch.context() as patch:
+    with time_limit(10), pytest.MonkeyPatch.context() as patch:
         patch.setattr(generate, "_RAW_BLOCK", block)
         try:
             with generate._ReplayedDraws(rng, True) as replayed:
@@ -310,7 +311,7 @@ def test_replayed_draws_are_numpys_scalar_draws(seed, pending, block, draws, sto
 def test_a_replayed_range_outside_the_32_bit_path_is_refused(low, high):
     rng, untouched = np.random.default_rng(4), np.random.default_rng(4)
     rng.integers(0, 5), untouched.integers(0, 5)
-    with pytest.raises(ValueError, match=r"outside \[1, 2\*\*32\]"):
+    with time_limit(10), pytest.raises(ValueError, match=r"outside \[1, 2\*\*32\]"):
         with generate._ReplayedDraws(rng, True) as replayed:
             replayed.integers(low, high)
     assert rng.bit_generator.state == untouched.bit_generator.state
@@ -322,7 +323,7 @@ def test_replayed_draws_hold_one_raw_block():
     rng = np.random.default_rng(6)
     tracemalloc.start()
     try:
-        with generate._ReplayedDraws(rng, True) as replayed:
+        with time_limit(60), generate._ReplayedDraws(rng, True) as replayed:
             for _ in range(200_000):
                 replayed.integers(0, 7)
             _, peak = tracemalloc.get_traced_memory()
@@ -355,7 +356,8 @@ def test_a_dag_sampler_draws_what_numpys_scalar_calls_draw(make_rng, repeat):
     sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
     per_set = reference.reference_sampler(cfg, c_star, c_star_integral)
     rng, reference_rng = make_rng(), make_rng()
-    observations, _ = sampler(rng, 300)
+    with time_limit(30):
+        observations, _ = sampler(rng, 300)
     for obs in observations:
         expected = per_set(reference_rng)
         assert obs.feasible_set.arcs == expected.feasible_set.arcs
@@ -374,7 +376,7 @@ def test_a_dag_sampler_out_of_retries_leaves_the_rng_where_its_draws_did(monkeyp
     sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
     per_set = reference.reference_sampler(cfg, c_star, c_star_integral)
     rng, reference_rng = np.random.default_rng(2), np.random.default_rng(2)
-    with pytest.raises(GenerationFailedError, match="300 draws"):
+    with time_limit(30), pytest.raises(GenerationFailedError, match="300 draws"):
         sampler(rng, 5)
     with pytest.raises(GenerationFailedError):
         per_set(reference_rng)

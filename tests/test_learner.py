@@ -270,6 +270,70 @@ def test_play_rejects_a_set_of_another_dimension():
         play(state, [obs])
 
 
+def test_a_set_of_another_dimension_mid_chunk_is_refused_as_argmax_refuses_it():
+    # two zero rounds check the prediction and keep it; the third set is
+    # solved under that checked prediction and must still be refused
+    state = init_learner(Simplex(2), ADAPTIVE, 1.0)
+    wide = ExplicitVertices([[1.0, 0.0, 0.0]])
+    observations = [Observation(Hypercube(2), [1.0, 1.0]),
+                    Observation(Knapsack([1, 1], 1), [1.0, 0.0]),
+                    Observation(wide, [1.0, 0.0, 0.0])]
+    _, played = play(state, observations[:2])
+    assert not played["g"].any()
+    with pytest.raises(DimensionMismatchError) as expected:
+        argmax(wide, state.current_prediction)
+    with pytest.raises(DimensionMismatchError) as got:
+        play(state, observations)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_prediction_is_refused_on_the_first_round_that_solves(entry):
+    X, Y = Knapsack([1, 1], 1), Hypercube(2)
+    prediction = np.array([entry, 1.0])
+    start = init_learner(Simplex(2), ADAPTIVE, 1.0)._replace(current_prediction=prediction)
+    with pytest.raises(ValueError) as expected:
+        argmax(X, prediction)
+    with pytest.raises(ValueError) as got:
+        play(start, [Observation(X, [1.0, 0.0])])
+    assert str(got.value) == str(expected.value) == "objective entries must be finite"
+    # a first round that reuses the carried answer solves nothing; the
+    # round after it, facing another set, is refused
+    carried = start._replace(last_answer=(weakref.ref(X), prediction, as_vector([1.0, 0.0])))
+    play(carried, [Observation(X, [1.0, 0.0])])
+    with pytest.raises(ValueError, match="objective entries must be finite"):
+        play(carried, [Observation(X, [1.0, 0.0]), Observation(Y, [1.0, 1.0])])
+
+
+def test_an_empty_chunk_keeps_the_last_answer():
+    X = Knapsack([1, 1], 1)
+    state, _ = play(init_learner(Simplex(2), ADAPTIVE, 1.0), [Observation(X, [1.0, 0.0])])
+    assert state.last_answer is not None
+    final, _ = play(state, [])
+    assert final.last_answer is state.last_answer
+    # and the piece after it still reuses the answer
+    _, played = play(final, [Observation(X, [1.0, 0.0])])
+    assert tuple(played["x_hat"][0]) == (1.0, 0.0)
+
+
+def test_a_played_chunk_keeps_no_vertex_block_alive():
+    # every round is a zero round, so the state keeps its last answer, and
+    # the answer of a vertex set is a view of the block its rows are in
+    rng = np.random.default_rng(40)
+    block = rng.random((6, 5, 3))
+    held = weakref.ref(block)
+    sets = ExplicitVertices._from_block(block)
+    del block
+    state = init_learner(Simplex(3), ADAPTIVE, 1.0)
+    observations = [Observation(X, argmax(X, state.current_prediction).maximizer)
+                    for X in sets]
+    state, played = play(state, observations)
+    assert not played["g"].any() and state.last_answer is not None
+    del sets, observations
+    gc.collect()
+    assert held() is None
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="dimension >= 2"):
         init_learner(Simplex(1), ADAPTIVE, 1.0)
@@ -332,8 +396,8 @@ def test_carried_answer_gives_the_records_of_a_solve_every_round(stream, monkeyp
         expected, record = observe(expected, obs)
         records.append(record)
     calls = []
-    solve = oracle.argmax
-    monkeypatch.setattr(oracle, "argmax", lambda X, c: calls.append(X) or solve(X, c))
+    solve = oracle._solve
+    monkeypatch.setattr(oracle, "_solve", lambda X, c: calls.append(X) or solve(X, c))
     state, played = play(start, observations)
     for name in Round._fields:
         column = np.array([getattr(r, name) for r in records], dtype=np.float64)
@@ -366,8 +430,8 @@ def test_a_piece_after_its_set_was_freed_calls_the_oracle(monkeypatch):
     state, played = play(state, [Observation(X, [1.0, 0.0])])
     assert tuple(played["x_hat"][0]) == (1.0, 0.0) and not played["g"].any()
     calls = []
-    solve = oracle.argmax
-    monkeypatch.setattr(oracle, "argmax", lambda X, c: calls.append(X) or solve(X, c))
+    solve = oracle._solve
+    monkeypatch.setattr(oracle, "_solve", lambda X, c: calls.append(X) or solve(X, c))
     # while the set lives, the next piece facing it reuses the answer
     state, _ = play(state, [Observation(X, [1.0, 0.0])])
     assert calls == []

@@ -1,6 +1,5 @@
 """Exact argmax oracles: examples, cross-checks, ties, determinism."""
 
-import signal
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,7 +20,7 @@ from invlinopt import (
 from invlinopt import core, oracle
 from invlinopt.core import tolerance
 
-from conftest import FAMILIES, dag_paths, random_feasible_set
+from conftest import FAMILIES, dag_paths, random_feasible_set, time_limit
 from reference import argmax_bruteforce, contains, inner_product, optimal_value
 
 
@@ -147,6 +146,22 @@ def test_scale_invariance_power_of_two():
                 assert abs(value - alpha * optimal_value(base, c)) <= tolerance(value)
 
 
+def test_every_answer_is_read_only_and_folded():
+    # a vertex set's answer is a view of its own rows, uncopied; the other
+    # families answer with fresh arrays, frozen in place
+    rng = np.random.default_rng(12)
+    for family in FAMILIES:
+        for _ in range(20):
+            X = random_feasible_set(rng, family)
+            c = rng.standard_normal(X.dimension)
+            c[rng.random(X.dimension) < 0.3] = -0.0
+            x = argmax(X, c).maximizer
+            assert not x.flags.writeable
+            assert x.tobytes() == (x + 0.0).tobytes()
+            if family == "explicit":
+                assert np.shares_memory(x, X.vertices)
+
+
 def test_determinism_bitwise():
     rng = np.random.default_rng(13)
     for family in FAMILIES:
@@ -164,21 +179,6 @@ def test_dimension_mismatch():
         argmax(Hypercube(3), [1.0, 2.0])
     with pytest.raises(DimensionMismatchError):
         argmax_bruteforce(Hypercube(3), [1.0, 2.0])
-
-
-@contextmanager
-def time_limit(seconds):
-    """Fail a call that runs past seconds instead of hanging the suite."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 # two distinct sets of dimension 2 per family, so argmax_many batches the
