@@ -455,7 +455,7 @@ def offline_evaluate(
     for start in range(0, m, core._STACK_CHUNK):
         k = min(core._STACK_CHUNK, m - start)
         samples, references = sampler(rng, k)
-        x = np.stack([obs.agent_choice for obs in samples])
+        x = np.array([obs.agent_choice for obs in samples])  # as np.stack, twice as fast
         answers = oracle.argmax_many([obs.feasible_set for obs in samples], c_bar)
         chunk = slice(start, start + k)
         model[chunk] = _row_dots(np.broadcast_to(c_bar, x.shape), answers - x)

@@ -138,10 +138,12 @@ class NormPair(_NormPairFields):
         return cls(cls.L2_L2)
 
     def primal(self, v) -> float:
-        v = np.asarray(v, dtype=np.float64)
+        # bitwise np.linalg.norm(v), the square root of the dot of v raveled in
+        # memory order with itself, and np.max(np.abs(v)), without wrappers
+        v = np.asarray(v, dtype=np.float64).ravel("K")
         if self.kind == self.LINF_L1:
-            return float(np.max(np.abs(v)))
-        return float(np.linalg.norm(v))
+            return float(abs(v).max())
+        return math.sqrt(v.dot(v))
 
     def primal_rows(self, m: np.ndarray) -> np.ndarray:
         """The primal norm of every row of a (T, n) float64 stack; row t is
@@ -386,13 +388,15 @@ class DagPaths(FeasibleSet):
     def _of_row(cls, num_nodes: int, arcs: np.ndarray) -> "DagPaths":
         """DagPaths(num_nodes, arcs) without the checks, for an (n, 2) intp
         array drawn as generation draws arcs.  The set reads arcs through a
-        read-only view; arcs stays writable, since a rejected set's redraw
-        overwrites it for a new set."""
+        read-only view, arcs itself when it is one; a writable arcs stays
+        writable, since a rejected set's redraw overwrites it for a new set."""
         X = cls.__new__(cls)
         X.num_nodes = num_nodes
-        X.dimension = int(arcs.shape[0])
-        X._ends = arcs.view()
-        X._ends.flags.writeable = False
+        X.dimension = arcs.shape[0]
+        if arcs.flags.writeable:
+            arcs = arcs.view()
+            arcs.flags.writeable = False
+        X._ends = arcs
         return X
 
     @property
@@ -491,7 +495,7 @@ class DagPaths(FeasibleSet):
         """
         k, m, n = len(sets), sets[0].num_nodes, sets[0].dimension
         cap = DEFAULT_ENUMERATION_CAP
-        ends = np.stack([X._ends for X in sets])
+        ends = np.array([X._ends for X in sets])  # as np.stack, twice as fast
         order = _arc_order(ends[:, :, 0])
         # node v of set r is entry r * m + v of the flat counts
         source = np.arange(0, k * m, m)

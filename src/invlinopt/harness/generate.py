@@ -11,11 +11,11 @@ rng between two sets (fresh random vertex sets with no gap test and no
 agent noise), one sampler call draws all its vertex sets as one (k, m, n)
 block of rng.random or rng.integers(0, 2), bitwise k draws of (m, n);
 every other vertex set is a block of one.  A block is checked for
-finiteness and folded once.  The fresh DAGs of one sampler call write
-their arcs into one (k, n, 2) intp block: its rows' chain is filled in
-once, the scalar rng.integers draws of each extra arc follow in the order
-a per-set draw makes them, a rejected draw's redraw overwrites its row,
-and each set is DagPaths._of_row of its row, without per-arc checks.
+finiteness and folded once.  A sampler call's fresh DAGs, or a repeated
+DAG, come from one drawer (_dag_drawer) and one (k, n, 2) intp block of
+arcs, each row's chain filled in once: a draw writes its extra arcs'
+scalar integers draws into its row in one flat write, a redraw overwrites
+them, and a set is DagPaths._of_row of a read-only row, unchecked.
 A DAG sampler call's scalar draws (arcs, noise flags, member indices) are
 replayed from raw PCG64 blocks by numpy's own rules (_ReplayedDraws).
 Each observation takes its choice, an oracle answer or a uniform_member
@@ -200,45 +200,13 @@ def _vertex_sets(
     return ExplicitVertices._from_block(block)
 
 
-def _dag_nodes(cfg: ExperimentConfig) -> int:
-    """The node count of every drawn DAG, whose n arcs include the chain."""
-    return min(cfg.dimension + 1, 8)
-
-
-def _dag_block(cfg: ExperimentConfig, k: int) -> np.ndarray:
-    """A (k, n, 2) intp block of DAG arcs on _dag_nodes(cfg) nodes, each
-    row's chain of arcs (i, i + 1) through the sink filled in; the draws
-    fill the rest of a row."""
-    num_nodes = _dag_nodes(cfg)
-    block = np.empty((k, cfg.dimension, 2), dtype=np.intp)
-    block[:, : num_nodes - 1, 0] = np.arange(num_nodes - 1)
-    block[:, : num_nodes - 1, 1] = np.arange(1, num_nodes)
-    return block
-
-
-def _sample_feasible_set(
-    cfg: ExperimentConfig, rng: np.random.Generator, arcs: np.ndarray | None = None
-) -> FeasibleSet:
-    """One drawn set.  A DAG's arcs go into arcs, a writable row of a
-    _dag_block block, or into a block of one; a redraw overwrites them."""
+def _sample_feasible_set(cfg: ExperimentConfig, rng: np.random.Generator) -> FeasibleSet:
+    """One drawn random vertex set or knapsack; DAGs are _dag_drawer's."""
     # the hypercube family is handled as a per-stream fixed set
-    n = cfg.dimension
     if cfg.family == "random-vertices":
         return _vertex_sets(cfg, rng, 1)[0]
-    if cfg.family == "knapsack":
-        weights = rng.integers(0, 10, size=n)
-        capacity = int(rng.integers(0, int(weights.sum()) + 1))
-        return Knapsack(weights, capacity)
-    if arcs is None:
-        arcs = _dag_block(cfg, 1)[0]
-    num_nodes = _dag_nodes(cfg)
-    extra = []
-    for _ in range(num_nodes - 1, n):
-        u = int(rng.integers(0, num_nodes - 1))
-        extra.append((u, int(rng.integers(u + 1, num_nodes))))
-    if extra:  # one row write; a chain alone (n <= 7) has no extra arcs
-        arcs[num_nodes - 1:] = extra
-    return DagPaths._of_row(num_nodes, arcs)
+    weights = rng.integers(0, 10, size=cfg.dimension)
+    return Knapsack(weights, int(rng.integers(0, int(weights.sum()) + 1)))
 
 
 def uniform_member(X: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
@@ -286,28 +254,65 @@ def _gap_test(
     return margin, cfg.gap_margin if cfg.gap_mode == "margin" else 0.0
 
 
+def _out_of_retries(cfg: ExperimentConfig, best: float, floor: float) -> GenerationFailedError:
+    """The error after RETRY_CAP draws of one set: it names them and, in
+    margin mode, the best margin seen."""
+    message = f"retry budget exhausted: {RETRY_CAP} draws for one set"
+    if cfg.gap_mode == "margin":
+        message += f", best margin {fmt(best)} against gap_margin {fmt(floor)}"
+    return GenerationFailedError(message)
+
+
 def _draw_set(
-    cfg: ExperimentConfig,
-    margin: Callable[[FeasibleSet], float],
-    floor: float,
+    cfg: ExperimentConfig, margin: Callable[[FeasibleSet], float], floor: float,
     rng: np.random.Generator,
-    arcs: np.ndarray | None = None,
 ) -> FeasibleSet:
-    """The first drawn set whose margin reaches the floor, a DAG's arcs
-    drawn into arcs as _sample_feasible_set does; after RETRY_CAP draws,
-    GenerationFailedError names them and, in margin mode, the best margin
-    seen."""
+    """The first drawn random vertex set or knapsack whose margin reaches
+    the floor, within RETRY_CAP draws."""
     best = -math.inf
     for _ in range(RETRY_CAP):
-        X = _sample_feasible_set(cfg, rng, arcs)
+        X = _sample_feasible_set(cfg, rng)
         seen = margin(X)
         if seen >= floor:
             return X
         best = max(best, seen)
-    message = f"retry budget exhausted: {RETRY_CAP} draws for one set"
-    if cfg.gap_mode == "margin":
-        message += f", best margin {fmt(best)} against gap_margin {fmt(floor)}"
-    raise GenerationFailedError(message)
+    raise _out_of_retries(cfg, best, floor)
+
+
+def _dag_drawer(
+    cfg: ExperimentConfig, margin: Callable[[FeasibleSet], float], floor: float,
+    integers: Callable[[int, int], int], k: int,
+) -> Callable[[int], DagPaths]:
+    """draw(i): the first DAG whose margin reaches the floor, within
+    RETRY_CAP draws, on min(n + 1, 8) nodes, its arcs in row i of one
+    (k, n, 2) intp block whose rows' chain through the sink is filled in
+    once.  A draw's extra arcs, two integers(low, high) calls each, go into
+    the row in one flat write, a redraw overwriting them; the set is
+    DagPaths._of_row of a read-only view of the row."""
+    nodes = min(cfg.dimension + 1, 8)
+    last, extras = nodes - 1, range(cfg.dimension - nodes + 1)
+    block = np.empty((k, cfg.dimension, 2), dtype=np.intp)
+    block[:, :last] = np.arange(last)[:, None] + [0, 1]  # arcs (j, j + 1)
+    tail = block.reshape(k, -1)[:, 2 * last:]
+    rows = block.view()
+    rows.flags.writeable = False
+
+    def draw(i: int) -> DagPaths:
+        best = -math.inf
+        for _ in range(RETRY_CAP):
+            flat = []
+            for _ in extras:
+                u = integers(0, last)
+                flat += u, integers(u + 1, nodes)
+            tail[i] = flat
+            X = DagPaths._of_row(nodes, rows[i])
+            seen = margin(X)
+            if seen >= floor:
+                return X
+            best = max(best, seen)
+        raise _out_of_retries(cfg, best, floor)
+
+    return draw
 
 
 def _fixed_set(
@@ -326,6 +331,8 @@ def _fixed_set(
     if cfg.fresh_sets:
         return None
     rng = np.random.default_rng([cfg.seed, 3])
+    if cfg.family == "dag":
+        return _dag_drawer(cfg, margin, floor, rng.integers, 1)(0)
     return _draw_set(cfg, margin, floor, rng)
 
 
@@ -384,17 +391,20 @@ def make_observation_sampler(
             sets = _vertex_sets(cfg, rng, k)
             noisy = [None] * k
         else:
-            sets, noisy = [], []
-            # fresh DAGs draw their arcs into the rows of one block; a DAG
-            # sample's draws are all scalar, and so replayed
-            fresh_dags = cfg.family == "dag" and shared is None
-            rows = _dag_block(cfg, k) if fresh_dags else [None] * k
+            sets, noisy, noise = [], [], cfg.agent_noise
+            # a DAG sample's draws are all scalar, and so replayed
             with _ReplayedDraws(rng, cfg.family == "dag") as draws:
-                for arcs in rows:
-                    X = shared if shared is not None else _draw_set(
-                        cfg, margin, floor, draws, arcs)
+                if shared is not None:
+                    draw = lambda i: shared
+                elif cfg.family == "dag":
+                    draw = _dag_drawer(cfg, margin, floor, draws.integers, k)
+                else:
+                    draw = lambda i: _draw_set(cfg, margin, floor, draws)
+                random = draws.random
+                for i in range(k):
+                    X = draw(i)
                     sets.append(X)
-                    errs = cfg.agent_noise > 0.0 and draws.random() < cfg.agent_noise
+                    errs = noise > 0.0 and random() < noise
                     noisy.append(uniform_member(X, draws) if errs else None)
         optimal_choices = (
             argmax_many(sets, c_star) if shared is None

@@ -134,7 +134,7 @@ def _solve(domain: PredictionDomain, grad_sum: np.ndarray, b: float) -> np.ndarr
     assert isinstance(domain, Ball)
     step = domain.center - grad_sum / b
     offset = step - domain.center
-    norm = float(np.linalg.norm(offset))
+    norm = math.sqrt(offset.dot(offset))  # bitwise np.linalg.norm(offset)
     if norm > domain.radius:
         step = domain.center + offset * (domain.radius / norm)
     return _frozen(step)

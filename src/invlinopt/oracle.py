@@ -265,7 +265,7 @@ def _dag_rows(sets: Sequence[DagPaths], c: np.ndarray, rows: np.ndarray) -> None
     sink then runs over the sets still away from the source.
     """
     k, m = len(sets), sets[0].num_nodes
-    ends = np.stack([X._ends for X in sets])
+    ends = np.array([X._ends for X in sets])  # as np.stack, twice as fast
     tails = ends[:, :, 0]
     order = _arc_order(tails)
     # node v of set r is entry r * m + v of the flat dist and pred arrays

@@ -1,7 +1,8 @@
-"""One property test over the whole config space: every valid config runs,
+"""Property tests over the whole config space: every valid config runs,
 or fails with a named error, a run is a pure function of its config, the
-learner plays its stream as the round-by-round reference does, and a saved
-stream reads back to the stream the config generates."""
+learner plays its stream as the round-by-round reference does, a saved
+stream reads back to the stream the config generates, and certify of an
+optimal agent's saved gap stream gives the run's gap verdict."""
 
 import tempfile
 from pathlib import Path
@@ -17,6 +18,7 @@ from invlinopt.harness import (
     generate_instance_stream,
     run_experiment,
 )
+from invlinopt.harness.cli import main
 from invlinopt.harness.config import DOMAINS, FAMILIES, GAP_MODES, SCHEDULES
 from invlinopt.harness.io import read_stream
 
@@ -100,6 +102,43 @@ def _assert_stream_reads_back(bundle, path: Path) -> None:
         assert loaded.agent_choice.tobytes() == drawn.agent_choice.tobytes()
 
 
+@st.composite
+def optimal_gap_configs(draw):
+    """A config of configs() that saves its stream, with an optimal agent,
+    a gap mode and, in margin mode, a margin of at most 0.5; a third span
+    two core._STACK_CHUNK chunks and more, so the run's certificate is
+    carried from chunk to chunk."""
+    cfg = draw(configs())
+    gap_mode = draw(st.sampled_from(["margin", "integral"]))
+    return cfg._replace(
+        save_stream=True, agent_noise=0.0, gap_mode=gap_mode,
+        gap_margin=(draw(st.floats(0.0, 0.5, exclude_min=True))
+                    if gap_mode == "margin" else 0.0),
+        rounds=draw(st.sampled_from([cfg.rounds, cfg.rounds, 2 * 256 + 3])),
+    )
+
+
+def _summary(text: str) -> dict[str, str]:
+    """A summary file's ``key = value`` lines as written."""
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+def _assert_certify_gives_the_runs_gap(cfg, run_dir: Path, certified: Path) -> None:
+    """certify of the saved stream, under the run's norm pair, gives the
+    summary's gap.satisfied and, to the last digit, its gap.delta or its
+    witness round."""
+    norms = generate.build_domain(cfg).norm_pair.kind
+    status = main(["certify", "--stream", str(run_dir / "stream.txt"),
+                   "--norms", norms, "--out", str(certified)])
+    run, got = _summary((run_dir / "summary.txt").read_text()), _summary(certified.read_text())
+    assert got["satisfied"] == run["gap.satisfied"]
+    assert status == (0 if got["satisfied"] == "true" else 1)
+    if got["satisfied"] == "true":
+        assert got["delta"] == run["gap.delta"]
+    else:
+        assert got["witness_round"] == run.get("gap.witness_round")
+
+
 @settings(max_examples=100, deadline=None)
 @given(configs())
 def test_every_valid_config_runs_or_names_its_failure_and_repeats(cfg):
@@ -113,3 +152,13 @@ def test_every_valid_config_runs_or_names_its_failure_and_repeats(cfg):
             _assert_play_matches_the_reference(bundle)
             if cfg.save_stream:
                 _assert_stream_reads_back(bundle, Path(tmp, "first", "stream.txt"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(optimal_gap_configs())
+def test_certify_of_a_saved_gap_stream_gives_the_runs_verdict(cfg):
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(generate, "RETRY_CAP", RETRY_CAP)
+        run_dir = Path(tmp, "run")
+        if isinstance(_outputs(cfg, run_dir)[1], dict):
+            _assert_certify_gives_the_runs_gap(cfg, run_dir, Path(tmp, "certify.txt"))

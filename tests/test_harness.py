@@ -366,6 +366,68 @@ def test_a_dag_sampler_draws_what_numpys_scalar_calls_draw(make_rng, repeat):
     np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
 
 
+# the DAG drawer's modes: a margin gap rejects a set and redraws it into
+# its row, in the sampler's block or in the repeated set's block of one;
+# the noise flag draws always or never take a uniform member; with n <= 7
+# every set is its chain alone and draws no arc
+DRAWER_MODES = {
+    "margin-redraws": dict(dimension=10, gap_mode="margin", gap_margin=0.05,
+                           agent_noise=0.3),
+    "noise-0": dict(dimension=10, agent_noise=0.0),
+    "noise-1": dict(dimension=10, agent_noise=1.0),
+    "chain-only": dict(dimension=6, agent_noise=0.3),
+    "repeated-margin": dict(dimension=10, gap_mode="margin", gap_margin=0.05,
+                            agent_noise=0.3, fresh_sets=False),
+}
+
+
+@pytest.mark.parametrize("make_rng", [
+    lambda: np.random.Generator(np.random.MT19937(21)),
+    lambda: _pending(np.random.default_rng(21)),
+], ids=["mt19937", "pcg64-pending-half"])
+@pytest.mark.parametrize("mode", sorted(DRAWER_MODES))
+def test_the_dag_drawer_draws_what_numpys_scalar_calls_draw_in_every_mode(
+    make_rng, mode, monkeypatch
+):
+    cfg = make_cfg(family="dag", rounds=1, **DRAWER_MODES[mode])
+    c_star, c_star_integral = draw_objective(cfg)
+    per_set = reference.reference_sampler(cfg, c_star, c_star_integral)
+    # every margin the sampler's sets are tested by, fixed set included,
+    # and whether it reached the floor
+    reached = []
+    gap_test = generate._gap_test
+
+    def counted_gap_test(*args):
+        margin, floor = gap_test(*args)
+
+        def counted(X):
+            seen = margin(X)
+            reached.append(seen >= floor)
+            return seen
+
+        return counted, floor
+
+    monkeypatch.setattr(generate, "_gap_test", counted_gap_test)
+    rng, reference_rng = make_rng(), make_rng()
+    with time_limit(30):
+        sampler = generate.make_observation_sampler(cfg, c_star, c_star_integral)
+        observations, _ = sampler(rng, 300)
+    assert (False in reached) == (cfg.gap_mode == "margin")
+    for obs in observations:
+        expected = per_set(reference_rng)
+        X = obs.feasible_set
+        assert (X.num_nodes, X.arcs) == (expected.feasible_set.num_nodes,
+                                         expected.feasible_set.arcs)
+        assert obs.agent_choice.tobytes() == expected.agent_choice.tobytes()
+        assert not X._ends.flags.writeable
+    if mode == "chain-only":
+        chain = tuple((j, j + 1) for j in range(cfg.dimension))
+        assert all(obs.feasible_set.arcs == chain for obs in observations)
+    if not cfg.fresh_sets:
+        assert len({id(obs.feasible_set) for obs in observations}) == 1
+    np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
+
+
 def test_a_dag_sampler_out_of_retries_leaves_the_rng_where_its_draws_did(monkeypatch):
     # the replayed draws are closed on the raise: the generator is where
     # the reference's RETRY_CAP scalar draws leave it

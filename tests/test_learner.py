@@ -18,6 +18,7 @@ from invlinopt import (
     ExplicitVertices,
     Hypercube,
     Knapsack,
+    NormPair,
     Observation,
     PredictionDomain,
     Simplex,
@@ -219,6 +220,49 @@ def test_squared_norm_accumulation():
     ball_state2, ball_record = _step(ball_state, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     assert tuple(ball_record.g) == (-1.0, 1.0)
     assert abs(ball_state2.sq_norm_sum - 2.0) < 1e-12
+
+
+# finite float64 entries: any finite double, and magnitudes from 1e-100 to
+# 1e100, the ball radii a config accepts, so squares underflow and overflow
+NORM_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-100, 100)),
+)
+
+
+def _solved_with_linalg_norm(domain, grad_sum, b):
+    """learner._solve on a ball as first written, with np.linalg.norm."""
+    step = domain.center - grad_sum / b
+    offset = step - domain.center
+    norm = float(np.linalg.norm(offset))
+    if norm > domain.radius:
+        step = domain.center + offset * (domain.radius / norm)
+    return step + 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_norms_are_bitwise_numpys(data):
+    # NormPair.primal and the ball projection take a norm as the square
+    # root of one dot and the sup norm as abs(v).max(): bitwise the numpy
+    # functions they replace
+    n = data.draw(st.integers(1, 12))
+    v = data.draw(st.lists(NORM_ENTRIES, min_size=n, max_size=n).map(np.array))
+    # strided and reversed views sum their squares in numpy's order too
+    spaced = np.zeros(2 * n)
+    spaced[::2] = v
+    for view in (v, spaced[::2], v[::-1]):
+        with np.errstate(over="ignore"):  # a square past the largest double
+            assert (NormPair.l2_l2().primal(view).hex()
+                    == float(np.linalg.norm(view)).hex())
+        assert NormPair.linf_l1().primal(view).hex() == float(np.max(np.abs(view))).hex()
+    radius = 10.0 ** data.draw(st.floats(-100.0, 100.0))
+    ball = Ball(np.full(n, 2.0 * radius / math.sqrt(n)), radius)
+    # grad_sum / b and the offset stay finite
+    grad_sum = np.clip(v, -1e100, 1e100)
+    b = data.draw(st.floats(1e-3, 1e3))
+    solved = learner._solve(ball, grad_sum, b)
+    assert solved.tobytes() == _solved_with_linalg_norm(ball, grad_sum, b).tobytes()
 
 
 def test_beta_monotone_and_predictions_feasible():
